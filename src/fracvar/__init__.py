@@ -21,8 +21,7 @@ from .experiments import (ConvergenceReport, IdentityReport, LinearRun,
 from .fracops import (NonlocalOperator, QuadratureParams, apply_divergence,
                       apply_gradient, apply_laplacian, assemble_gradient,
                       assemble_laplacian, composition_matrix,
-                      composition_residual, load_operator,
-                      normalizing_constants, save_operator)
+                      composition_residual, normalizing_constants)
 from .grid import (DomainSpec, Field, Grid, VectorField, build_grid,
                    field_from_function, l2_inner)
 from .solvers import (RaySearchResult, SolveReport, SolverOptions,

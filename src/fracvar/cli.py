@@ -26,20 +26,22 @@ little-endian 8-byte floats. Exit codes: 0 success, 1 solver failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import struct
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments as ex
-from .coeffs import COEFFICIENT_FAMILIES, REACTION_FAMILIES
+from .coeffs import COEFFICIENT_FAMILIES, REACTION_FAMILIES, make_coefficient, make_reaction
 from .fracops import QuadratureParams
-from .grid import DomainSpec, Field, Grid
+from .grid import DomainSpec, Field, Grid, build_grid
 from .solvers import SolverOptions
 from .spectral import eigenpair_to_csv
 
@@ -54,25 +56,15 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# configuration schema
+# configuration schema: each section is read from the definition that owns
+# it, whose ValueErrors start with the offending name
 # ---------------------------------------------------------------------------
 
-_SECTIONS = {
-    "domain": {"bounds", "nodes"},
-    "operator": {"s", "rho0", "rho_tail", "tail_correction", "near_cells",
-                 "n_theta", "nyquist_stabilization"},
-    "coefficient": {"family", "params"},
-    "reaction": {"family", "params"},
-    "forcing": {"kind", "scale", "path"},
-    "solver": {"max_iter", "tol_g", "armijo_factor", "armijo_slope",
-               "ball_radius", "cone_projection", "path_points",
-               "path_step_cap", "respline_every", "tol_active"},
-    "sweep": {"values"},
-}
-_TOP_KEYS = set(_SECTIONS) | {"output_dir", "seed", "threads"}
+_TOP_KEYS = {"domain", "operator", "coefficient", "reaction", "forcing", "solver",
+             "sweep", "output_dir", "seed", "threads"}
 
 
-def _reject_unknown(section: str, data: dict, allowed: set):
+def _reject_unknown(section: str, data: dict, allowed):
     for key in data:
         if key not in allowed:
             raise ConfigError(f'unknown key "{key}" in section "{section}"')
@@ -82,6 +74,76 @@ def _require(data: dict, section: str, key: str):
     if key not in data:
         raise ConfigError(f'missing required key "{section}.{key}"')
     return data[key]
+
+
+def _section(raw: dict, name: str) -> dict:
+    data = raw.get(name, {})
+    if not isinstance(data, dict):
+        raise ConfigError(f'section "{name}" must be a JSON object, got {data!r}')
+    return data
+
+
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number"}
+
+
+def _typed(key: str, hint, value):
+    """Check one JSON value against a field type: a bool only for bool, an
+    integral number only for int, a finite number for float, and null only
+    where the type admits None."""
+    options = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in options:
+        return None
+    kind = options[0]
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max and (kind is float or value == int(value)))
+    if not ok:
+        raise ConfigError(f'"{key}" must be {_EXPECTED[kind]}, got {value!r}')
+    return kind(value)
+
+
+def _checked(key: str, build, *args, **kwargs):
+    """Call a validating constructor; its ValueError names key.<name>."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        raise ConfigError(f"{key}.{err}") from None
+
+
+def _dataclass_from(cls, section: str, data: dict, extra=()):
+    """Build a config dataclass from its section: the keys are the fields
+    (plus `extra`, read by the caller), every value is type-checked, and
+    omitted keys keep the dataclass defaults."""
+    hints = typing.get_type_hints(cls)
+    names = {f.name for f in dataclasses.fields(cls)}
+    _reject_unknown(section, data, names | set(extra))
+    kwargs = {k: _typed(f"{section}.{k}", hints[k], v) for k, v in data.items() if k in names}
+    return _checked(section, cls, **kwargs)
+
+
+def _family_from(raw: dict, section: str, families: dict, make) -> dict:
+    """Family and params of one section, as the model built from them uses."""
+    data = _section(raw, section)
+    _reject_unknown(section, data, {"family", "params"})
+    # an omitted family is the RegimeConfig default
+    family = data.get("family", getattr(ex.RegimeConfig, section)[0])
+    if not isinstance(family, str) or family not in families:
+        raise ConfigError(f'"{section}.family" must be one of {tuple(families)}, got {family!r}')
+    params = data.get("params")
+    if params is not None and not isinstance(params, dict):
+        raise ConfigError(f'"{section}.params" must be a JSON object, got {params!r}')
+    return _checked(f"{section}.params", make, family, params).to_dict()
+
+
+def _check_forcing_file(path: str, spec: DomainSpec) -> None:
+    try:
+        values = read_field(path, build_grid(spec)).values
+    except (OSError, ValueError) as err:
+        raise ConfigError(f'"forcing.path" {path!r}: {err}') from None
+    if np.any(values < 0):
+        raise ConfigError(f'"forcing.path" {path!r}: forcing values must be nonnegative')
 
 
 def parse_config(path) -> dict:
@@ -101,108 +163,54 @@ def parse_config(path) -> dict:
         raise ConfigError("config root must be a JSON object")
     _reject_unknown("<root>", raw, _TOP_KEYS)
 
-    dom = _require(raw, "<root>", "domain")
-    _reject_unknown("domain", dom, _SECTIONS["domain"])
-    bounds = _require(dom, "domain", "bounds")
-    nodes = _require(dom, "domain", "nodes")
+    _require(raw, "<root>", "domain")
+    dom = _section(raw, "domain")
+    _reject_unknown("domain", dom, {f.name for f in dataclasses.fields(DomainSpec)})
+    bounds, nodes = _require(dom, "domain", "bounds"), _require(dom, "domain", "nodes")
     try:
-        spec = DomainSpec(bounds=tuple(tuple(b) for b in bounds), nodes=tuple(nodes))
+        spec = DomainSpec(
+            bounds=tuple(tuple(_typed("domain.bounds", float, x) for x in ab) for ab in bounds),
+            nodes=tuple(_typed("domain.nodes", int, n) for n in nodes))
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"domain: {err}")
+        raise ConfigError(f"domain: {err}") from None
 
-    op = dict(raw.get("operator", {}))
-    _reject_unknown("operator", op, _SECTIONS["operator"])
-    s = float(_require(op, "operator", "s"))
+    op = _section(raw, "operator")
+    s = _typed("operator.s", float, _require(op, "operator", "s"))
     if not 0.0 < s < 1.0:
         raise ConfigError(f'"operator.s" must lie in (0, 1), got {s}')
-    try:
-        quad = QuadratureParams(
-            rho0=float(op.get("rho0", 0.5)),
-            rho_tail=op.get("rho_tail"),
-            tail_correction=bool(op.get("tail_correction", True)),
-            near_cells=int(op.get("near_cells", 8)),
-            n_theta=int(op.get("n_theta", 2048)),
-            nyquist_stabilization=float(op.get("nyquist_stabilization", 0.12)),
-        )
-    except ValueError as err:
-        raise ConfigError(f"operator: {err}")
+    quad = _dataclass_from(QuadratureParams, "operator", op, extra={"s"})
 
-    coeff = dict(raw.get("coefficient", {"family": "power"}))
-    _reject_unknown("coefficient", coeff, _SECTIONS["coefficient"])
-    cfam = coeff.get("family", "power")
-    if cfam not in COEFFICIENT_FAMILIES:
-        raise ConfigError(
-            f'"coefficient.family" must be one of {COEFFICIENT_FAMILIES}, got {cfam!r}'
-        )
-    cpar = dict(coeff.get("params",
-                          {"A": 1.0, "B": 2.0, "p": 1.5} if cfam == "power" else {"c": 1.0}))
+    forcing = _checked("forcing", ex.forcing_spec, _section(raw, "forcing"))
+    if forcing["kind"] == "file":
+        _check_forcing_file(forcing["path"], spec)
 
-    reac = dict(raw.get("reaction", {"family": "saturating"}))
-    _reject_unknown("reaction", reac, _SECTIONS["reaction"])
-    rfam = reac.get("family", "saturating")
-    if rfam not in REACTION_FAMILIES:
-        raise ConfigError(
-            f'"reaction.family" must be one of {REACTION_FAMILIES}, got {rfam!r}'
-        )
-    rpar = dict(reac.get("params", {"nu": 1.0} if rfam == "saturating" else {"kappa": 1.0}))
+    sweep = _section(raw, "sweep")
+    _reject_unknown("sweep", sweep, {"values"})
+    values = sweep.get("values", [])
+    if not isinstance(values, list):
+        raise ConfigError(f'"sweep.values" must be a list, got {values!r}')
 
-    forcing = dict(raw.get("forcing", {"kind": "zero"}))
-    _reject_unknown("forcing", forcing, _SECTIONS["forcing"])
-    kind = forcing.get("kind", "zero")
-    if kind not in ("zero", "eigenfunction", "file"):
-        raise ConfigError(f'"forcing.kind" must be zero|eigenfunction|file, got {kind!r}')
-    if kind == "eigenfunction":
-        forcing.setdefault("scale", 1.0)
-    if kind == "file" and "path" not in forcing:
-        raise ConfigError('"forcing.path" is required for forcing.kind = "file"')
-
-    sol = dict(raw.get("solver", {}))
-    _reject_unknown("solver", sol, _SECTIONS["solver"])
-    try:
-        solver = SolverOptions(
-            max_iter=int(sol.get("max_iter", 5000)),
-            tol_g=float(sol.get("tol_g", 1e-6)),
-            armijo_factor=float(sol.get("armijo_factor", 0.5)),
-            armijo_slope=float(sol.get("armijo_slope", 1e-4)),
-            ball_radius=sol.get("ball_radius"),
-            cone_projection=bool(sol.get("cone_projection", True)),
-            path_points=int(sol.get("path_points", 41)),
-            path_step_cap=sol.get("path_step_cap"),
-            respline_every=int(sol.get("respline_every", 10)),
-            tol_active=float(sol.get("tol_active", 1e-10)),
-        )
-    except ValueError as err:
-        raise ConfigError(f"solver: {err}")
-
-    sweep = dict(raw.get("sweep", {"values": []}))
-    _reject_unknown("sweep", sweep, _SECTIONS["sweep"])
-    values = [float(v) for v in sweep.get("values", [])]
-
-    seed = int(raw.get("seed", 0))
-    threads = int(raw.get("threads", 1))
+    seed = _typed("seed", int, raw.get("seed", ex.RegimeConfig.seed))
+    if seed < 0:
+        raise ConfigError(f'"seed" must be nonnegative, got {seed}')
+    threads = _typed("threads", int, raw.get("threads", ex.RegimeConfig.threads))
     if threads < 1:
         raise ConfigError(f'"threads" must be at least 1, got {threads}')
+    output_dir = raw.get("output_dir", "fracvar-out")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f'"output_dir" must be a string, got {output_dir!r}')
 
     return {
         "domain": spec.to_dict(),
-        "operator": {
-            "s": s, "rho0": quad.rho0, "rho_tail": quad.rho_tail,
-            "tail_correction": quad.tail_correction, "near_cells": quad.near_cells,
-            "n_theta": quad.n_theta,
-            "nyquist_stabilization": quad.nyquist_stabilization,
-        },
-        "coefficient": {"family": cfam, "params": cpar},
-        "reaction": {"family": rfam, "params": rpar},
+        "operator": {"s": s, **dataclasses.asdict(quad)},
+        "coefficient": _family_from(raw, "coefficient", COEFFICIENT_FAMILIES, make_coefficient),
+        "reaction": _family_from(raw, "reaction", REACTION_FAMILIES, make_reaction),
         "forcing": forcing,
-        "solver": {
-            "max_iter": solver.max_iter, "tol_g": solver.tol_g,
-            "armijo_factor": solver.armijo_factor, "armijo_slope": solver.armijo_slope,
-            "ball_radius": solver.ball_radius, "cone_projection": solver.cone_projection,
-            "path_points": solver.path_points, "path_step_cap": solver.path_step_cap,
-            "respline_every": solver.respline_every, "tol_active": solver.tol_active,
-        },
-        "sweep": {"values": values},
-        "output_dir": raw.get("output_dir", "fracvar-out"),
+        "solver": dataclasses.asdict(_dataclass_from(SolverOptions, "solver", _section(raw, "solver"))),
+        "sweep": {"values": [_typed(f"sweep.values[{k}]", float, v) for k, v in enumerate(values)]},
+        "output_dir": output_dir,
         "seed": seed,
         "threads": threads,
     }
@@ -210,15 +218,12 @@ def parse_config(path) -> dict:
 
 def regime_config_from(materialized: dict, threads: int | None = None) -> ex.RegimeConfig:
     """Build the experiments-facing config from a materialized dict."""
-    op = materialized["operator"]
+    op = dict(materialized["operator"])
+    s = op.pop("s")
     return ex.RegimeConfig(
         domain=DomainSpec.from_dict(materialized["domain"]),
-        s=op["s"],
-        quadrature=QuadratureParams(
-            rho0=op["rho0"], rho_tail=op["rho_tail"],
-            tail_correction=op["tail_correction"], near_cells=op["near_cells"],
-            n_theta=op["n_theta"], nyquist_stabilization=op["nyquist_stabilization"],
-        ),
+        s=s,
+        quadrature=QuadratureParams(**op),
         coefficient=(materialized["coefficient"]["family"],
                      materialized["coefficient"]["params"]),
         reaction=(materialized["reaction"]["family"], materialized["reaction"]["params"]),
@@ -247,21 +252,26 @@ def write_field(path, fld: Field) -> None:
 
 
 def read_field(path, grid: Grid) -> Field:
-    """Read an FVFD file back onto a grid; header mismatches are fatal."""
+    """Read an FVFD file back onto a grid; header mismatches and non-finite
+    values are fatal."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _FVFD_MAGIC:
-            raise ValueError(f"bad field magic {magic!r}, expected {_FVFD_MAGIC!r}")
-        d = struct.unpack("<I", fh.read(4))[0]
-        n = struct.unpack("<I", fh.read(4))[0]
+        header = fh.read(12)
         payload = fh.read()
+    if header[:4] != _FVFD_MAGIC:
+        raise ValueError(f"bad field magic {header[:4]!r}, expected {_FVFD_MAGIC!r}")
+    if len(header) < 12:
+        raise ValueError(f"field header has {len(header)} bytes, expected 12")
+    d, n = struct.unpack("<II", header[4:])
     if d != grid.dimension:
         raise ValueError(f"field dimension {d} does not match grid dimension {grid.dimension}")
     if n != grid.n_nodes:
         raise ValueError(f"field has {n} nodes, grid has {grid.n_nodes}")
     if len(payload) != 8 * n:
         raise ValueError(f"field payload has {len(payload)} bytes, expected {8 * n}")
-    return Field(grid, np.frombuffer(payload, dtype="<f8").copy())
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field has non-finite values")
+    return Field(grid, values)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +373,11 @@ def _cmd_mpass(cfg, rcfg, outdir, files):
     if rcfg.reaction[0] not in ("cubic_saturating", "linear"):
         raise ConfigError(
             f"mpass needs a linear-growth reaction family, got {rcfg.reaction[0]!r}")
+    if any(v < 0 for v in rcfg.sweep):
+        raise ConfigError(f'"sweep.values" are forcing scales for mpass and must be '
+                          f"nonnegative, got {list(rcfg.sweep)}")
     if not rcfg.sweep:
-        scale = float(rcfg.forcing.get("scale", 0.0)) if rcfg.forcing["kind"] == "eigenfunction" else 0.0
-        rcfg = ex.RegimeConfig(**{**_regime_kwargs(rcfg), "sweep": (scale,)})
+        rcfg = dataclasses.replace(rcfg, sweep=(rcfg.forcing.get("scale", 0.0),))
     report = ex.run_linear_regime(rcfg)
     payload = {"lambda1": report.lambda1,
                "audit": {"verdicts": report.audit.verdicts,
@@ -407,6 +419,9 @@ def _cmd_sweep(cfg, rcfg, outdir, files):
     if rcfg.reaction[0] != "saturating":
         raise ConfigError(
             f"sweep needs the sublinear reaction family, got {rcfg.reaction[0]!r}")
+    if any(v <= 0 for v in rcfg.sweep):
+        raise ConfigError(f'"sweep.values" are nu values for sweep and must be positive, '
+                          f"got {list(rcfg.sweep)}")
     prep = ex.prepare(rcfg)
     report = ex.run_sublinear_regime(rcfg, prep)
     rows = []
@@ -448,15 +463,6 @@ def _cmd_appendix(cfg, rcfg, outdir, files):
     })
     files.append("report.json")
     return 0
-
-
-def _regime_kwargs(rcfg: ex.RegimeConfig) -> dict:
-    return {
-        "domain": rcfg.domain, "s": rcfg.s, "quadrature": rcfg.quadrature,
-        "coefficient": rcfg.coefficient, "reaction": rcfg.reaction,
-        "forcing": rcfg.forcing, "solver": rcfg.solver, "sweep": rcfg.sweep,
-        "seed": rcfg.seed, "threads": rcfg.threads,
-    }
 
 
 def _jsonable(obj):
@@ -506,6 +512,17 @@ def run_command(materialized: dict, command: str, out_dir=None,
     return status
 
 
+def _threads_override(flag: str | None) -> int | None:
+    """--threads, else FRACVAR_THREADS, else None (the config decides)."""
+    key, value = ("--threads", flag) if flag is not None else (
+        "FRACVAR_THREADS", os.environ.get("FRACVAR_THREADS"))
+    if not value:
+        return None
+    if not value.isdecimal() or int(value) < 1:
+        raise ConfigError(f'"{key}" must be an integer of at least 1, got {value!r}')
+    return int(value)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fracvar",
@@ -514,21 +531,13 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", default=None,
                         help="sweep concurrency (default FRACVAR_THREADS or config)")
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("FRACVAR_THREADS")
-        threads = int(env) if env else None
-
     try:
+        threads = _threads_override(args.threads)
         materialized = parse_config(args.config)
-    except ConfigError as err:
-        print(f"fracvar: config error: {err}", file=sys.stderr)
-        return 2
-    try:
         status = run_command(materialized, args.command, out_dir=args.out, threads=threads)
     except ConfigError as err:
         print(f"fracvar: config error: {err}", file=sys.stderr)

@@ -16,6 +16,7 @@ family carries in closed form. A failed sample is a hard "violated".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -30,8 +31,18 @@ __all__ = [
     "check_ball_condition",
 ]
 
-COEFFICIENT_FAMILIES = ("power", "constant")
-REACTION_FAMILIES = ("saturating", "cubic_saturating", "linear")
+# family name -> its parameters' defaults, used whole when no params are given
+COEFFICIENT_FAMILIES = {
+    "power": {"A": 1.0, "B": 2.0, "p": 1.5},
+    "constant": {"c": 1.0},
+}
+REACTION_FAMILIES = {
+    "saturating": {"nu": 1.0, "amplitude": 1.0},
+    "cubic_saturating": {"kappa": 1.0},
+    "linear": {"kappa": 1.0},
+}
+# scale factors that given params may leave out; they keep their default
+_OPTIONAL_PARAMS = frozenset({"amplitude"})
 
 
 @dataclass(frozen=True)
@@ -148,77 +159,77 @@ class BallConditionReport:
     bound_constant: float
 
 
-def make_coefficient(family: str, params: dict) -> CoefficientModel:
-    """Build a diffusivity model.
+def _family_params(kind: str, families: dict, family: str, params: dict | None) -> dict:
+    """Parameters of one family: its defaults when params is None, else
+    params with every name known, present (unless optional), and a finite
+    positive number. Messages start with the offending parameter name."""
+    if family not in families:
+        raise ValueError(f"unknown {kind} family {family!r}; known: {tuple(families)}")
+    defaults = families[family]
+    if params is None:
+        return dict(defaults)
+    for name in params:
+        if name not in defaults:
+            raise ValueError(f"{name} is not a parameter of the {family} family; "
+                             f"known: {', '.join(defaults)}")
+    out = {}
+    for name, default in defaults.items():
+        if name not in params and name not in _OPTIONAL_PARAMS:
+            raise ValueError(f"{name} is missing; the {family} family needs it")
+        value = params.get(name, default)
+        if isinstance(value, bool) or not isinstance(value, Real) or not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be a finite positive number for the "
+                             f"{family} family, got {value!r}")
+        out[name] = float(value)
+    return out
+
+
+def make_coefficient(family: str, params: dict | None = None) -> CoefficientModel:
+    """Build a diffusivity model; params None means the family's defaults.
 
     "power": Gamma(t) = A t + B ((1+t)^{p/2} - 1) with A, B > 0 and
     1 < p < 2; gamma decreases from A + B p/2 at zero to the limit A.
     "constant": gamma == c > 0.
     """
+    params = _family_params("coefficient", COEFFICIENT_FAMILIES, family, params)
     if family == "power":
-        a = float(params["A"])
-        b = float(params["B"])
-        p = float(params["p"])
-        if a <= 0 or b <= 0:
-            raise ValueError(f"power family needs A, B > 0, got A={a}, B={b}")
+        a, b, p = params["A"], params["B"], params["p"]
         if not 1.0 < p < 2.0:
-            raise ValueError(f"power family needs p in (1, 2), got {p}")
+            raise ValueError(f"p must lie in (1, 2) for the power family, got {p}")
         return CoefficientModel(
-            family=family,
-            params={"A": a, "B": b, "p": p},
-            gamma_min=a,
-            gamma_max=a + b * p / 2.0,
-            gamma_inf=a,
-            analytic_bounds=True,
+            family=family, params=params,
+            gamma_min=a, gamma_max=a + b * p / 2.0, gamma_inf=a, analytic_bounds=True,
         )
-    if family == "constant":
-        c = float(params["c"])
-        if c <= 0:
-            raise ValueError(f"constant family needs c > 0, got {c}")
-        return CoefficientModel(
-            family=family, params={"c": c},
-            gamma_min=c, gamma_max=c, gamma_inf=c, analytic_bounds=True,
-        )
-    raise ValueError(f"unknown coefficient family {family!r}; known: {COEFFICIENT_FAMILIES}")
+    c = params["c"]
+    return CoefficientModel(
+        family=family, params=params,
+        gamma_min=c, gamma_max=c, gamma_inf=c, analytic_bounds=True,
+    )
 
 
-def make_reaction(family: str, params: dict) -> ReactionModel:
-    """Build a reaction model.
+def make_reaction(family: str, params: dict | None = None) -> ReactionModel:
+    """Build a reaction model; params None means the family's defaults.
 
     "saturating": f(t) = nu * amplitude * t / (1 + |t|), sublinear class
     (slope nu*amplitude at 0, slope 0 at infinity, |f| <= nu*amplitude*|t|
-    everywhere; amplitude defaults to 1 and rescales the factor g).
+    everywhere; amplitude may be left out and rescales the factor g).
     "cubic_saturating": f(t) = kappa t^3 / (1 + t^2), linear class (slope 0
     at 0, slope kappa at infinity, f(t) <= kappa t for t > 0).
     "linear": f(t) = kappa t (the negative-control family: slope at 0
     equals the slope at infinity).
     """
+    params = _family_params("reaction", REACTION_FAMILIES, family, params)
     if family == "saturating":
-        nu = float(params["nu"])
-        amp = float(params.get("amplitude", 1.0))
-        if nu <= 0 or amp <= 0:
-            raise ValueError(f"saturating family needs nu, amplitude > 0, got nu={nu}, amplitude={amp}")
         return ReactionModel(
-            family=family, params={"nu": nu, "amplitude": amp}, growth_class="sublinear",
-            linear_bound_C=nu * amp, onset_t0=1.0, asymptotic_slope=0.0,
+            family=family, params=params, growth_class="sublinear",
+            linear_bound_C=params["nu"] * params["amplitude"], onset_t0=1.0,
+            asymptotic_slope=0.0,
         )
-    if family == "cubic_saturating":
-        k = float(params["kappa"])
-        if k <= 0:
-            raise ValueError(f"cubic_saturating family needs kappa > 0, got {k}")
-        return ReactionModel(
-            family=family, params={"kappa": k}, growth_class="linear",
-            linear_bound_C=k, onset_t0=1.0, asymptotic_slope=k,
-        )
-    if family == "linear":
-        k = float(params["kappa"])
-        if k <= 0:
-            raise ValueError(f"linear family needs kappa > 0, got {k}")
-        return ReactionModel(
-            family=family, params={"kappa": k}, growth_class="linear",
-            linear_bound_C=k, onset_t0=0.0, asymptotic_slope=k,
-        )
-    raise ValueError(f"unknown reaction family {family!r}; known: {REACTION_FAMILIES}")
+    k = params["kappa"]
+    return ReactionModel(
+        family=family, params=params, growth_class="linear", linear_bound_C=k,
+        onset_t0=1.0 if family == "cubic_saturating" else 0.0, asymptotic_slope=k,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 from scipy.integrate import quad
@@ -40,7 +41,7 @@ from .fracops import (NonlocalOperator, QuadratureParams, apply_divergence,
                       composition_matrix, composition_residual,
                       normalizing_constants)
 from .grid import DomainSpec, Field, Grid, VectorField, build_grid, field_from_function, l2_inner
-from .solvers import (RaySearchResult, SolveReport, SolverOptions,
+from .solvers import (TRIVIAL_L2, RaySearchResult, SolveReport, SolverOptions,
                       minimize_cone, mountain_pass, project_cone, ray_search)
 from .spectral import EigenPair, first_eigenpair
 
@@ -63,30 +64,51 @@ __all__ = [
 ]
 
 
+# forcing kind -> defaults of the keys it reads (a file path has none)
+FORCING_KINDS = {"zero": {}, "eigenfunction": {"scale": 1.0}, "file": {"path": None}}
+
+
+def forcing_spec(forcing: dict) -> dict:
+    """The forcing with its kind's defaults filled in; keys the kind does not
+    read, a path that is not a string and a scale that is not a finite
+    nonnegative number are rejected (messages start with the key)."""
+    kind = forcing.get("kind", "zero")
+    if not isinstance(kind, str) or kind not in FORCING_KINDS:
+        raise ValueError(f"kind must be one of {tuple(FORCING_KINDS)}, got {kind!r}")
+    spec = {"kind": kind, **FORCING_KINDS[kind], **forcing}
+    unread = spec.keys() - {"kind", *FORCING_KINDS[kind]}
+    if unread:
+        raise ValueError(f'{min(unread)} is not read by forcing kind "{kind}"')
+    scale = spec.get("scale", 0.0)
+    if isinstance(scale, bool) or not isinstance(scale, Real) or not 0.0 <= scale < np.inf:
+        raise ValueError(f"scale must be a finite nonnegative number, got {scale!r}")
+    if not isinstance(spec.get("path", ""), str):
+        raise ValueError(f"path must name an FVFD file, got {spec['path']!r}")
+    return spec
+
+
 @dataclass(frozen=True)
 class RegimeConfig:
-    """Fully determined experiment setup (grid, operator, families, sweep)."""
+    """Fully determined experiment setup (grid, operator, families, sweep);
+    families (params None: the defaults) and forcing are stored filled in."""
 
     domain: DomainSpec
     s: float = 0.5
     quadrature: QuadratureParams = field(default_factory=QuadratureParams)
-    coefficient: tuple[str, dict] = ("power", None)
-    reaction: tuple[str, dict] = ("saturating", None)
-    forcing: dict = field(default_factory=lambda: {"kind": "zero"})
+    coefficient: tuple[str, dict | None] = ("power", None)
+    reaction: tuple[str, dict | None] = ("saturating", None)
+    forcing: dict = field(default_factory=dict)
     solver: SolverOptions = field(default_factory=SolverOptions)
     sweep: tuple[float, ...] = ()
     seed: int = 0
     threads: int = 1
 
     def __post_init__(self):
-        fam, params = self.coefficient
-        if params is None:
-            params = {"A": 1.0, "B": 2.0, "p": 1.5} if fam == "power" else {"c": 1.0}
-        object.__setattr__(self, "coefficient", (fam, dict(params)))
-        fam, params = self.reaction
-        if params is None:
-            params = {"nu": 1.0} if fam == "saturating" else {"kappa": 1.0}
-        object.__setattr__(self, "reaction", (fam, dict(params)))
+        object.__setattr__(self, "coefficient", (
+            self.coefficient[0], coeffs_mod.make_coefficient(*self.coefficient).params))
+        object.__setattr__(self, "reaction", (
+            self.reaction[0], coeffs_mod.make_reaction(*self.reaction).params))
+        object.__setattr__(self, "forcing", forcing_spec(self.forcing))
         object.__setattr__(self, "sweep", tuple(float(v) for v in self.sweep))
         if self.threads < 1:
             raise ValueError("threads must be at least 1")
@@ -147,18 +169,14 @@ def prepare(config: RegimeConfig) -> PreparedProblem:
 
 def build_forcing(prep: PreparedProblem, forcing: dict | None = None) -> Field:
     """Realize the forcing spec: zero, a multiple of phi1, or a file field."""
-    spec = forcing if forcing is not None else prep.config.forcing
-    kind = spec.get("kind", "zero")
-    if kind == "zero":
-        return Field(prep.grid, np.zeros(prep.grid.n_nodes))
-    if kind == "eigenfunction":
-        scale = float(spec.get("scale", 1.0))
-        return Field(prep.grid, scale * prep.eigenpair.function.values)
-    if kind == "file":
+    spec = forcing_spec(forcing if forcing is not None else prep.config.forcing)
+    if spec["kind"] == "eigenfunction":
+        return Field(prep.grid, spec["scale"] * prep.eigenpair.function.values)
+    if spec["kind"] == "file":
         from .cli import read_field
 
         return read_field(spec["path"], prep.grid)
-    raise ValueError(f"unknown forcing kind {kind!r}")
+    return Field(prep.grid, np.zeros(prep.grid.n_nodes))
 
 
 def default_initial_guess(prep: PreparedProblem, h: Field) -> Field:
@@ -222,7 +240,7 @@ def find_nu_threshold(config: RegimeConfig,
 
     def nontrivial(nu: float) -> bool:
         rep = _solve_once(prep, _reaction_with(config, nu=nu), h)
-        return rep.l2_norm > 1e-8
+        return rep.l2_norm > TRIVIAL_L2
 
     flags = [(nu, nontrivial(nu)) for nu in sorted(config.sweep)]
     lo = max((nu for nu, f in flags if not f), default=None)
@@ -278,7 +296,7 @@ def run_linear_regime(config: RegimeConfig,
                                   distance=None, distinct=None))
             continue
         u_far = Field(prep.grid, ray.t_star * prep.eigenpair.function.values)
-        low = rep1.solution if rep1.l2_norm > 1e-8 else Field(prep.grid, np.zeros(prep.grid.n_nodes))
+        low = rep1.solution if rep1.l2_norm > TRIVIAL_L2 else Field(prep.grid, np.zeros(prep.grid.n_nodes))
         rep2 = mountain_pass(model, low, u_far, config.solver,
                              precond_op=prep.grad_op, seed=config.seed)
         dist = hs_norm(prep.grad_op, Field(prep.grid,

@@ -34,7 +34,6 @@ matrix contraction, so applying an operator is exactly linear.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +52,6 @@ __all__ = [
     "apply_laplacian",
     "composition_matrix",
     "composition_residual",
-    "save_operator",
-    "load_operator",
 ]
 
 
@@ -88,16 +85,18 @@ class QuadratureParams:
     nyquist_stabilization: float = 0.12
 
     def __post_init__(self):
+        # messages start with the field name, which config errors report
         if not 0.0 < self.rho0 <= 0.5:
             raise ValueError(f"rho0 must lie in (0, 0.5], got {self.rho0}")
-        if self.rho_tail is not None and self.rho_tail <= 0:
-            raise ValueError("rho_tail must be positive")
+        if self.rho_tail is not None and not 0.0 < self.rho_tail < np.inf:
+            raise ValueError(f"rho_tail must be positive and finite, got {self.rho_tail}")
         if self.near_cells < 0:
-            raise ValueError("near_cells must be nonnegative")
+            raise ValueError(f"near_cells must be nonnegative, got {self.near_cells}")
         if self.n_theta < 64:
-            raise ValueError("n_theta must be at least 64")
-        if self.nyquist_stabilization < 0:
-            raise ValueError("nyquist_stabilization must be nonnegative")
+            raise ValueError(f"n_theta must be at least 64, got {self.n_theta}")
+        if not 0.0 <= self.nyquist_stabilization < np.inf:
+            raise ValueError("nyquist_stabilization must be nonnegative and finite, "
+                             f"got {self.nyquist_stabilization}")
 
     def resolve_tail(self, grid: Grid) -> float:
         rt = self.rho_tail if self.rho_tail is not None else 10.0 * grid.spec.diameter
@@ -557,52 +556,3 @@ def composition_residual(grad_op: NonlocalOperator, lap_op: NonlocalOperator, u:
     if den == 0.0:
         return 0.0
     return float(num / den)
-
-
-# ---------------------------------------------------------------------------
-# binary table dump: magic "FVOP", u32 d, f64 s, u32 N, row-major f64 LE
-# ---------------------------------------------------------------------------
-
-_FVOP_MAGIC = b"FVOP"
-
-
-def save_operator(op: NonlocalOperator, path) -> None:
-    """Dump an assembled table; gradient tables are written node-major
-    (N, N, d) so the payload is row-major over (row, column, component)."""
-    if op.kind == "gradient":
-        payload = np.ascontiguousarray(np.moveaxis(op.table, 0, -1))
-    else:
-        payload = op.table
-    with open(path, "wb") as fh:
-        fh.write(_FVOP_MAGIC)
-        fh.write(struct.pack("<I", op.grid.dimension))
-        fh.write(struct.pack("<d", op.s))
-        fh.write(struct.pack("<I", op.n_nodes))
-        fh.write(payload.astype("<f8").tobytes())
-
-
-def load_operator(path, kind: str) -> tuple[int, float, int, np.ndarray]:
-    """Read a table dump back; the caller states the expected kind because
-    the header carries only (d, s, N). Returns (d, s, N, table)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _FVOP_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {_FVOP_MAGIC!r}")
-        d = struct.unpack("<I", fh.read(4))[0]
-        s = struct.unpack("<d", fh.read(8))[0]
-        n = struct.unpack("<I", fh.read(4))[0]
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    if kind == "gradient":
-        expected = n * n * d
-        shape = (n, n, d)
-    elif kind == "laplacian":
-        expected = n * n
-        shape = (n, n)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    if raw.size != expected:
-        raise ValueError(f"payload has {raw.size} floats, expected {expected}")
-    table = raw.reshape(shape)
-    if kind == "gradient":
-        table = np.moveaxis(table, -1, 0)
-    return d, s, n, np.ascontiguousarray(table)

@@ -48,7 +48,8 @@ __all__ = [
     "coercivity_radius",
 ]
 
-_TRIVIAL_L2 = 1e-8
+# L2 norm at or below which a cone point counts as the trivial solution
+TRIVIAL_L2 = 1e-8
 
 
 @dataclass(frozen=True)
@@ -64,21 +65,24 @@ class SolverOptions:
     armijo_factor: float = 0.5
     armijo_slope: float = 1e-4
     ball_radius: float | None = None
-    cone_projection: bool = True
     path_points: int = 41
     path_step_cap: float | None = None
-    respline_every: int = 10
     tol_active: float = 1e-10
 
     def __post_init__(self):
-        if self.tol_g <= 0 or self.tol_active <= 0:
-            raise ValueError("tolerances must be positive")
+        # messages start with the field name, which config errors report
+        for name in ("tol_g", "tol_active", "ball_radius", "path_step_cap"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
         if not 0.0 < self.armijo_factor < 1.0:
-            raise ValueError("armijo_factor must lie in (0, 1)")
+            raise ValueError(f"armijo_factor must lie in (0, 1), got {self.armijo_factor}")
         if not 0.0 < self.armijo_slope < 0.5:
-            raise ValueError("armijo_slope must lie in (0, 0.5)")
+            raise ValueError(f"armijo_slope must lie in (0, 0.5), got {self.armijo_slope}")
         if self.path_points < 3 or self.path_points % 2 == 0:
-            raise ValueError("path_points must be odd and at least 3")
+            raise ValueError(f"path_points must be odd and at least 3, got {self.path_points}")
 
 
 @dataclass
@@ -140,7 +144,8 @@ def project_cone(u: Field) -> Field:
     return Field(u.grid, np.maximum(u.values, 0.0))
 
 
-def kkt_residual(model: EnergyModel, u: Field, tol_active: float = 1e-10) -> float:
+def kkt_residual(model: EnergyModel, u: Field,
+                 tol_active: float = SolverOptions.tol_active) -> float:
     """First-order residual of minimization over the cone at u >= 0."""
     g = energy_gradient(model, u).representer.values
     active = u.values > tol_active
@@ -254,9 +259,7 @@ def _armijo_step(model, opts, u, g_field, direction, f_u, step0=1.0,
     w = model.grid.weight
     step = step0
     for _ in range(60):
-        trial = Field(u.grid, u.values + step * direction)
-        if opts.cone_projection:
-            trial = project_cone(trial)
+        trial = project_cone(Field(u.grid, u.values + step * direction))
         if step_cap is not None:
             move = hs_norm(model.grad_op, Field(u.grid, trial.values - u.values))
             if move > step_cap:
@@ -282,7 +285,7 @@ def _classify(u: Field, converged: bool) -> str:
     l2 = float(np.sqrt(u.grid.weight * np.dot(u.values, u.values)))
     if not converged:
         return "failed"
-    return "trivial" if l2 <= _TRIVIAL_L2 else "local-min"
+    return "trivial" if l2 <= TRIVIAL_L2 else "local-min"
 
 
 _DRAIN_BAND = 1e-4
@@ -302,7 +305,7 @@ def _first_order_done(kkt: float, u: Field, tol_g: float) -> bool:
     if kkt > tol_g:
         return False
     l2 = float(np.sqrt(u.grid.weight * np.dot(u.values, u.values)))
-    if l2 <= _TRIVIAL_L2 or l2 > _DRAIN_BAND:
+    if l2 <= TRIVIAL_L2 or l2 > _DRAIN_BAND:
         return True
     return kkt <= tol_g * (l2 / _DRAIN_BAND)
 
@@ -319,7 +322,7 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field,
     unconstrained.
     """
     precond = _Preconditioner(precond_op)
-    u = project_cone(u0) if opts.cone_projection else u0
+    u = project_cone(u0)
 
     radius = opts.ball_radius
     if radius is None and lambda1 is not None:
@@ -339,8 +342,6 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field,
     hs_trace_max = hs_norm(model.grad_op, u)
 
     def descent_direction(g_vals: np.ndarray) -> np.ndarray:
-        if not opts.cone_projection:
-            return -precond(g_vals)
         inactive = u.values > opts.tol_active
         d = -precond.solve_inactive(g_vals, inactive)
         # active nodes re-enter only along a strictly infeasible gradient
@@ -371,9 +372,7 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field,
         else:
             alpha, accepted = 1.0, False
             for _ in range(40):
-                trial = Field(u.grid, u.values + alpha * direction)
-                if opts.cone_projection:
-                    trial = project_cone(trial)
+                trial = project_cone(Field(u.grid, u.values + alpha * direction))
                 trial = _ball_rescale(trial, model, radius, boundary)
                 if not np.any(trial.values - u.values):
                     break
@@ -443,7 +442,7 @@ def ray_search(model: EnergyModel, direction: Field, t_max: float = 1e3,
 # ---------------------------------------------------------------------------
 
 
-def _respline(path: list[Field], model: EnergyModel, cone: bool) -> list[Field]:
+def _respline(path: list[Field], model: EnergyModel) -> list[Field]:
     """Redistribute the path points at equal H^s arclength (endpoints fixed)."""
     vals = np.stack([p.values for p in path])
     segs = [hs_norm(model.grad_op, Field(path[0].grid, vals[k + 1] - vals[k]))
@@ -460,8 +459,7 @@ def _respline(path: list[Field], model: EnergyModel, cone: bool) -> list[Field]:
         seg = cum[k + 1] - cum[k]
         lam = 0.0 if seg == 0.0 else (tgt - cum[k]) / seg
         v = (1.0 - lam) * vals[k] + lam * vals[k + 1]
-        p = Field(path[0].grid, v)
-        out.append(project_cone(p) if cone else p)
+        out.append(project_cone(Field(path[0].grid, v)))
     out.append(path[-1])
     return out
 
@@ -522,13 +520,11 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
         raise ValueError("mountain-pass endpoints must be nonnegative")
 
     precond = _Preconditioner(precond_op)
-    cone = opts.cone_projection
     w = model.grid.weight
     p_count = opts.path_points
     lam = np.linspace(0.0, 1.0, p_count)
-    path = [Field(u_low.grid, (1 - t) * u_low.values + t * u_far.values) for t in lam]
-    if cone:
-        path = [project_cone(p) for p in path]
+    path = [project_cone(Field(u_low.grid, (1 - t) * u_low.values + t * u_far.values))
+            for t in lam]
 
     total_len = hs_norm(model.grad_op, Field(u_low.grid, u_far.values - u_low.values))
     step_cap = opts.path_step_cap
@@ -568,7 +564,7 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
                            step0=1.0, step_cap=step_cap)
         if res is not None:
             path[k] = res[0]
-        path = _respline(path, model, cone)
+        path = _respline(path, model)
 
     # phase B: minimum-mode-following polish of the near-barrier maximizer.
     # The gradient component along the unstable direction is reflected, so
@@ -602,9 +598,7 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
         alpha = min(2.0 * alpha, 1.0)
         accepted = False
         for _ in range(40):
-            trial = Field(u.grid, u.values + alpha * d)
-            if cone:
-                trial = project_cone(trial)
+            trial = project_cone(Field(u.grid, u.values + alpha * d))
             if not np.any(trial.values - u.values):
                 break
             m_t = merit(trial)
@@ -629,7 +623,7 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
     # a mountain-pass point is a nontrivial critical point strictly above
     # both endpoint levels; a first-order point that drifted to the trivial
     # state or below the barrier means the geometry degenerated
-    converged = (kkt <= opts.tol_g and l2_final > _TRIVIAL_L2
+    converged = (kkt <= opts.tol_g and l2_final > TRIVIAL_L2
                  and f_final > endpoint_level)
 
     diagnostics: dict = {

@@ -208,6 +208,16 @@ class TestCommandFamilyValidation:
         assert run["mountain_pass"]["classification"] == "mountain-pass"
         assert run["distinct"] is True
 
+    @pytest.mark.parametrize("command,reaction,values", [
+        ("sweep", {"family": "saturating", "params": {"nu": 1.0}}, [0.5, -1.0]),
+        ("mpass", {"family": "cubic_saturating", "params": {"kappa": 4.65}}, [-0.01]),
+    ])
+    def test_out_of_range_sweep_values_rejected(self, tmp_path, command, reaction, values):
+        cfg = parse_config(write_config(tmp_path / "cfg.json", reaction=reaction,
+                                        sweep={"values": values}))
+        with pytest.raises(ConfigError, match="sweep.values"):
+            run_command(cfg, command, out_dir=tmp_path / "out")
+
     def test_verify_command(self, tmp_path):
         cfg = parse_config(write_config(tmp_path / "cfg.json"))
         out = tmp_path / "out"
@@ -237,3 +247,98 @@ class TestCommandFamilyValidation:
         assert status == 1
         report = json.loads((out / "report.json").read_text())
         assert report["runs"][0]["geometry_ok"] is False
+
+
+def _set(section, key, value):
+    """Config edit: put value at section.key (section None: the root)."""
+    def edit(cfg, tmp_path):
+        (cfg.setdefault(section, {}) if section else cfg)[key] = value
+    return edit
+
+
+def _set_param(section, family, key, value):
+    """Config edit: the section's family with one parameter set or removed."""
+    def edit(cfg, tmp_path):
+        params = {"power": {"A": 1.0, "B": 2.0, "p": 1.5}, "constant": {"c": 1.0},
+                  "saturating": {"nu": 1.0}, "cubic_saturating": {"kappa": 1.0}}[family]
+        if value is None:
+            del params[key]
+        else:
+            params[key] = value
+        cfg[section] = {"family": family, "params": params}
+    return edit
+
+
+def _forcing_file(payload):
+    """Config edit: file forcing read from an FVFD file holding payload."""
+    def edit(cfg, tmp_path):
+        path = tmp_path / "h.fvfd"
+        if payload is not None:
+            path.write_bytes(payload)
+        cfg["forcing"] = {"kind": "file", "path": str(path)}
+    return edit
+
+
+_FVFD_64_HEADER = b"FVFD" + (1).to_bytes(4, "little") + (64).to_bytes(4, "little")
+
+INVALID_INPUTS = [
+    # non-finite and out-of-range values
+    ("nan-tol_g", _set("solver", "tol_g", float("nan")), [], {}, "solver.tol_g"),
+    ("nan-nu", _set_param("reaction", "saturating", "nu", float("nan")), [], {},
+     "reaction.params.nu"),
+    ("inf-nu", _set_param("reaction", "saturating", "nu", float("inf")), [], {},
+     "reaction.params.nu"),
+    ("nan-kappa", _set_param("reaction", "cubic_saturating", "kappa", float("nan")), [], {},
+     "reaction.params.kappa"),
+    ("nan-A", _set_param("coefficient", "power", "A", float("nan")), [], {},
+     "coefficient.params.A"),
+    ("inf-B", _set_param("coefficient", "power", "B", float("inf")), [], {},
+     "coefficient.params.B"),
+    ("nan-c", _set_param("coefficient", "constant", "c", float("nan")), [], {},
+     "coefficient.params.c"),
+    ("negative-max_iter", _set("solver", "max_iter", -1), [], {}, "solver.max_iter"),
+    ("zero-ball_radius", _set("solver", "ball_radius", 0.0), [], {}, "solver.ball_radius"),
+    ("negative-ball_radius", _set("solver", "ball_radius", -1.0), [], {}, "solver.ball_radius"),
+    ("zero-path_step_cap", _set("solver", "path_step_cap", 0.0), [], {},
+     "solver.path_step_cap"),
+    # wrong types and names
+    ("string-bool", _set("operator", "tail_correction", "false"), [], {},
+     "operator.tail_correction"),
+    ("fractional-int", _set("operator", "near_cells", 2.7), [], {}, "operator.near_cells"),
+    ("unknown-param", _set_param("reaction", "saturating", "nuu", 2.0), [], {},
+     "reaction.params.nuu"),
+    ("missing-param", _set_param("coefficient", "power", "B", None), [], {},
+     "coefficient.params.B"),
+    ("negative-nu", _set_param("reaction", "saturating", "nu", -1.0), [], {},
+     "reaction.params.nu"),
+    ("zero-kappa", _set_param("reaction", "cubic_saturating", "kappa", 0.0), [], {},
+     "reaction.params.kappa"),
+    ("string-s", _set("operator", "s", "half"), [], {}, "operator.s"),
+    ("string-sweep", _set("sweep", "values", [0.5, "x"]), [], {}, "sweep.values"),
+    ("string-seed", _set(None, "seed", "abc"), [], {}, "seed"),
+    ("unused-forcing-key", _set(None, "forcing", {"kind": "zero", "scale": 1.0}), [], {},
+     "forcing.scale"),
+    # forcing files
+    ("missing-forcing-file", _forcing_file(None), [], {}, "forcing.path"),
+    ("bad-forcing-header", _forcing_file(b"FVFD\x01\x00"), [], {}, "forcing.path"),
+    ("nan-forcing-values", _forcing_file(
+        _FVFD_64_HEADER + np.full(64, np.nan).astype("<f8").tobytes()), [], {}, "forcing.path"),
+    # thread overrides
+    ("zero-threads-flag", lambda cfg, tmp_path: None, ["--threads", "0"], {}, "--threads"),
+    ("bad-threads-env", lambda cfg, tmp_path: None, [], {"FRACVAR_THREADS": "abc"},
+     "FRACVAR_THREADS"),
+]
+
+
+@pytest.mark.parametrize("edit,argv,env,key", [case[1:] for case in INVALID_INPUTS],
+                         ids=[case[0] for case in INVALID_INPUTS])
+def test_invalid_input_exits_2_naming_key(tmp_path, capsys, monkeypatch, edit, argv, env, key):
+    cfg = json.loads(write_config(tmp_path / "base.json").read_text())
+    edit(cfg, tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    status = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")] + argv)
+    assert status == 2
+    assert key in capsys.readouterr().err

@@ -6,7 +6,7 @@ from fracvar import (DomainSpec, Field, QuadratureParams, VectorField,
                      apply_divergence, apply_gradient, apply_laplacian,
                      assemble_gradient, assemble_laplacian, build_grid,
                      composition_residual, field_from_function, l2_inner,
-                     load_operator, normalizing_constants, save_operator)
+                     normalizing_constants)
 from fracvar.fracops import composition_matrix
 
 
@@ -216,24 +216,3 @@ class TestQuadratureParams:
         assert np.all(d_on >= d_off)
         assert np.any(d_on > d_off)
 
-
-class TestOperatorDump:
-    def test_round_trip_gradient(self, tmp_path, grid_2d_16, grad_2d_16):
-        path = tmp_path / "grad.fvop"
-        save_operator(grad_2d_16, path)
-        d, s, n, table = load_operator(path, "gradient")
-        assert (d, s, n) == (2, 0.5, grid_2d_16.n_nodes)
-        assert np.array_equal(table, grad_2d_16.table)
-
-    def test_round_trip_laplacian(self, tmp_path, grid_1d_128, lap_128):
-        path = tmp_path / "lap.fvop"
-        save_operator(lap_128, path)
-        d, s, n, table = load_operator(path, "laplacian")
-        assert (d, s, n) == (1, 0.5, 128)
-        assert np.array_equal(table, lap_128.table)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.fvop"
-        path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ValueError, match="magic"):
-            load_operator(path, "laplacian")
