@@ -15,18 +15,28 @@ chosen so that -div_s grad_s = (-Lap)^s in the continuum (both sides have
 Fourier symbol |xi|^{2s}); the discrete composition residual is the
 operational check of that calibration.
 
-Quadrature scheme, per row (evaluation node x_i):
+Each table is built from three parts, by one code path for d = 1 and 2:
 
-* interior pairs: one kernel weight per cell; cells within ``near_cells`` of
-  the diagonal get the exact radial cell integral (1D) or a tensor
-  Gauss-Legendre rule (2D), farther cells plain midpoint;
-* principal value: the cell around the singularity is excluded and its
-  contribution restored by integrating the kernel against a local
-  interpolant through the axis neighbors: a central first difference for
-  the gradient (the odd kernel annihilates the constant term but not the
-  linear one) and a second difference for the Laplacian;
-* exterior of Omega, where fields vanish: radially exact integration out to
-  rho_tail plus the closed-form tail beyond it (tail on by default).
+* kernel by offset: on the uniform grid the kernel integral over the cell
+  of node j, seen from node i, depends only on the offset j - i. Cells
+  within ``near_cells`` spacings get the exact radial antiderivative (1D)
+  or a tensor Gauss-Legendre rule (2D), farther cells the midpoint value;
+  entry [i, j] of the table is gathered from offset j - i.
+* diagonal: the row sum of the kernel (the u(x_i) part of the difference
+  u(y) - u(x_i)), plus the kernel mass of the exterior of Omega, where
+  fields vanish, integrated radially exactly out to rho_tail with the
+  closed-form tail beyond it (tail on by default), plus the self cell: the
+  cell around the singularity is excluded and its contribution restored
+  by integrating the kernel against a local interpolant through the axis
+  neighbors, a central first difference for the gradient (the odd kernel
+  annihilates the constant term but not the linear one) and a second
+  difference for the Laplacian. The exterior and the self-cell moments use
+  one angular rule: the exact pair of directions +-e_1 in 1D, ``n_theta``
+  midpoint angles in 2D, with the radial integral exact along each.
+* axis stencils: per axis, the self-cell couplings to the two neighbors
+  (for the gradient with an anchoring diagonal term at wall rows, whose
+  outer neighbor lies outside Omega) and the gradient's even Nyquist
+  stabilization.
 
 Everything is assembled into dense float64 tables; fields enter only through
 matrix contraction, so applying an operator is exactly linear.
@@ -145,105 +155,85 @@ def normalizing_constants(d: int, s: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# kernel cell integrals
+# the three parts of a table: kernel by offset, diagonal, axis stencils
 # ---------------------------------------------------------------------------
 
 
-def _radial_cell_weights_1d(n: int, h: float, q: float, near: int) -> np.ndarray:
-    """Integrals of r^{-1-q} over the cells at offsets 1..n-1.
+def _kernel_values(points, q: float, kind: str):
+    """Kernel at the given points (one coordinate array per axis): the
+    scalar |y|^{-d-q} of the Laplacian (q = 2s), or the vector
+    (y/|y|) |y|^{-d-q} of the gradient (q = s), one component per axis."""
+    r = np.sqrt(sum(x**2 for x in points))
+    mag = r ** (-len(points) - q)
+    if kind == "laplacian":
+        return mag
+    return np.stack([x / r * mag for x in points])
 
-    Offsets up to ``near`` use the exact antiderivative, the rest the
-    midpoint value h * (k h)^{-1-q}.
+
+def _kernel_by_offset(grid: Grid, s: float, near: int, kind: str) -> np.ndarray:
+    """Kernel integral over the cell at each node offset.
+
+    Indexed by offset + n_k - 1 along axis k, with a leading component axis
+    for the gradient. Cells within ``near`` spacings on every axis get the
+    near-cell rule, farther cells the midpoint value. The zero offset is
+    left at 0: the principal-value rules handle it.
     """
-    k = np.arange(1, n)
-    w = h * (k * h) ** (-1.0 - q)
-    kn = k[k <= near]
-    if kn.size:
-        lo = (kn - 0.5) * h
-        hi = (kn + 0.5) * h
-        w[: kn.size] = (lo ** (-q) - hi ** (-q)) / q
-    return w
+    q = s if kind == "gradient" else 2.0 * s
+    center = tuple(n - 1 for n in grid.shape)
+    reach = [min(near, c) for c in center]
+    with np.errstate(divide="ignore", invalid="ignore"):  # the zero offset
+        mids = np.meshgrid(*[np.arange(-c, c + 1) * h for c, h in zip(center, grid.spacing)],
+                           indexing="ij")
+        kernel = grid.weight * _kernel_values(mids, q, kind)
+        box = tuple(slice(c - m, c + m + 1) for c, m in zip(center, reach))
+        kernel[(..., *box)] = _near_cell_integrals(grid, q, reach, kind)
+    kernel[(..., *center)] = 0.0
+    return kernel
 
 
-def _gauss_cell_2d(center: np.ndarray, h1: float, h2: float, fn, order: int = 8):
-    """Tensor Gauss-Legendre integral of fn over one rectangular cell."""
-    pts, wts = np.polynomial.legendre.leggauss(order)
-    x = center[0] + 0.5 * h1 * pts
-    y = center[1] + 0.5 * h2 * pts
-    xx, yy = np.meshgrid(x, y, indexing="ij")
+def _near_cell_integrals(grid: Grid, q: float, reach, kind: str) -> np.ndarray:
+    """Kernel integrals over the cells at offsets up to reach[k] on each
+    axis: the exact radial antiderivative in 1D, an 8-point tensor
+    Gauss-Legendre rule in 2D."""
+    offsets = [np.arange(-m, m + 1) for m in reach]
+    if grid.dimension == 1:
+        h = grid.spacing[0]
+        k = np.abs(offsets[0])
+        vals = (((k - 0.5) * h) ** (-q) - ((k + 0.5) * h) ** (-q)) / q
+        return vals if kind == "laplacian" else np.sign(offsets[0]) * vals
+    pts, wts = np.polynomial.legendre.leggauss(8)
+    (h1, h2), (o1, o2) = grid.spacing, offsets
+    x = (o1 * h1)[:, None] + 0.5 * h1 * pts
+    y = (o2 * h2)[:, None] + 0.5 * h2 * pts
     ww = 0.25 * h1 * h2 * np.outer(wts, wts)
-    return fn(xx, yy, ww)
+    vals = _kernel_values([x[:, None, :, None], y[None, :, None, :]], q, kind)
+    return np.sum(ww * vals, axis=(-2, -1))
 
 
-def _pair_tables_2d(shape, spacing, s: float, near: int):
-    """Per-offset kernel integrals for the 2D gradient and Laplacian.
-
-    Returns (Kg, Kl): Kg[di+n1-1, dj+n2-1] is the vector integral of
-    y/|y|^{3+s} over the cell at offset (di, dj), Kl the scalar integral of
-    |y|^{-2-2s}; the zero offset is left at 0 (handled by the PV rules).
-    """
-    n1, n2 = shape
-    h1, h2 = spacing
-    di = np.arange(-(n1 - 1), n1)
-    dj = np.arange(-(n2 - 1), n2)
-    cx = di[:, None] * h1
-    cy = dj[None, :] * h2
-    r2 = cx**2 + cy**2
-    r2[n1 - 1, n2 - 1] = np.inf
-    area = h1 * h2
-    kl = area * r2 ** (-1.0 - s)
-    rad = r2 ** (-(3.0 + s) / 2.0)
-    kg = np.stack([area * cx * rad, area * cy * rad], axis=-1)
-
-    for a in range(max(-near, -(n1 - 1)), min(near, n1 - 1) + 1):
-        for b in range(max(-near, -(n2 - 1)), min(near, n2 - 1) + 1):
-            if a == 0 and b == 0:
-                continue
-            center = np.array([a * h1, b * h2])
-
-            def lap_fn(xx, yy, ww):
-                rr = np.sqrt(xx**2 + yy**2)
-                return float(np.sum(ww * rr ** (-2.0 - 2.0 * s)))
-
-            def grad_fn(xx, yy, ww):
-                rr = (xx**2 + yy**2) ** ((3.0 + s) / 2.0)
-                return np.array([np.sum(ww * xx / rr), np.sum(ww * yy / rr)])
-
-            kl[a + n1 - 1, b + n2 - 1] = _gauss_cell_2d(center, h1, h2, lap_fn)
-            kg[a + n1 - 1, b + n2 - 1] = _gauss_cell_2d(center, h1, h2, grad_fn)
-    kl[n1 - 1, n2 - 1] = 0.0
-    kg[n1 - 1, n2 - 1] = 0.0
-    return kg, kl
+def _gather_offsets(kernel: np.ndarray, grid: Grid) -> np.ndarray:
+    """Dense (N, N) matrix whose entry [i, j] is the kernel at the node
+    offset j - i (kernel laid out as _kernel_by_offset returns it)."""
+    multi = np.unravel_index(np.arange(grid.n_nodes), grid.shape)
+    pos = np.ravel_multi_index(multi, kernel.shape)
+    flat = pos[None, :] - pos[:, None]
+    flat += np.ravel_multi_index(tuple(n - 1 for n in grid.shape), kernel.shape)
+    return kernel.ravel()[flat]
 
 
-# ---------------------------------------------------------------------------
-# exterior integrals (radially exact, honoring rho_tail / tail flag)
-# ---------------------------------------------------------------------------
+def _directions(d: int, n_theta: int):
+    """Unit directions of the angular rule and their common weight: the
+    exact pair +-e_1 in 1D, n_theta midpoint angles in 2D."""
+    if d == 1:
+        return np.array([[1.0], [-1.0]]), 1.0
+    theta = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
+    return np.stack([np.cos(theta), np.sin(theta)], axis=-1), 2.0 * np.pi / n_theta
 
 
-def _exterior_1d(grid: Grid, q: float, rt: float, tail: bool, signed: bool):
-    """Per-node exterior integrals of the 1D kernels.
-
-    signed=False: int_{R \\ Omega} |y-x|^{-1-q} dy  (Laplacian weight).
-    signed=True:  int_{R \\ Omega} sign(y-x) |y-x|^{-1-q} dy  (gradient).
-    """
-    (a, b), = grid.spec.bounds
-    x = grid.nodes[:, 0]
-    lb = x - a
-    rb = b - x
-    cut = 0.0 if tail else rt ** (-q)
-    right = (rb ** (-q) - cut) / q
-    left = (lb ** (-q) - cut) / q
-    return right - left if signed else right + left
-
-
-def _ray_exit_distance(nodes: np.ndarray, bounds, theta: np.ndarray) -> np.ndarray:
-    """Distance from each interior node to the box boundary along each angle."""
-    c = np.cos(theta)[None, :]
-    sn = np.sin(theta)[None, :]
-    out = np.full((nodes.shape[0], theta.size), np.inf)
+def _ray_exit_distance(nodes: np.ndarray, bounds, dirs: np.ndarray) -> np.ndarray:
+    """Distance from each node to the box boundary along each direction."""
+    out = np.full((nodes.shape[0], dirs.shape[0]), np.inf)
     for axis, (a, b) in enumerate(bounds):
-        comp = c if axis == 0 else sn
+        comp = dirs[:, axis][None, :]
         x = nodes[:, axis][:, None]
         with np.errstate(divide="ignore"):
             t_hi = np.where(comp > 0, (b - x) / comp, np.inf)
@@ -252,62 +242,54 @@ def _ray_exit_distance(nodes: np.ndarray, bounds, theta: np.ndarray) -> np.ndarr
     return out
 
 
-def _exterior_2d(grid: Grid, q: float, rt: float, tail: bool, signed: bool, n_theta: int):
-    """Per-node exterior integrals in 2D via angle quadrature, exact in r.
+def _exterior(grid: Grid, q: float, params: QuadratureParams, signed: bool) -> np.ndarray:
+    """Per-node integral of the kernel over the exterior of Omega.
 
-    For exponent q the radial integral from the boundary-exit distance R to
-    infinity of r^{-1-q} (already including the polar r dr factor folded
-    into the kernel power) is R^{-q}/q; rho_tail splits it into a resolved
-    part plus an optional closed-form tail.
+    Along each direction the radial integral of r^{-1-q} from the exit
+    distance R outwards is R^{-q}/q; rho_tail cuts it unless the tail
+    correction adds the rest in closed form. signed=True weights each
+    direction by its unit vector (gradient, shape (N, d)), signed=False
+    sums the directions (Laplacian, shape (N,)).
     """
-    theta = (np.arange(n_theta) + 0.5) * (2.0 * np.pi / n_theta)
-    dth = 2.0 * np.pi / n_theta
-    rr = _ray_exit_distance(grid.nodes, grid.spec.bounds, theta)
-    cut = 0.0 if tail else rt ** (-q)
-    radial = (rr ** (-q) - cut) / q
-    if signed:
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        return dth * radial @ dirs
-    return dth * radial.sum(axis=1)
+    rt = params.resolve_tail(grid)
+    dirs, weight = _directions(grid.dimension, params.n_theta)
+    cut = 0.0 if params.tail_correction else rt ** (-q)
+    radial = (_ray_exit_distance(grid.nodes, grid.spec.bounds, dirs) ** (-q) - cut) / q
+    return weight * radial @ dirs if signed else weight * radial.sum(axis=1)
 
 
-# ---------------------------------------------------------------------------
-# assembly
-# ---------------------------------------------------------------------------
+def _self_cell_moments(grid: Grid, params: QuadratureParams, p: float) -> np.ndarray:
+    """Per axis k, the integral of z_k^2 |z|^{p-d-2} over the excluded cell
+    of half-widths rho0 * h: along each direction the radial integral is
+    R^p / p with R the distance to the cell edge."""
+    dirs, weight = _directions(grid.dimension, params.n_theta)
+    half = [(-params.rho0 * h, params.rho0 * h) for h in grid.spacing]
+    exits = _ray_exit_distance(np.zeros((1, grid.dimension)), half, dirs)[0]
+    # scalar powers, so that in 1D this is the closed form 2 (rho0 h)^p / p
+    # to the last bit
+    radial = np.array([r**p for r in exits]) / p
+    return np.array([weight * np.sum(dirs[:, k] ** 2 * radial) for k in range(grid.dimension)])
 
 
-def _offset_matrix_1d(weights_by_offset: np.ndarray, n: int) -> np.ndarray:
-    """Dense (n, n) matrix with entry [i, j] = weights_by_offset[j - i]."""
-    idx = np.arange(n)
-    return weights_by_offset[idx[None, :] - idx[:, None] + n - 1]
+def _axis_stencils(grid: Grid):
+    """Per axis: the flat stride of the axis neighbor, the rows that have
+    an upper / a lower neighbor, and the wall rows that lack one (that
+    neighbor lies outside Omega, where fields vanish)."""
+    rows = np.arange(grid.n_nodes)
+    multi = np.unravel_index(rows, grid.shape)
+    for k, n in enumerate(grid.shape):
+        upper, lower = multi[k] < n - 1, multi[k] > 0
+        stride = int(np.prod(grid.shape[k + 1:]))
+        yield stride, rows[upper], rows[lower], rows[~upper], rows[~lower]
 
 
-def _gradient_self_weights(grid: Grid, s: float, params: QuadratureParams) -> np.ndarray:
-    """First-difference self weights of the gradient, one per axis.
-
-    Over the excluded cell the odd kernel cancels the constant part of u but
-    pairs with the linear part: int z_k (z . grad u) / |z|^{d+s+1} dz
-    = I_k d_k u with I_k = int z_k^2 |z|^{-d-s-1} dz. The derivative is
-    represented by the central difference through the axis neighbors, so
-    slfg[k] multiplies (u_{i+e_k} - u_{i-e_k}) / (2 h_k) in component k.
-    """
-    if grid.dimension == 1:
-        h = grid.spacing[0]
-        r0 = params.rho0 * h
-        return np.array([2.0 * r0 ** (1.0 - s) / (1.0 - s)])
-    h1, h2 = grid.spacing
-    w1, w2 = params.rho0 * h1, params.rho0 * h2
-    nt = params.n_theta
-    theta = (np.arange(nt) + 0.5) * (2.0 * np.pi / nt)
-    dth = 2.0 * np.pi / nt
-    c, sn = np.cos(theta), np.sin(theta)
-    with np.errstate(divide="ignore"):
-        r_exit = np.minimum(
-            np.where(c != 0, w1 / np.abs(c), np.inf),
-            np.where(sn != 0, w2 / np.abs(sn), np.inf),
-        )
-    radial = r_exit ** (1.0 - s) / (1.0 - s)
-    return np.array([dth * np.sum(c**2 * radial), dth * np.sum(sn**2 * radial)])
+def _add_second_difference(mat: np.ndarray, stencil, coeff: float) -> None:
+    """mat += coeff * (2 u_i - u_{i+e_k} - u_{i-e_k}) along one axis."""
+    stride, upper, lower, _, _ = stencil
+    diag = np.arange(mat.shape[0])
+    mat[diag, diag] += 2.0 * coeff
+    mat[upper, upper + stride] -= coeff
+    mat[lower, lower - stride] -= coeff
 
 
 def assemble_gradient(grid: Grid, s: float, params: QuadratureParams | None = None) -> NonlocalOperator:
@@ -318,117 +300,41 @@ def assemble_gradient(grid: Grid, s: float, params: QuadratureParams | None = No
     """
     params = params or QuadratureParams()
     mu, _ = normalizing_constants(grid.dimension, s)
-    rt = params.resolve_tail(grid)
-    n = grid.n_nodes
-    idx = np.arange(n)
-
-    if grid.dimension == 1:
-        h = grid.spacing[0]
-        w_abs = _radial_cell_weights_1d(grid.shape[0], h, s, params.near_cells)
-        by_offset = np.concatenate([-w_abs[::-1], [0.0], w_abs])
-        w_mat = _offset_matrix_1d(by_offset, n)
-        ext = _exterior_1d(grid, s, rt, params.tail_correction, signed=True)
-        table = np.empty((1, n, n))
-        table[0] = w_mat
-        diag = -w_mat.sum(axis=1) - ext
-        table[0, idx, idx] = diag
-    else:
-        n1, n2 = grid.shape
-        kg, _ = _pair_tables_2d(grid.shape, grid.spacing, s, params.near_cells)
-        i1, i2 = np.divmod(idx, n2)
-        o1 = i1[None, :] - i1[:, None] + n1 - 1
-        o2 = i2[None, :] - i2[:, None] + n2 - 1
-        ext = _exterior_2d(grid, s, rt, params.tail_correction, signed=True,
-                           n_theta=params.n_theta)
-        table = np.empty((2, n, n))
-        for c in range(2):
-            wc = kg[..., c][o1, o2]
-            diag = -wc.sum(axis=1) - ext[:, c]
-            wc[idx, idx] = diag
-            table[c] = wc
-
-    # Self-cell couplings: interior nodes see the central difference of the
-    # axis neighbors; at wall-adjacent nodes the wall-side half-cell slope
-    # is 2 u_i / h (the interpolant is pinned to zero at the domain edge,
-    # half a cell away), which lands an anchoring diagonal term. Without it
-    # the columns of the table admit an alternating boundary-layer mode
-    # with near-zero image, and -div_s grad_s loses definiteness.
-    slfg = _gradient_self_weights(grid, s, params)
-    if grid.dimension == 1:
-        coeff = slfg[0] / (2.0 * grid.spacing[0])
-        table[0][idx[:-1], idx[:-1] + 1] += coeff
-        table[0][idx[1:], idx[1:] - 1] -= coeff
-        table[0][0, 0] += coeff
-        table[0][n - 1, n - 1] -= coeff
-    else:
-        n1, n2 = grid.shape
-        i1, i2 = np.divmod(idx, n2)
-        coeff = slfg / (2.0 * np.asarray(grid.spacing))
-        m = i1 < n1 - 1
-        table[0][idx[m], idx[m] + n2] += coeff[0]
-        table[0][idx[~m], idx[~m]] -= coeff[0]
-        m = i1 > 0
-        table[0][idx[m], idx[m] - n2] -= coeff[0]
-        table[0][idx[~m], idx[~m]] += coeff[0]
-        m = i2 < n2 - 1
-        table[1][idx[m], idx[m] + 1] += coeff[1]
-        table[1][idx[~m], idx[~m]] -= coeff[1]
-        m = i2 > 0
-        table[1][idx[m], idx[m] - 1] -= coeff[1]
-        table[1][idx[~m], idx[~m]] += coeff[1]
-    table *= mu
-
-    # even-symbol stabilization (see QuadratureParams); missing neighbors
-    # are the zero extension, so boundary rows keep only the diagonal part
-    if params.nyquist_stabilization > 0.0:
-        if grid.dimension == 1:
-            h = grid.spacing[0]
-            delta = params.nyquist_stabilization * (np.pi / h) ** s
-            table[0][idx, idx] += 2.0 * delta
-            table[0][idx[:-1], idx[:-1] + 1] -= delta
-            table[0][idx[1:], idx[1:] - 1] -= delta
-        else:
-            n1, n2 = grid.shape
-            i1, i2 = np.divmod(idx, n2)
-            for c, (nc, ic, stride) in enumerate(((n1, i1, n2), (n2, i2, 1))):
-                delta = params.nyquist_stabilization * (np.pi / grid.spacing[c]) ** s
-                table[c][idx, idx] += 2.0 * delta
-                m = ic < nc - 1
-                table[c][idx[m], idx[m] + stride] -= delta
-                m = ic > 0
-                table[c][idx[m], idx[m] - stride] -= delta
+    ext = _exterior(grid, s, params, signed=True)
+    kernel = _kernel_by_offset(grid, s, params.near_cells, "gradient")
+    # the first-difference self weight of axis k: over the excluded cell the
+    # odd kernel cancels the constant part of u but pairs with the linear
+    # part, int z_k (z . grad u) / |z|^{d+s+1} dz = I_k d_k u
+    moments = _self_cell_moments(grid, params, 1.0 - s)
+    diag = np.arange(grid.n_nodes)
+    table = np.empty((grid.dimension, grid.n_nodes, grid.n_nodes))
+    for c, stencil in enumerate(_axis_stencils(grid)):
+        w = table[c]
+        w[...] = _gather_offsets(kernel[c], grid)
+        w[diag, diag] = -w.sum(axis=1) - ext[:, c]
+        # Self-cell couplings: interior nodes see the central difference of
+        # the axis neighbors; at wall-adjacent nodes the wall-side half-cell
+        # slope is 2 u_i / h (the interpolant is pinned to zero at the domain
+        # edge, half a cell away), which lands an anchoring diagonal term.
+        # Without it the columns of the table admit an alternating
+        # boundary-layer mode with near-zero image, and -div_s grad_s loses
+        # definiteness.
+        stride, upper, lower, upper_wall, lower_wall = stencil
+        coeff = moments[c] / (2.0 * grid.spacing[c])
+        w[upper, upper + stride] += coeff
+        w[upper_wall, upper_wall] -= coeff
+        w[lower, lower - stride] -= coeff
+        w[lower_wall, lower_wall] += coeff
+        w *= mu
+        # even-symbol stabilization (see QuadratureParams); missing
+        # neighbors are the zero extension, so wall rows keep only the
+        # diagonal part
+        if params.nyquist_stabilization > 0.0:
+            delta = params.nyquist_stabilization * (np.pi / grid.spacing[c]) ** s
+            _add_second_difference(w, stencil, delta)
 
     return NonlocalOperator(kind="gradient", s=float(s), grid=grid, table=table,
                             constant=mu, params=params)
-
-
-def _self_weights(grid: Grid, s: float, params: QuadratureParams) -> np.ndarray:
-    """Second-difference self weights of the Laplacian, one per axis.
-
-    slf[k] multiplies -(u_{i+e_k} - 2 u_i + u_{i-e_k}) in the assembled row;
-    it is the integral of the kernel against the quadratic interpolant
-    through the axis neighbors, taken over the excluded cell of half-widths
-    rho0 * h_k.
-    """
-    if grid.dimension == 1:
-        h = grid.spacing[0]
-        r0 = params.rho0 * h
-        return np.array([r0 ** (2.0 - 2.0 * s) / ((2.0 - 2.0 * s) * h**2)])
-    h1, h2 = grid.spacing
-    w1, w2 = params.rho0 * h1, params.rho0 * h2
-    nt = params.n_theta
-    theta = (np.arange(nt) + 0.5) * (2.0 * np.pi / nt)
-    dth = 2.0 * np.pi / nt
-    c, sn = np.cos(theta), np.sin(theta)
-    with np.errstate(divide="ignore"):
-        r_exit = np.minimum(
-            np.where(c != 0, w1 / np.abs(c), np.inf),
-            np.where(sn != 0, w2 / np.abs(sn), np.inf),
-        )
-    radial = r_exit ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s)
-    i1 = dth * np.sum(c**2 * radial)
-    i2 = dth * np.sum(sn**2 * radial)
-    return np.array([0.5 * i1 / h1**2, 0.5 * i2 / h2**2])
 
 
 def assemble_laplacian(grid: Grid, s: float, params: QuadratureParams | None = None) -> NonlocalOperator:
@@ -441,47 +347,21 @@ def assemble_laplacian(grid: Grid, s: float, params: QuadratureParams | None = N
     """
     params = params or QuadratureParams()
     _, c_lap = normalizing_constants(grid.dimension, s)
-    rt = params.resolve_tail(grid)
-    n = grid.n_nodes
-
-    if grid.dimension == 1:
-        w_abs = _radial_cell_weights_1d(grid.shape[0], grid.spacing[0], 2.0 * s,
-                                        params.near_cells)
-        by_offset = np.concatenate([w_abs[::-1], [0.0], w_abs])
-        k_mat = _offset_matrix_1d(by_offset, n)
-        ext = _exterior_1d(grid, 2.0 * s, rt, params.tail_correction, signed=False)
-    else:
-        n1, n2 = grid.shape
-        _, kl = _pair_tables_2d(grid.shape, grid.spacing, s, params.near_cells)
-        i1, i2 = np.divmod(np.arange(n), n2)
-        k_mat = kl[i1[None, :] - i1[:, None] + n1 - 1,
-                   i2[None, :] - i2[:, None] + n2 - 1]
-        ext = _exterior_2d(grid, 2.0 * s, rt, params.tail_correction, signed=False,
-                           n_theta=params.n_theta)
-
-    table = -k_mat
-    diag = k_mat.sum(axis=1) + ext
-    table[np.arange(n), np.arange(n)] = diag
+    ext = _exterior(grid, 2.0 * s, params, signed=False)
+    table = _gather_offsets(_kernel_by_offset(grid, s, params.near_cells, "laplacian"), grid)
+    diag = np.arange(grid.n_nodes)
+    row_mass = table.sum(axis=1) + ext
+    np.negative(table, out=table)
+    table[diag, diag] = row_mass
     table *= c_lap
 
-    slf = c_lap * _self_weights(grid, s, params)
-    idx = np.arange(n)
-    if grid.dimension == 1:
-        table[idx, idx] += 2.0 * slf[0]
-        table[idx[:-1], idx[:-1] + 1] -= slf[0]
-        table[idx[1:], idx[1:] - 1] -= slf[0]
-    else:
-        n1, n2 = grid.shape
-        i1, i2 = np.divmod(idx, n2)
-        table[idx, idx] += 2.0 * (slf[0] + slf[1])
-        m = i1 < n1 - 1
-        table[idx[m], idx[m] + n2] -= slf[0]
-        m = i1 > 0
-        table[idx[m], idx[m] - n2] -= slf[0]
-        m = i2 < n2 - 1
-        table[idx[m], idx[m] + 1] -= slf[1]
-        m = i2 > 0
-        table[idx[m], idx[m] - 1] -= slf[1]
+    # second-difference self weight of axis k: the kernel integrated against
+    # the quadratic interpolant through the axis neighbors over the excluded
+    # cell, multiplying -(u_{i+e_k} - 2 u_i + u_{i-e_k})
+    slf = c_lap * (0.5 * _self_cell_moments(grid, params, 2.0 - 2.0 * s)
+                   / np.asarray(grid.spacing) ** 2)
+    for coeff, stencil in zip(slf, _axis_stencils(grid)):
+        _add_second_difference(table, stencil, coeff)
 
     return NonlocalOperator(kind="laplacian", s=float(s), grid=grid, table=table,
                             constant=c_lap, params=params)
