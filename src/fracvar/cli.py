@@ -373,6 +373,9 @@ def _cmd_mpass(cfg, rcfg, outdir, files):
     if rcfg.reaction[0] not in ("cubic_saturating", "linear"):
         raise ConfigError(
             f"mpass needs a linear-growth reaction family, got {rcfg.reaction[0]!r}")
+    if rcfg.forcing["kind"] == "file":
+        raise ConfigError('"forcing.kind" "file" is not read by mpass: its forcing is '
+                          "each sweep value times phi1")
     if any(v < 0 for v in rcfg.sweep):
         raise ConfigError(f'"sweep.values" are forcing scales for mpass and must be '
                           f"nonnegative, got {list(rcfg.sweep)}")
@@ -445,7 +448,7 @@ def _cmd_sweep(cfg, rcfg, outdir, files):
     }
     kinds = {r.report.classification == "trivial" for r in report.runs}
     if kinds == {True, False}:
-        payload["nu_threshold"] = ex.find_nu_threshold(rcfg, prep)
+        payload["nu_threshold"] = ex.find_nu_threshold(rcfg, prep, runs=report.runs)
     _write_json(outdir / "report.json", payload)
     files.append("report.json")
     return status

@@ -228,12 +228,15 @@ def run_sublinear_regime(config: RegimeConfig,
 
 def find_nu_threshold(config: RegimeConfig,
                       prep: PreparedProblem | None = None,
-                      rel_width: float = 1e-2) -> float:
+                      rel_width: float = 1e-2,
+                      runs: tuple[SublinearRun, ...] = ()) -> float:
     """Bisect nu between a trivial and a nontrivial outcome.
 
     The sweep must bracket the transition; the bisection keeps the
     invariant "trivial below, nontrivial above", which also asserts the
-    monotonicity of the classification along the probe sequence.
+    monotonicity of the classification along the probe sequence. runs are
+    sweep solves of this config already done (run_sublinear_regime's);
+    their nu values are classified from them instead of being solved again.
     """
     prep = prep if prep is not None else prepare(config)
     h = build_forcing(prep, config.forcing)
@@ -242,7 +245,9 @@ def find_nu_threshold(config: RegimeConfig,
         rep = _solve_once(prep, _reaction_with(config, nu=nu), h)
         return rep.l2_norm > TRIVIAL_L2
 
-    flags = [(nu, nontrivial(nu)) for nu in sorted(config.sweep)]
+    solved = {run.nu: run.report.l2_norm > TRIVIAL_L2 for run in runs}
+    flags = [(nu, solved[nu] if nu in solved else nontrivial(nu))
+             for nu in sorted(config.sweep)]
     lo = max((nu for nu, f in flags if not f), default=None)
     hi = min((nu for nu, f in flags if f), default=None)
     if lo is None or hi is None or not lo < hi:

@@ -181,7 +181,7 @@ def _kernel_by_offset(grid: Grid, s: float, near: int, kind: str) -> np.ndarray:
     q = s if kind == "gradient" else 2.0 * s
     center = tuple(n - 1 for n in grid.shape)
     reach = [min(near, c) for c in center]
-    with np.errstate(divide="ignore", invalid="ignore"):  # the zero offset
+    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 at the zero offset
         mids = np.meshgrid(*[np.arange(-c, c + 1) * h for c, h in zip(center, grid.spacing)],
                            indexing="ij")
         kernel = grid.weight * _kernel_values(mids, q, kind)

@@ -281,6 +281,12 @@ def _forcing_file(payload):
 
 _FVFD_64_HEADER = b"FVFD" + (1).to_bytes(4, "little") + (64).to_bytes(4, "little")
 
+
+def _mpass_file_forcing(cfg, tmp_path):
+    _forcing_file(_FVFD_64_HEADER + np.ones(64).astype("<f8").tobytes())(cfg, tmp_path)
+    cfg["reaction"] = {"family": "cubic_saturating", "params": {"kappa": 4.65}}
+
+
 INVALID_INPUTS = [
     # non-finite and out-of-range values
     ("nan-tol_g", _set("solver", "tol_g", float("nan")), [], {}, "solver.tol_g"),
@@ -323,6 +329,9 @@ INVALID_INPUTS = [
     ("bad-forcing-header", _forcing_file(b"FVFD\x01\x00"), [], {}, "forcing.path"),
     ("nan-forcing-values", _forcing_file(
         _FVFD_64_HEADER + np.full(64, np.nan).astype("<f8").tobytes()), [], {}, "forcing.path"),
+    # a valid forcing file that mpass would not read (its forcing is the
+    # sweep value times phi1)
+    ("mpass-file-forcing", _mpass_file_forcing, [], {}, "forcing.kind", "mpass"),
     # thread overrides
     ("zero-threads-flag", lambda cfg, tmp_path: None, ["--threads", "0"], {}, "--threads"),
     ("bad-threads-env", lambda cfg, tmp_path: None, [], {"FRACVAR_THREADS": "abc"},
@@ -330,15 +339,19 @@ INVALID_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("edit,argv,env,key", [case[1:] for case in INVALID_INPUTS],
+@pytest.mark.parametrize("edit,argv,env,key,command",
+                         # the command a case runs follows its key; solve if none
+                         [(*case[1:5], case[5] if len(case) > 5 else "solve")
+                          for case in INVALID_INPUTS],
                          ids=[case[0] for case in INVALID_INPUTS])
-def test_invalid_input_exits_2_naming_key(tmp_path, capsys, monkeypatch, edit, argv, env, key):
+def test_invalid_input_exits_2_naming_key(tmp_path, capsys, monkeypatch, edit, argv, env, key,
+                                          command):
     cfg = json.loads(write_config(tmp_path / "base.json").read_text())
     edit(cfg, tmp_path)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    status = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")] + argv)
+    status = main([command, "--config", str(path), "--out", str(tmp_path / "o")] + argv)
     assert status == 2
     assert key in capsys.readouterr().err

@@ -1,8 +1,9 @@
-"""Property tests of the configuration contract.
+"""Property tests of the configuration contract and the field file format.
 
 The snapshot that parse_config returns is itself a valid configuration that
-parses back to the same snapshot, and a non-finite value at any numeric key
-is a ConfigError that names the key.
+parses back to the same snapshot, a non-finite value at any numeric key is
+a ConfigError that names the key, and a field written in the FVFD format
+reads back bit for bit.
 """
 
 import dataclasses
@@ -12,12 +13,14 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from fracvar import QuadratureParams, SolverOptions
-from fracvar.cli import ConfigError, parse_config
+from fracvar import DomainSpec, Field, QuadratureParams, SolverOptions, build_grid
+from fracvar.cli import ConfigError, parse_config, read_field, write_field
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -149,3 +152,25 @@ def test_non_finite_value_names_its_key(path, name, value):
     node[path[-1]] = value
     with pytest.raises(ConfigError, match=re.escape(name)):
         _parse(cfg)
+
+
+@st.composite
+def fields(draw):
+    """A finite field on a 1D or 2D grid; values span the float64 range,
+    signed zeros and subnormals included."""
+    nodes = draw(st.one_of(st.tuples(st.integers(4, 64)),
+                           st.tuples(st.integers(4, 12), st.integers(4, 12))))
+    grid = build_grid(DomainSpec(bounds=tuple((0.0, 1.0) for _ in nodes), nodes=nodes))
+    values = draw(arrays(np.float64, grid.n_nodes,
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return Field(grid, values)
+
+
+@SETTINGS
+@given(fld=fields())
+def test_field_file_round_trip_is_bit_exact(fld):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "u.fvfd"
+        write_field(path, fld)
+        back = read_field(path, fld.grid)
+    assert back.values.tobytes() == fld.values.tobytes()

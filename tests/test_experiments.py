@@ -4,6 +4,7 @@ import pytest
 from fracvar import (DomainSpec, RegimeConfig, SolverOptions,
                      appendix_convergence, find_nu_threshold, prepare,
                      run_linear_regime, run_sublinear_regime, verify_identities)
+from fracvar import experiments
 from fracvar.experiments import sign_pattern_checks
 
 
@@ -95,6 +96,20 @@ class TestThreshold:
                           reaction_params={"nu": 1.0, "amplitude": 2.0}),
             prep_128)
         assert doubled == pytest.approx(base / 2.0, rel=0.05)
+
+    def test_sweep_runs_are_not_solved_again(self, base_domain, prep_128, monkeypatch):
+        cfg = sublinear_cfg(base_domain, sweep=(0.5, 5.0))
+        runs = run_sublinear_regime(cfg, prep_128).runs
+        expected = find_nu_threshold(cfg, prep_128)
+        solve_once, probed = experiments._solve_once, []
+
+        def counted(prep, reaction, h):
+            probed.append(reaction.params["nu"])
+            return solve_once(prep, reaction, h)
+
+        monkeypatch.setattr(experiments, "_solve_once", counted)
+        assert find_nu_threshold(cfg, prep_128, runs=runs) == expected
+        assert probed and not set(probed) & set(cfg.sweep)
 
     def test_no_bracket_raises(self, base_domain, prep_128):
         cfg = sublinear_cfg(base_domain, sweep=(100.0, 200.0))
