@@ -13,9 +13,11 @@ The configuration is strict JSON: unknown keys are fatal (a silent typo in
 a hypothesis parameter would invalidate regime conclusions), ranges are
 validated with the offending key named, and the persisted snapshot has all
 defaults materialized. Every run directory receives a manifest listing the
-config snapshot, per-stage wall-clock timings, and a sha256 inventory of
-the produced files; reruns with the same config and seed reproduce the
-inventory bit for bit.
+config snapshot, per-stage wall-clock timings (prepare_seconds: grid,
+operator assembly and first eigenpair; command_seconds: the whole
+command), and a sha256 inventory of the produced files; reruns with the
+same config and seed reproduce the inventory bit for bit (the manifest
+itself, which holds the timings, is not in it).
 
 Field files use the FVFD binary format: magic "FVFD", little-endian u32
 dimension, little-endian u32 node count, then the nodal values as
@@ -325,8 +327,16 @@ def _report_payload(report) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_verify(cfg, rcfg, outdir, files):
-    report = ex.verify_identities(rcfg)
+def _prepare(rcfg, timings: dict):
+    """experiments.prepare, timed into the manifest as prepare_seconds."""
+    t0 = time.perf_counter()
+    prep = ex.prepare(rcfg)
+    timings["prepare_seconds"] = time.perf_counter() - t0
+    return prep
+
+
+def _cmd_verify(cfg, rcfg, outdir, files, timings):
+    report = ex.verify_identities(rcfg, prep=_prepare(rcfg, timings))
     rows = [[c.name, c.value, c.tolerance, int(c.passed)] for c in report.checks]
     _write_csv(outdir / "identities.csv", ["check", "value", "tolerance", "passed"], rows)
     files.append("identities.csv")
@@ -339,8 +349,8 @@ def _cmd_verify(cfg, rcfg, outdir, files):
     return 0 if report.all_passed else 1
 
 
-def _cmd_eig(cfg, rcfg, outdir, files):
-    prep = ex.prepare(rcfg)
+def _cmd_eig(cfg, rcfg, outdir, files, timings):
+    prep = _prepare(rcfg, timings)
     eigenpair_to_csv(prep.eigenpair, outdir / "eigenpair.csv")
     files.append("eigenpair.csv")
     _write_json(outdir / "report.json", {
@@ -352,8 +362,8 @@ def _cmd_eig(cfg, rcfg, outdir, files):
     return 0
 
 
-def _cmd_solve(cfg, rcfg, outdir, files):
-    prep = ex.prepare(rcfg)
+def _cmd_solve(cfg, rcfg, outdir, files, timings):
+    prep = _prepare(rcfg, timings)
     h = ex.build_forcing(prep)
     reaction = ex._reaction_with(rcfg)
     report = ex._solve_once(prep, reaction, h)
@@ -369,7 +379,7 @@ def _cmd_solve(cfg, rcfg, outdir, files):
     return 0 if report.classification != "failed" else 1
 
 
-def _cmd_mpass(cfg, rcfg, outdir, files):
+def _cmd_mpass(cfg, rcfg, outdir, files, timings):
     if rcfg.reaction[0] not in ("cubic_saturating", "linear"):
         raise ConfigError(
             f"mpass needs a linear-growth reaction family, got {rcfg.reaction[0]!r}")
@@ -381,7 +391,7 @@ def _cmd_mpass(cfg, rcfg, outdir, files):
                           f"nonnegative, got {list(rcfg.sweep)}")
     if not rcfg.sweep:
         rcfg = dataclasses.replace(rcfg, sweep=(rcfg.forcing.get("scale", 0.0),))
-    report = ex.run_linear_regime(rcfg)
+    report = ex.run_linear_regime(rcfg, _prepare(rcfg, timings))
     payload = {"lambda1": report.lambda1,
                "audit": {"verdicts": report.audit.verdicts,
                          "witnesses": _jsonable(report.audit.witnesses)},
@@ -418,14 +428,14 @@ def _cmd_mpass(cfg, rcfg, outdir, files):
     return status
 
 
-def _cmd_sweep(cfg, rcfg, outdir, files):
+def _cmd_sweep(cfg, rcfg, outdir, files, timings):
     if rcfg.reaction[0] != "saturating":
         raise ConfigError(
             f"sweep needs the sublinear reaction family, got {rcfg.reaction[0]!r}")
     if any(v <= 0 for v in rcfg.sweep):
         raise ConfigError(f'"sweep.values" are nu values for sweep and must be positive, '
                           f"got {list(rcfg.sweep)}")
-    prep = ex.prepare(rcfg)
+    prep = _prepare(rcfg, timings)
     report = ex.run_sublinear_regime(rcfg, prep)
     rows = []
     status = 0
@@ -454,8 +464,8 @@ def _cmd_sweep(cfg, rcfg, outdir, files):
     return status
 
 
-def _cmd_appendix(cfg, rcfg, outdir, files):
-    report = ex.appendix_convergence(rcfg)
+def _cmd_appendix(cfg, rcfg, outdir, files, timings):
+    report = ex.appendix_convergence(rcfg, prep=_prepare(rcfg, timings))
     rows = [[t, v, e] for t, v, e in zip(report.scales, report.values, report.rel_errors)]
     _write_csv(outdir / "appendix.csv", ["scale_t", "form_value", "rel_error"], rows)
     files.append("appendix.csv")
@@ -501,7 +511,7 @@ def run_command(materialized: dict, command: str, out_dir=None,
     files: list[str] = []
     timings: dict = {}
     t0 = time.perf_counter()
-    status = _DISPATCH[command](materialized, rcfg, outdir, files)
+    status = _DISPATCH[command](materialized, rcfg, outdir, files, timings)
     timings["command_seconds"] = time.perf_counter() - t0
 
     manifest = {

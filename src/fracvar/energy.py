@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .coeffs import CoefficientModel, ReactionModel
-from .fracops import NonlocalOperator, apply_gradient
+from .fracops import NonlocalOperator, apply_divergence, apply_gradient
 from .grid import Field, Grid, VectorField
 
 __all__ = [
@@ -108,34 +108,100 @@ class EnergyGradient:
                      * np.dot(self.representer.values, phi.values))
 
 
-def _gradient_sq(model: EnergyModel, u: Field) -> tuple[VectorField, np.ndarray]:
-    gu = apply_gradient(model.grad_op, u)
-    with np.errstate(over="ignore"):
-        q = np.sum(gu.values**2, axis=1)
-    return gu, q
-
-
 def _checked(name: str, arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise EnergyOverflowError(f"{name} evaluation produced non-finite values")
     return arr
 
 
+def _hs(grid: Grid, gu: VectorField) -> float:
+    return float(np.sqrt(grid.weight * np.sum(gu.values**2)))
+
+
+class _once:
+    """functools.cached_property without its lock: before Python 3.12 that
+    lock is shared by all instances, so threads evaluating different states
+    (a threaded sweep) would wait for each other. A state belongs to one
+    solve, hence to one thread. A method that raises stores nothing."""
+
+    def __init__(self, method):
+        self.method = method
+        self.__doc__ = method.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.method.__name__] = self.method(obj)
+        return value
+
+
+class PointState:
+    """One point u with the quantities evaluated at it, each on first use.
+
+    grad (grad_s u), q = |grad_s u|^2, flux (gamma(q/2) grad_s u), energy,
+    representer and hs_norm are computed once and kept, so a solver that
+    reads the energy, the derivative and the norm at the same point applies
+    the gradient table once forward and once transposed. u.values must not
+    change while the state is in use. A failed evaluation
+    (EnergyOverflowError) is not kept: asking again raises again. energy,
+    energy_gradient and quasilinear_part below are thin wrappers over a
+    fresh state; hs_norm shares the norm's formula.
+    """
+
+    def __init__(self, model: EnergyModel, u: Field):
+        self.model = model
+        self.u = u
+
+    @_once
+    def grad(self) -> VectorField:
+        return apply_gradient(self.model.grad_op, self.u)
+
+    @_once
+    def q(self) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.sum(self.grad.values**2, axis=1)
+
+    @_once
+    def energy(self) -> float:
+        """Value of the functional (finite, or EnergyOverflowError)."""
+        model, q = self.model, self.q
+        if np.max(q, initial=0.0) > _OVERFLOW_LIMIT:
+            raise EnergyOverflowError("gradient magnitude exceeds the evaluation range")
+        val = (
+            np.sum(_checked("Gamma", model.coeff.big_gamma(0.5 * q)))
+            - np.sum(_checked("F", model.big_f(self.u.values)))
+            - np.dot(model.forcing.values, self.u.values)
+        )
+        out = float(model.grid.weight * val)
+        if not np.isfinite(out):
+            raise EnergyOverflowError("energy evaluation overflowed")
+        return out
+
+    @_once
+    def flux(self) -> np.ndarray:
+        """The vector field gamma(|grad_s u|^2/2) grad_s u, shape (N, d)."""
+        gam = _checked("gamma", self.model.coeff.gamma(0.5 * self.q))
+        return gam[:, None] * self.grad.values
+
+    @_once
+    def representer(self) -> Field:
+        """Nodal representer of E'(u): the flux through the transposed
+        gradient table (minus the discrete divergence), then the reaction
+        and forcing terms subtracted nodewise."""
+        model = self.model
+        rep = -apply_divergence(model.grad_op, VectorField(model.grid, self.flux)).values
+        rep -= _checked("f", model.f(self.u.values))
+        rep -= model.forcing.values
+        return Field(model.grid, rep)
+
+    @_once
+    def hs_norm(self) -> float:
+        return _hs(self.model.grid, self.grad)
+
+
 def energy(model: EnergyModel, u: Field) -> float:
     """Value of the functional at u (finite, or EnergyOverflowError)."""
-    gu, q = _gradient_sq(model, u)
-    if np.max(q, initial=0.0) > _OVERFLOW_LIMIT:
-        raise EnergyOverflowError("gradient magnitude exceeds the evaluation range")
-    w = model.grid.weight
-    val = (
-        np.sum(_checked("Gamma", model.coeff.big_gamma(0.5 * q)))
-        - np.sum(_checked("F", model.big_f(u.values)))
-        - np.dot(model.forcing.values, u.values)
-    )
-    out = float(w * val)
-    if not np.isfinite(out):
-        raise EnergyOverflowError("energy evaluation overflowed")
-    return out
+    return PointState(model, u).energy
 
 
 def energy_gradient(model: EnergyModel, u: Field) -> EnergyGradient:
@@ -145,31 +211,24 @@ def energy_gradient(model: EnergyModel, u: Field) -> EnergyGradient:
     the transpose of the gradient table (the negative discrete divergence),
     then the reaction and forcing terms are subtracted nodewise.
     """
-    gu, q = _gradient_sq(model, u)
-    gam = _checked("gamma", model.coeff.gamma(0.5 * q))
-    rep = np.zeros(model.grid.n_nodes)
-    for c in range(model.grid.dimension):
-        rep += model.grad_op.table[c].T @ (gam * gu.values[:, c])
-    rep -= _checked("f", model.f(u.values))
-    rep -= model.forcing.values
-
-    weighted = gam[:, None] * gu.values
+    point = PointState(model, u)
+    representer = point.representer
     w = model.grid.weight
 
     def directional(phi: Field) -> float:
         gphi = apply_gradient(model.grad_op, phi)
         return float(w * (
-            np.sum(weighted * gphi.values)
+            np.sum(point.flux * gphi.values)
             - np.dot(model.f(u.values), phi.values)
             - np.dot(model.forcing.values, phi.values)
         ))
 
-    return EnergyGradient(representer=Field(model.grid, rep), directional=directional)
+    return EnergyGradient(representer=representer, directional=directional)
 
 
 def quasilinear_part(model: EnergyModel, u: Field) -> float:
     """The diffusion term alone: int Gamma(|grad_s u|^2 / 2)."""
-    _, q = _gradient_sq(model, u)
+    q = PointState(model, u).q
     return float(model.grid.weight * np.sum(_checked("Gamma", model.coeff.big_gamma(0.5 * q))))
 
 
@@ -179,13 +238,12 @@ def convexity_gap(model: EnergyModel, u1: Field, u2: Field) -> float:
     Computed as the quadrature sum of the pointwise Bregman gaps of
     z -> Gamma(|z|^2/2), so the sign assertion carries no quadrature noise.
     """
-    gu1, q1 = _gradient_sq(model, u1)
-    gu2, q2 = _gradient_sq(model, u2)
-    gam2 = model.coeff.gamma(0.5 * q2)
+    p1, p2 = PointState(model, u1), PointState(model, u2)
+    gam2 = model.coeff.gamma(0.5 * p2.q)
     pointwise = (
-        model.coeff.big_gamma(0.5 * q1)
-        - model.coeff.big_gamma(0.5 * q2)
-        - gam2 * np.sum(gu2.values * (gu1.values - gu2.values), axis=1)
+        model.coeff.big_gamma(0.5 * p1.q)
+        - model.coeff.big_gamma(0.5 * p2.q)
+        - gam2 * np.sum(p2.grad.values * (p1.grad.values - p2.grad.values), axis=1)
     )
     return float(model.grid.weight * np.sum(_checked("gap", pointwise)))
 
@@ -200,10 +258,10 @@ def weighted_form(model: EnergyModel, t: float, v: Field, w_field: Field) -> flo
     """
     if t <= 0:
         raise ValueError(f"scale t must be positive, got {t}")
-    gv, qv = _gradient_sq(model, v)
+    pv = PointState(model, v)
     gw = apply_gradient(model.grad_op, w_field)
-    gam = _checked("gamma", model.coeff.gamma(0.5 * qv / t**2))
-    return float(model.grid.weight * np.sum(gam[:, None] * gv.values * gw.values))
+    gam = _checked("gamma", model.coeff.gamma(0.5 * pv.q / t**2))
+    return float(model.grid.weight * np.sum(gam[:, None] * pv.grad.values * gw.values))
 
 
 def monotonicity_pairing(coeff: CoefficientModel, z1, z2) -> float:
@@ -223,5 +281,4 @@ def monotonicity_pairing(coeff: CoefficientModel, z1, z2) -> float:
 
 def hs_norm(grad_op: NonlocalOperator, u: Field) -> float:
     """Discrete H^s_0 norm: the L2 norm of the fractional gradient."""
-    gu = apply_gradient(grad_op, u)
-    return float(np.sqrt(grad_op.grid.weight * np.sum(gu.values**2)))
+    return _hs(grad_op.grid, apply_gradient(grad_op, u))

@@ -38,11 +38,11 @@ from .coeffs import CoefficientModel, HypothesisReport, ReactionModel
 from .energy import EnergyModel, convexity_gap, energy, hs_norm, monotonicity_pairing, weighted_form
 from .fracops import (NonlocalOperator, QuadratureParams, apply_divergence,
                       apply_gradient, assemble_gradient, assemble_laplacian,
-                      composition_matrix, composition_residual,
-                      normalizing_constants)
+                      composition_residual, normalizing_constants)
 from .grid import DomainSpec, Field, Grid, VectorField, build_grid, field_from_function, l2_inner
 from .solvers import (TRIVIAL_L2, RaySearchResult, SolveReport, SolverOptions,
-                      minimize_cone, mountain_pass, project_cone, ray_search)
+                      minimize_cone, mountain_pass, project_cone, ray_search,
+                      shifted_system)
 from .spectral import EigenPair, first_eigenpair
 
 __all__ = [
@@ -181,11 +181,18 @@ def build_forcing(prep: PreparedProblem, forcing: dict | None = None) -> Field:
 
 def default_initial_guess(prep: PreparedProblem, h: Field) -> Field:
     """Deterministic start: positive part of the linear solve against h,
-    or a small multiple of phi1 for the homogeneous problem."""
+    or a small multiple of phi1 for the homogeneous problem.
+
+    The Cholesky factor of -div_s grad_s + 1e-12 I is made on the first
+    call with a nonzero h and kept with the gradient operator.
+    """
     if np.any(h.values):
-        mat = composition_matrix(prep.grad_op)
-        mat[np.diag_indices_from(mat)] += 1e-12
-        sol = cho_solve(cho_factor(mat), h.values)
+        if not np.isfinite(h.values).all():
+            raise ValueError("array must not contain infs or NaNs")
+        op = prep.grad_op
+        factor = op.cached("initial guess", lambda: cho_factor(
+            shifted_system(op, 1e-12), overwrite_a=True))
+        sol = cho_solve(factor, h.values, check_finite=False)
         return project_cone(Field(prep.grid, sol))
     return Field(prep.grid, 1e-3 * prep.eigenpair.function.values)
 
@@ -479,7 +486,8 @@ def _energy_property_checks(prep: PreparedProblem, rng) -> list[IdentityCheck]:
 
 
 def verify_identities(config: RegimeConfig,
-                      s_values: tuple[float, ...] = (0.3, 0.5, 0.7)) -> IdentityReport:
+                      s_values: tuple[float, ...] = (0.3, 0.5, 0.7),
+                      prep: PreparedProblem | None = None) -> IdentityReport:
     """Run the operator identity suite and the energy property checks.
 
     In 1D this covers duality, the continuum divergence oracle, the
@@ -488,7 +496,7 @@ def verify_identities(config: RegimeConfig,
     suite reduces to duality, a single-resolution composition smoke bound
     (10%), and the energy properties.
     """
-    prep = prepare(config)
+    prep = prep if prep is not None else prepare(config)
     rng = np.random.default_rng(config.seed)
     checks: list[IdentityCheck] = [_duality_check(prep.grid, prep.grad_op, rng)]
     if prep.grid.dimension == 1:
@@ -520,7 +528,8 @@ class ConvergenceReport:
 
 
 def appendix_convergence(config: RegimeConfig, n_max: int = 12,
-                         amplitude: float = 20.0) -> ConvergenceReport:
+                         amplitude: float = 20.0,
+                         prep: PreparedProblem | None = None) -> ConvergenceReport:
     """Evaluate the scaled quasilinear form along t_n = 2^{-n}.
 
     With v = w (a scaled smooth bump) every term of the form is
@@ -528,7 +537,7 @@ def appendix_convergence(config: RegimeConfig, n_max: int = 12,
     decreases pointwise as t shrinks, so the error sequence is monotone
     by construction once the scale regime is reached; the run verifies it.
     """
-    prep = prepare(config)
+    prep = prep if prep is not None else prepare(config)
     grid = prep.grid
     center = np.array([0.5 * (a + b) for a, b in grid.spec.bounds])
     width2 = min((b - a) for a, b in grid.spec.bounds) ** 2

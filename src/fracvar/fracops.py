@@ -44,7 +44,8 @@ matrix contraction, so applying an operator is exactly linear.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gamma as _gamma
@@ -124,6 +125,8 @@ class NonlocalOperator:
     table has shape (d, N, N) for the gradient (component-major, so each
     component matrix is contiguous) and (N, N) for the Laplacian. constant
     is the normalization actually baked into the table (mu or C).
+    Matrices derived from the table (the solvers' composition matrix and
+    Cholesky factors) are kept with it by ``cached``.
     """
 
     kind: str
@@ -132,10 +135,23 @@ class NonlocalOperator:
     table: np.ndarray
     constant: float
     params: QuadratureParams
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
+    _lock: threading.RLock = field(default_factory=threading.RLock, init=False, repr=False)
 
     @property
     def n_nodes(self) -> int:
         return self.grid.n_nodes
+
+    def cached(self, key: str, build):
+        """build() on the first request for key, the same object after.
+
+        Safe under threads: concurrent first requests build once. The lock
+        is reentrant, so build may itself ask for another key.
+        """
+        with self._lock:
+            if key not in self._derived:
+                self._derived[key] = build()
+            return self._derived[key]
 
 
 def normalizing_constants(d: int, s: float) -> tuple[float, float]:

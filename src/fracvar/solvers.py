@@ -5,11 +5,13 @@ modes cover the two existence mechanisms:
 
 * minimize_cone: projected descent with Armijo backtracking for the local
   minimizer the direct method produces. Descent directions are
-  preconditioned by ((-Lap)^s + I)^{-1} (dense Cholesky, shared with the
-  eigen solver); the cone projection is the nodewise positive part. An
-  optional ball constraint rescales iterates back to radius R in the
-  discrete H^s norm and records which boundary variant of the
-  compactness condition was active (sign of <E'(u), u>).
+  preconditioned by (C + I)^{-1}, C = -div_s grad_s the composition
+  matrix; C and the dense Cholesky factor of C + I are built on the first
+  solve with a gradient operator and kept with it (NonlocalOperator.cached),
+  so a sweep or a bisection factors once. The cone projection is the
+  nodewise positive part. An optional ball constraint rescales iterates
+  back to radius R in the discrete H^s norm and records which boundary
+  variant of the compactness condition was active (sign of <E'(u), u>).
 
 * mountain_pass: a discrete path deformation between two low-energy
   points. Phase A repeatedly locates the path-energy maximizer, applies
@@ -18,6 +20,13 @@ modes cover the two existence mechanisms:
   minimax polish (1D maximization along the path tangent alternating with
   projected descent in the orthogonal complement) until the first-order
   residual meets tolerance. Both phases use only energies and gradients.
+
+Both solvers carry each iterate as an energy.PointState, which evaluates
+grad_s u, the energy, the derivative representer and the H^s norm once per
+point: an accepted line-search trial brings its gradient to the next
+iteration's derivative, KKT residual and norm trace. Factors are checked for
+finite values once, when they are made; each solve then checks only its
+right-hand side.
 
 First-order optimality over the cone is measured by the KKT residual:
 |g_i| on nodes with u_i > 0 and max(0, -g_i) on active nodes, g being the
@@ -32,7 +41,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .coeffs import check_ball_condition
-from .energy import EnergyModel, EnergyOverflowError, energy, energy_gradient, hs_norm
+from .energy import EnergyModel, EnergyOverflowError, PointState, energy, hs_norm
 from .fracops import NonlocalOperator, composition_matrix
 from .grid import Field
 
@@ -147,8 +156,12 @@ def project_cone(u: Field) -> Field:
 def kkt_residual(model: EnergyModel, u: Field,
                  tol_active: float = SolverOptions.tol_active) -> float:
     """First-order residual of minimization over the cone at u >= 0."""
-    g = energy_gradient(model, u).representer.values
-    active = u.values > tol_active
+    return _kkt(PointState(model, u), tol_active)
+
+
+def _kkt(point: PointState, tol_active: float) -> float:
+    g = point.representer.values
+    active = point.u.values > tol_active
     parts = []
     if np.any(active):
         parts.append(np.max(np.abs(g[active])))
@@ -180,8 +193,36 @@ def coercivity_radius(model: EnergyModel, lambda1: float) -> float | None:
     return float((b + np.sqrt(b**2 + 4.0 * a * c)) / (2.0 * a) + 1.0)
 
 
+def shifted_system(op: NonlocalOperator, shift: float, rows=None) -> np.ndarray:
+    """C[rows, rows] + shift * I (all rows for None) in a new array.
+
+    C is the composition matrix -div_s grad_s of a gradient operator, built
+    once per operator and shared read-only, or a Laplacian operator's own
+    table. The result is Fortran-ordered, the order LAPACK works in, so
+    cho_factor(..., overwrite_a=True) factors it in place instead of
+    copying it again.
+    """
+    if op.kind == "gradient":
+        mat = op.cached("composition", lambda: composition_matrix(op))
+    elif op.kind == "laplacian":
+        mat = op.table
+    else:
+        raise ValueError(f"cannot precondition with operator kind {op.kind!r}")
+    out = np.array(mat, order="F") if rows is None else mat.T[np.ix_(rows, rows)].T
+    out[np.diag_indices_from(out)] += shift
+    return out
+
+
+def _solve(factor, rhs: np.ndarray) -> np.ndarray:
+    """cho_solve against a factor that cho_factor checked for finite values
+    when it was made; only the O(N) right-hand side is checked here."""
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return cho_solve(factor, rhs, check_finite=False)
+
+
 class _Preconditioner:
-    """Apply ((-Lap)^s + I)^{-1} via a cached dense Cholesky factor.
+    """Apply (C + I)^{-1} via the operator's cached dense Cholesky factor.
 
     A gradient operator is preferred: its composition matrix -div_s grad_s
     is the Laplacian the energy actually induces, which makes the descent
@@ -191,58 +232,52 @@ class _Preconditioner:
     For cone-constrained descent the solve can be restricted to the
     inactive index set (two-metric projection): mixing preconditioned
     directions into active coordinates stalls the line search, so active
-    nodes move by the raw gradient instead. Restricted factors are cached
-    per active set and recomputed only when it changes.
+    nodes move by the raw gradient instead. Restricted factors belong to
+    one solve and are recomputed only when its active set changes.
     """
 
     def __init__(self, op: NonlocalOperator | None):
-        self._matrix = None
+        self._op = op
         self._factor = None
         self._sub_mask = None
         self._sub_factor = None
         if op is not None:
-            if op.kind == "gradient":
-                mat = composition_matrix(op)
-            elif op.kind == "laplacian":
-                mat = op.table.copy()
-            else:
-                raise ValueError(f"cannot precondition with operator kind {op.kind!r}")
-            mat[np.diag_indices_from(mat)] += 1.0
-            self._matrix = mat
-            self._factor = cho_factor(mat)
+            self._factor = op.cached("preconditioner", lambda: cho_factor(
+                shifted_system(op, 1.0), overwrite_a=True))
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
         if self._factor is None:
             return vec
-        return cho_solve(self._factor, vec)
+        return _solve(self._factor, vec)
 
     def solve_inactive(self, vec: np.ndarray, inactive: np.ndarray) -> np.ndarray:
         """Solve on the inactive subset only; zeros elsewhere."""
         out = np.zeros_like(vec)
-        if self._matrix is None:
+        if self._factor is None:
             out[inactive] = vec[inactive]
             return out
         if inactive.all():
-            out[:] = cho_solve(self._factor, vec)
+            out[:] = _solve(self._factor, vec)
             return out
         if self._sub_mask is None or not np.array_equal(self._sub_mask, inactive):
-            sub = self._matrix[np.ix_(inactive, inactive)]
-            self._sub_factor = cho_factor(sub)
+            self._sub_factor = None  # released before the next one is made
+            self._sub_factor = cho_factor(shifted_system(self._op, 1.0, inactive),
+                                          overwrite_a=True)
             self._sub_mask = inactive.copy()
-        out[inactive] = cho_solve(self._sub_factor, vec[inactive])
+        out[inactive] = _solve(self._sub_factor, vec[inactive])
         return out
 
 
-def _ball_rescale(u: Field, model: EnergyModel, radius: float | None,
-                  boundary: dict) -> Field:
+def _ball_rescale(point: PointState, radius: float | None, boundary: dict) -> PointState:
     if radius is None:
-        return u
-    nrm = hs_norm(model.grad_op, u)
+        return point
+    nrm = point.hs_norm
     if nrm <= radius:
-        return u
-    scaled = Field(u.grid, u.values * (radius / nrm))
-    g = energy_gradient(model, scaled).representer
-    inner = float(scaled.grid.weight * np.dot(g.values, scaled.values))
+        return point
+    u = point.u
+    scaled = PointState(point.model, Field(u.grid, u.values * (radius / nrm)))
+    g = scaled.representer
+    inner = float(u.grid.weight * np.dot(g.values, scaled.u.values))
     boundary["hits"] = boundary.get("hits", 0) + 1
     boundary["last_inner_product"] = inner
     # boundary variant (b) needs <E'(u), u> <= 0 on the sphere; a positive
@@ -252,11 +287,13 @@ def _ball_rescale(u: Field, model: EnergyModel, radius: float | None,
     return scaled
 
 
-def _armijo_step(model, opts, u, g_field, direction, f_u, step0=1.0,
+def _armijo_step(model, opts, point, direction, step0=1.0,
                  radius=None, boundary=None, step_cap=None):
-    """Backtracking projected step; returns (u_new, f_new, step) or None."""
+    """Backtracking projected step from point (a PointState) along
+    direction; returns (trial state, step) or None."""
     boundary = boundary if boundary is not None else {}
     w = model.grid.weight
+    u, g, f_u = point.u, point.representer, point.energy
     step = step0
     for _ in range(60):
         trial = project_cone(Field(u.grid, u.values + step * direction))
@@ -265,18 +302,18 @@ def _armijo_step(model, opts, u, g_field, direction, f_u, step0=1.0,
             if move > step_cap:
                 step *= opts.armijo_factor
                 continue
-        trial = _ball_rescale(trial, model, radius, boundary)
-        delta = trial.values - u.values
+        trial = _ball_rescale(PointState(model, trial), radius, boundary)
+        delta = trial.u.values - u.values
         if not np.any(delta):
             return None
-        slope = w * np.dot(g_field.values, delta)
+        slope = w * np.dot(g.values, delta)
         try:
-            f_trial = energy(model, trial)
+            f_trial = trial.energy
         except EnergyOverflowError:
             step *= opts.armijo_factor
             continue
         if f_trial <= f_u + opts.armijo_slope * min(slope, 0.0):
-            return trial, f_trial, step
+            return trial, step
         step *= opts.armijo_factor
     return None
 
@@ -322,7 +359,7 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field,
     unconstrained.
     """
     precond = _Preconditioner(precond_op)
-    u = project_cone(u0)
+    point = PointState(model, project_cone(u0))
 
     radius = opts.ball_radius
     if radius is None and lambda1 is not None:
@@ -331,68 +368,69 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field,
             radius = 10.0 * est
 
     boundary: dict = {"hits": 0, "condition": None, "last_inner_product": None}
-    f_u = energy(model, u)
-    kkt = kkt_residual(model, u, opts.tol_active)
+    f_u = point.energy
+    kkt = _kkt(point, opts.tol_active)
     step = 1.0
-    converged = _first_order_done(kkt, u, opts.tol_g)
+    converged = _first_order_done(kkt, point.u, opts.tol_g)
     it = 0
     merit_mode = False
     m_u = np.inf
     energy_trace = [f_u]
-    hs_trace_max = hs_norm(model.grad_op, u)
+    hs_trace_max = point.hs_norm
 
     def descent_direction(g_vals: np.ndarray) -> np.ndarray:
-        inactive = u.values > opts.tol_active
+        inactive = point.u.values > opts.tol_active
         d = -precond.solve_inactive(g_vals, inactive)
         # active nodes re-enter only along a strictly infeasible gradient
         d[~inactive] = np.maximum(-g_vals[~inactive], 0.0)
         return d
 
-    def projected_merit(g_vals: np.ndarray, point: Field) -> float:
+    def projected_merit(at: PointState) -> float:
+        g_vals = at.representer.values
         pg = g_vals.copy()
-        act = point.values <= opts.tol_active
+        act = at.u.values <= opts.tol_active
         pg[act] = np.minimum(g_vals[act], 0.0)
         return float(np.linalg.norm(pg))
 
     while not converged and it < opts.max_iter:
         it += 1
-        g = energy_gradient(model, u).representer
-        direction = descent_direction(g.values)
+        direction = descent_direction(point.representer.values)
         if not merit_mode:
-            res = _armijo_step(model, opts, u, g, direction, f_u,
+            res = _armijo_step(model, opts, point, direction,
                                step0=min(4.0 * step, 1.0), radius=radius,
                                boundary=boundary)
             if res is None:
                 # energy differences are roundoff-bound at this scale; finish
                 # on the projected-gradient norm, which still resolves
                 merit_mode = True
-                m_u = projected_merit(g.values, u)
+                m_u = projected_merit(point)
                 continue
-            u, f_u, step = res
+            point, step = res
         else:
+            u = point.u
             alpha, accepted = 1.0, False
             for _ in range(40):
-                trial = project_cone(Field(u.grid, u.values + alpha * direction))
-                trial = _ball_rescale(trial, model, radius, boundary)
-                if not np.any(trial.values - u.values):
+                trial = PointState(model, project_cone(Field(u.grid, u.values + alpha * direction)))
+                trial = _ball_rescale(trial, radius, boundary)
+                if not np.any(trial.u.values - u.values):
                     break
-                g_t = energy_gradient(model, trial).representer.values
-                m_t = projected_merit(g_t, trial)
+                m_t = projected_merit(trial)
                 if m_t < m_u * 0.999:
-                    u, m_u, accepted = trial, m_t, True
+                    point, m_u, accepted = trial, m_t, True
                     break
                 alpha *= 0.5
             if not accepted:
                 break
-            f_u = energy(model, u)
+        f_u = point.energy
         energy_trace.append(f_u)
-        hs_trace_max = max(hs_trace_max, hs_norm(model.grad_op, u))
-        kkt = kkt_residual(model, u, opts.tol_active)
-        if _first_order_done(kkt, u, opts.tol_g):
+        hs_trace_max = max(hs_trace_max, point.hs_norm)
+        kkt = _kkt(point, opts.tol_active)
+        if _first_order_done(kkt, point.u, opts.tol_g):
             converged = True
 
+    u = point.u
     l2 = float(np.sqrt(u.grid.weight * np.dot(u.values, u.values)))
-    hs = hs_norm(model.grad_op, u)
+    hs = point.hs_norm
     ball_margin = None
     if model.reaction is not None:
         h_l2 = float(np.sqrt(model.grid.weight
@@ -442,10 +480,10 @@ def ray_search(model: EnergyModel, direction: Field, t_max: float = 1e3,
 # ---------------------------------------------------------------------------
 
 
-def _respline(path: list[Field], model: EnergyModel) -> list[Field]:
+def _respline(path: list[PointState], model: EnergyModel) -> list[PointState]:
     """Redistribute the path points at equal H^s arclength (endpoints fixed)."""
-    vals = np.stack([p.values for p in path])
-    segs = [hs_norm(model.grad_op, Field(path[0].grid, vals[k + 1] - vals[k]))
+    vals = np.stack([p.u.values for p in path])
+    segs = [hs_norm(model.grad_op, Field(model.grid, vals[k + 1] - vals[k]))
             for k in range(len(path) - 1)]
     cum = np.concatenate([[0.0], np.cumsum(segs)])
     total = cum[-1]
@@ -459,7 +497,7 @@ def _respline(path: list[Field], model: EnergyModel) -> list[Field]:
         seg = cum[k + 1] - cum[k]
         lam = 0.0 if seg == 0.0 else (tgt - cum[k]) / seg
         v = (1.0 - lam) * vals[k] + lam * vals[k + 1]
-        out.append(project_cone(Field(path[0].grid, v)))
+        out.append(PointState(model, project_cone(Field(model.grid, v))))
     out.append(path[-1])
     return out
 
@@ -468,8 +506,8 @@ def _hessian_vec(model: EnergyModel, u: Field, v: np.ndarray,
                  scale: float) -> np.ndarray:
     """Directional curvature by central differences of the gradient."""
     eps = 1e-5 * max(scale, 1.0) / max(np.linalg.norm(v), 1e-300)
-    gp = energy_gradient(model, Field(u.grid, u.values + eps * v)).representer.values
-    gm = energy_gradient(model, Field(u.grid, u.values - eps * v)).representer.values
+    gp = PointState(model, Field(u.grid, u.values + eps * v)).representer.values
+    gm = PointState(model, Field(u.grid, u.values - eps * v)).representer.values
     return (gp - gm) / (2.0 * eps)
 
 
@@ -523,8 +561,8 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
     w = model.grid.weight
     p_count = opts.path_points
     lam = np.linspace(0.0, 1.0, p_count)
-    path = [project_cone(Field(u_low.grid, (1 - t) * u_low.values + t * u_far.values))
-            for t in lam]
+    path = [PointState(model, project_cone(
+        Field(u_low.grid, (1 - t) * u_low.values + t * u_far.values))) for t in lam]
 
     total_len = hs_norm(model.grad_op, Field(u_low.grid, u_far.values - u_low.values))
     step_cap = opts.path_step_cap
@@ -544,12 +582,12 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
 
     while it < budget_a:
         it += 1
-        vals = np.array([energy(model, p) for p in path])
+        vals = np.array([p.energy for p in path])
         k = 1 + int(np.argmax(vals[1:-1]))
         level = float(vals[k])
         levels.append(level)
         barrier_min_gap = min(barrier_min_gap, level - endpoint_level)
-        kkt = kkt_residual(model, path[k], opts.tol_active)
+        kkt = _kkt(path[k], opts.tol_active)
         if kkt <= opts.tol_g:
             break
         if kkt < 0.9 * best_kkt:
@@ -558,9 +596,8 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
             stall += 1
             if stall >= 30:
                 break
-        g = energy_gradient(model, path[k]).representer
-        direction = -precond(g.values)
-        res = _armijo_step(model, opts, path[k], g, direction, vals[k],
+        direction = -precond(path[k].representer.values)
+        res = _armijo_step(model, opts, path[k], direction,
                            step0=1.0, step_cap=step_cap)
         if res is not None:
             path[k] = res[0]
@@ -571,54 +608,54 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
     # plain descent dynamics converge to the index-1 saddle; steps are
     # accepted only when the preconditioned gradient norm decreases, which
     # rules out sliding down the unbounded valley.
-    vals = [energy(model, p) for p in path]
+    vals = [p.energy for p in path]
     k = 1 + int(np.argmax(vals[1:-1]))
-    u = path[k]
-    mode = path[min(k + 1, p_count - 1)].values - path[max(k - 1, 0)].values
+    point = path[k]
+    mode = path[min(k + 1, p_count - 1)].u.values - path[max(k - 1, 0)].u.values
     if not np.any(mode):
-        mode = np.ones(u.grid.n_nodes)
-    scale = max(float(np.max(np.abs(u.values))), 1.0)
+        mode = np.ones(model.grid.n_nodes)
+    scale = max(float(np.max(np.abs(point.u.values))), 1.0)
 
-    def merit(fld: Field) -> float:
-        g = energy_gradient(model, fld).representer.values
-        return float(np.sqrt(w) * np.linalg.norm(precond(g)))
+    def merit(at: PointState) -> tuple[float, np.ndarray]:
+        """Preconditioned gradient norm at a point, and that gradient."""
+        pg = precond(at.representer.values)
+        return float(np.sqrt(w) * np.linalg.norm(pg)), pg
 
-    m_u = merit(u)
-    kkt = kkt_residual(model, u, opts.tol_active)
+    m_u, pg = merit(point)
+    kkt = _kkt(point, opts.tol_active)
     converged = kkt <= opts.tol_g
     alpha = 1.0
     while not converged and it < opts.max_iter:
         it += 1
-        mode, curvature = _refresh_unstable_mode(model, u, mode, precond, scale)
-        g = energy_gradient(model, u).representer
-        d = -precond(g.values)
+        mode, curvature = _refresh_unstable_mode(model, point.u, mode, precond, scale)
+        d = -pg
         if curvature < 0.0:
             # reflect the component along the unstable mode
-            d += 2.0 * mode * (np.dot(precond(g.values), mode) / np.dot(mode, mode))
+            d += 2.0 * mode * (np.dot(pg, mode) / np.dot(mode, mode))
         alpha = min(2.0 * alpha, 1.0)
         accepted = False
+        u = point.u
         for _ in range(40):
-            trial = project_cone(Field(u.grid, u.values + alpha * d))
-            if not np.any(trial.values - u.values):
+            trial = PointState(model, project_cone(Field(u.grid, u.values + alpha * d)))
+            if not np.any(trial.u.values - u.values):
                 break
-            m_t = merit(trial)
+            m_t, pg_t = merit(trial)
             if m_t <= m_u * (1.0 - 1e-4 * alpha) or m_t < m_u * 0.999:
-                u, m_u = trial, m_t
+                point, m_u, pg = trial, m_t, pg_t
                 accepted = True
                 break
             alpha *= 0.5
-        level = energy(model, u)
+        level = point.energy
         levels.append(level)
         barrier_min_gap = min(barrier_min_gap, level - endpoint_level)
-        kkt = kkt_residual(model, u, opts.tol_active)
+        kkt = _kkt(point, opts.tol_active)
         if kkt <= opts.tol_g:
             converged = True
         if not accepted and alpha < 1e-14:
             break
 
-    final = u
-    f_final = energy(model, final)
-    kkt = kkt_residual(model, final, opts.tol_active)
+    final = point.u
+    f_final = point.energy
     l2_final = float(np.sqrt(w * np.dot(final.values, final.values)))
     # a mountain-pass point is a nontrivial critical point strictly above
     # both endpoint levels; a first-order point that drifted to the trivial
@@ -649,6 +686,6 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
     return SolveReport(
         solution=final, energy=f_final, kkt_residual=kkt, iterations=it,
         classification="mountain-pass" if converged else "failed",
-        hs_norm=hs_norm(model.grad_op, final), l2_norm=l2,
+        hs_norm=point.hs_norm, l2_norm=l2,
         level=f_final, diagnostics=diagnostics,
     )

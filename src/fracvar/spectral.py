@@ -57,12 +57,15 @@ def first_eigenpair(lap_op: NonlocalOperator, tol: float = 1e-10,
         raise ValueError("first_eigenpair needs a laplacian operator")
     a = lap_op.table
     grid = lap_op.grid
-    factor = cho_factor(a)
+    factor = cho_factor(a)  # checks a for finite values, once
     x = np.ones(grid.n_nodes)
     x /= _l2(grid, x)
     lam = float("nan")
     for it in range(1, max_iter + 1):
-        x = cho_solve(factor, x)
+        # a non-finite iterate raises here instead of running to max_iter
+        if not np.isfinite(x).all():
+            raise ValueError("array must not contain infs or NaNs")
+        x = cho_solve(factor, x, check_finite=False)
         x /= _l2(grid, x)
         ax = a @ x
         lam = grid.weight * np.dot(x, ax)

@@ -163,6 +163,24 @@ class TestRunCommand:
         assert outs[0]["files"] == outs[1]["files"]
         assert outs[0]["config"] == outs[1]["config"]
 
+    @pytest.mark.parametrize("command", ["verify", "eig", "solve", "sweep", "mpass", "appendix"])
+    def test_manifest_times_prepare_outside_the_inventory(self, tmp_path, command):
+        overrides = {
+            "sweep": {"forcing": {"kind": "zero"}, "sweep": {"values": [0.02, 200.0]}},
+            "mpass": {"reaction": {"family": "cubic_saturating", "params": {"kappa": 4.65}}},
+        }
+        cfg_path = write_config(tmp_path / "cfg.json", **overrides.get(command, {}))
+        manifests = []
+        for name in ("out_a", "out_b"):
+            run_command(parse_config(cfg_path), command, out_dir=tmp_path / name)
+            manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+        for manifest in manifests:
+            timings = manifest["timings"]
+            assert set(timings) == {"prepare_seconds", "command_seconds"}
+            assert 0.0 <= timings["prepare_seconds"] <= timings["command_seconds"]
+            assert not set(manifest["files"]) & {"manifest.json"}
+        assert manifests[0]["files"] == manifests[1]["files"]
+
 
 class TestMainEntry:
     def test_config_error_exit_2(self, tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracvar import (DomainSpec, RegimeConfig, SolverOptions,
+from fracvar import (DomainSpec, Field, RegimeConfig, SolverOptions,
                      appendix_convergence, find_nu_threshold, prepare,
                      run_linear_regime, run_sublinear_regime, verify_identities)
 from fracvar import experiments
@@ -30,6 +30,14 @@ def sublinear_cfg(base_domain, sweep, forcing=None, solver=None, reaction_params
         solver=solver or SolverOptions(max_iter=8000),
         sweep=sweep,
     )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_initial_guess_rejects_non_finite_forcing(prep_128, bad):
+    h = np.full(prep_128.grid.n_nodes, 0.01)
+    h[7] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        experiments.default_initial_guess(prep_128, Field(prep_128.grid, h))
 
 
 class TestSublinearRegime:

@@ -1,11 +1,16 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from fracvar import (DomainSpec, EnergyModel, Field, SolverOptions, build_grid,
-                     coercivity_radius, field_from_function, hs_norm,
+from fracvar import (DomainSpec, EnergyModel, Field, SolverOptions, assemble_gradient,
+                     build_grid, coercivity_radius, field_from_function, hs_norm,
                      kkt_residual, make_coefficient, make_reaction,
                      minimize_cone, mountain_pass, project_cone, ray_search)
+from fracvar import fracops
 from fracvar.fracops import composition_matrix
+from fracvar.solvers import _Preconditioner
 
 
 @pytest.fixture(scope="module")
@@ -241,3 +246,86 @@ def test_ball_constraint_binds_and_records_boundary(grid_1d_128, grad_128,
     assert rep.hs_norm <= 0.5 * (1 + 1e-9)
     assert rep.ball_radius == 0.5
     assert rep.ball_margin is not None
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Replace every module-level binding of fn in the fracvar package by a
+    counting wrapper (so calls through `from .fracops import ...` names are
+    seen too); returns the list that gets one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "fracvar" or name.startswith("fracvar."):
+            for key, val in list(vars(mod).items()):
+                if val is fn:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+class TestEvaluationBudget:
+    """Each iterate is evaluated once: about one forward apply of the
+    gradient table per line-search trial and one transposed apply per
+    accepted point."""
+
+    @pytest.mark.parametrize("case", ["large_nu", "forced"])
+    def test_table_applies_per_iteration(self, monkeypatch, grid_1d_128, grad_128,
+                                         power_coeff, eig_128, zero_h, opts, case):
+        nu, h, u0 = {
+            "large_nu": (50.0 * power_coeff.gamma_max * eig_128.value, zero_h,
+                         0.1 * eig_128.function.values),
+            "forced": (1.0, Field(grid_1d_128, 0.01 * eig_128.function.values),
+                       np.zeros(128)),
+        }[case]
+        model = model_with(grad_128, power_coeff, make_reaction("saturating", {"nu": nu}), h)
+        forward = count_calls(monkeypatch, fracops.apply_gradient)
+        transposed = count_calls(monkeypatch, fracops.apply_divergence)
+        rep = minimize_cone(model, opts, Field(grid_1d_128, u0), precond_op=grad_128,
+                            lambda1=eig_128.value)
+        assert rep.classification != "failed"
+        assert rep.iterations > 0
+        assert (len(forward) + len(transposed)) / rep.iterations <= 3.0
+
+    def test_one_composition_matrix_per_operator(self, monkeypatch, grid_1d_128,
+                                                 power_coeff, eig_128, opts):
+        grad_op = assemble_gradient(grid_1d_128, 0.5)
+        h = Field(grid_1d_128, 0.01 * eig_128.function.values)
+        model = model_with(grad_op, power_coeff, make_reaction("saturating", {"nu": 1.0}), h)
+        built = count_calls(monkeypatch, fracops.composition_matrix)
+        reports = [minimize_cone(model, opts, Field(grid_1d_128, np.zeros(128)),
+                                 precond_op=grad_op, lambda1=eig_128.value)
+                   for _ in range(2)]
+        assert len(built) == 1
+        assert np.array_equal(reports[0].solution.values, reports[1].solution.values)
+
+    def test_factor_built_once_under_threads(self, monkeypatch, grid_1d_128):
+        grad_op = assemble_gradient(grid_1d_128, 0.5)
+        built = count_calls(monkeypatch, fracops.composition_matrix)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, to expose a racy first build
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                factors = list(pool.map(lambda _: _Preconditioner(grad_op)._factor,
+                                        range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(built) == 1
+        assert all(f is factors[0] for f in factors)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_preconditioned_solves_reject_non_finite_rhs(grad_128, bad):
+    # factors are checked once when made; each solve still checks its rhs
+    precond = _Preconditioner(grad_128)
+    rhs = np.ones(128)
+    rhs[5] = bad
+    inactive = np.ones(128, dtype=bool)
+    partial = inactive.copy()
+    partial[:3] = False
+    for solve in (precond, lambda v: precond.solve_inactive(v, inactive),
+                  lambda v: precond.solve_inactive(v, partial)):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve(rhs)

@@ -5,6 +5,7 @@ import pytest
 
 from fracvar import (DomainSpec, Field, assemble_laplacian, build_grid,
                      first_eigenpair, rayleigh_quotient)
+from fracvar import spectral
 from fracvar.spectral import eigenpair_to_csv
 
 
@@ -97,3 +98,20 @@ def test_csv_export(tmp_path, pair_sym):
     assert rows[0] == ["x", "phi1"]
     assert len(rows) == 1 + pair_sym.function.grid.n_nodes
     assert float(rows[1][1]) == pair_sym.function.values[0]
+
+
+def test_non_finite_iterate_raises(lap_sym, monkeypatch):
+    # the factor is checked once; a solve that returns a non-finite iterate
+    # must still stop the iteration at the next solve, not run to max_iter
+    real = spectral.cho_solve
+    calls = []
+
+    def first_solve_nan(factor, rhs, **kwargs):
+        calls.append(1)
+        out = real(factor, rhs, **kwargs)
+        return np.full_like(out, np.nan) if len(calls) == 1 else out
+
+    monkeypatch.setattr(spectral, "cho_solve", first_solve_nan)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        first_eigenpair(lap_sym, max_iter=50)
+    assert len(calls) <= 2
