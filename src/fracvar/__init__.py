@@ -12,14 +12,16 @@ from .coeffs import (BallConditionReport, CoefficientModel, HypothesisReport,
                      make_coefficient, make_reaction)
 from .energy import (EnergyGradient, EnergyModel, EnergyOverflowError,
                      convexity_gap, energy, energy_gradient, hs_norm,
-                     monotonicity_pairing, quasilinear_part, weighted_form)
+                     monotonicity_pairing, path_energies, quasilinear_part,
+                     weighted_form)
 from .experiments import (ConvergenceReport, IdentityReport, LinearRun,
                           PreparedProblem, RegimeConfig, RegimeReport,
                           SublinearRun, appendix_convergence, find_nu_threshold,
                           prepare, run_linear_regime, run_sublinear_regime,
                           verify_identities)
 from .fracops import (NonlocalOperator, QuadratureParams, apply_divergence,
-                      apply_gradient, apply_laplacian, assemble_gradient,
+                      apply_gradient, apply_gradient_batch, apply_laplacian,
+                      assemble_gradient,
                       assemble_laplacian, composition_matrix,
                       composition_residual, normalizing_constants)
 from .grid import (DomainSpec, Field, Grid, VectorField, build_grid,

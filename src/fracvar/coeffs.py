@@ -67,6 +67,14 @@ class CoefficientModel:
         a, b, p = self.params["A"], self.params["B"], self.params["p"]
         return a + (b * p / 2.0) * (1.0 + t) ** (p / 2.0 - 1.0)
 
+    def gamma_prime(self, t):
+        """Derivative of gamma, in closed form."""
+        t = np.asarray(t, dtype=float)
+        if self.family == "constant":
+            return np.zeros_like(t)
+        b, p = self.params["B"], self.params["p"]
+        return (b * p / 2.0) * (p / 2.0 - 1.0) * (1.0 + t) ** (p / 2.0 - 2.0)
+
     def big_gamma(self, t):
         t = np.asarray(t, dtype=float)
         if self.family == "constant":
@@ -103,6 +111,17 @@ class ReactionModel:
             return k * t**3 / (1.0 + t**2)
         k = self.params["kappa"]
         return k * t
+
+    def f_prime(self, t):
+        """Derivative of f, in closed form."""
+        t = np.asarray(t, dtype=float)
+        if self.family == "saturating":
+            return self.params["nu"] * self.params["amplitude"] / (1.0 + np.abs(t)) ** 2
+        if self.family == "cubic_saturating":
+            # k t^2 (3 + t^2) / (1 + t^2)^2, as two bounded ratios
+            t2 = t * t
+            return self.params["kappa"] * (t2 / (1.0 + t2)) * ((3.0 + t2) / (1.0 + t2))
+        return np.full_like(t, self.params["kappa"])
 
     def big_f(self, t):
         t = np.asarray(t, dtype=float)

@@ -39,6 +39,7 @@ __all__ = [
     "EnergyGradient",
     "EnergyOverflowError",
     "energy",
+    "path_energies",
     "energy_gradient",
     "quasilinear_part",
     "convexity_gap",
@@ -90,6 +91,9 @@ class EnergyModel:
     def big_f(self, t):
         return self.reaction.big_f(t) if self.reaction is not None else np.zeros_like(t)
 
+    def f_prime(self, t):
+        return self.reaction.f_prime(t) if self.reaction is not None else np.zeros_like(t)
+
 
 @dataclass(frozen=True)
 class EnergyGradient:
@@ -118,6 +122,22 @@ def _hs(grid: Grid, gu: VectorField) -> float:
     return float(np.sqrt(grid.weight * np.sum(gu.values**2)))
 
 
+def _energies(model: EnergyModel, values: np.ndarray, q: np.ndarray):
+    """E at one point (values (N,), q (N,)) or at each row of a stack
+    (values (P, N), q (P, N)); EnergyOverflowError if any is not finite."""
+    if np.max(q, initial=0.0) > _OVERFLOW_LIMIT:
+        raise EnergyOverflowError("gradient magnitude exceeds the evaluation range")
+    val = (
+        np.sum(_checked("Gamma", model.coeff.big_gamma(0.5 * q)), axis=-1)
+        - np.sum(_checked("F", model.big_f(values)), axis=-1)
+        - values @ model.forcing.values
+    )
+    out = model.grid.weight * val
+    if not np.all(np.isfinite(out)):
+        raise EnergyOverflowError("energy evaluation overflowed")
+    return out
+
+
 class _once:
     """functools.cached_property without its lock: before Python 3.12 that
     lock is shared by all instances, so threads evaluating different states
@@ -138,19 +158,24 @@ class _once:
 class PointState:
     """One point u with the quantities evaluated at it, each on first use.
 
-    grad (grad_s u), q = |grad_s u|^2, flux (gamma(q/2) grad_s u), energy,
-    representer and hs_norm are computed once and kept, so a solver that
-    reads the energy, the derivative and the norm at the same point applies
-    the gradient table once forward and once transposed. u.values must not
-    change while the state is in use. A failed evaluation
-    (EnergyOverflowError) is not kept: asking again raises again. energy,
-    energy_gradient and quasilinear_part below are thin wrappers over a
-    fresh state; hs_norm shares the norm's formula.
+    grad (grad_s u), q = |grad_s u|^2, diffusivity (gamma(q/2)), flux
+    (gamma(q/2) grad_s u), energy, representer and hs_norm are computed
+    once and kept, so a solver that reads the energy, the derivative and
+    the norm at the same point applies the gradient table once forward and
+    once transposed; hessian_vec adds one of each per product. A caller
+    that already holds grad_s u (from a batched product, or by linearity)
+    passes it as grad. u.values must not change while the state is in use.
+    A failed evaluation (EnergyOverflowError) is not kept: asking again
+    raises again. energy, energy_gradient and quasilinear_part below are
+    thin wrappers over a fresh state; hs_norm shares the norm's formula,
+    path_energies the energy's.
     """
 
-    def __init__(self, model: EnergyModel, u: Field):
+    def __init__(self, model: EnergyModel, u: Field, grad: VectorField | None = None):
         self.model = model
         self.u = u
+        if grad is not None:
+            self.grad = grad
 
     @_once
     def grad(self) -> VectorField:
@@ -164,24 +189,17 @@ class PointState:
     @_once
     def energy(self) -> float:
         """Value of the functional (finite, or EnergyOverflowError)."""
-        model, q = self.model, self.q
-        if np.max(q, initial=0.0) > _OVERFLOW_LIMIT:
-            raise EnergyOverflowError("gradient magnitude exceeds the evaluation range")
-        val = (
-            np.sum(_checked("Gamma", model.coeff.big_gamma(0.5 * q)))
-            - np.sum(_checked("F", model.big_f(self.u.values)))
-            - np.dot(model.forcing.values, self.u.values)
-        )
-        out = float(model.grid.weight * val)
-        if not np.isfinite(out):
-            raise EnergyOverflowError("energy evaluation overflowed")
-        return out
+        return float(_energies(self.model, self.u.values, self.q))
+
+    @_once
+    def diffusivity(self) -> np.ndarray:
+        """gamma(|grad_s u|^2/2) per node."""
+        return _checked("gamma", self.model.coeff.gamma(0.5 * self.q))
 
     @_once
     def flux(self) -> np.ndarray:
         """The vector field gamma(|grad_s u|^2/2) grad_s u, shape (N, d)."""
-        gam = _checked("gamma", self.model.coeff.gamma(0.5 * self.q))
-        return gam[:, None] * self.grad.values
+        return self.diffusivity[:, None] * self.grad.values
 
     @_once
     def representer(self) -> Field:
@@ -198,10 +216,37 @@ class PointState:
     def hs_norm(self) -> float:
         return _hs(self.model.grid, self.grad)
 
+    def hessian_vec(self, v: np.ndarray) -> np.ndarray:
+        """Exact product of the Hessian of E at u with the nodal vector v.
+
+        With z = grad_s u and y = grad_s v:
+        H v = sum_c W_c^T [gamma(q/2) y_c + gamma'(q/2) z_c (z . y)] - f'(u) v,
+        one forward and one transposed apply of the gradient table.
+        """
+        model, z = self.model, self.grad.values
+        y = apply_gradient(model.grad_op, Field(model.grid, v)).values
+        slope = _checked("gamma'", model.coeff.gamma_prime(0.5 * self.q))
+        pushed = self.diffusivity[:, None] * y + (slope * np.sum(z * y, axis=1))[:, None] * z
+        out = -apply_divergence(model.grad_op, VectorField(model.grid, pushed)).values
+        out -= _checked("f'", model.f_prime(self.u.values)) * v
+        return out
+
 
 def energy(model: EnergyModel, u: Field) -> float:
     """Value of the functional at u (finite, or EnergyOverflowError)."""
     return PointState(model, u).energy
+
+
+def path_energies(model: EnergyModel, values: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    """Energies of the points values[p] (stack (P, N)) in one vectorized pass.
+
+    grads holds their fractional gradients, shape (P, N, d): from one
+    fracops.apply_gradient_batch product, or by linearity. The checks are
+    those of a single point: one non-finite row raises EnergyOverflowError.
+    """
+    with np.errstate(over="ignore"):
+        q = np.sum(grads**2, axis=-1)
+    return _energies(model, values, q)
 
 
 def energy_gradient(model: EnergyModel, u: Field) -> EnergyGradient:

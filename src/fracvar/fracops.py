@@ -59,6 +59,7 @@ __all__ = [
     "assemble_gradient",
     "assemble_laplacian",
     "apply_gradient",
+    "apply_gradient_batch",
     "apply_divergence",
     "apply_laplacian",
     "composition_matrix",
@@ -246,15 +247,20 @@ def _directions(d: int, n_theta: int):
 
 
 def _ray_exit_distance(nodes: np.ndarray, bounds, dirs: np.ndarray) -> np.ndarray:
-    """Distance from each node to the box boundary along each direction."""
+    """Distance from each node to the box boundary along each direction.
+
+    Per axis, each direction meets one wall: b for a positive component, a
+    for a negative one; a zero component meets none (inf).
+    """
     out = np.full((nodes.shape[0], dirs.shape[0]), np.inf)
     for axis, (a, b) in enumerate(bounds):
-        comp = dirs[:, axis][None, :]
-        x = nodes[:, axis][:, None]
-        with np.errstate(divide="ignore"):
-            t_hi = np.where(comp > 0, (b - x) / comp, np.inf)
-            t_lo = np.where(comp < 0, (a - x) / comp, np.inf)
-        out = np.minimum(out, np.minimum(t_hi, t_lo))
+        comp = dirs[:, axis]
+        wall = np.where(comp > 0, b, a)
+        dist = wall[None, :] - nodes[:, axis][:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dist /= comp
+        dist[:, comp == 0] = np.inf
+        np.minimum(out, dist, out=out)
     return out
 
 
@@ -400,6 +406,16 @@ def apply_gradient(op: NonlocalOperator, u: Field) -> VectorField:
     _check_op_field(op, u, "gradient")
     comps = [op.table[c] @ u.values for c in range(op.grid.dimension)]
     return VectorField(grid=u.grid, values=np.stack(comps, axis=-1))
+
+
+def apply_gradient_batch(op: NonlocalOperator, values: np.ndarray) -> np.ndarray:
+    """grad_s of each row of a stack of nodal values (P, N): one product of
+    the table with the stacked rows, shape (P, N, d)."""
+    if op.kind != "gradient":
+        raise ValueError(f"operator kind {op.kind!r} does not match required 'gradient'")
+    if values.ndim != 2 or values.shape[1] != op.n_nodes:
+        raise ValueError(f"expected a stack of shape (P, {op.n_nodes}), got {values.shape}")
+    return np.stack([values @ op.table[c].T for c in range(op.grid.dimension)], axis=-1)
 
 
 def apply_divergence(op: NonlocalOperator, phi: VectorField) -> Field:

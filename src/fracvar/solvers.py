@@ -16,10 +16,17 @@ modes cover the two existence mechanisms:
 * mountain_pass: a discrete path deformation between two low-energy
   points. Phase A repeatedly locates the path-energy maximizer, applies
   one projected descent step to it, and redistributes the path by equal
-  H^s arclength; phase B pins the near-saddle maximizer with a local
-  minimax polish (1D maximization along the path tangent alternating with
-  projected descent in the orthogonal complement) until the first-order
-  residual meets tolerance. Both phases use only energies and gradients.
+  H^s arclength; phase B pins the near-saddle maximizer by minimum-mode
+  following (the lowest-curvature direction from exact Hessian-vector
+  products, the gradient reflected along it, steps accepted on a
+  decreasing preconditioned gradient norm) until the first-order residual
+  meets tolerance. Phase A holds the path as one array of values (P, N)
+  with their fractional gradients (P, N, d): the path energies are one
+  vectorized pass, the gradients of resplined points one batched table
+  product, and every H^s length (path segments, the step cap of a move)
+  is taken from differences of gradients already held, grad_s being
+  linear. ray_search samples E(t d) the same way, from grad_s(t d) =
+  t grad_s(d).
 
 Both solvers carry each iterate as an energy.PointState, which evaluates
 grad_s u, the energy, the derivative representer and the H^s norm once per
@@ -41,9 +48,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .coeffs import check_ball_condition
-from .energy import EnergyModel, EnergyOverflowError, PointState, energy, hs_norm
-from .fracops import NonlocalOperator, composition_matrix
-from .grid import Field
+from .energy import EnergyModel, EnergyOverflowError, PointState, energy, path_energies
+from .fracops import NonlocalOperator, apply_gradient, apply_gradient_batch, composition_matrix
+from .grid import Field, VectorField
 
 __all__ = [
     "SolverOptions",
@@ -296,13 +303,14 @@ def _armijo_step(model, opts, point, direction, step0=1.0,
     u, g, f_u = point.u, point.representer, point.energy
     step = step0
     for _ in range(60):
-        trial = project_cone(Field(u.grid, u.values + step * direction))
+        trial = PointState(model, project_cone(Field(u.grid, u.values + step * direction)))
         if step_cap is not None:
-            move = hs_norm(model.grad_op, Field(u.grid, trial.values - u.values))
-            if move > step_cap:
+            # the move's H^s norm from the two gradients (grad_s is linear);
+            # the trial's gradient is needed for its energy anyway
+            if _hs_length(model, trial.grad.values - point.grad.values) > step_cap:
                 step *= opts.armijo_factor
                 continue
-        trial = _ball_rescale(PointState(model, trial), radius, boundary)
+        trial = _ball_rescale(trial, radius, boundary)
         delta = trial.u.values - u.values
         if not np.any(delta):
             return None
@@ -316,6 +324,12 @@ def _armijo_step(model, opts, point, direction, step0=1.0,
             return trial, step
         step *= opts.armijo_factor
     return None
+
+
+def _hs_length(model: EnergyModel, dgrad: np.ndarray):
+    """H^s norm of a difference of points from the difference of their
+    gradients dgrad (N, d), or per row of a stack (P, N, d)."""
+    return np.sqrt(model.grid.weight * np.sum(dgrad**2, axis=(-2, -1)))
 
 
 def _classify(u: Field, converged: bool) -> str:
@@ -464,13 +478,13 @@ def ray_search(model: EnergyModel, direction: Field, t_max: float = 1e3,
     if t_min is None:
         t_min = t_max * 1e-6
     ts = np.logspace(np.log10(t_min), np.log10(t_max), steps)
-    zero = energy(model, Field(direction.grid, np.zeros_like(d)))
-    energies = np.empty(steps)
-    t_star = None
-    for i, t in enumerate(ts):
-        energies[i] = energy(model, Field(direction.grid, t * d))
-        if t_star is None and energies[i] < zero - margin:
-            t_star = float(t)
+    # E(0) first; grad_s(t d) = t grad_s(d), so one apply serves every t
+    scales = np.concatenate([[0.0], ts])
+    grad_d = apply_gradient(model.grad_op, direction).values
+    curve = path_energies(model, scales[:, None] * d, scales[:, None, None] * grad_d)
+    zero, energies = curve[0], curve[1:]
+    below = np.flatnonzero(energies < zero - margin)
+    t_star = float(ts[below[0]]) if below.size else None
     return RaySearchResult(t_star=t_star, t_values=ts, energies=energies,
                            margin=margin)
 
@@ -480,48 +494,40 @@ def ray_search(model: EnergyModel, direction: Field, t_max: float = 1e3,
 # ---------------------------------------------------------------------------
 
 
-def _respline(path: list[PointState], model: EnergyModel) -> list[PointState]:
-    """Redistribute the path points at equal H^s arclength (endpoints fixed)."""
-    vals = np.stack([p.u.values for p in path])
-    segs = [hs_norm(model.grad_op, Field(model.grid, vals[k + 1] - vals[k]))
-            for k in range(len(path) - 1)]
-    cum = np.concatenate([[0.0], np.cumsum(segs)])
+def _respline(model: EnergyModel, vals: np.ndarray, grads: np.ndarray):
+    """Redistribute the path points (values (P, N), gradients (P, N, d)) at
+    equal H^s arclength, endpoints fixed; returns new (values, gradients).
+
+    Segment lengths come from the gradients the path holds (grad_s is
+    linear). A new point is a convex combination of two nonnegative
+    neighbours, so it stays in the cone; the new gradients come from one
+    batched product.
+    """
+    cum = np.concatenate([[0.0], np.cumsum(_hs_length(model, np.diff(grads, axis=0)))])
     total = cum[-1]
     if total == 0.0:
-        return path
-    targets = np.linspace(0.0, total, len(path))
-    out = [path[0]]
-    for tgt in targets[1:-1]:
-        k = int(np.searchsorted(cum, tgt, side="right") - 1)
-        k = min(k, len(path) - 2)
-        seg = cum[k + 1] - cum[k]
-        lam = 0.0 if seg == 0.0 else (tgt - cum[k]) / seg
-        v = (1.0 - lam) * vals[k] + lam * vals[k + 1]
-        out.append(PointState(model, project_cone(Field(model.grid, v))))
-    out.append(path[-1])
-    return out
+        return vals, grads
+    targets = np.linspace(0.0, total, len(vals))[1:-1]
+    k = np.minimum(np.searchsorted(cum, targets, side="right") - 1, len(vals) - 2)
+    seg = cum[k + 1] - cum[k]
+    lam = np.divide(targets - cum[k], seg, out=np.zeros_like(seg), where=seg != 0.0)
+    new_vals, new_grads = vals.copy(), grads.copy()
+    new_vals[1:-1] = (1.0 - lam)[:, None] * vals[k] + lam[:, None] * vals[k + 1]
+    new_grads[1:-1] = apply_gradient_batch(model.grad_op, new_vals[1:-1])
+    return new_vals, new_grads
 
 
-def _hessian_vec(model: EnergyModel, u: Field, v: np.ndarray,
-                 scale: float) -> np.ndarray:
-    """Directional curvature by central differences of the gradient."""
-    eps = 1e-5 * max(scale, 1.0) / max(np.linalg.norm(v), 1e-300)
-    gp = PointState(model, Field(u.grid, u.values + eps * v)).representer.values
-    gm = PointState(model, Field(u.grid, u.values - eps * v)).representer.values
-    return (gp - gm) / (2.0 * eps)
+def _refresh_unstable_mode(point: PointState, v, precond, sweeps=4):
+    """Estimate the lowest-curvature direction at a point.
 
-
-def _refresh_unstable_mode(model, u, v, precond, scale, sweeps=4):
-    """Estimate the lowest-curvature direction at u.
-
-    Preconditioned Rayleigh-quotient descent on the finite-difference
-    Hessian; this is the minimum-mode step of dimer-type saddle search and
-    needs gradients only.
+    Preconditioned Rayleigh-quotient descent on the exact Hessian (one
+    forward and one transposed table apply per product); this is the
+    minimum-mode step of dimer-type saddle search.
     """
     v = v / np.linalg.norm(v)
     lam = 0.0
     for _ in range(sweeps):
-        hv = _hessian_vec(model, u, v, scale)
+        hv = point.hessian_vec(v)
         lam = float(np.dot(v, hv))
         resid = hv - lam * v
         step = precond(resid)
@@ -558,13 +564,19 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
         raise ValueError("mountain-pass endpoints must be nonnegative")
 
     precond = _Preconditioner(precond_op)
-    w = model.grid.weight
+    grid = model.grid
+    w = grid.weight
     p_count = opts.path_points
-    lam = np.linspace(0.0, 1.0, p_count)
-    path = [PointState(model, project_cone(
-        Field(u_low.grid, (1 - t) * u_low.values + t * u_far.values))) for t in lam]
+    # the path: values (P, N) on the segment, projected to the cone, and
+    # their gradients (P, N, d) from one batched product
+    lam = np.linspace(0.0, 1.0, p_count)[:, None]
+    vals = np.maximum((1 - lam) * u_low.values + lam * u_far.values, 0.0)
+    grads = apply_gradient_batch(model.grad_op, vals)
 
-    total_len = hs_norm(model.grad_op, Field(u_low.grid, u_far.values - u_low.values))
+    def path_point(k: int) -> PointState:
+        return PointState(model, Field(grid, vals[k]), VectorField(grid, grads[k]))
+
+    total_len = float(_hs_length(model, grads[-1] - grads[0]))
     step_cap = opts.path_step_cap
     if step_cap is None:
         # one path segment: keeps the maximizer from teleporting into the
@@ -576,18 +588,19 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
     levels: list[float] = []
     kkt = np.inf
     it = 0
-    budget_a = min(max(opts.max_iter // 4, 20), 400)
+    budget_a = min(max(opts.max_iter // 4, 20), 400, opts.max_iter)
     stall = 0
     best_kkt = np.inf
 
     while it < budget_a:
         it += 1
-        vals = np.array([p.energy for p in path])
-        k = 1 + int(np.argmax(vals[1:-1]))
-        level = float(vals[k])
+        energies = path_energies(model, vals, grads)
+        k = 1 + int(np.argmax(energies[1:-1]))
+        level = float(energies[k])
         levels.append(level)
         barrier_min_gap = min(barrier_min_gap, level - endpoint_level)
-        kkt = _kkt(path[k], opts.tol_active)
+        peak = path_point(k)
+        kkt = _kkt(peak, opts.tol_active)
         if kkt <= opts.tol_g:
             break
         if kkt < 0.9 * best_kkt:
@@ -596,25 +609,24 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
             stall += 1
             if stall >= 30:
                 break
-        direction = -precond(path[k].representer.values)
-        res = _armijo_step(model, opts, path[k], direction,
+        direction = -precond(peak.representer.values)
+        res = _armijo_step(model, opts, peak, direction,
                            step0=1.0, step_cap=step_cap)
         if res is not None:
-            path[k] = res[0]
-        path = _respline(path, model)
+            vals[k], grads[k] = res[0].u.values, res[0].grad.values
+        vals, grads = _respline(model, vals, grads)
 
     # phase B: minimum-mode-following polish of the near-barrier maximizer.
     # The gradient component along the unstable direction is reflected, so
     # plain descent dynamics converge to the index-1 saddle; steps are
     # accepted only when the preconditioned gradient norm decreases, which
     # rules out sliding down the unbounded valley.
-    vals = [p.energy for p in path]
-    k = 1 + int(np.argmax(vals[1:-1]))
-    point = path[k]
-    mode = path[min(k + 1, p_count - 1)].u.values - path[max(k - 1, 0)].u.values
+    energies = path_energies(model, vals, grads)
+    k = 1 + int(np.argmax(energies[1:-1]))
+    point = path_point(k)
+    mode = vals[min(k + 1, p_count - 1)] - vals[max(k - 1, 0)]
     if not np.any(mode):
-        mode = np.ones(model.grid.n_nodes)
-    scale = max(float(np.max(np.abs(point.u.values))), 1.0)
+        mode = np.ones(grid.n_nodes)
 
     def merit(at: PointState) -> tuple[float, np.ndarray]:
         """Preconditioned gradient norm at a point, and that gradient."""
@@ -627,7 +639,7 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
     alpha = 1.0
     while not converged and it < opts.max_iter:
         it += 1
-        mode, curvature = _refresh_unstable_mode(model, point.u, mode, precond, scale)
+        mode, curvature = _refresh_unstable_mode(point, mode, precond)
         d = -pg
         if curvature < 0.0:
             # reflect the component along the unstable mode
@@ -671,21 +683,20 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
     }
     if r_h is not None:
         rng = np.random.default_rng(seed)
-        sphere_vals = []
-        for _ in range(sphere_samples):
-            v = project_cone(Field(final.grid, rng.standard_normal(final.grid.n_nodes)))
-            nrm = hs_norm(model.grad_op, v)
-            if nrm == 0.0:
-                continue
-            sphere_vals.append(energy(model, Field(final.grid, v.values * (r_h / nrm))))
+        samples = np.maximum(rng.standard_normal((sphere_samples, grid.n_nodes)), 0.0)
+        sample_grads = apply_gradient_batch(model.grad_op, samples)
+        norms = _hs_length(model, sample_grads)
+        keep = norms != 0.0
+        scale = r_h / norms[keep]
+        sphere_vals = path_energies(model, scale[:, None] * samples[keep],
+                                    scale[:, None, None] * sample_grads[keep])
         diagnostics["sphere_radius"] = r_h
         diagnostics["sphere_inf_sampled"] = float(np.min(sphere_vals))
         diagnostics["level_above_sphere_inf"] = bool(f_final >= np.min(sphere_vals))
 
-    l2 = float(np.sqrt(w * np.dot(final.values, final.values)))
     return SolveReport(
         solution=final, energy=f_final, kkt_residual=kkt, iterations=it,
         classification="mountain-pass" if converged else "failed",
-        hs_norm=point.hs_norm, l2_norm=l2,
+        hs_norm=point.hs_norm, l2_norm=l2_final,
         level=f_final, diagnostics=diagnostics,
     )

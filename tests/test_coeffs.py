@@ -37,6 +37,14 @@ class TestCoefficientFamilies:
         fd = (power_coeff.big_gamma(ts + eps) - power_coeff.big_gamma(ts - eps)) / (2 * eps)
         assert np.allclose(fd, power_coeff.gamma(ts), rtol=1e-6)
 
+    @pytest.mark.parametrize("family", ["power", "constant"])
+    def test_gamma_prime_matches_finite_differences(self, family):
+        coeff = make_coefficient(family)
+        ts = np.logspace(-3, 5, 100)
+        eps = 1e-6 * np.maximum(ts, 1.0)
+        fd = (coeff.gamma(ts + eps) - coeff.gamma(ts - eps)) / (2 * eps)
+        assert np.allclose(coeff.gamma_prime(ts), fd, rtol=1e-5, atol=1e-12)
+
     def test_squared_argument_midpoint_convexity(self, power_coeff, rng):
         m = lambda t: power_coeff.big_gamma(np.asarray(t) ** 2)
         a = 10.0 ** rng.uniform(-3, 3, size=1000)
@@ -83,6 +91,16 @@ class TestReactionFamilies:
             eps = 1e-6 * np.maximum(ts, 1.0)
             fd = (r.big_f(ts + eps) - r.big_f(ts - eps)) / (2 * eps)
             assert np.allclose(fd, r.f(ts), rtol=1e-5, atol=1e-12)
+
+    @pytest.mark.parametrize("family,params", [("saturating", {"nu": 2.0, "amplitude": 0.5}),
+                                               ("cubic_saturating", {"kappa": 3.0}),
+                                               ("linear", {"kappa": 1.5})])
+    def test_f_prime_matches_finite_differences(self, family, params):
+        r = make_reaction(family, params)
+        ts = np.concatenate([-np.logspace(-3, 4, 40), np.logspace(-3, 4, 80)])
+        eps = 1e-6 * np.maximum(np.abs(ts), 1.0)
+        fd = (r.f(ts + eps) - r.f(ts - eps)) / (2 * eps)
+        assert np.allclose(r.f_prime(ts), fd, rtol=1e-5, atol=1e-12)
 
     def test_linear_bound_holds_beyond_onset(self):
         for fam, params in (("saturating", {"nu": 2.0}),

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from fracvar import (DomainSpec, EnergyModel, Field, assemble_gradient,
-                     build_grid, composition_residual, convexity_gap, energy,
-                     energy_gradient, field_from_function, hs_norm,
-                     make_coefficient, make_reaction, monotonicity_pairing,
-                     quasilinear_part, weighted_form)
-from fracvar.energy import EnergyOverflowError
+from fracvar import (DomainSpec, EnergyModel, Field, apply_gradient_batch,
+                     assemble_gradient, build_grid, composition_residual,
+                     convexity_gap, energy, energy_gradient, field_from_function,
+                     hs_norm, make_coefficient, make_reaction, monotonicity_pairing,
+                     path_energies, quasilinear_part, weighted_form)
+from fracvar.coeffs import COEFFICIENT_FAMILIES, REACTION_FAMILIES
+from fracvar.energy import EnergyOverflowError, PointState
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +208,65 @@ def test_nonneg_forcing_enforced(grad_128, power_coeff, grid_1d_128):
     model = EnergyModel(grad_op=grad_128, coeff=power_coeff, reaction=None,
                         forcing=h, require_nonneg_forcing=False)
     assert model.forcing is h
+
+
+class TestPathEnergies:
+    def test_matches_per_point_energy(self, quasilinear_model, grid_1d_128, grad_128, rng):
+        vals = np.abs(rng.standard_normal((9, 128))) * np.logspace(-3, 2, 9)[:, None]
+        vals[0] = 0.0
+        batched = path_energies(quasilinear_model, vals, apply_gradient_batch(grad_128, vals))
+        single = np.array([energy(quasilinear_model, Field(grid_1d_128, v)) for v in vals])
+        assert np.allclose(batched, single, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("scale,overflows", [(1.0, False), (1e70, False), (1e160, True)])
+    def test_raises_where_energy_does(self, quasilinear_model, grid_1d_128, grad_128,
+                                      scale, overflows):
+        row = np.full(128, scale)
+        vals = np.stack([np.zeros(128), row])
+        grads = apply_gradient_batch(grad_128, vals)
+        if overflows:
+            with pytest.raises(EnergyOverflowError):
+                energy(quasilinear_model, Field(grid_1d_128, row))
+            with pytest.raises(EnergyOverflowError):
+                path_energies(quasilinear_model, vals, grads)
+        else:
+            assert np.isfinite(energy(quasilinear_model, Field(grid_1d_128, row)))
+            assert np.all(np.isfinite(path_energies(quasilinear_model, vals, grads)))
+
+
+def _central_difference_hvp(model, u, v, eps):
+    grid = model.grid
+    plus = PointState(model, Field(grid, u + eps * v)).representer.values
+    minus = PointState(model, Field(grid, u - eps * v)).representer.values
+    return (plus - minus) / (2.0 * eps)
+
+
+class TestHessianVec:
+    @pytest.mark.parametrize("coeff_family", sorted(COEFFICIENT_FAMILIES))
+    @pytest.mark.parametrize("reaction_family", sorted(REACTION_FAMILIES))
+    def test_matches_central_differences(self, grid_1d_128, grad_128, zero_h, rng,
+                                         coeff_family, reaction_family):
+        model = EnergyModel(grad_op=grad_128, coeff=make_coefficient(coeff_family),
+                            reaction=make_reaction(reaction_family), forcing=zero_h)
+        for _ in range(3):
+            u = 0.1 + np.abs(rng.standard_normal(128))
+            v = rng.standard_normal(128)
+            exact = PointState(model, Field(grid_1d_128, u)).hessian_vec(v)
+            fd = _central_difference_hvp(model, u, v, 1e-5 * np.linalg.norm(u) / np.linalg.norm(v))
+            assert np.linalg.norm(exact - fd) <= 1e-6 * np.linalg.norm(exact)
+
+    def test_matches_central_differences_2d(self, grid_2d_16, grad_2d_16, rng):
+        h = Field(grid_2d_16, np.zeros(grid_2d_16.n_nodes))
+        model = EnergyModel(grad_op=grad_2d_16, coeff=make_coefficient("power"),
+                            reaction=make_reaction("cubic_saturating"), forcing=h)
+        u = 0.1 + np.abs(rng.standard_normal(grid_2d_16.n_nodes))
+        v = rng.standard_normal(grid_2d_16.n_nodes)
+        exact = PointState(model, Field(grid_2d_16, u)).hessian_vec(v)
+        fd = _central_difference_hvp(model, u, v, 1e-5 * np.linalg.norm(u) / np.linalg.norm(v))
+        assert np.linalg.norm(exact - fd) <= 1e-6 * np.linalg.norm(exact)
+
+    def test_symmetric(self, quasilinear_model, grid_1d_128, rng):
+        point = PointState(quasilinear_model, Field(grid_1d_128, np.abs(rng.standard_normal(128))))
+        a, b = rng.standard_normal(128), rng.standard_normal(128)
+        lhs, rhs = np.dot(a, point.hessian_vec(b)), np.dot(b, point.hessian_vec(a))
+        assert lhs == pytest.approx(rhs, rel=1e-12)

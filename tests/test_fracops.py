@@ -3,11 +3,11 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from fracvar import (DomainSpec, Field, QuadratureParams, VectorField,
-                     apply_divergence, apply_gradient, apply_laplacian,
-                     assemble_gradient, assemble_laplacian, build_grid,
-                     composition_residual, field_from_function, l2_inner,
-                     normalizing_constants)
-from fracvar.fracops import composition_matrix
+                     apply_divergence, apply_gradient, apply_gradient_batch,
+                     apply_laplacian, assemble_gradient, assemble_laplacian,
+                     build_grid, composition_residual, field_from_function,
+                     l2_inner, normalizing_constants)
+from fracvar.fracops import _directions, _ray_exit_distance, composition_matrix
 
 
 def gaussian_bump(grid, sharp=40.0):
@@ -110,6 +110,55 @@ class TestGradient:
         other = build_grid(DomainSpec(bounds=((0.0, 2.0),), nodes=(128,)))
         with pytest.raises(ValueError, match="grid"):
             apply_gradient(grad_128, Field(other, np.ones(128)))
+
+
+    @pytest.mark.parametrize("case", ["1d", "2d"])
+    def test_batch_matches_single_applies(self, case, grad_128, grad_2d_16, rng):
+        op = {"1d": grad_128, "2d": grad_2d_16}[case]
+        rows = rng.standard_normal((5, op.n_nodes))
+        batched = apply_gradient_batch(op, rows)
+        assert batched.shape == (5, op.n_nodes, op.grid.dimension)
+        for row, got in zip(rows, batched):
+            want = apply_gradient(op, Field(op.grid, row)).values
+            assert np.allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
+
+    def test_batch_rejects_bad_input(self, grad_128, lap_128):
+        with pytest.raises(ValueError):
+            apply_gradient_batch(grad_128, np.zeros(128))
+        with pytest.raises(ValueError):
+            apply_gradient_batch(grad_128, np.zeros((3, 127)))
+        with pytest.raises(ValueError):
+            apply_gradient_batch(lap_128, np.zeros((3, 128)))
+
+
+def _exit_distance_reference(nodes, bounds, dirs):
+    """Per node and direction: the nearest wall the ray meets, scalar code."""
+    out = np.empty((len(nodes), len(dirs)))
+    for i, x in enumerate(nodes):
+        for j, u in enumerate(dirs):
+            t = np.inf
+            for k, (a, b) in enumerate(bounds):
+                if u[k] > 0:
+                    t = min(t, (b - x[k]) / u[k])
+                elif u[k] < 0:
+                    t = min(t, (a - x[k]) / u[k])
+            out[i, j] = t
+    return out
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_ray_exit_distance_matches_scalar_reference(dimension, rng):
+    for _ in range(4):
+        lo = rng.uniform(-2.0, 1.0, dimension)
+        bounds = [(a, a + w) for a, w in zip(lo, rng.uniform(0.1, 3.0, dimension))]
+        nodes = np.stack([rng.uniform(a, b, 7) for a, b in bounds], axis=1)
+        dirs, _ = _directions(dimension, 64)
+        if dimension == 2:
+            # axis directions have a zero component, which meets no wall
+            dirs = np.concatenate([dirs, [[1.0, 0.0], [0.0, -1.0]]])
+        got = _ray_exit_distance(nodes, bounds, dirs)
+        assert np.array_equal(got, _exit_distance_reference(nodes, bounds, dirs))
+        assert np.all(np.isfinite(got)) and np.all(got > 0)
 
 
 class TestDivergence:

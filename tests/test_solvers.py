@@ -205,6 +205,13 @@ class TestMountainPass:
         assert "sphere_inf_sampled" in rep2.diagnostics
         assert rep2.diagnostics["level_above_sphere_inf"]
 
+    @pytest.mark.parametrize("max_iter", [0, 5])
+    def test_iterations_within_max_iter(self, two_solution_setup, grad_128, max_iter):
+        model, _, rep1, u_far = two_solution_setup
+        rep = mountain_pass(model, rep1.solution, u_far, SolverOptions(max_iter=max_iter),
+                            precond_op=grad_128)
+        assert rep.iterations <= max_iter
+
     def test_resonant_degenerate_fails_within_cap(self, grid_1d_128, grad_128,
                                                   eig_128, zero_h):
         # gamma == 1 and linear reaction at the spectral eigenvalue: the
@@ -288,6 +295,16 @@ class TestEvaluationBudget:
         assert rep.classification != "failed"
         assert rep.iterations > 0
         assert (len(forward) + len(transposed)) / rep.iterations <= 3.0
+
+    def test_mountain_pass_table_applies_per_iteration(self, monkeypatch, two_solution_setup,
+                                                       grad_128):
+        # a batched product over the path counts as one apply
+        model, opts, rep1, u_far = two_solution_setup
+        applies = [count_calls(monkeypatch, fn) for fn in (
+            fracops.apply_gradient, fracops.apply_divergence, fracops.apply_gradient_batch)]
+        rep = mountain_pass(model, rep1.solution, u_far, opts, precond_op=grad_128)
+        assert rep.classification == "mountain-pass"
+        assert sum(map(len, applies)) / rep.iterations <= 10.0
 
     def test_one_composition_matrix_per_operator(self, monkeypatch, grid_1d_128,
                                                  power_coeff, eig_128, opts):
