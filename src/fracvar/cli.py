@@ -14,9 +14,10 @@ a hypothesis parameter would invalidate regime conclusions), ranges are
 validated with the offending key named, and the persisted snapshot has all
 defaults materialized. Every run directory receives a manifest listing the
 config snapshot, per-stage wall-clock timings (prepare_seconds: grid,
-operator assembly and first eigenpair; command_seconds: the whole
-command), and a sha256 inventory of the produced files; reruns with the
-same config and seed reproduce the inventory bit for bit (the manifest
+operator assembly and first eigenpair; for sweep, sweep_seconds and
+threshold_seconds: the sweep solves and the bisection; command_seconds:
+the whole command), and a sha256 inventory of the produced files; reruns
+with the same config and seed reproduce the inventory bit for bit (the manifest
 itself, which holds the timings, is not in it).
 
 Field files use the FVFD binary format: magic "FVFD", little-endian u32
@@ -327,12 +328,16 @@ def _report_payload(report) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _prepare(rcfg, timings: dict):
-    """experiments.prepare, timed into the manifest as prepare_seconds."""
+def _timed(timings: dict, key: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), its wall-clock seconds kept as timings[key]."""
     t0 = time.perf_counter()
-    prep = ex.prepare(rcfg)
-    timings["prepare_seconds"] = time.perf_counter() - t0
-    return prep
+    out = fn(*args, **kwargs)
+    timings[key] = time.perf_counter() - t0
+    return out
+
+
+def _prepare(rcfg, timings: dict):
+    return _timed(timings, "prepare_seconds", ex.prepare, rcfg)
 
 
 def _cmd_verify(cfg, rcfg, outdir, files, timings):
@@ -436,7 +441,7 @@ def _cmd_sweep(cfg, rcfg, outdir, files, timings):
         raise ConfigError(f'"sweep.values" are nu values for sweep and must be positive, '
                           f"got {list(rcfg.sweep)}")
     prep = _prepare(rcfg, timings)
-    report = ex.run_sublinear_regime(rcfg, prep)
+    report = _timed(timings, "sweep_seconds", ex.run_sublinear_regime, rcfg, prep)
     rows = []
     status = 0
     for run in report.runs:
@@ -458,7 +463,8 @@ def _cmd_sweep(cfg, rcfg, outdir, files, timings):
     }
     kinds = {r.report.classification == "trivial" for r in report.runs}
     if kinds == {True, False}:
-        payload["nu_threshold"] = ex.find_nu_threshold(rcfg, prep, runs=report.runs)
+        payload["nu_threshold"] = _timed(timings, "threshold_seconds", ex.find_nu_threshold,
+                                         rcfg, prep, runs=report.runs)
     _write_json(outdir / "report.json", payload)
     files.append("report.json")
     return status

@@ -162,7 +162,8 @@ class PointState:
     (gamma(q/2) grad_s u), energy, representer and hs_norm are computed
     once and kept, so a solver that reads the energy, the derivative and
     the norm at the same point applies the gradient table once forward and
-    once transposed; hessian_vec adds one of each per product. A caller
+    once transposed; hessian_vec adds one of each per product (the nodal
+    slopes it needs are kept like the diffusivity). A caller
     that already holds grad_s u (from a batched product, or by linearity)
     passes it as grad. u.values must not change while the state is in use.
     A failed evaluation (EnergyOverflowError) is not kept: asking again
@@ -197,6 +198,16 @@ class PointState:
         return _checked("gamma", self.model.coeff.gamma(0.5 * self.q))
 
     @_once
+    def diffusivity_slope(self) -> np.ndarray:
+        """gamma'(|grad_s u|^2/2) per node, for Hessian products."""
+        return _checked("gamma'", self.model.coeff.gamma_prime(0.5 * self.q))
+
+    @_once
+    def reaction_slope(self) -> np.ndarray:
+        """f'(u) per node, for Hessian products."""
+        return _checked("f'", self.model.f_prime(self.u.values))
+
+    @_once
     def flux(self) -> np.ndarray:
         """The vector field gamma(|grad_s u|^2/2) grad_s u, shape (N, d)."""
         return self.diffusivity[:, None] * self.grad.values
@@ -221,14 +232,15 @@ class PointState:
 
         With z = grad_s u and y = grad_s v:
         H v = sum_c W_c^T [gamma(q/2) y_c + gamma'(q/2) z_c (z . y)] - f'(u) v,
-        one forward and one transposed apply of the gradient table.
+        one forward and one transposed apply of the gradient table; the
+        nodal slopes gamma'(q/2) and f'(u) are evaluated on the first product.
         """
         model, z = self.model, self.grad.values
         y = apply_gradient(model.grad_op, Field(model.grid, v)).values
-        slope = _checked("gamma'", model.coeff.gamma_prime(0.5 * self.q))
-        pushed = self.diffusivity[:, None] * y + (slope * np.sum(z * y, axis=1))[:, None] * z
+        pushed = (self.diffusivity[:, None] * y
+                  + (self.diffusivity_slope * np.sum(z * y, axis=1))[:, None] * z)
         out = -apply_divergence(model.grad_op, VectorField(model.grid, pushed)).values
-        out -= _checked("f'", model.f_prime(self.u.values)) * v
+        out -= self.reaction_slope * v
         return out
 
 

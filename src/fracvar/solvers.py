@@ -3,10 +3,10 @@
 Solutions are sought in the nonnegative cone X = {u >= 0}. Two search
 modes cover the two existence mechanisms:
 
-* minimize_cone: projected descent with Armijo backtracking for the local
-  minimizer the direct method produces. Descent directions are
-  preconditioned by (C + I)^{-1}, C = -div_s grad_s the composition
-  matrix; C and the dense Cholesky factor of C + I are built on the first
+* minimize_cone: projected Newton-CG for the local minimizer the direct
+  method produces; truncated CG is preconditioned by (C + I)^{-1},
+  C = -div_s grad_s the composition matrix, with the active entries
+  zeroed. C and the dense Cholesky factor of C + I are built on the first
   solve with a gradient operator and kept with it (NonlocalOperator.cached),
   so a sweep or a bisection factors once. The cone projection is the
   nodewise positive part. An optional ball constraint rescales iterates
@@ -42,6 +42,7 @@ nodal representer of the energy derivative.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,12 @@ __all__ = [
 
 # L2 norm at or below which a cone point counts as the trivial solution
 TRIVIAL_L2 = 1e-8
+# Newton-CG: c of the active-set width (at 1e-2 the boundary layer of a 2D
+# solve went active, and its unscaled -g moves cut every step to 1/32), the
+# inner CG cap, and the relative energy change that counts as roundoff
+_ACTIVE_SCALE = 1e-4
+_CG_MAX = 50
+_ROUNDOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -200,8 +207,8 @@ def coercivity_radius(model: EnergyModel, lambda1: float) -> float | None:
     return float((b + np.sqrt(b**2 + 4.0 * a * c)) / (2.0 * a) + 1.0)
 
 
-def shifted_system(op: NonlocalOperator, shift: float, rows=None) -> np.ndarray:
-    """C[rows, rows] + shift * I (all rows for None) in a new array.
+def shifted_system(op: NonlocalOperator, shift: float) -> np.ndarray:
+    """C + shift * I in a new array.
 
     C is the composition matrix -div_s grad_s of a gradient operator, built
     once per operator and shared read-only, or a Laplacian operator's own
@@ -215,7 +222,7 @@ def shifted_system(op: NonlocalOperator, shift: float, rows=None) -> np.ndarray:
         mat = op.table
     else:
         raise ValueError(f"cannot precondition with operator kind {op.kind!r}")
-    out = np.array(mat, order="F") if rows is None else mat.T[np.ix_(rows, rows)].T
+    out = np.array(mat, order="F")
     out[np.diag_indices_from(out)] += shift
     return out
 
@@ -232,22 +239,13 @@ class _Preconditioner:
     """Apply (C + I)^{-1} via the operator's cached dense Cholesky factor.
 
     A gradient operator is preferred: its composition matrix -div_s grad_s
-    is the Laplacian the energy actually induces, which makes the descent
-    nearly Newton in the semilinear regime. A laplacian operator's table
-    works too; None degrades to the identity (plain projected gradient).
-
-    For cone-constrained descent the solve can be restricted to the
-    inactive index set (two-metric projection): mixing preconditioned
-    directions into active coordinates stalls the line search, so active
-    nodes move by the raw gradient instead. Restricted factors belong to
-    one solve and are recomputed only when its active set changes.
+    is the Laplacian the energy actually induces, which makes the
+    preconditioned Hessian close to the identity in the semilinear regime.
+    A laplacian operator's table works too; None degrades to the identity.
     """
 
     def __init__(self, op: NonlocalOperator | None):
-        self._op = op
         self._factor = None
-        self._sub_mask = None
-        self._sub_factor = None
         if op is not None:
             self._factor = op.cached("preconditioner", lambda: cho_factor(
                 shifted_system(op, 1.0), overwrite_a=True))
@@ -256,23 +254,6 @@ class _Preconditioner:
         if self._factor is None:
             return vec
         return _solve(self._factor, vec)
-
-    def solve_inactive(self, vec: np.ndarray, inactive: np.ndarray) -> np.ndarray:
-        """Solve on the inactive subset only; zeros elsewhere."""
-        out = np.zeros_like(vec)
-        if self._factor is None:
-            out[inactive] = vec[inactive]
-            return out
-        if inactive.all():
-            out[:] = _solve(self._factor, vec)
-            return out
-        if self._sub_mask is None or not np.array_equal(self._sub_mask, inactive):
-            self._sub_factor = None  # released before the next one is made
-            self._sub_factor = cho_factor(shifted_system(self._op, 1.0, inactive),
-                                          overwrite_a=True)
-            self._sub_mask = inactive.copy()
-        out[inactive] = _solve(self._sub_factor, vec[inactive])
-        return out
 
 
 def _ball_rescale(point: PointState, radius: float | None, boundary: dict) -> PointState:
@@ -294,20 +275,26 @@ def _ball_rescale(point: PointState, radius: float | None, boundary: dict) -> Po
     return scaled
 
 
-def _armijo_step(model, opts, point, direction, step0=1.0,
-                 radius=None, boundary=None, step_cap=None):
+def _armijo_step(model, opts, point, direction, step0=1.0, radius=None,
+                 boundary=None, step_cap=None, counts=None, pg_norm=None):
     """Backtracking projected step from point (a PointState) along
-    direction; returns (trial state, step) or None."""
+    direction; returns (trial state, step) or None. Given pg_norm (the
+    point's _pg_norm), a trial whose energy change is roundoff is accepted
+    when its projected-gradient norm is smaller: the gradient still
+    resolves progress there. counts tallies trials and backtracks."""
     boundary = boundary if boundary is not None else {}
+    counts = counts if counts is not None else Counter()
     w = model.grid.weight
     u, g, f_u = point.u, point.representer, point.energy
     step = step0
     for _ in range(60):
+        counts["trials"] += 1
         trial = PointState(model, project_cone(Field(u.grid, u.values + step * direction)))
         if step_cap is not None:
             # the move's H^s norm from the two gradients (grad_s is linear);
             # the trial's gradient is needed for its energy anyway
             if _hs_length(model, trial.grad.values - point.grad.values) > step_cap:
+                counts["backtracks"] += 1
                 step *= opts.armijo_factor
                 continue
         trial = _ball_rescale(trial, radius, boundary)
@@ -318,12 +305,57 @@ def _armijo_step(model, opts, point, direction, step0=1.0,
         try:
             f_trial = trial.energy
         except EnergyOverflowError:
-            step *= opts.armijo_factor
-            continue
+            f_trial = np.inf
         if f_trial <= f_u + opts.armijo_slope * min(slope, 0.0):
             return trial, step
+        if (pg_norm is not None and abs(f_trial - f_u) <= _ROUNDOFF * max(1.0, abs(f_u))
+                and _pg_norm(trial) < pg_norm):
+            return trial, step
+        counts["backtracks"] += 1
         step *= opts.armijo_factor
     return None
+
+
+def _pg_norm(point: PointState) -> float:
+    """Projected-gradient norm |u - P(u - g)|, zero exactly at KKT points."""
+    u = point.u.values
+    return float(np.linalg.norm(u - np.maximum(u - point.representer.values, 0.0)))
+
+
+def _newton_direction(point: PointState, free: np.ndarray, precond, counts) -> np.ndarray:
+    """Steihaug's truncated PCG for H_FF d = -g_F, zero off the free set.
+
+    The preconditioner P_F (C + I)^{-1} P_F is the cached full factor with
+    the other entries zeroed, so no factor depends on the active set. CG
+    stops at the Eisenstat-Walker forcing term |r| <= min(0.5, sqrt|r_0|)
+    |r_0|, after _CG_MAX products, or on nonpositive curvature, returning
+    the iterate so far, or the preconditioned gradient at the first product.
+    """
+    r = np.where(free, -point.representer.values, 0.0)
+    d = np.zeros_like(r)
+    r0 = np.linalg.norm(r)
+    if r0 == 0.0:
+        return d
+    stop = min(0.5, np.sqrt(r0)) * r0
+    z = np.where(free, precond(r), 0.0)
+    p, rz = z, np.dot(r, z)
+    for j in range(_CG_MAX):
+        hp = np.where(free, point.hessian_vec(p), 0.0)
+        counts["cg_iterations"] += 1
+        counts["hessian_products"] += 1
+        curvature = np.dot(p, hp)
+        if curvature <= 0.0:
+            counts["negative_curvature_exits"] += 1
+            return p if j == 0 else d
+        alpha = rz / curvature
+        d += alpha * p
+        r -= alpha * hp
+        if np.linalg.norm(r) <= stop:
+            break
+        z = np.where(free, precond(r), 0.0)
+        rz, rz_old = np.dot(r, z), rz
+        p = z + (rz / rz_old) * p
+    return d
 
 
 def _hs_length(model: EnergyModel, dgrad: np.ndarray):
@@ -364,13 +396,16 @@ def _first_order_done(kkt: float, u: Field, tol_g: float) -> bool:
 def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field,
                   precond_op: NonlocalOperator | None = None,
                   lambda1: float | None = None) -> SolveReport:
-    """Projected, preconditioned descent over the cone.
+    """Projected Newton-CG over the cone (Bertsekas 1982, Steihaug 1983).
 
-    Terminates when the KKT residual reaches opts.tol_g; non-convergence
-    is reported (classification "failed"), not raised. When no ball radius
-    is configured, a default of 10x the coercivity-ball estimate is used
-    if the model is coercive (and reported), otherwise the run is
-    unconstrained.
+    Nodes in the epsilon-active set {u_i <= eps, g_i > 0}, eps = min(c max u,
+    |u - P(u - g)|) floored at opts.tol_active, move by -g; the others by
+    the truncated Newton step (_newton_direction). A projected Armijo search
+    along P(u + alpha d), with the ball rescale, accepts the step.
+    Terminates when the KKT residual reaches opts.tol_g; non-convergence is
+    reported (classification "failed"), not raised. Without a ball radius,
+    10x the coercivity-ball estimate is used (and reported) if the model is
+    coercive. diagnostics["counts"] tallies the search and CG work.
     """
     precond = _Preconditioner(precond_op)
     point = PointState(model, project_cone(u0))
@@ -382,65 +417,30 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field,
             radius = 10.0 * est
 
     boundary: dict = {"hits": 0, "condition": None, "last_inner_product": None}
-    f_u = point.energy
+    counts = dict.fromkeys(("trials", "backtracks", "cg_iterations", "hessian_products",
+                            "negative_curvature_exits"), 0)
     kkt = _kkt(point, opts.tol_active)
-    step = 1.0
     converged = _first_order_done(kkt, point.u, opts.tol_g)
     it = 0
-    merit_mode = False
-    m_u = np.inf
-    energy_trace = [f_u]
+    energy_trace = [point.energy]
     hs_trace_max = point.hs_norm
-
-    def descent_direction(g_vals: np.ndarray) -> np.ndarray:
-        inactive = point.u.values > opts.tol_active
-        d = -precond.solve_inactive(g_vals, inactive)
-        # active nodes re-enter only along a strictly infeasible gradient
-        d[~inactive] = np.maximum(-g_vals[~inactive], 0.0)
-        return d
-
-    def projected_merit(at: PointState) -> float:
-        g_vals = at.representer.values
-        pg = g_vals.copy()
-        act = at.u.values <= opts.tol_active
-        pg[act] = np.minimum(g_vals[act], 0.0)
-        return float(np.linalg.norm(pg))
 
     while not converged and it < opts.max_iter:
         it += 1
-        direction = descent_direction(point.representer.values)
-        if not merit_mode:
-            res = _armijo_step(model, opts, point, direction,
-                               step0=min(4.0 * step, 1.0), radius=radius,
-                               boundary=boundary)
-            if res is None:
-                # energy differences are roundoff-bound at this scale; finish
-                # on the projected-gradient norm, which still resolves
-                merit_mode = True
-                m_u = projected_merit(point)
-                continue
-            point, step = res
-        else:
-            u = point.u
-            alpha, accepted = 1.0, False
-            for _ in range(40):
-                trial = PointState(model, project_cone(Field(u.grid, u.values + alpha * direction)))
-                trial = _ball_rescale(trial, radius, boundary)
-                if not np.any(trial.u.values - u.values):
-                    break
-                m_t = projected_merit(trial)
-                if m_t < m_u * 0.999:
-                    point, m_u, accepted = trial, m_t, True
-                    break
-                alpha *= 0.5
-            if not accepted:
-                break
-        f_u = point.energy
-        energy_trace.append(f_u)
+        u, g = point.u.values, point.representer.values
+        pg_norm = _pg_norm(point)
+        eps = max(min(_ACTIVE_SCALE * np.max(u), pg_norm), opts.tol_active)
+        free = (u > eps) | (g <= 0.0)
+        direction = np.where(free, _newton_direction(point, free, precond, counts), -g)
+        res = _armijo_step(model, opts, point, direction, radius=radius,
+                           boundary=boundary, counts=counts, pg_norm=pg_norm)
+        if res is None:
+            break
+        point = res[0]
+        energy_trace.append(point.energy)
         hs_trace_max = max(hs_trace_max, point.hs_norm)
         kkt = _kkt(point, opts.tol_active)
-        if _first_order_done(kkt, point.u, opts.tol_g):
-            converged = True
+        converged = _first_order_done(kkt, point.u, opts.tol_g)
 
     u = point.u
     l2 = float(np.sqrt(u.grid.weight * np.dot(u.values, u.values)))
@@ -453,11 +453,11 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field,
         r_eff = max(r_eff, model.reaction.onset_t0)
         ball_margin = check_ball_condition(r_eff, model.reaction, h_l2).margin
     return SolveReport(
-        solution=u, energy=f_u, kkt_residual=kkt, iterations=it,
+        solution=u, energy=point.energy, kkt_residual=kkt, iterations=it,
         classification=_classify(u, converged), hs_norm=hs, l2_norm=l2,
         ball_radius=radius, ball_margin=ball_margin, boundary=boundary,
         diagnostics={"energy_trace": energy_trace, "hs_trace_max": hs_trace_max,
-                     "merit_mode_used": merit_mode},
+                     "counts": counts},
     )
 
 

@@ -174,10 +174,12 @@ class TestRunCommand:
         for name in ("out_a", "out_b"):
             run_command(parse_config(cfg_path), command, out_dir=tmp_path / name)
             manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
+        stages = {"sweep": {"sweep_seconds", "threshold_seconds"}}.get(command, set())
         for manifest in manifests:
             timings = manifest["timings"]
-            assert set(timings) == {"prepare_seconds", "command_seconds"}
+            assert set(timings) == {"prepare_seconds", "command_seconds"} | stages
             assert 0.0 <= timings["prepare_seconds"] <= timings["command_seconds"]
+            assert 0.0 <= sum(timings[k] for k in stages) <= timings["command_seconds"]
             assert not set(manifest["files"]) & {"manifest.json"}
         assert manifests[0]["files"] == manifests[1]["files"]
 

@@ -119,6 +119,26 @@ class TestThreshold:
         assert find_nu_threshold(cfg, prep_128, runs=runs) == expected
         assert probed and not set(probed) & set(cfg.sweep)
 
+    def test_near_threshold_probes_take_tens_of_iterations(self, base_domain, prep_128,
+                                                             monkeypatch):
+        # the Hessian at 0 is nearly singular next to the threshold, which
+        # slows first-order descent in proportion to 1/gap; Newton-CG is not
+        solve_once, probes = experiments._solve_once, []
+
+        def recorded(prep, reaction, h):
+            rep = solve_once(prep, reaction, h)
+            probes.append((reaction.params["nu"], rep))
+            return rep
+
+        monkeypatch.setattr(experiments, "_solve_once", recorded)
+        nu_star = find_nu_threshold(sublinear_cfg(base_domain, sweep=(0.05, 400.0)), prep_128)
+        assert nu_star == 1.2064716339111325
+        near = [(nu, rep) for nu, rep in probes if abs(nu / nu_star - 1.0) <= 0.02]
+        assert [rep.classification for _, rep in near] == [
+            "local-min", "trivial", "local-min", "trivial"]
+        assert all(rep.iterations <= 50 for _, rep in near), [
+            (nu, rep.iterations) for nu, rep in near]
+
     def test_no_bracket_raises(self, base_domain, prep_128):
         cfg = sublinear_cfg(base_domain, sweep=(100.0, 200.0))
         with pytest.raises(ValueError, match="bracket"):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from fracvar import (DomainSpec, EnergyModel, Field, SolverOptions, assemble_gradient,
-                     build_grid, coercivity_radius, field_from_function, hs_norm,
+                     assemble_laplacian, build_grid, coercivity_radius, field_from_function,
+                     first_eigenpair, hs_norm,
                      kkt_residual, make_coefficient, make_reaction,
                      minimize_cone, mountain_pass, project_cone, ray_search)
 from fracvar import fracops
@@ -253,6 +254,26 @@ def test_ball_constraint_binds_and_records_boundary(grid_1d_128, grad_128,
     assert rep.hs_norm <= 0.5 * (1 + 1e-9)
     assert rep.ball_radius == 0.5
     assert rep.ball_margin is not None
+    # every line-search trial that left the ball was rescaled onto it
+    assert rep.diagnostics["counts"]["trials"] >= rep.boundary["hits"]
+    trace = np.array(rep.diagnostics["energy_trace"])
+    assert np.all(np.diff(trace) <= 1e-10 * np.max(np.abs(trace)))
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_newton_iterations_flat_in_n(power_coeff, s):
+    iterations = []
+    for n in (128, 256, 384, 512):
+        grid = build_grid(DomainSpec(bounds=((0.0, 1.0),), nodes=(n,)))
+        grad_op = assemble_gradient(grid, s)
+        eig = first_eigenpair(assemble_laplacian(grid, s))
+        reaction = make_reaction("saturating", {"nu": 50.0 * power_coeff.gamma_max * eig.value})
+        model = model_with(grad_op, power_coeff, reaction, Field(grid, np.zeros(n)))
+        rep = minimize_cone(model, SolverOptions(), Field(grid, 0.1 * eig.function.values),
+                            precond_op=grad_op, lambda1=eig.value)
+        assert rep.classification == "local-min"
+        iterations.append(rep.iterations)
+    assert max(iterations) <= 2 * min(iterations), iterations
 
 
 def count_calls(monkeypatch, fn) -> list:
@@ -274,13 +295,15 @@ def count_calls(monkeypatch, fn) -> list:
 
 
 class TestEvaluationBudget:
-    """Each iterate is evaluated once: about one forward apply of the
-    gradient table per line-search trial and one transposed apply per
-    accepted point."""
+    """Each iterate is evaluated once: one forward apply of the gradient
+    table per line-search trial, one transposed apply per accepted point,
+    and one of each per Hessian product of the inner CG."""
 
-    @pytest.mark.parametrize("case", ["large_nu", "forced"])
-    def test_table_applies_per_iteration(self, monkeypatch, grid_1d_128, grad_128,
-                                         power_coeff, eig_128, zero_h, opts, case):
+    @pytest.mark.parametrize("case, budget", [("large_nu", 143), ("forced", 162)],
+                             ids=["large_nu", "forced"])
+    def test_table_applies_per_solve(self, monkeypatch, grid_1d_128, grad_128,
+                                     power_coeff, eig_128, zero_h, opts, case, budget):
+        # budgets: the totals that projected first-order descent needs here
         nu, h, u0 = {
             "large_nu": (50.0 * power_coeff.gamma_max * eig_128.value, zero_h,
                          0.1 * eig_128.function.values),
@@ -294,7 +317,10 @@ class TestEvaluationBudget:
                             lambda1=eig_128.value)
         assert rep.classification != "failed"
         assert rep.iterations > 0
-        assert (len(forward) + len(transposed)) / rep.iterations <= 3.0
+        assert len(forward) + len(transposed) <= budget
+        counts = rep.diagnostics["counts"]
+        # forward: the initial point, each line-search trial, each Hessian product
+        assert len(forward) == 1 + counts["trials"] + counts["hessian_products"]
 
     def test_mountain_pass_table_applies_per_iteration(self, monkeypatch, two_solution_setup,
                                                        grad_128):
@@ -305,6 +331,19 @@ class TestEvaluationBudget:
         rep = mountain_pass(model, rep1.solution, u_far, opts, precond_op=grad_128)
         assert rep.classification == "mountain-pass"
         assert sum(map(len, applies)) / rep.iterations <= 10.0
+
+    def test_counts_repeat_exactly(self, grid_1d_128, grad_128, power_coeff, eig_128,
+                                   zero_h, opts):
+        nu = 50.0 * power_coeff.gamma_max * eig_128.value
+        model = model_with(grad_128, power_coeff, make_reaction("saturating", {"nu": nu}), zero_h)
+        counts = [minimize_cone(model, opts, Field(grid_1d_128, 0.1 * eig_128.function.values),
+                                precond_op=grad_128, lambda1=eig_128.value
+                                ).to_dict()["diagnostics"]["counts"] for _ in range(2)]
+        assert counts[0] == counts[1]
+        assert set(counts[0]) == {"trials", "backtracks", "cg_iterations",
+                                  "hessian_products", "negative_curvature_exits"}
+        assert all(type(v) is int for v in counts[0].values())
+        assert counts[0]["trials"] > 0 and counts[0]["cg_iterations"] > 0
 
     def test_one_composition_matrix_per_operator(self, monkeypatch, grid_1d_128,
                                                  power_coeff, eig_128, opts):
@@ -339,10 +378,5 @@ def test_preconditioned_solves_reject_non_finite_rhs(grad_128, bad):
     precond = _Preconditioner(grad_128)
     rhs = np.ones(128)
     rhs[5] = bad
-    inactive = np.ones(128, dtype=bool)
-    partial = inactive.copy()
-    partial[:3] = False
-    for solve in (precond, lambda v: precond.solve_inactive(v, inactive),
-                  lambda v: precond.solve_inactive(v, partial)):
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            solve(rhs)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        precond(rhs)
