@@ -15,8 +15,10 @@ validated with the offending key named, and the persisted snapshot has all
 defaults materialized. Every run directory receives a manifest listing the
 config snapshot, per-stage wall-clock timings (prepare_seconds: grid,
 operator assembly and first eigenpair; for sweep, sweep_seconds and
-threshold_seconds: the sweep solves and the bisection; command_seconds:
-the whole command), and a sha256 inventory of the produced files; reruns
+threshold_seconds: the sweep solves and the bisection; for solve,
+minimize_seconds; for mpass, minimize_seconds, ray_seconds and
+mountain_pass_seconds summed over the sweep values; command_seconds: the
+whole command), and a sha256 inventory of the produced files; reruns
 with the same config and seed reproduce the inventory bit for bit (the manifest
 itself, which holds the timings, is not in it).
 
@@ -328,16 +330,9 @@ def _report_payload(report) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _timed(timings: dict, key: str, fn, *args, **kwargs):
-    """fn(*args, **kwargs), its wall-clock seconds kept as timings[key]."""
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    timings[key] = time.perf_counter() - t0
-    return out
-
-
 def _prepare(rcfg, timings: dict):
-    return _timed(timings, "prepare_seconds", ex.prepare, rcfg)
+    with ex.timed(timings, "prepare_seconds"):
+        return ex.prepare(rcfg)
 
 
 def _cmd_verify(cfg, rcfg, outdir, files, timings):
@@ -371,7 +366,8 @@ def _cmd_solve(cfg, rcfg, outdir, files, timings):
     prep = _prepare(rcfg, timings)
     h = ex.build_forcing(prep)
     reaction = ex._reaction_with(rcfg)
-    report = ex._solve_once(prep, reaction, h)
+    with ex.timed(timings, "minimize_seconds"):
+        report = ex._solve_once(prep, reaction, h)
     header, rows = _solution_csv_rows(prep.grid, report.solution.values)
     _write_csv(outdir / "solution.csv", header, rows)
     files.append("solution.csv")
@@ -396,7 +392,7 @@ def _cmd_mpass(cfg, rcfg, outdir, files, timings):
                           f"nonnegative, got {list(rcfg.sweep)}")
     if not rcfg.sweep:
         rcfg = dataclasses.replace(rcfg, sweep=(rcfg.forcing.get("scale", 0.0),))
-    report = ex.run_linear_regime(rcfg, _prepare(rcfg, timings))
+    report = ex.run_linear_regime(rcfg, _prepare(rcfg, timings), timings)
     payload = {"lambda1": report.lambda1,
                "audit": {"verdicts": report.audit.verdicts,
                          "witnesses": _jsonable(report.audit.witnesses)},
@@ -441,7 +437,8 @@ def _cmd_sweep(cfg, rcfg, outdir, files, timings):
         raise ConfigError(f'"sweep.values" are nu values for sweep and must be positive, '
                           f"got {list(rcfg.sweep)}")
     prep = _prepare(rcfg, timings)
-    report = _timed(timings, "sweep_seconds", ex.run_sublinear_regime, rcfg, prep)
+    with ex.timed(timings, "sweep_seconds"):
+        report = ex.run_sublinear_regime(rcfg, prep)
     rows = []
     status = 0
     for run in report.runs:
@@ -463,8 +460,8 @@ def _cmd_sweep(cfg, rcfg, outdir, files, timings):
     }
     kinds = {r.report.classification == "trivial" for r in report.runs}
     if kinds == {True, False}:
-        payload["nu_threshold"] = _timed(timings, "threshold_seconds", ex.find_nu_threshold,
-                                         rcfg, prep, runs=report.runs)
+        with ex.timed(timings, "threshold_seconds"):
+            payload["nu_threshold"] = ex.find_nu_threshold(rcfg, prep, runs=report.runs)
     _write_json(outdir / "report.json", payload)
     files.append("report.json")
     return status

@@ -25,12 +25,13 @@ violated; negative controls are expected to fail their geometry checks.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import cho_factor, cho_solve
 
 from . import coeffs as coeffs_mod
@@ -156,6 +157,16 @@ class RegimeReport:
     lambda1: float
 
 
+@contextmanager
+def timed(timings: dict, key: str):
+    """Add the wall-clock seconds of the with-block to timings[key]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[key] = timings.get(key, 0.0) + (time.perf_counter() - t0)
+
+
 def prepare(config: RegimeConfig) -> PreparedProblem:
     """Assemble grid, operators, and the first eigenpair for a config."""
     grid = build_grid(config.domain)
@@ -275,7 +286,8 @@ def find_nu_threshold(config: RegimeConfig,
 
 
 def run_linear_regime(config: RegimeConfig,
-                      prep: PreparedProblem | None = None) -> RegimeReport:
+                      prep: PreparedProblem | None = None,
+                      timings: dict | None = None) -> RegimeReport:
     """Two-solution pipeline for the asymptotically linear reaction.
 
     Per sweep value delta (the forcing scale h = delta * phi1): minimize
@@ -283,7 +295,9 @@ def run_linear_regime(config: RegimeConfig,
     minimizer, run the mountain pass between them, and check that the two
     critical points are distinct. A failed ray search is recorded as a
     failed geometry (no second solution is claimed), which is the expected
-    outcome of the negative controls.
+    outcome of the negative controls. timings, when given, gets the seconds
+    of the three stages summed over the sweep values (minimize_seconds with
+    the initial guess, ray_seconds, mountain_pass_seconds).
     """
     prep = prep if prep is not None else prepare(config)
     base = _reaction_with(config)
@@ -291,17 +305,22 @@ def run_linear_regime(config: RegimeConfig,
         raise ValueError(f"linear regime needs a linear-growth family, got {base.family!r}")
     audit = coeffs_mod.check_hypotheses(prep.coefficient, base, prep.lambda1,
                                         dimension=prep.grid.dimension, s=config.s)
+    timings = timings if timings is not None else {}
+    for key in ("minimize_seconds", "ray_seconds", "mountain_pass_seconds"):
+        timings.setdefault(key, 0.0)
 
     runs = []
     for delta in config.sweep:
         h = Field(prep.grid, delta * prep.eigenpair.function.values)
         model = EnergyModel(grad_op=prep.grad_op, coeff=prep.coefficient,
                             reaction=base, forcing=h)
-        u0 = default_initial_guess(prep, h)
-        rep1 = minimize_cone(model, config.solver, u0,
-                             precond_op=prep.grad_op, lambda1=prep.lambda1)
+        with timed(timings, "minimize_seconds"):
+            u0 = default_initial_guess(prep, h)
+            rep1 = minimize_cone(model, config.solver, u0,
+                                 precond_op=prep.grad_op, lambda1=prep.lambda1)
         margin = abs(rep1.energy) * (1.0 + 1e-3) + 1e-12
-        ray = ray_search(model, prep.eigenpair.function, t_max=1e3, margin=margin)
+        with timed(timings, "ray_seconds"):
+            ray = ray_search(model, prep.eigenpair.function, t_max=1e3, margin=margin)
         if not ray.found:
             runs.append(LinearRun(h_scale=delta, minimizer=rep1, ray=ray,
                                   geometry_ok=False, pass_report=None,
@@ -309,8 +328,9 @@ def run_linear_regime(config: RegimeConfig,
             continue
         u_far = Field(prep.grid, ray.t_star * prep.eigenpair.function.values)
         low = rep1.solution if rep1.l2_norm > TRIVIAL_L2 else Field(prep.grid, np.zeros(prep.grid.n_nodes))
-        rep2 = mountain_pass(model, low, u_far, config.solver,
-                             precond_op=prep.grad_op, seed=config.seed)
+        with timed(timings, "mountain_pass_seconds"):
+            rep2 = mountain_pass(model, low, u_far, config.solver,
+                                 precond_op=prep.grad_op, seed=config.seed)
         dist = hs_norm(prep.grad_op, Field(prep.grid,
                                            rep1.solution.values - rep2.solution.values))
         distinct = dist >= 0.1 * max(rep1.hs_norm, rep2.hs_norm, 0.1)
@@ -381,6 +401,8 @@ def _divergence_oracle_check(s: float, quadrature: QuadratureParams,
     """Table divergence against adaptive continuum quadrature of the same
     integral (zero-extended smooth phi), an evaluation path independent of
     the assembled table."""
+    from scipy.integrate import quad  # only this check needs it, and it is slow to import
+
     grid = build_grid(DomainSpec(bounds=((0.0, 1.0),), nodes=(n,)))
     grad_op = assemble_gradient(grid, s, quadrature)
     phi_fn = lambda x: np.sin(np.pi * x) * np.exp(-8.0 * (x - 0.4) ** 2)

@@ -22,8 +22,8 @@ modes cover the two existence mechanisms:
   decreasing preconditioned gradient norm) until the first-order residual
   meets tolerance. Phase A holds the path as one array of values (P, N)
   with their fractional gradients (P, N, d): the path energies are one
-  vectorized pass, the gradients of resplined points one batched table
-  product, and every H^s length (path segments, the step cap of a move)
+  vectorized pass, the gradients of resplined points one batched apply,
+  and every H^s length (path segments, the step cap of a move)
   is taken from differences of gradients already held, grad_s being
   linear. ray_search samples E(t d) the same way, from grad_s(t d) =
   t grad_s(d).
@@ -211,18 +211,17 @@ def shifted_system(op: NonlocalOperator, shift: float) -> np.ndarray:
     """C + shift * I in a new array.
 
     C is the composition matrix -div_s grad_s of a gradient operator, built
-    once per operator and shared read-only, or a Laplacian operator's own
-    table. The result is Fortran-ordered, the order LAPACK works in, so
-    cho_factor(..., overwrite_a=True) factors it in place instead of
-    copying it again.
+    once per operator and shared read-only, or a Laplacian operator's
+    table, gathered anew. The result is Fortran-ordered, the order LAPACK
+    works in, so cho_factor(..., overwrite_a=True) factors it in place
+    instead of copying it again.
     """
     if op.kind == "gradient":
-        mat = op.cached("composition", lambda: composition_matrix(op))
+        out = np.array(op.cached("composition", lambda: composition_matrix(op)), order="F")
     elif op.kind == "laplacian":
-        mat = op.table
+        out = op.component(0, order="F")
     else:
         raise ValueError(f"cannot precondition with operator kind {op.kind!r}")
-    out = np.array(mat, order="F")
     out[np.diag_indices_from(out)] += shift
     return out
 

@@ -4,8 +4,10 @@ The smallest eigenvalue lambda1 and its eigenfunction phi1 drive most of
 the quantitative hypotheses: the slope thresholds gamma * lambda1, the
 coercivity estimates, and the ray direction of the mountain-pass geometry.
 Only the bottom of the spectrum is needed, so the solver is a plain
-inverse power iteration on a dense Cholesky factorization; a dense
-symmetric eigensolve serves as the test oracle, not as the implementation.
+inverse power iteration on a dense Cholesky factorization, made from a
+gather of the operator's table and dropped on return; products with the
+table go through fracops.apply_laplacian. A dense symmetric eigensolve
+serves as the test oracle, not as the implementation.
 
 The assembled table is an M-matrix (positive diagonal, nonpositive
 off-diagonal, strict diagonal dominance), so its inverse is entrywise
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .fracops import NonlocalOperator
+from .fracops import NonlocalOperator, apply_laplacian
 from .grid import Field
 
 __all__ = ["EigenPair", "first_eigenpair", "rayleigh_quotient", "eigenpair_to_csv"]
@@ -55,9 +57,10 @@ def first_eigenpair(lap_op: NonlocalOperator, tol: float = 1e-10,
     """
     if lap_op.kind != "laplacian":
         raise ValueError("first_eigenpair needs a laplacian operator")
-    a = lap_op.table
     grid = lap_op.grid
-    factor = cho_factor(a)  # checks a for finite values, once
+    # a Fortran-ordered gather of the table, factored in place; checked for
+    # finite values once
+    factor = cho_factor(lap_op.component(0, order="F"), overwrite_a=True)
     x = np.ones(grid.n_nodes)
     x /= _l2(grid, x)
     lam = float("nan")
@@ -67,7 +70,7 @@ def first_eigenpair(lap_op: NonlocalOperator, tol: float = 1e-10,
             raise ValueError("array must not contain infs or NaNs")
         x = cho_solve(factor, x, check_finite=False)
         x /= _l2(grid, x)
-        ax = a @ x
+        ax = apply_laplacian(lap_op, Field(grid, x)).values
         lam = grid.weight * np.dot(x, ax)
         res = _l2(grid, ax - lam * x)
         if res <= tol * max(1.0, abs(lam)):
@@ -87,7 +90,7 @@ def first_eigenpair(lap_op: NonlocalOperator, tol: float = 1e-10,
         )
     x = np.maximum(x, 0.0)
     x /= _l2(grid, x)
-    ax = a @ x
+    ax = apply_laplacian(lap_op, Field(grid, x)).values
     lam = float(grid.weight * np.dot(x, ax))
     res = _l2(grid, ax - lam * x)
     return EigenPair(value=lam, function=Field(grid, x), residual=float(res), iterations=it)
@@ -100,7 +103,7 @@ def rayleigh_quotient(lap_op: NonlocalOperator, u: Field) -> float:
     nrm2 = np.dot(u.values, u.values)
     if nrm2 == 0.0:
         raise ValueError("Rayleigh quotient of the zero field is undefined")
-    return float(np.dot(u.values, lap_op.table @ u.values) / nrm2)
+    return float(np.dot(u.values, apply_laplacian(lap_op, u).values) / nrm2)
 
 
 def eigenpair_to_csv(pair: EigenPair, path) -> None:

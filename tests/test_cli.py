@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import fracvar
 
 from fracvar import DomainSpec, Field, build_grid
 from fracvar.cli import (ConfigError, main, parse_config, read_field,
@@ -174,7 +180,10 @@ class TestRunCommand:
         for name in ("out_a", "out_b"):
             run_command(parse_config(cfg_path), command, out_dir=tmp_path / name)
             manifests.append(json.loads((tmp_path / name / "manifest.json").read_text()))
-        stages = {"sweep": {"sweep_seconds", "threshold_seconds"}}.get(command, set())
+        stages = {"sweep": {"sweep_seconds", "threshold_seconds"},
+                  "solve": {"minimize_seconds"},
+                  "mpass": {"minimize_seconds", "ray_seconds", "mountain_pass_seconds"},
+                  }.get(command, set())
         for manifest in manifests:
             timings = manifest["timings"]
             assert set(timings) == {"prepare_seconds", "command_seconds"} | stages
@@ -201,6 +210,17 @@ class TestMainEntry:
         status = main(["eig", "--config", str(tmp_path / "nope.json"),
                        "--out", str(tmp_path / "o")])
         assert status == 2
+
+    def test_import_leaves_scipy_integrate_out(self):
+        # only the verify command's divergence oracle uses scipy.integrate,
+        # which is slow to import; every other command starts without it
+        src = str(Path(fracvar.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        code = "import sys, fracvar.cli; print('scipy.integrate' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestCommandFamilyValidation:

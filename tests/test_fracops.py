@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
-from fracvar import (DomainSpec, Field, QuadratureParams, VectorField,
-                     apply_divergence, apply_gradient, apply_gradient_batch,
+from fracvar import (DomainSpec, Field, QuadratureParams, RegimeConfig, SolverOptions,
+                     VectorField, apply_divergence, apply_gradient, apply_gradient_batch,
                      apply_laplacian, assemble_gradient, assemble_laplacian,
                      build_grid, composition_residual, field_from_function,
-                     l2_inner, normalizing_constants)
-from fracvar.fracops import _directions, _ray_exit_distance, composition_matrix
+                     first_eigenpair, l2_inner, normalizing_constants, prepare)
+from fracvar import experiments, fracops
+from fracvar.fracops import _directions, _exterior, _ray_exit_distance, composition_matrix
 
 
 def gaussian_bump(grid, sharp=40.0):
@@ -265,3 +266,81 @@ class TestQuadratureParams:
         assert np.all(d_on >= d_off)
         assert np.any(d_on > d_off)
 
+
+
+def _array_sizes(obj):
+    """Entry counts of every array an operator holds, cached parts included."""
+    if isinstance(obj, np.ndarray):
+        return [obj.size]
+    if isinstance(obj, (tuple, list)):
+        return [n for item in obj for n in _array_sizes(item)]
+    if isinstance(obj, dict):
+        return _array_sizes(list(obj.values()))
+    return []
+
+
+class TestMatrixFree:
+    """Operators above the crossover apply by FFT and hold no table."""
+
+    @pytest.fixture()
+    def fft_only(self, monkeypatch):
+        monkeypatch.setattr(fracops, "_DENSE_MAX_NODES", 0)
+
+    @pytest.mark.parametrize("nodes", [(600,), (24, 24)])
+    def test_holds_only_o_n_arrays(self, fft_only, nodes, rng):
+        grid = build_grid(DomainSpec(bounds=tuple((0.0, 1.0) for _ in nodes), nodes=nodes))
+        n, d = grid.n_nodes, grid.dimension
+        grad, lap = assemble_gradient(grid, 0.5), assemble_laplacian(grid, 0.5)
+        u = Field(grid, rng.standard_normal(n))
+        apply_gradient(grad, u)
+        apply_gradient_batch(grad, rng.standard_normal((3, n)))
+        apply_divergence(grad, VectorField(grid, rng.standard_normal((n, d))))
+        apply_laplacian(lap, u)
+        first_eigenpair(lap)
+        for op in (grad, lap):
+            assert op.matrix_free
+            sizes = _array_sizes(vars(op))
+            assert sizes and max(sizes) <= 16 * n
+            assert op.table is not op.table  # gathered anew, never kept
+
+    def test_composition_matrix_is_the_sum_of_gathered_products(self, fft_only):
+        grid = build_grid(DomainSpec(bounds=((0.0, 1.0), (0.0, 2.0)), nodes=(13, 9)))
+        op = assemble_gradient(grid, 0.4)
+        w = op.to_dense()
+        want = w[0].T @ w[0] + w[1].T @ w[1]
+        got = composition_matrix(op)
+        assert np.array_equal(got, got.T)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("nodes", [(1100,), (30, 31)])
+    def test_exterior_in_node_blocks(self, monkeypatch, nodes):
+        grid = build_grid(DomainSpec(bounds=tuple((0.0, 1.0) for _ in nodes), nodes=nodes))
+        params = QuadratureParams()
+        for signed, q in ((True, 0.5), (False, 1.0)):
+            blocked = _exterior(grid, q, params, signed)
+            with monkeypatch.context() as m:
+                m.setattr(fracops, "_NODE_BLOCK", grid.n_nodes)
+                whole = _exterior(grid, q, params, signed)
+            if grid.dimension == 1:
+                assert np.array_equal(blocked, whole)
+            else:
+                assert np.max(np.abs(blocked - whole)) <= 1e-15 * np.max(np.abs(whole))
+
+    def test_2d_solve_on_both_sides_of_the_crossover(self, monkeypatch):
+        spec = DomainSpec(bounds=((0.0, 1.0), (0.0, 1.0)), nodes=(16, 16))
+        coeff = ("power", {"A": 1.0, "B": 2.0, "p": 1.5})
+        runs = []
+        for limit in (fracops._DENSE_MAX_NODES, 0):
+            monkeypatch.setattr(fracops, "_DENSE_MAX_NODES", limit)
+            cfg = RegimeConfig(domain=spec, coefficient=coeff,
+                               reaction=("saturating", {"nu": 450.0}),
+                               forcing={"kind": "zero"}, solver=SolverOptions(tol_g=1e-4))
+            prep = prepare(cfg)
+            assert prep.grad_op.matrix_free == (limit == 0)
+            runs.append((prep, experiments._solve_once(prep, experiments._reaction_with(cfg),
+                                                       experiments.build_forcing(prep))))
+        (dense_prep, dense), (fft_prep, fft) = runs
+        assert fft_prep.lambda1 == pytest.approx(dense_prep.lambda1, rel=1e-12)
+        assert dense.classification == fft.classification == "local-min"
+        assert fft.iterations == dense.iterations
+        assert fft.energy == pytest.approx(dense.energy, rel=1e-12)
