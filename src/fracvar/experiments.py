@@ -39,7 +39,7 @@ from .coeffs import CoefficientModel, HypothesisReport, ReactionModel
 from .energy import EnergyModel, convexity_gap, energy, hs_norm, monotonicity_pairing, weighted_form
 from .fracops import (NonlocalOperator, QuadratureParams, apply_divergence,
                       apply_gradient, assemble_gradient, assemble_laplacian,
-                      composition_residual, normalizing_constants)
+                      composition_residual, normalizing_constants, symbol_solve)
 from .grid import DomainSpec, Field, Grid, VectorField, build_grid, field_from_function, l2_inner
 from .solvers import (TRIVIAL_L2, RaySearchResult, SolveReport, SolverOptions,
                       minimize_cone, mountain_pass, project_cone, ray_search,
@@ -190,22 +190,53 @@ def build_forcing(prep: PreparedProblem, forcing: dict | None = None) -> Field:
     return Field(prep.grid, np.zeros(prep.grid.n_nodes))
 
 
+# the initial guess solves C + _GUESS_SHIFT I; above the crossover by CG to
+# this relative residual (a start within ~1e-10 of the factored solve, in
+# 25-55 iterations on 1D 1024-2048 and 2D 40x40-48x48 grids)
+_GUESS_SHIFT = 1e-12
+_GUESS_RTOL = 1e-10
+
+
 def default_initial_guess(prep: PreparedProblem, h: Field) -> Field:
     """Deterministic start: positive part of the linear solve against h,
     or a small multiple of phi1 for the homogeneous problem.
 
-    The Cholesky factor of -div_s grad_s + 1e-12 I is made on the first
-    call with a nonzero h and kept with the gradient operator.
+    The system is -div_s grad_s + 1e-12 I. While the gradient operator
+    holds its table, its Cholesky factor is made on the first call with a
+    nonzero h and kept with the operator; above the crossover it is solved
+    by CG on the operator's applies, preconditioned by its symbol solve.
     """
     if np.any(h.values):
         if not np.isfinite(h.values).all():
             raise ValueError("array must not contain infs or NaNs")
         op = prep.grad_op
-        factor = op.cached("initial guess", lambda: cho_factor(
-            shifted_system(op, 1e-12), overwrite_a=True))
-        sol = cho_solve(factor, h.values, check_finite=False)
+        if op.matrix_free:
+            sol = _composition_cg(op, h.values, _GUESS_SHIFT)
+        else:
+            factor = op.cached("initial guess", lambda: cho_factor(
+                shifted_system(op, _GUESS_SHIFT), overwrite_a=True))
+            sol = cho_solve(factor, h.values, check_finite=False)
         return project_cone(Field(prep.grid, sol))
     return Field(prep.grid, 1e-3 * prep.eigenpair.function.values)
+
+
+def _composition_cg(op: NonlocalOperator, rhs: np.ndarray, shift: float) -> np.ndarray:
+    """(C + shift I)^{-1} rhs by CG to relative residual _GUESS_RTOL, with C
+    applied as -div_s grad_s and the symbol solve of the same shift as the
+    preconditioner."""
+    # imported here, as in spectral._lobpcg: only runs above the crossover
+    from scipy.sparse.linalg import LinearOperator, cg
+
+    grid, n = op.grid, op.n_nodes
+
+    def system(v):
+        v = np.ravel(v)
+        return shift * v - apply_divergence(op, apply_gradient(op, Field(grid, v))).values
+
+    sol, _ = cg(LinearOperator((n, n), matvec=system, dtype=float), rhs, rtol=_GUESS_RTOL,
+                M=LinearOperator((n, n), matvec=lambda v: symbol_solve(op, np.ravel(v), shift),
+                                 dtype=float))
+    return sol
 
 
 def _reaction_with(config: RegimeConfig, **overrides) -> ReactionModel:

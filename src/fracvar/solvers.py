@@ -6,9 +6,12 @@ modes cover the two existence mechanisms:
 * minimize_cone: projected Newton-CG for the local minimizer the direct
   method produces; truncated CG is preconditioned by (C + I)^{-1},
   C = -div_s grad_s the composition matrix, with the active entries
-  zeroed. C and the dense Cholesky factor of C + I are built on the first
-  solve with a gradient operator and kept with it (NonlocalOperator.cached),
-  so a sweep or a bisection factors once. The cone projection is the
+  zeroed. While the gradient operator holds its table, C and the dense
+  Cholesky factor of C + I are built on the first solve and kept with it
+  (NonlocalOperator.cached), so a sweep or a bisection factors once; above
+  the operator crossover the inverse is approximated by the operator's
+  DST-I symbol solve (fracops.symbol_solve, shift 1), and no N x N matrix
+  is made. The cone projection is the
   nodewise positive part. An optional ball constraint rescales iterates
   back to radius R in the discrete H^s norm and records which boundary
   variant of the compactness condition was active (sign of <E'(u), u>).
@@ -26,7 +29,9 @@ modes cover the two existence mechanisms:
   and every H^s length (path segments, the step cap of a move)
   is taken from differences of gradients already held, grad_s being
   linear. ray_search samples E(t d) the same way, from grad_s(t d) =
-  t grad_s(d).
+  t grad_s(d). Both phases precondition by the dense factor of C + I at
+  every grid size: phase B's merit is the preconditioned gradient norm,
+  and it does not converge with the symbol solve in its place.
 
 Both solvers carry each iterate as an energy.PointState, which evaluates
 grad_s u, the energy, the derivative representer and the H^s norm once per
@@ -50,7 +55,8 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .coeffs import check_ball_condition
 from .energy import EnergyModel, EnergyOverflowError, PointState, energy, path_energies
-from .fracops import NonlocalOperator, apply_gradient, apply_gradient_batch, composition_matrix
+from .fracops import (NonlocalOperator, apply_gradient, apply_gradient_batch, composition_matrix,
+                      symbol_solve)
 from .grid import Field, VectorField
 
 __all__ = [
@@ -210,46 +216,50 @@ def coercivity_radius(model: EnergyModel, lambda1: float) -> float | None:
 def shifted_system(op: NonlocalOperator, shift: float) -> np.ndarray:
     """C + shift * I in a new array.
 
-    C is the composition matrix -div_s grad_s of a gradient operator, built
-    once per operator and shared read-only, or a Laplacian operator's
-    table, gathered anew. The result is Fortran-ordered, the order LAPACK
-    works in, so cho_factor(..., overwrite_a=True) factors it in place
-    instead of copying it again.
+    C is the composition matrix -div_s grad_s of a gradient operator (any
+    other kind raises ValueError), built once per operator and shared
+    read-only. The result is Fortran-ordered, the order LAPACK works in, so
+    cho_factor(..., overwrite_a=True) factors it in place instead of
+    copying it again.
     """
-    if op.kind == "gradient":
-        out = np.array(op.cached("composition", lambda: composition_matrix(op)), order="F")
-    elif op.kind == "laplacian":
-        out = op.component(0, order="F")
-    else:
-        raise ValueError(f"cannot precondition with operator kind {op.kind!r}")
+    out = np.array(op.cached("composition", lambda: composition_matrix(op)), order="F")
     out[np.diag_indices_from(out)] += shift
     return out
+
+
+def _check_finite(rhs: np.ndarray) -> np.ndarray:
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return rhs
 
 
 def _solve(factor, rhs: np.ndarray) -> np.ndarray:
     """cho_solve against a factor that cho_factor checked for finite values
     when it was made; only the O(N) right-hand side is checked here."""
-    if not np.isfinite(rhs).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return cho_solve(factor, rhs, check_finite=False)
+    return cho_solve(factor, _check_finite(rhs), check_finite=False)
 
 
 class _Preconditioner:
-    """Apply (C + I)^{-1} via the operator's cached dense Cholesky factor.
+    """Apply (C + I)^{-1} of a gradient operator.
 
-    A gradient operator is preferred: its composition matrix -div_s grad_s
-    is the Laplacian the energy actually induces, which makes the
-    preconditioned Hessian close to the identity in the semilinear regime.
-    A laplacian operator's table works too; None degrades to the identity.
+    Its composition matrix -div_s grad_s is the Laplacian the energy
+    actually induces, which makes the preconditioned Hessian close to the
+    identity in the semilinear regime. The inverse is the operator's cached
+    dense Cholesky factor; with symbol=True and an operator that applies by
+    FFT it is the DST-I symbol solve instead. None degrades to the identity.
     """
 
-    def __init__(self, op: NonlocalOperator | None):
-        self._factor = None
-        if op is not None:
+    def __init__(self, op: NonlocalOperator | None, symbol: bool = False):
+        self._factor = self._op = None
+        if op is not None and symbol and op.matrix_free:
+            self._op = op
+        elif op is not None:
             self._factor = op.cached("preconditioner", lambda: cho_factor(
                 shifted_system(op, 1.0), overwrite_a=True))
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
+        if self._op is not None:
+            return symbol_solve(self._op, _check_finite(vec), 1.0)
         if self._factor is None:
             return vec
         return _solve(self._factor, vec)
@@ -324,8 +334,9 @@ def _pg_norm(point: PointState) -> float:
 def _newton_direction(point: PointState, free: np.ndarray, precond, counts) -> np.ndarray:
     """Steihaug's truncated PCG for H_FF d = -g_F, zero off the free set.
 
-    The preconditioner P_F (C + I)^{-1} P_F is the cached full factor with
-    the other entries zeroed, so no factor depends on the active set. CG
+    The preconditioner P_F (C + I)^{-1} P_F is the full inverse (the cached
+    factor or the symbol solve) with the other entries zeroed, so nothing
+    depends on the active set. CG
     stops at the Eisenstat-Walker forcing term |r| <= min(0.5, sqrt|r_0|)
     |r_0|, after _CG_MAX products, or on nonpositive curvature, returning
     the iterate so far, or the preconditioned gradient at the first product.
@@ -406,7 +417,7 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field,
     10x the coercivity-ball estimate is used (and reported) if the model is
     coercive. diagnostics["counts"] tallies the search and CG work.
     """
-    precond = _Preconditioner(precond_op)
+    precond = _Preconditioner(precond_op, symbol=True)
     point = PointState(model, project_cone(u0))
 
     radius = opts.ball_radius

@@ -9,7 +9,7 @@ import pytest
 
 import fracvar
 
-from fracvar import DomainSpec, Field, build_grid
+from fracvar import DomainSpec, Field, build_grid, fracops
 from fracvar.cli import (ConfigError, main, parse_config, read_field,
                          run_command, write_field)
 
@@ -213,14 +213,16 @@ class TestMainEntry:
 
     def test_import_leaves_scipy_integrate_out(self):
         # only the verify command's divergence oracle uses scipy.integrate,
-        # which is slow to import; every other command starts without it
+        # which is slow to import; every other command starts without it.
+        # scipy.sparse.linalg (LOBPCG, CG) is loaded only above the crossover
         src = str(Path(fracvar.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        code = "import sys, fracvar.cli; print('scipy.integrate' in sys.modules)"
+        code = ("import sys, fracvar.cli; "
+                "print('scipy.integrate' in sys.modules, 'scipy.sparse.linalg' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
 
 class TestCommandFamilyValidation:
@@ -247,6 +249,25 @@ class TestCommandFamilyValidation:
         run = report["runs"][0]
         assert run["mountain_pass"]["classification"] == "mountain-pass"
         assert run["distinct"] is True
+
+    def test_mpass_above_the_crossover_keeps_the_dense_factor(self, tmp_path, monkeypatch):
+        # forced onto the FFT path the cone minimizer uses the symbol solve,
+        # but the mountain pass keeps the dense factor of C + I, and finds
+        # the held-table run's critical point
+        cfg = parse_config(write_config(
+            tmp_path / "cfg.json",
+            reaction={"family": "cubic_saturating", "params": {"kappa": 4.65}}))
+        runs = []
+        for limit in (fracops._DENSE_MAX_NODES, 0):
+            monkeypatch.setattr(fracops, "_DENSE_MAX_NODES", limit)
+            out = tmp_path / f"out_{limit}"
+            assert run_command(cfg, "mpass", out_dir=out) == 0
+            runs.append(json.loads((out / "report.json").read_text())["runs"][0])
+        dense, fft = runs
+        assert fft["mountain_pass"]["classification"] == "mountain-pass"
+        assert fft["mountain_pass"]["energy"] == pytest.approx(
+            dense["mountain_pass"]["energy"], rel=1e-9)
+        assert fft["distinct"] is True
 
     @pytest.mark.parametrize("command,reaction,values", [
         ("sweep", {"family": "saturating", "params": {"nu": 1.0}}, [0.5, -1.0]),

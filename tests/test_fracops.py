@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
@@ -7,8 +9,9 @@ from fracvar import (DomainSpec, Field, QuadratureParams, RegimeConfig, SolverOp
                      apply_laplacian, assemble_gradient, assemble_laplacian,
                      build_grid, composition_residual, field_from_function,
                      first_eigenpair, l2_inner, normalizing_constants, prepare)
-from fracvar import experiments, fracops
-from fracvar.fracops import _directions, _exterior, _ray_exit_distance, composition_matrix
+from fracvar import EnergyModel, experiments, fracops, minimize_cone
+from fracvar.fracops import (_directions, _exterior, _ray_exit_distance, composition_matrix,
+                             symbol_solve)
 
 
 def gaussian_bump(grid, sharp=40.0):
@@ -312,6 +315,25 @@ class TestMatrixFree:
         assert np.array_equal(got, got.T)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("nodes,bounds", [((600,), ((0.0, 1.0),)),
+                                              ((24, 24), ((0.0, 1.0), (0.0, 1.0))),
+                                              ((13, 9), ((0.0, 1.0), (0.0, 2.0)))])
+    def test_symbol_carries_the_trace_and_inverts_on_sine_modes(self, fft_only, nodes, bounds):
+        grid = build_grid(DomainSpec(bounds=bounds, nodes=nodes))
+        grad, lap = assemble_gradient(grid, 0.4), assemble_laplacian(grid, 0.4)
+        assert np.sum(grad._symbol()) == pytest.approx(np.sum(grad.to_dense() ** 2), rel=1e-14)
+        assert np.sum(lap._symbol()) == pytest.approx(np.trace(lap.to_dense()), rel=1e-14)
+        # the DST-I mode j = (2, 3, ...) is an eigenvector of the solve
+        j = tuple(range(2, 2 + grid.dimension))
+        mode = np.ones(grid.shape)
+        for k, (jk, n) in enumerate(zip(j, grid.shape)):
+            shape = [1] * grid.dimension
+            shape[k] = n
+            mode = mode * np.sin(np.pi * jk * np.arange(1, n + 1) / (n + 1)).reshape(shape)
+        v = mode.ravel()
+        want = v / (grad._symbol()[tuple(jk - 1 for jk in j)] + 1.0)
+        assert np.max(np.abs(symbol_solve(grad, v, 1.0) - want)) <= 1e-14 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("nodes", [(1100,), (30, 31)])
     def test_exterior_in_node_blocks(self, monkeypatch, nodes):
         grid = build_grid(DomainSpec(bounds=tuple((0.0, 1.0) for _ in nodes), nodes=nodes))
@@ -329,7 +351,7 @@ class TestMatrixFree:
     def test_2d_solve_on_both_sides_of_the_crossover(self, monkeypatch):
         spec = DomainSpec(bounds=((0.0, 1.0), (0.0, 1.0)), nodes=(16, 16))
         coeff = ("power", {"A": 1.0, "B": 2.0, "p": 1.5})
-        runs = []
+        preps = []
         for limit in (fracops._DENSE_MAX_NODES, 0):
             monkeypatch.setattr(fracops, "_DENSE_MAX_NODES", limit)
             cfg = RegimeConfig(domain=spec, coefficient=coeff,
@@ -337,10 +359,51 @@ class TestMatrixFree:
                                forcing={"kind": "zero"}, solver=SolverOptions(tol_g=1e-4))
             prep = prepare(cfg)
             assert prep.grad_op.matrix_free == (limit == 0)
-            runs.append((prep, experiments._solve_once(prep, experiments._reaction_with(cfg),
-                                                       experiments.build_forcing(prep))))
-        (dense_prep, dense), (fft_prep, fft) = runs
+            preps.append(prep)
+        dense_prep, fft_prep = preps
+        reaction = experiments._reaction_with(cfg)
+        dense = experiments._solve_once(dense_prep, reaction, experiments.build_forcing(dense_prep))
+        # the FFT applies with the dense factor as preconditioner, from the
+        # dense start: the same Newton-CG run as on the held tables
+        model = EnergyModel(grad_op=fft_prep.grad_op, coeff=fft_prep.coefficient,
+                            reaction=reaction, forcing=experiments.build_forcing(fft_prep))
+        u0 = experiments.default_initial_guess(dense_prep, experiments.build_forcing(dense_prep))
+        fft = minimize_cone(model, cfg.solver, Field(fft_prep.grid, u0.values),
+                            precond_op=dense_prep.grad_op, lambda1=fft_prep.lambda1)
+        # the matrix-free solve: LOBPCG eigenpair, symbol-preconditioned CG
+        symbol = experiments._solve_once(fft_prep, reaction, experiments.build_forcing(fft_prep))
         assert fft_prep.lambda1 == pytest.approx(dense_prep.lambda1, rel=1e-12)
-        assert dense.classification == fft.classification == "local-min"
+        assert dense.classification == fft.classification == symbol.classification == "local-min"
         assert fft.iterations == dense.iterations
         assert fft.energy == pytest.approx(dense.energy, rel=1e-12)
+        assert symbol.energy == pytest.approx(dense.energy, rel=1e-12)
+
+    def test_2d_solve_above_the_crossover_makes_no_n_by_n_matrix(self):
+        # 1,600 nodes apply by FFT unpatched; the eigenfunction forcing makes
+        # the initial guess a linear solve. Each stage must stay below one
+        # eighth of a dense N x N float64 matrix.
+        spec = DomainSpec(bounds=((0.0, 1.0), (0.0, 1.0)), nodes=(40, 40))
+        cfg = RegimeConfig(domain=spec, coefficient=("power", {"A": 1.0, "B": 2.0, "p": 1.5}),
+                           reaction=("saturating", {"nu": 50.0}),
+                           forcing={"kind": "eigenfunction", "scale": 0.01},
+                           solver=SolverOptions(tol_g=1e-4))
+        prep = prepare(cfg)
+        n = prep.grid.n_nodes
+        assert prep.grad_op.matrix_free and prep.lap_op.matrix_free
+        bound = n * n * 8 / 8
+        h = experiments.build_forcing(prep)
+        tracemalloc.start()
+        try:
+            first_eigenpair(prep.lap_op)
+            eig_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            rep = experiments._solve_once(prep, experiments._reaction_with(cfg), h)
+            solve_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eig_peak < bound
+        assert solve_peak < bound
+        assert rep.classification == "local-min"
+        # nothing dense was cached with the operator: only the FFT spectrum
+        # and the symbol
+        assert set(prep.grad_op._derived) == {"fft", "symbol"}

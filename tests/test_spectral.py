@@ -1,11 +1,13 @@
 import csv
+import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 from fracvar import (DomainSpec, Field, assemble_laplacian, build_grid,
                      first_eigenpair, rayleigh_quotient)
-from fracvar import spectral
+from fracvar import fracops, spectral
 from fracvar.spectral import eigenpair_to_csv
 
 
@@ -13,6 +15,14 @@ from fracvar.spectral import eigenpair_to_csv
 def lap_sym():
     grid = build_grid(DomainSpec(bounds=((-1.0, 1.0),), nodes=(256,)))
     return assemble_laplacian(grid, 0.5)
+
+
+@pytest.fixture(scope="module")
+def lap_fft():
+    """lap_sym's operator forced onto the FFT path (LOBPCG eigensolve)."""
+    grid = build_grid(DomainSpec(bounds=((-1.0, 1.0),), nodes=(256,)))
+    with patch.object(fracops, "_DENSE_MAX_NODES", 0):
+        return assemble_laplacian(grid, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -85,9 +95,12 @@ def test_rejects_wrong_kind(grad_128, eig_128):
         rayleigh_quotient(grad_128, eig_128.function)
 
 
-def test_iteration_cap_raises(lap_sym):
-    with pytest.raises(RuntimeError, match="did not reach"):
-        first_eigenpair(lap_sym, tol=1e-10, max_iter=1)
+def test_iteration_cap_raises(lap_sym, lap_fft):
+    for lap in (lap_sym, lap_fft):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # lobpcg's own warning must not leak
+            with pytest.raises(RuntimeError, match="did not reach"):
+                first_eigenpair(lap, tol=1e-10, max_iter=1)
 
 
 def test_csv_export(tmp_path, pair_sym):
@@ -100,18 +113,21 @@ def test_csv_export(tmp_path, pair_sym):
     assert float(rows[1][1]) == pair_sym.function.values[0]
 
 
-def test_non_finite_iterate_raises(lap_sym, monkeypatch):
-    # the factor is checked once; a solve that returns a non-finite iterate
-    # must still stop the iteration at the next solve, not run to max_iter
-    real = spectral.cho_solve
-    calls = []
+def test_non_finite_iterate_raises(lap_sym, lap_fft, monkeypatch):
+    # the factor is checked once; a solve (under LOBPCG, a preconditioner
+    # apply) that returns a non-finite iterate must still stop the
+    # iteration at the next solve, not run to max_iter
+    for lap, solve in ((lap_sym, "cho_solve"), (lap_fft, "symbol_solve")):
+        real = getattr(spectral, solve)
+        calls = []
 
-    def first_solve_nan(factor, rhs, **kwargs):
-        calls.append(1)
-        out = real(factor, rhs, **kwargs)
-        return np.full_like(out, np.nan) if len(calls) == 1 else out
+        def first_solve_nan(*args, **kwargs):
+            calls.append(1)
+            out = real(*args, **kwargs)
+            return np.full_like(out, np.nan) if len(calls) == 1 else out
 
-    monkeypatch.setattr(spectral, "cho_solve", first_solve_nan)
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        first_eigenpair(lap_sym, max_iter=50)
-    assert len(calls) <= 2
+        with monkeypatch.context() as m:
+            m.setattr(spectral, solve, first_solve_nan)
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                first_eigenpair(lap, max_iter=50)
+        assert len(calls) <= 2
