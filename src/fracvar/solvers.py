@@ -16,24 +16,20 @@ modes cover the two existence mechanisms:
   back to radius R in the discrete H^s norm and records which boundary
   variant of the compactness condition was active (sign of <E'(u), u>).
 
-* mountain_pass: a discrete path deformation between two low-energy
-  points. Phase A repeatedly locates the path-energy maximizer, applies
-  one projected descent step to it, and redistributes the path by equal
-  H^s arclength; phase B pins the near-saddle maximizer by minimum-mode
-  following (the lowest-curvature direction from exact Hessian-vector
-  products, the gradient reflected along it, steps accepted on a
-  decreasing preconditioned gradient norm) until the first-order residual
-  meets tolerance. Phase A holds the path as one array of values (P, N)
-  with their fractional gradients (P, N, d): the path energies are one
-  vectorized pass, the gradients of resplined points one batched apply,
-  and every H^s length (path segments, the step cap of a move)
-  is taken from differences of gradients already held, grad_s being
-  linear. ray_search samples E(t d) the same way, from grad_s(t d) =
-  t grad_s(d). Both phases precondition by the dense factor of C + I at
-  every grid size: phase B's merit is the preconditioned gradient norm,
-  and it does not converge with the symbol solve in its place.
+* mountain_pass: the local minimax method (Li & Zhou 2001) in the cone,
+  from a low point u_low toward a point u_far below it. A direction v >= 0
+  of unit H^s norm has the peak p(v) = u_low + t*(v) v, the energy maximum
+  along the ray; v descends the peak energy along the preconditioned
+  -E'(p(v)), projected to the cone, with the same Armijo rule as
+  minimize_cone, until p(v) is a KKT point. grad_s(u_low + t v) =
+  grad_s u_low + t grad_s v, so locating t* on a ray applies no operator:
+  a log grid of energies in one vectorized pass brackets it, and Newton on
+  the closed-form first and second derivatives pins it. ray_search samples
+  E(t d) the same way, from grad_s(t d) = t grad_s(d).
 
-Both solvers carry each iterate as an energy.PointState, which evaluates
+Both solvers precondition by the same (C + I)^{-1}: the cached dense
+factor up to the operator crossover, the symbol solve above it. Both carry
+each iterate as an energy.PointState, which evaluates
 grad_s u, the energy, the derivative representer and the H^s norm once per
 point: an accepted line-search trial brings its gradient to the next
 iteration's derivative, KKT residual and norm trace. Factors are checked for
@@ -47,7 +43,6 @@ nodal representer of the energy derivative.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,10 +78,10 @@ _ROUNDOFF = 1e-12
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration budget, tolerances, step rule, and path shape.
+    """Iteration budget, tolerances and step rule.
 
     ball_radius None means unconstrained (a coercivity-based default is
-    derived per run and reported); path options apply to mountain_pass.
+    derived per run and reported).
     """
 
     max_iter: int = 5000
@@ -94,13 +89,11 @@ class SolverOptions:
     armijo_factor: float = 0.5
     armijo_slope: float = 1e-4
     ball_radius: float | None = None
-    path_points: int = 41
-    path_step_cap: float | None = None
     tol_active: float = 1e-10
 
     def __post_init__(self):
         # messages start with the field name, which config errors report
-        for name in ("tol_g", "tol_active", "ball_radius", "path_step_cap"):
+        for name in ("tol_g", "tol_active", "ball_radius"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -110,8 +103,6 @@ class SolverOptions:
             raise ValueError(f"armijo_factor must lie in (0, 1), got {self.armijo_factor}")
         if not 0.0 < self.armijo_slope < 0.5:
             raise ValueError(f"armijo_slope must lie in (0, 0.5), got {self.armijo_slope}")
-        if self.path_points < 3 or self.path_points % 2 == 0:
-            raise ValueError(f"path_points must be odd and at least 3, got {self.path_points}")
 
 
 @dataclass
@@ -245,13 +236,14 @@ class _Preconditioner:
     Its composition matrix -div_s grad_s is the Laplacian the energy
     actually induces, which makes the preconditioned Hessian close to the
     identity in the semilinear regime. The inverse is the operator's cached
-    dense Cholesky factor; with symbol=True and an operator that applies by
-    FFT it is the DST-I symbol solve instead. None degrades to the identity.
+    dense Cholesky factor while the operator holds its table, and the DST-I
+    symbol solve once it applies by FFT, so no N x N matrix is made there.
+    None degrades to the identity.
     """
 
-    def __init__(self, op: NonlocalOperator | None, symbol: bool = False):
+    def __init__(self, op: NonlocalOperator | None):
         self._factor = self._op = None
-        if op is not None and symbol and op.matrix_free:
+        if op is not None and op.matrix_free:
             self._op = op
         elif op is not None:
             self._factor = op.cached("preconditioner", lambda: cho_factor(
@@ -284,42 +276,38 @@ def _ball_rescale(point: PointState, radius: float | None, boundary: dict) -> Po
     return scaled
 
 
-def _armijo_step(model, opts, point, direction, step0=1.0, radius=None,
-                 boundary=None, step_cap=None, counts=None, pg_norm=None):
-    """Backtracking projected step from point (a PointState) along
-    direction; returns (trial state, step) or None. Given pg_norm (the
-    point's _pg_norm), a trial whose energy change is roundoff is accepted
-    when its projected-gradient norm is smaller: the gradient still
-    resolves progress there. counts tallies trials and backtracks."""
-    boundary = boundary if boundary is not None else {}
-    counts = counts if counts is not None else Counter()
-    w = model.grid.weight
+def _armijo_step(opts, point, trial_at, counts, residual):
+    """Backtracking search from point (a PointState) over the trial states
+    trial_at(step), step = 1, armijo_factor, armijo_factor^2, ...; returns
+    (trial, step) or None. A trial is accepted on sufficient decrease of the
+    energy along its move; when its energy change is roundoff, it is accepted
+    if residual (a first-order measure, zero at KKT points) is smaller there
+    than at point: the gradient still resolves progress. trial_at may return
+    None, which counts as a rejected trial. counts tallies trials and
+    backtracks."""
+    w = point.model.grid.weight
     u, g, f_u = point.u, point.representer, point.energy
-    step = step0
+    r_point = None
+    step = 1.0
     for _ in range(60):
         counts["trials"] += 1
-        trial = PointState(model, project_cone(Field(u.grid, u.values + step * direction)))
-        if step_cap is not None:
-            # the move's H^s norm from the two gradients (grad_s is linear);
-            # the trial's gradient is needed for its energy anyway
-            if _hs_length(model, trial.grad.values - point.grad.values) > step_cap:
-                counts["backtracks"] += 1
-                step *= opts.armijo_factor
-                continue
-        trial = _ball_rescale(trial, radius, boundary)
-        delta = trial.u.values - u.values
-        if not np.any(delta):
-            return None
-        slope = w * np.dot(g.values, delta)
-        try:
-            f_trial = trial.energy
-        except EnergyOverflowError:
-            f_trial = np.inf
-        if f_trial <= f_u + opts.armijo_slope * min(slope, 0.0):
-            return trial, step
-        if (pg_norm is not None and abs(f_trial - f_u) <= _ROUNDOFF * max(1.0, abs(f_u))
-                and _pg_norm(trial) < pg_norm):
-            return trial, step
+        trial = trial_at(step)
+        if trial is not None:
+            delta = trial.u.values - u.values
+            if not np.any(delta):
+                return None
+            slope = w * np.dot(g.values, delta)
+            try:
+                f_trial = trial.energy
+            except EnergyOverflowError:
+                f_trial = np.inf
+            if f_trial <= f_u + opts.armijo_slope * min(slope, 0.0):
+                return trial, step
+            if abs(f_trial - f_u) <= _ROUNDOFF * max(1.0, abs(f_u)):
+                if r_point is None:
+                    r_point = residual(point)
+                if residual(trial) < r_point:
+                    return trial, step
         counts["backtracks"] += 1
         step *= opts.armijo_factor
     return None
@@ -417,7 +405,7 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field,
     10x the coercivity-ball estimate is used (and reported) if the model is
     coercive. diagnostics["counts"] tallies the search and CG work.
     """
-    precond = _Preconditioner(precond_op, symbol=True)
+    precond = _Preconditioner(precond_op)
     point = PointState(model, project_cone(u0))
 
     radius = opts.ball_radius
@@ -442,8 +430,12 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field,
         eps = max(min(_ACTIVE_SCALE * np.max(u), pg_norm), opts.tol_active)
         free = (u > eps) | (g <= 0.0)
         direction = np.where(free, _newton_direction(point, free, precond, counts), -g)
-        res = _armijo_step(model, opts, point, direction, radius=radius,
-                           boundary=boundary, counts=counts, pg_norm=pg_norm)
+
+        def trial_at(step):
+            moved = project_cone(Field(point.u.grid, u + step * direction))
+            return _ball_rescale(PointState(model, moved), radius, boundary)
+
+        res = _armijo_step(opts, point, trial_at, counts, _pg_norm)
         if res is None:
             break
         point = res[0]
@@ -504,49 +496,57 @@ def ray_search(model: EnergyModel, direction: Field, t_max: float = 1e3,
 # ---------------------------------------------------------------------------
 
 
-def _respline(model: EnergyModel, vals: np.ndarray, grads: np.ndarray):
-    """Redistribute the path points (values (P, N), gradients (P, N, d)) at
-    equal H^s arclength, endpoints fixed; returns new (values, gradients).
+# peak selection: the log grid of t, as factors 2^-8 ... 2^8 of the current
+# peak's distance from u_low, and the cap on safeguarded Newton steps
+_RAY_GRID = 2.0 ** np.arange(-8, 9)
+_PEAK_NEWTON_MAX = 60
 
-    Segment lengths come from the gradients the path holds (grad_s is
-    linear). A new point is a convex combination of two nonnegative
-    neighbours, so it stays in the cone; the new gradients come from one
-    batched product.
+
+def _ray_peak(model: EnergyModel, low: np.ndarray, grad_low: np.ndarray,
+              v: np.ndarray, grad_v: np.ndarray, t0: float, f_low: float) -> float | None:
+    """argmax over t > 0 of phi(t) = E(low + t v), searched around t0.
+
+    grad_s(low + t v) = grad_low + t grad_v, so no operator is applied: the
+    maximum is bracketed on the log grid t0 * _RAY_GRID with one
+    path_energies pass, then refined by Newton on phi'(t) = 0, safeguarded
+    by bisection of the bracket. With z = grad_low + t grad_v, y = grad_v,
+    u = low + t v, and gamma, gamma' taken at |z|^2 / 2:
+    phi'(t) = w [sum gamma z.y - sum (f(u) + h) v] and
+    phi''(t) = w [sum (gamma' (z.y)^2 + gamma |y|^2) - sum f'(u) v^2].
+    None when no sample inside the grid beats its neighbours and E(low).
     """
-    cum = np.concatenate([[0.0], np.cumsum(_hs_length(model, np.diff(grads, axis=0)))])
-    total = cum[-1]
-    if total == 0.0:
-        return vals, grads
-    targets = np.linspace(0.0, total, len(vals))[1:-1]
-    k = np.minimum(np.searchsorted(cum, targets, side="right") - 1, len(vals) - 2)
-    seg = cum[k + 1] - cum[k]
-    lam = np.divide(targets - cum[k], seg, out=np.zeros_like(seg), where=seg != 0.0)
-    new_vals, new_grads = vals.copy(), grads.copy()
-    new_vals[1:-1] = (1.0 - lam)[:, None] * vals[k] + lam[:, None] * vals[k + 1]
-    new_grads[1:-1] = apply_gradient_batch(model.grad_op, new_vals[1:-1])
-    return new_vals, new_grads
-
-
-def _refresh_unstable_mode(point: PointState, v, precond, sweeps=4):
-    """Estimate the lowest-curvature direction at a point.
-
-    Preconditioned Rayleigh-quotient descent on the exact Hessian (one
-    forward and one transposed table apply per product); this is the
-    minimum-mode step of dimer-type saddle search.
-    """
-    v = v / np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(sweeps):
-        hv = point.hessian_vec(v)
-        lam = float(np.dot(v, hv))
-        resid = hv - lam * v
-        step = precond(resid)
-        v = v - step
-        nrm = np.linalg.norm(v)
-        if nrm == 0.0:
+    ts = t0 * _RAY_GRID
+    try:
+        phi = path_energies(model, low + ts[:, None] * v,
+                            grad_low + ts[:, None, None] * grad_v)
+    except EnergyOverflowError:
+        return None
+    k = int(np.argmax(phi))
+    if k in (0, len(ts) - 1) or not phi[k] > f_low:
+        return None
+    coeff, h = model.coeff, model.forcing.values
+    yy = np.sum(grad_v * grad_v, axis=1)
+    lo, t, hi = ts[k - 1], ts[k], ts[k + 1]
+    for _ in range(_PEAK_NEWTON_MAX):
+        z = grad_low + t * grad_v
+        zy = np.sum(z * grad_v, axis=1)
+        half_q = 0.5 * np.sum(z * z, axis=1)
+        u = low + t * v
+        gam = coeff.gamma(half_q)
+        d1 = np.dot(gam, zy) - np.dot(model.f(u) + h, v)
+        d2 = (np.dot(coeff.gamma_prime(half_q), zy * zy) + np.dot(gam, yy)
+              - np.dot(model.f_prime(u), v * v))
+        if d1 > 0.0:
+            lo = t
+        else:
+            hi = t
+        t_new = t - d1 / d2 if d2 < 0.0 else 0.5 * (lo + hi)
+        if not lo < t_new < hi:
+            t_new = 0.5 * (lo + hi)
+        if d1 == 0.0 or abs(t_new - t) <= 1e-15 * t:
             break
-        v = v / nrm
-    return v, lam
+        t = t_new
+    return float(t)
 
 
 def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
@@ -554,14 +554,19 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
                   precond_op: NonlocalOperator | None = None,
                   r_h: float | None = None,
                   sphere_samples: int = 32, seed: int = 0) -> SolveReport:
-    """Discrete path deformation toward the barrier critical point.
+    """Local minimax toward the barrier critical point (Li & Zhou 2001).
 
     Preconditions: E(u_far) < E(u_low) and both endpoints nonnegative
     (typically u_low is a minimizer or zero, u_far a point found by
-    ray_search beyond the barrier). Returns the limiting path maximizer
-    with its min-max level c; if r_h is supplied the report also records a
-    sampled sphere infimum at radius r_h for the barrier inequality
-    c >= alpha(r_h) > 0.
+    ray_search beyond the barrier). The direction v starts along u_far -
+    u_low; a step tries v' = P(t* v - alpha M E'(p(v))), renormalized, and
+    accepts it by the Armijo rule on the peak energy E(p(v')); alpha
+    doubles after each accepted step, up to 1. The run stops when the
+    peak's KKT residual reaches opts.tol_g, and fails when the direction
+    toward u_far has no peak above E(u_low). Returns the peak with its
+    min-max level c; if r_h is supplied the report also records a sampled
+    sphere infimum at radius r_h for the barrier inequality c >= alpha(r_h)
+    > 0. diagnostics["counts"] tallies line-search trials and backtracks.
     """
     f_low = energy(model, u_low)
     f_far = energy(model, u_far)
@@ -576,105 +581,50 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
     precond = _Preconditioner(precond_op)
     grid = model.grid
     w = grid.weight
-    p_count = opts.path_points
-    # the path: values (P, N) on the segment, projected to the cone, and
-    # their gradients (P, N, d) from one batched product
-    lam = np.linspace(0.0, 1.0, p_count)[:, None]
-    vals = np.maximum((1 - lam) * u_low.values + lam * u_far.values, 0.0)
-    grads = apply_gradient_batch(model.grad_op, vals)
+    low = u_low.values
+    grad_low = apply_gradient(model.grad_op, u_low).values
 
-    def path_point(k: int) -> PointState:
-        return PointState(model, Field(grid, vals[k]), VectorField(grid, grads[k]))
+    def peak_on(ray: np.ndarray) -> PointState | None:
+        """The peak on the ray u_low + t ray/|ray|, searched around t = |ray|."""
+        grad_ray = apply_gradient(model.grad_op, Field(grid, ray)).values
+        t0 = float(_hs_length(model, grad_ray))
+        if t0 == 0.0:
+            return None
+        v, grad_v = ray / t0, grad_ray / t0
+        t = _ray_peak(model, low, grad_low, v, grad_v, t0, f_low)
+        if t is None:
+            return None
+        return PointState(model, Field(grid, low + t * v),
+                          VectorField(grid, grad_low + t * grad_v))
 
-    total_len = float(_hs_length(model, grads[-1] - grads[0]))
-    step_cap = opts.path_step_cap
-    if step_cap is None:
-        # one path segment: keeps the maximizer from teleporting into the
-        # unbounded valley beyond the barrier
-        step_cap = max(total_len / (p_count - 1), 1e-12)
+    def kkt_of(at: PointState) -> float:
+        return _kkt(at, opts.tol_active)
 
     endpoint_level = max(f_low, f_far)
-    barrier_min_gap = np.inf
-    levels: list[float] = []
-    kkt = np.inf
+    counts = dict.fromkeys(("trials", "backtracks"), 0)
+    point = peak_on(np.maximum(u_far.values - low, 0.0))
+    budget = opts.max_iter
+    if point is None:
+        # no peak above E(u_low) toward u_far: the geometry degenerated, and
+        # the run fails at u_far, below the endpoint level
+        point, budget = PointState(model, u_far), 0
+    levels = [point.energy]
+    kkt = kkt_of(point)
     it = 0
-    budget_a = min(max(opts.max_iter // 4, 20), 400, opts.max_iter)
-    stall = 0
-    best_kkt = np.inf
-
-    while it < budget_a:
-        it += 1
-        energies = path_energies(model, vals, grads)
-        k = 1 + int(np.argmax(energies[1:-1]))
-        level = float(energies[k])
-        levels.append(level)
-        barrier_min_gap = min(barrier_min_gap, level - endpoint_level)
-        peak = path_point(k)
-        kkt = _kkt(peak, opts.tol_active)
-        if kkt <= opts.tol_g:
-            break
-        if kkt < 0.9 * best_kkt:
-            best_kkt, stall = kkt, 0
-        else:
-            stall += 1
-            if stall >= 30:
-                break
-        direction = -precond(peak.representer.values)
-        res = _armijo_step(model, opts, peak, direction,
-                           step0=1.0, step_cap=step_cap)
-        if res is not None:
-            vals[k], grads[k] = res[0].u.values, res[0].grad.values
-        vals, grads = _respline(model, vals, grads)
-
-    # phase B: minimum-mode-following polish of the near-barrier maximizer.
-    # The gradient component along the unstable direction is reflected, so
-    # plain descent dynamics converge to the index-1 saddle; steps are
-    # accepted only when the preconditioned gradient norm decreases, which
-    # rules out sliding down the unbounded valley.
-    energies = path_energies(model, vals, grads)
-    k = 1 + int(np.argmax(energies[1:-1]))
-    point = path_point(k)
-    mode = vals[min(k + 1, p_count - 1)] - vals[max(k - 1, 0)]
-    if not np.any(mode):
-        mode = np.ones(grid.n_nodes)
-
-    def merit(at: PointState) -> tuple[float, np.ndarray]:
-        """Preconditioned gradient norm at a point, and that gradient."""
-        pg = precond(at.representer.values)
-        return float(np.sqrt(w) * np.linalg.norm(pg)), pg
-
-    m_u, pg = merit(point)
-    kkt = _kkt(point, opts.tol_active)
-    converged = kkt <= opts.tol_g
     alpha = 1.0
-    while not converged and it < opts.max_iter:
+    while kkt > opts.tol_g and it < budget:
         it += 1
-        mode, curvature = _refresh_unstable_mode(point, mode, precond)
-        d = -pg
-        if curvature < 0.0:
-            # reflect the component along the unstable mode
-            d += 2.0 * mode * (np.dot(pg, mode) / np.dot(mode, mode))
-        alpha = min(2.0 * alpha, 1.0)
-        accepted = False
-        u = point.u
-        for _ in range(40):
-            trial = PointState(model, project_cone(Field(u.grid, u.values + alpha * d)))
-            if not np.any(trial.u.values - u.values):
-                break
-            m_t, pg_t = merit(trial)
-            if m_t <= m_u * (1.0 - 1e-4 * alpha) or m_t < m_u * 0.999:
-                point, m_u, pg = trial, m_t, pg_t
-                accepted = True
-                break
-            alpha *= 0.5
-        level = point.energy
-        levels.append(level)
-        barrier_min_gap = min(barrier_min_gap, level - endpoint_level)
-        kkt = _kkt(point, opts.tol_active)
-        if kkt <= opts.tol_g:
-            converged = True
-        if not accepted and alpha < 1e-14:
+        # t* v - alpha M g: the current ray, moved against the gradient
+        ray, move = point.u.values - low, -alpha * precond(point.representer.values)
+        res = _armijo_step(opts, point,
+                           lambda step: peak_on(np.maximum(ray + step * move, 0.0)),
+                           counts, kkt_of)
+        if res is None:
             break
+        point, step = res
+        alpha = min(2.0 * alpha * step, 1.0)
+        levels.append(point.energy)
+        kkt = kkt_of(point)
 
     final = point.u
     f_final = point.energy
@@ -688,8 +638,9 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
     diagnostics: dict = {
         "levels_head": [float(v) for v in levels[:5]],
         "level_final": f_final,
-        "barrier_min_gap": float(barrier_min_gap),
+        "barrier_min_gap": float(min(levels) - endpoint_level),
         "endpoint_level": float(endpoint_level),
+        "counts": counts,
     }
     if r_h is not None:
         rng = np.random.default_rng(seed)

@@ -9,7 +9,7 @@ import pytest
 
 import fracvar
 
-from fracvar import DomainSpec, Field, build_grid, fracops
+from fracvar import DomainSpec, Field, build_grid, experiments, fracops, mountain_pass
 from fracvar.cli import (ConfigError, main, parse_config, read_field,
                          run_command, write_field)
 
@@ -42,7 +42,6 @@ class TestParseConfig:
         assert cfg["operator"]["rho0"] == 0.5
         assert cfg["operator"]["tail_correction"] is True
         assert cfg["solver"]["tol_g"] == 1e-6
-        assert cfg["solver"]["path_points"] == 41
         assert cfg["forcing"] == {"kind": "zero"}
         assert cfg["seed"] == 0
         assert cfg["sweep"] == {"values": []}
@@ -250,13 +249,20 @@ class TestCommandFamilyValidation:
         assert run["mountain_pass"]["classification"] == "mountain-pass"
         assert run["distinct"] is True
 
-    def test_mpass_above_the_crossover_keeps_the_dense_factor(self, tmp_path, monkeypatch):
-        # forced onto the FFT path the cone minimizer uses the symbol solve,
-        # but the mountain pass keeps the dense factor of C + I, and finds
-        # the held-table run's critical point
+    def test_mpass_above_the_crossover_uses_the_symbol_solve(self, tmp_path, monkeypatch):
+        # forced onto the FFT path both solvers precondition by the symbol
+        # solve, no dense matrix is kept with the gradient operator, and the
+        # mountain pass finds the held-table run's critical point
         cfg = parse_config(write_config(
             tmp_path / "cfg.json",
             reaction={"family": "cubic_saturating", "params": {"kappa": 4.65}}))
+        grad_ops = []
+
+        def recording(model, *args, **kwargs):
+            grad_ops.append(model.grad_op)
+            return mountain_pass(model, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "mountain_pass", recording)
         runs = []
         for limit in (fracops._DENSE_MAX_NODES, 0):
             monkeypatch.setattr(fracops, "_DENSE_MAX_NODES", limit)
@@ -268,6 +274,8 @@ class TestCommandFamilyValidation:
         assert fft["mountain_pass"]["energy"] == pytest.approx(
             dense["mountain_pass"]["energy"], rel=1e-9)
         assert fft["distinct"] is True
+        assert grad_ops[-1].matrix_free
+        assert set(grad_ops[-1]._derived) == {"fft", "symbol"}
 
     @pytest.mark.parametrize("command,reaction,values", [
         ("sweep", {"family": "saturating", "params": {"nu": 1.0}}, [0.5, -1.0]),
@@ -366,8 +374,9 @@ INVALID_INPUTS = [
     ("negative-max_iter", _set("solver", "max_iter", -1), [], {}, "solver.max_iter"),
     ("zero-ball_radius", _set("solver", "ball_radius", 0.0), [], {}, "solver.ball_radius"),
     ("negative-ball_radius", _set("solver", "ball_radius", -1.0), [], {}, "solver.ball_radius"),
-    ("zero-path_step_cap", _set("solver", "path_step_cap", 0.0), [], {},
-     "solver.path_step_cap"),
+    # an option the solvers no longer have
+    ("stale-path_points", _set("solver", "path_points", 41), [], {},
+     'unknown key "path_points" in section "solver"'),
     # wrong types and names
     ("string-bool", _set("operator", "tail_correction", "false"), [], {},
      "operator.tail_correction"),

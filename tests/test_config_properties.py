@@ -54,8 +54,6 @@ SOLVER = {
     "armijo_factor": st.floats(min_value=1e-6, max_value=0.999),
     "armijo_slope": st.floats(min_value=1e-6, max_value=0.499),
     "ball_radius": _optional(_positive()),
-    "path_points": st.integers(1, 100).map(lambda k: 2 * k + 1),
-    "path_step_cap": _optional(_positive()),
     "tol_active": _positive(1.0),
 }
 COEFFICIENTS = st.one_of(

@@ -1,4 +1,6 @@
+import dataclasses
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -206,6 +208,43 @@ class TestMountainPass:
         assert "sphere_inf_sampled" in rep2.diagnostics
         assert rep2.diagnostics["level_above_sphere_inf"]
 
+    def test_same_critical_point_for_every_budget(self, two_solution_setup, grad_128):
+        # the iteration budget caps the run; it must not select the point
+        model, opts, rep1, u_far = two_solution_setup
+        reference = mountain_pass(model, rep1.solution, u_far, opts, precond_op=grad_128)
+        for max_iter in (100, 200, 400):
+            rep = mountain_pass(model, rep1.solution, u_far,
+                                dataclasses.replace(opts, max_iter=max_iter),
+                                precond_op=grad_128)
+            assert rep.classification == "mountain-pass", max_iter
+            dist = hs_norm(grad_128, Field(rep1.solution.grid,
+                                           rep1.solution.values - rep.solution.values))
+            assert dist >= 0.1 * max(rep1.hs_norm, rep.hs_norm, 0.1)
+            assert rep.energy == pytest.approx(reference.energy, rel=1e-9)
+
+    def test_above_the_crossover_makes_no_n_by_n_matrix(self, power_coeff):
+        # 2048 nodes apply by FFT; the preconditioner is the symbol solve, so
+        # the run stays far below one dense N x N float64 matrix
+        grid = build_grid(DomainSpec(bounds=((0.0, 1.0),), nodes=(2048,)))
+        grad_op = assemble_gradient(grid, 0.5)
+        assert grad_op.matrix_free
+        eig = first_eigenpair(assemble_laplacian(grid, 0.5))
+        reaction = make_reaction("cubic_saturating",
+                                 {"kappa": 2.0 * power_coeff.gamma_inf * eig.value})
+        model = model_with(grad_op, power_coeff, reaction, Field(grid, np.zeros(2048)))
+        ray = ray_search(model, eig.function, t_max=1e3, margin=1e-12)
+        u_far = Field(grid, ray.t_star * eig.function.values)
+        tracemalloc.start()
+        try:
+            rep = mountain_pass(model, Field(grid, np.zeros(2048)), u_far,
+                                SolverOptions(), precond_op=grad_op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.classification == "mountain-pass"
+        assert peak < 2048**2 * 8 / 2
+        assert set(grad_op._derived) == {"fft", "symbol"}
+
     @pytest.mark.parametrize("max_iter", [0, 5])
     def test_iterations_within_max_iter(self, two_solution_setup, grad_128, max_iter):
         model, _, rep1, u_far = two_solution_setup
@@ -233,8 +272,6 @@ class TestMountainPass:
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(tol_g=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(path_points=40)  # must be odd
     with pytest.raises(ValueError):
         SolverOptions(armijo_slope=0.9)
 
@@ -333,7 +370,7 @@ class TestEvaluationBudget:
         assert sum(map(len, applies)) / rep.iterations <= 10.0
 
     def test_counts_repeat_exactly(self, grid_1d_128, grad_128, power_coeff, eig_128,
-                                   zero_h, opts):
+                                   zero_h, opts, two_solution_setup):
         nu = 50.0 * power_coeff.gamma_max * eig_128.value
         model = model_with(grad_128, power_coeff, make_reaction("saturating", {"nu": nu}), zero_h)
         counts = [minimize_cone(model, opts, Field(grid_1d_128, 0.1 * eig_128.function.values),
@@ -344,6 +381,13 @@ class TestEvaluationBudget:
                                   "hessian_products", "negative_curvature_exits"}
         assert all(type(v) is int for v in counts[0].values())
         assert counts[0]["trials"] > 0 and counts[0]["cg_iterations"] > 0
+        model, _, rep1, u_far = two_solution_setup
+        counts = [mountain_pass(model, rep1.solution, u_far, opts, precond_op=grad_128
+                                ).to_dict()["diagnostics"]["counts"] for _ in range(2)]
+        assert counts[0] == counts[1]
+        assert set(counts[0]) == {"trials", "backtracks"}
+        assert all(type(v) is int for v in counts[0].values())
+        assert counts[0]["trials"] > 0
 
     def test_one_composition_matrix_per_operator(self, monkeypatch, grid_1d_128,
                                                  power_coeff, eig_128, opts):
