@@ -20,8 +20,7 @@ from .experiments import (ConvergenceReport, IdentityReport, LinearRun,
                           prepare, run_linear_regime, run_sublinear_regime,
                           verify_identities)
 from .fracops import (NonlocalOperator, QuadratureParams, apply_divergence,
-                      apply_gradient, apply_gradient_batch, apply_laplacian,
-                      assemble_gradient,
+                      apply_gradient, apply_laplacian, assemble_gradient,
                       assemble_laplacian, composition_matrix,
                       composition_residual, normalizing_constants)
 from .grid import (DomainSpec, Field, Grid, VectorField, build_grid,

@@ -53,7 +53,6 @@ from .spectral import eigenpair_to_csv
 __all__ = ["ConfigError", "parse_config", "run_command", "write_field", "read_field", "main"]
 
 ARTIFACT_VERSION = "0.1.0"
-COMMANDS = ("verify", "eig", "solve", "mpass", "sweep", "appendix")
 
 
 class ConfigError(ValueError):
@@ -335,7 +334,7 @@ def _prepare(rcfg, timings: dict):
         return ex.prepare(rcfg)
 
 
-def _cmd_verify(cfg, rcfg, outdir, files, timings):
+def _cmd_verify(rcfg, outdir, files, timings):
     report = ex.verify_identities(rcfg, prep=_prepare(rcfg, timings))
     rows = [[c.name, c.value, c.tolerance, int(c.passed)] for c in report.checks]
     _write_csv(outdir / "identities.csv", ["check", "value", "tolerance", "passed"], rows)
@@ -349,7 +348,7 @@ def _cmd_verify(cfg, rcfg, outdir, files, timings):
     return 0 if report.all_passed else 1
 
 
-def _cmd_eig(cfg, rcfg, outdir, files, timings):
+def _cmd_eig(rcfg, outdir, files, timings):
     prep = _prepare(rcfg, timings)
     eigenpair_to_csv(prep.eigenpair, outdir / "eigenpair.csv")
     files.append("eigenpair.csv")
@@ -362,7 +361,7 @@ def _cmd_eig(cfg, rcfg, outdir, files, timings):
     return 0
 
 
-def _cmd_solve(cfg, rcfg, outdir, files, timings):
+def _cmd_solve(rcfg, outdir, files, timings):
     prep = _prepare(rcfg, timings)
     h = ex.build_forcing(prep)
     reaction = ex._reaction_with(rcfg)
@@ -380,8 +379,8 @@ def _cmd_solve(cfg, rcfg, outdir, files, timings):
     return 0 if report.classification != "failed" else 1
 
 
-def _cmd_mpass(cfg, rcfg, outdir, files, timings):
-    if rcfg.reaction[0] not in ("cubic_saturating", "linear"):
+def _cmd_mpass(rcfg, outdir, files, timings):
+    if ex._reaction_with(rcfg).growth_class != "linear":
         raise ConfigError(
             f"mpass needs a linear-growth reaction family, got {rcfg.reaction[0]!r}")
     if rcfg.forcing["kind"] == "file":
@@ -429,8 +428,8 @@ def _cmd_mpass(cfg, rcfg, outdir, files, timings):
     return status
 
 
-def _cmd_sweep(cfg, rcfg, outdir, files, timings):
-    if rcfg.reaction[0] != "saturating":
+def _cmd_sweep(rcfg, outdir, files, timings):
+    if ex._reaction_with(rcfg).growth_class != "sublinear":
         raise ConfigError(
             f"sweep needs the sublinear reaction family, got {rcfg.reaction[0]!r}")
     if any(v <= 0 for v in rcfg.sweep):
@@ -467,7 +466,7 @@ def _cmd_sweep(cfg, rcfg, outdir, files, timings):
     return status
 
 
-def _cmd_appendix(cfg, rcfg, outdir, files, timings):
+def _cmd_appendix(rcfg, outdir, files, timings):
     report = ex.appendix_convergence(rcfg, prep=_prepare(rcfg, timings))
     rows = [[t, v, e] for t, v, e in zip(report.scales, report.values, report.rel_errors)]
     _write_csv(outdir / "appendix.csv", ["scale_t", "form_value", "rel_error"], rows)
@@ -499,6 +498,7 @@ _DISPATCH = {
     "sweep": _cmd_sweep,
     "appendix": _cmd_appendix,
 }
+COMMANDS = tuple(_DISPATCH)
 
 
 def run_command(materialized: dict, command: str, out_dir=None,
@@ -514,7 +514,7 @@ def run_command(materialized: dict, command: str, out_dir=None,
     files: list[str] = []
     timings: dict = {}
     t0 = time.perf_counter()
-    status = _DISPATCH[command](materialized, rcfg, outdir, files, timings)
+    status = _DISPATCH[command](rcfg, outdir, files, timings)
     timings["command_seconds"] = time.perf_counter() - t0
 
     manifest = {

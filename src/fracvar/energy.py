@@ -60,26 +60,23 @@ class EnergyModel:
     """Bundle of the pieces the energy functional integrates.
 
     All components live on the gradient operator's grid and order s. The
-    reaction may be None (f == 0). In the regime of the existence theory
-    the forcing h is nonnegative; pass require_nonneg_forcing=False to opt
-    out of that validation for synthetic experiments.
+    reaction may be None (f == 0). The forcing h must be nonnegative, the
+    regime of the existence theory. grad_op is also the operator whose
+    (C + I)^{-1} preconditions the solvers.
     """
 
     grad_op: NonlocalOperator
     coeff: CoefficientModel
     reaction: ReactionModel | None
     forcing: Field
-    require_nonneg_forcing: bool = True
 
     def __post_init__(self):
         if self.grad_op.kind != "gradient":
             raise ValueError("EnergyModel needs a gradient operator")
         if self.forcing.grid is not self.grid and self.forcing.grid.spec != self.grid.spec:
             raise ValueError("forcing field lives on a different grid")
-        if self.require_nonneg_forcing and np.any(self.forcing.values < 0):
-            raise ValueError(
-                "forcing must be nonnegative (pass require_nonneg_forcing=False to override)"
-            )
+        if np.any(self.forcing.values < 0):
+            raise ValueError("forcing must be nonnegative")
 
     @property
     def grid(self) -> Grid:
@@ -163,13 +160,13 @@ class PointState:
     once and kept, so a solver that reads the energy, the derivative and
     the norm at the same point applies the gradient table once forward and
     once transposed; hessian_vec adds one of each per product (the nodal
-    slopes it needs are kept like the diffusivity). A caller
-    that already holds grad_s u (from a batched product, or by linearity)
-    passes it as grad. u.values must not change while the state is in use.
-    A failed evaluation (EnergyOverflowError) is not kept: asking again
-    raises again. energy, energy_gradient and quasilinear_part below are
-    thin wrappers over a fresh state; hs_norm shares the norm's formula,
-    path_energies the energy's.
+    slopes it needs are kept like the diffusivity). A caller that already
+    holds grad_s u (by linearity, say) passes it as grad. u.values must not
+    change while the state is in use. A failed evaluation
+    (EnergyOverflowError) is not kept: asking again raises again. energy,
+    energy_gradient and quasilinear_part below are thin wrappers over a
+    fresh state; hs_norm shares the norm's formula, path_energies the
+    energy's.
     """
 
     def __init__(self, model: EnergyModel, u: Field, grad: VectorField | None = None):
@@ -252,9 +249,10 @@ def energy(model: EnergyModel, u: Field) -> float:
 def path_energies(model: EnergyModel, values: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Energies of the points values[p] (stack (P, N)) in one vectorized pass.
 
-    grads holds their fractional gradients, shape (P, N, d): from one
-    fracops.apply_gradient_batch product, or by linearity. The checks are
-    those of a single point: one non-finite row raises EnergyOverflowError.
+    grads holds their fractional gradients, shape (P, N, d), which the
+    solvers get by linearity from one apply (the points of a ray). The
+    checks are those of a single point: one non-finite row raises
+    EnergyOverflowError.
     """
     with np.errstate(over="ignore"):
         q = np.sum(grads**2, axis=-1)

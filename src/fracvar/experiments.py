@@ -248,8 +248,7 @@ def _solve_once(prep: PreparedProblem, reaction: ReactionModel, h: Field) -> Sol
     model = EnergyModel(grad_op=prep.grad_op, coeff=prep.coefficient,
                         reaction=reaction, forcing=h)
     u0 = default_initial_guess(prep, h)
-    return minimize_cone(model, prep.config.solver, u0,
-                         precond_op=prep.grad_op, lambda1=prep.lambda1)
+    return minimize_cone(model, prep.config.solver, u0, lambda1=prep.lambda1)
 
 
 def run_sublinear_regime(config: RegimeConfig,
@@ -347,8 +346,7 @@ def run_linear_regime(config: RegimeConfig,
                             reaction=base, forcing=h)
         with timed(timings, "minimize_seconds"):
             u0 = default_initial_guess(prep, h)
-            rep1 = minimize_cone(model, config.solver, u0,
-                                 precond_op=prep.grad_op, lambda1=prep.lambda1)
+            rep1 = minimize_cone(model, config.solver, u0, lambda1=prep.lambda1)
         margin = abs(rep1.energy) * (1.0 + 1e-3) + 1e-12
         with timed(timings, "ray_seconds"):
             ray = ray_search(model, prep.eigenpair.function, t_max=1e3, margin=margin)
@@ -360,8 +358,7 @@ def run_linear_regime(config: RegimeConfig,
         u_far = Field(prep.grid, ray.t_star * prep.eigenpair.function.values)
         low = rep1.solution if rep1.l2_norm > TRIVIAL_L2 else Field(prep.grid, np.zeros(prep.grid.n_nodes))
         with timed(timings, "mountain_pass_seconds"):
-            rep2 = mountain_pass(model, low, u_far, config.solver,
-                                 precond_op=prep.grad_op, seed=config.seed)
+            rep2 = mountain_pass(model, low, u_far, config.solver)
         dist = hs_norm(prep.grad_op, Field(prep.grid,
                                            rep1.solution.values - rep2.solution.values))
         distinct = dist >= 0.1 * max(rep1.hs_norm, rep2.hs_norm, 0.1)

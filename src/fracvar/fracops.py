@@ -78,7 +78,6 @@ __all__ = [
     "assemble_gradient",
     "assemble_laplacian",
     "apply_gradient",
-    "apply_gradient_batch",
     "apply_divergence",
     "apply_laplacian",
     "composition_matrix",
@@ -596,18 +595,6 @@ def apply_gradient(op: NonlocalOperator, u: Field) -> VectorField:
         return VectorField(grid=u.grid, values=op._fft_forward(u.values[None])[0])
     comps = [op.table[c] @ u.values for c in range(op.grid.dimension)]
     return VectorField(grid=u.grid, values=np.stack(comps, axis=-1))
-
-
-def apply_gradient_batch(op: NonlocalOperator, values: np.ndarray) -> np.ndarray:
-    """grad_s of each row of a stack of nodal values (P, N), shape (P, N, d):
-    one product of the table with the stacked rows, or one batched FFT."""
-    if op.kind != "gradient":
-        raise ValueError(f"operator kind {op.kind!r} does not match required 'gradient'")
-    if values.ndim != 2 or values.shape[1] != op.n_nodes:
-        raise ValueError(f"expected a stack of shape (P, {op.n_nodes}), got {values.shape}")
-    if op.matrix_free:
-        return op._fft_forward(values)
-    return np.stack([values @ op.table[c].T for c in range(op.grid.dimension)], axis=-1)
 
 
 def apply_divergence(op: NonlocalOperator, phi: VectorField) -> Field:

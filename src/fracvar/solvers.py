@@ -27,12 +27,13 @@ modes cover the two existence mechanisms:
   the closed-form first and second derivatives pins it. ray_search samples
   E(t d) the same way, from grad_s(t d) = t grad_s(d).
 
-Both solvers precondition by the same (C + I)^{-1}: the cached dense
-factor up to the operator crossover, the symbol solve above it. Both carry
-each iterate as an energy.PointState, which evaluates
-grad_s u, the energy, the derivative representer and the H^s norm once per
-point: an accepted line-search trial brings its gradient to the next
-iteration's derivative, KKT residual and norm trace. Factors are checked for
+Both solvers precondition by the same (C + I)^{-1} of the model's own
+gradient operator: the cached dense factor up to the operator crossover,
+the symbol solve above it. Both carry each iterate as an
+energy.PointState, which evaluates grad_s u, the energy, the derivative
+representer and the H^s norm once per point: an accepted line-search
+trial brings its gradient to the next iteration's derivative, KKT residual
+and norm trace. Factors are checked for
 finite values once, when they are made; each solve then checks only its
 right-hand side.
 
@@ -44,14 +45,14 @@ nodal representer of the energy derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .coeffs import check_ball_condition
-from .energy import EnergyModel, EnergyOverflowError, PointState, energy, path_energies
-from .fracops import (NonlocalOperator, apply_gradient, apply_gradient_batch, composition_matrix,
-                      symbol_solve)
+from .energy import EnergyModel, EnergyOverflowError, PointState, path_energies
+from .fracops import NonlocalOperator, apply_gradient, composition_matrix, symbol_solve
 from .grid import Field, VectorField
 
 __all__ = [
@@ -74,11 +75,17 @@ TRIVIAL_L2 = 1e-8
 _ACTIVE_SCALE = 1e-4
 _CG_MAX = 50
 _ROUNDOFF = 1e-12
+# Armijo rule: the backtracking factor and the sufficient-decrease slope;
+# nodes at or below _TOL_ACTIVE count as active in the KKT residual and
+# floor the active-set width
+_ARMIJO_FACTOR = 0.5
+_ARMIJO_SLOPE = 1e-4
+_TOL_ACTIVE = 1e-10
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration budget, tolerances and step rule.
+    """Iteration budget, first-order tolerance and ball radius.
 
     ball_radius None means unconstrained (a coercivity-based default is
     derived per run and reported).
@@ -86,23 +93,16 @@ class SolverOptions:
 
     max_iter: int = 5000
     tol_g: float = 1e-6
-    armijo_factor: float = 0.5
-    armijo_slope: float = 1e-4
     ball_radius: float | None = None
-    tol_active: float = 1e-10
 
     def __post_init__(self):
         # messages start with the field name, which config errors report
-        for name in ("tol_g", "tol_active", "ball_radius"):
+        for name in ("tol_g", "ball_radius"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
-        if not 0.0 < self.armijo_factor < 1.0:
-            raise ValueError(f"armijo_factor must lie in (0, 1), got {self.armijo_factor}")
-        if not 0.0 < self.armijo_slope < 0.5:
-            raise ValueError(f"armijo_slope must lie in (0, 0.5), got {self.armijo_slope}")
 
 
 @dataclass
@@ -164,15 +164,14 @@ def project_cone(u: Field) -> Field:
     return Field(u.grid, np.maximum(u.values, 0.0))
 
 
-def kkt_residual(model: EnergyModel, u: Field,
-                 tol_active: float = SolverOptions.tol_active) -> float:
+def kkt_residual(model: EnergyModel, u: Field) -> float:
     """First-order residual of minimization over the cone at u >= 0."""
-    return _kkt(PointState(model, u), tol_active)
+    return _kkt(PointState(model, u))
 
 
-def _kkt(point: PointState, tol_active: float) -> float:
+def _kkt(point: PointState) -> float:
     g = point.representer.values
-    active = point.u.values > tol_active
+    active = point.u.values > _TOL_ACTIVE
     parts = []
     if np.any(active):
         parts.append(np.max(np.abs(g[active])))
@@ -230,31 +229,19 @@ def _solve(factor, rhs: np.ndarray) -> np.ndarray:
     return cho_solve(factor, _check_finite(rhs), check_finite=False)
 
 
-class _Preconditioner:
-    """Apply (C + I)^{-1} of a gradient operator.
+def _preconditioner(op: NonlocalOperator):
+    """The solve vec -> (C + I)^{-1} vec of a gradient operator.
 
-    Its composition matrix -div_s grad_s is the Laplacian the energy
+    Its composition matrix C = -div_s grad_s is the Laplacian the energy
     actually induces, which makes the preconditioned Hessian close to the
     identity in the semilinear regime. The inverse is the operator's cached
     dense Cholesky factor while the operator holds its table, and the DST-I
     symbol solve once it applies by FFT, so no N x N matrix is made there.
-    None degrades to the identity.
     """
-
-    def __init__(self, op: NonlocalOperator | None):
-        self._factor = self._op = None
-        if op is not None and op.matrix_free:
-            self._op = op
-        elif op is not None:
-            self._factor = op.cached("preconditioner", lambda: cho_factor(
-                shifted_system(op, 1.0), overwrite_a=True))
-
-    def __call__(self, vec: np.ndarray) -> np.ndarray:
-        if self._op is not None:
-            return symbol_solve(self._op, _check_finite(vec), 1.0)
-        if self._factor is None:
-            return vec
-        return _solve(self._factor, vec)
+    if op.matrix_free:
+        return lambda vec: symbol_solve(op, _check_finite(vec), 1.0)
+    return partial(_solve, op.cached("preconditioner", lambda: cho_factor(
+        shifted_system(op, 1.0), overwrite_a=True)))
 
 
 def _ball_rescale(point: PointState, radius: float | None, boundary: dict) -> PointState:
@@ -276,9 +263,9 @@ def _ball_rescale(point: PointState, radius: float | None, boundary: dict) -> Po
     return scaled
 
 
-def _armijo_step(opts, point, trial_at, counts, residual):
+def _armijo_step(point, trial_at, counts, residual):
     """Backtracking search from point (a PointState) over the trial states
-    trial_at(step), step = 1, armijo_factor, armijo_factor^2, ...; returns
+    trial_at(step), step = 1, _ARMIJO_FACTOR, _ARMIJO_FACTOR^2, ...; returns
     (trial, step) or None. A trial is accepted on sufficient decrease of the
     energy along its move; when its energy change is roundoff, it is accepted
     if residual (a first-order measure, zero at KKT points) is smaller there
@@ -301,7 +288,7 @@ def _armijo_step(opts, point, trial_at, counts, residual):
                 f_trial = trial.energy
             except EnergyOverflowError:
                 f_trial = np.inf
-            if f_trial <= f_u + opts.armijo_slope * min(slope, 0.0):
+            if f_trial <= f_u + _ARMIJO_SLOPE * min(slope, 0.0):
                 return trial, step
             if abs(f_trial - f_u) <= _ROUNDOFF * max(1.0, abs(f_u)):
                 if r_point is None:
@@ -309,7 +296,7 @@ def _armijo_step(opts, point, trial_at, counts, residual):
                 if residual(trial) < r_point:
                     return trial, step
         counts["backtracks"] += 1
-        step *= opts.armijo_factor
+        step *= _ARMIJO_FACTOR
     return None
 
 
@@ -358,7 +345,7 @@ def _newton_direction(point: PointState, free: np.ndarray, precond, counts) -> n
 
 def _hs_length(model: EnergyModel, dgrad: np.ndarray):
     """H^s norm of a difference of points from the difference of their
-    gradients dgrad (N, d), or per row of a stack (P, N, d)."""
+    gradients dgrad (N, d)."""
     return np.sqrt(model.grid.weight * np.sum(dgrad**2, axis=(-2, -1)))
 
 
@@ -392,20 +379,20 @@ def _first_order_done(kkt: float, u: Field, tol_g: float) -> bool:
 
 
 def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field,
-                  precond_op: NonlocalOperator | None = None,
                   lambda1: float | None = None) -> SolveReport:
     """Projected Newton-CG over the cone (Bertsekas 1982, Steihaug 1983).
 
     Nodes in the epsilon-active set {u_i <= eps, g_i > 0}, eps = min(c max u,
-    |u - P(u - g)|) floored at opts.tol_active, move by -g; the others by
-    the truncated Newton step (_newton_direction). A projected Armijo search
-    along P(u + alpha d), with the ball rescale, accepts the step.
+    |u - P(u - g)|) floored at _TOL_ACTIVE, move by -g; the others by the
+    truncated Newton step (_newton_direction), preconditioned by (C + I)^{-1}
+    of model.grad_op. A projected Armijo search along P(u + alpha d), with
+    the ball rescale, accepts the step.
     Terminates when the KKT residual reaches opts.tol_g; non-convergence is
     reported (classification "failed"), not raised. Without a ball radius,
     10x the coercivity-ball estimate is used (and reported) if the model is
     coercive. diagnostics["counts"] tallies the search and CG work.
     """
-    precond = _Preconditioner(precond_op)
+    precond = _preconditioner(model.grad_op)
     point = PointState(model, project_cone(u0))
 
     radius = opts.ball_radius
@@ -417,7 +404,7 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field,
     boundary: dict = {"hits": 0, "condition": None, "last_inner_product": None}
     counts = dict.fromkeys(("trials", "backtracks", "cg_iterations", "hessian_products",
                             "negative_curvature_exits"), 0)
-    kkt = _kkt(point, opts.tol_active)
+    kkt = _kkt(point)
     converged = _first_order_done(kkt, point.u, opts.tol_g)
     it = 0
     energy_trace = [point.energy]
@@ -427,7 +414,7 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field,
         it += 1
         u, g = point.u.values, point.representer.values
         pg_norm = _pg_norm(point)
-        eps = max(min(_ACTIVE_SCALE * np.max(u), pg_norm), opts.tol_active)
+        eps = max(min(_ACTIVE_SCALE * np.max(u), pg_norm), _TOL_ACTIVE)
         free = (u > eps) | (g <= 0.0)
         direction = np.where(free, _newton_direction(point, free, precond, counts), -g)
 
@@ -435,13 +422,13 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field,
             moved = project_cone(Field(point.u.grid, u + step * direction))
             return _ball_rescale(PointState(model, moved), radius, boundary)
 
-        res = _armijo_step(opts, point, trial_at, counts, _pg_norm)
+        res = _armijo_step(point, trial_at, counts, _pg_norm)
         if res is None:
             break
         point = res[0]
         energy_trace.append(point.energy)
         hs_trace_max = max(hs_trace_max, point.hs_norm)
-        kkt = _kkt(point, opts.tol_active)
+        kkt = _kkt(point)
         converged = _first_order_done(kkt, point.u, opts.tol_g)
 
     u = point.u
@@ -550,26 +537,23 @@ def _ray_peak(model: EnergyModel, low: np.ndarray, grad_low: np.ndarray,
 
 
 def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
-                  opts: SolverOptions,
-                  precond_op: NonlocalOperator | None = None,
-                  r_h: float | None = None,
-                  sphere_samples: int = 32, seed: int = 0) -> SolveReport:
+                  opts: SolverOptions) -> SolveReport:
     """Local minimax toward the barrier critical point (Li & Zhou 2001).
 
     Preconditions: E(u_far) < E(u_low) and both endpoints nonnegative
     (typically u_low is a minimizer or zero, u_far a point found by
     ray_search beyond the barrier). The direction v starts along u_far -
-    u_low; a step tries v' = P(t* v - alpha M E'(p(v))), renormalized, and
-    accepts it by the Armijo rule on the peak energy E(p(v')); alpha
-    doubles after each accepted step, up to 1. The run stops when the
-    peak's KKT residual reaches opts.tol_g, and fails when the direction
-    toward u_far has no peak above E(u_low). Returns the peak with its
-    min-max level c; if r_h is supplied the report also records a sampled
-    sphere infimum at radius r_h for the barrier inequality c >= alpha(r_h)
-    > 0. diagnostics["counts"] tallies line-search trials and backtracks.
+    u_low; a step tries v' = P(t* v - alpha M E'(p(v))), M the (C + I)^{-1}
+    of model.grad_op, renormalized, and accepts it by the Armijo rule on the
+    peak energy E(p(v')); alpha doubles after each accepted step, up to 1.
+    The run stops when the peak's KKT residual reaches opts.tol_g, and
+    fails when the direction toward u_far has no peak above E(u_low).
+    Returns the peak with its min-max level c. u_low is evaluated once:
+    its energy and gradient serve every ray. diagnostics["counts"] tallies
+    line-search trials and backtracks.
     """
-    f_low = energy(model, u_low)
-    f_far = energy(model, u_far)
+    low_state, far_state = PointState(model, u_low), PointState(model, u_far)
+    f_low, f_far = low_state.energy, far_state.energy
     if not f_far < f_low:
         raise ValueError(
             f"mountain-pass geometry violated: E(u_far)={f_far:.6g} is not "
@@ -578,11 +562,11 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
     if np.any(u_low.values < 0) or np.any(u_far.values < 0):
         raise ValueError("mountain-pass endpoints must be nonnegative")
 
-    precond = _Preconditioner(precond_op)
+    precond = _preconditioner(model.grad_op)
     grid = model.grid
     w = grid.weight
     low = u_low.values
-    grad_low = apply_gradient(model.grad_op, u_low).values
+    grad_low = low_state.grad.values
 
     def peak_on(ray: np.ndarray) -> PointState | None:
         """The peak on the ray u_low + t ray/|ray|, searched around t = |ray|."""
@@ -597,9 +581,6 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
         return PointState(model, Field(grid, low + t * v),
                           VectorField(grid, grad_low + t * grad_v))
 
-    def kkt_of(at: PointState) -> float:
-        return _kkt(at, opts.tol_active)
-
     endpoint_level = max(f_low, f_far)
     counts = dict.fromkeys(("trials", "backtracks"), 0)
     point = peak_on(np.maximum(u_far.values - low, 0.0))
@@ -607,24 +588,23 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
     if point is None:
         # no peak above E(u_low) toward u_far: the geometry degenerated, and
         # the run fails at u_far, below the endpoint level
-        point, budget = PointState(model, u_far), 0
+        point, budget = far_state, 0
     levels = [point.energy]
-    kkt = kkt_of(point)
+    kkt = _kkt(point)
     it = 0
     alpha = 1.0
     while kkt > opts.tol_g and it < budget:
         it += 1
         # t* v - alpha M g: the current ray, moved against the gradient
         ray, move = point.u.values - low, -alpha * precond(point.representer.values)
-        res = _armijo_step(opts, point,
-                           lambda step: peak_on(np.maximum(ray + step * move, 0.0)),
-                           counts, kkt_of)
+        res = _armijo_step(point, lambda step: peak_on(np.maximum(ray + step * move, 0.0)),
+                           counts, _kkt)
         if res is None:
             break
         point, step = res
         alpha = min(2.0 * alpha * step, 1.0)
         levels.append(point.energy)
-        kkt = kkt_of(point)
+        kkt = _kkt(point)
 
     final = point.u
     f_final = point.energy
@@ -635,29 +615,15 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
     converged = (kkt <= opts.tol_g and l2_final > TRIVIAL_L2
                  and f_final > endpoint_level)
 
-    diagnostics: dict = {
-        "levels_head": [float(v) for v in levels[:5]],
-        "level_final": f_final,
-        "barrier_min_gap": float(min(levels) - endpoint_level),
-        "endpoint_level": float(endpoint_level),
-        "counts": counts,
-    }
-    if r_h is not None:
-        rng = np.random.default_rng(seed)
-        samples = np.maximum(rng.standard_normal((sphere_samples, grid.n_nodes)), 0.0)
-        sample_grads = apply_gradient_batch(model.grad_op, samples)
-        norms = _hs_length(model, sample_grads)
-        keep = norms != 0.0
-        scale = r_h / norms[keep]
-        sphere_vals = path_energies(model, scale[:, None] * samples[keep],
-                                    scale[:, None, None] * sample_grads[keep])
-        diagnostics["sphere_radius"] = r_h
-        diagnostics["sphere_inf_sampled"] = float(np.min(sphere_vals))
-        diagnostics["level_above_sphere_inf"] = bool(f_final >= np.min(sphere_vals))
-
     return SolveReport(
         solution=final, energy=f_final, kkt_residual=kkt, iterations=it,
         classification="mountain-pass" if converged else "failed",
-        hs_norm=point.hs_norm, l2_norm=l2_final,
-        level=f_final, diagnostics=diagnostics,
+        hs_norm=point.hs_norm, l2_norm=l2_final, level=f_final,
+        diagnostics={
+            "levels_head": [float(v) for v in levels[:5]],
+            "level_final": f_final,
+            "barrier_min_gap": float(min(levels) - endpoint_level),
+            "endpoint_level": float(endpoint_level),
+            "counts": counts,
+        },
     )

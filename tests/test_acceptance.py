@@ -134,7 +134,7 @@ def test_criterion_05_linear_solve_oracle(prep_128):
     h = prep_128.eigenpair.function
     model = EnergyModel(grad_op=grad_op, coeff=coeff, reaction=None, forcing=h)
     rep = minimize_cone(model, SolverOptions(max_iter=5000, tol_g=1e-8),
-                        Field(grid, np.zeros(grid.n_nodes)), precond_op=grad_op)
+                        Field(grid, np.zeros(grid.n_nodes)))
     dense = np.linalg.solve(composition_matrix(grad_op), h.values)
     rel = np.linalg.norm(rep.solution.values - dense) / np.linalg.norm(dense)
     ok = rel <= 1e-4 and np.min(rep.solution.values) >= 0.0
@@ -277,8 +277,7 @@ def test_criterion_10_2d_smoke(rng):
                         reaction=reaction,
                         forcing=Field(prep.grid, np.zeros(n)))
     u0 = Field(prep.grid, 0.1 * prep.eigenpair.function.values)
-    rep = minimize_cone(model, cfg.solver, u0, precond_op=prep.grad_op,
-                        lambda1=prep.lambda1)
+    rep = minimize_cone(model, cfg.solver, u0, lambda1=prep.lambda1)
     ok &= rep.l2_norm > 1e-8 and np.min(rep.solution.values) >= 0.0
     ok &= rep.classification == "local-min"
     _report(10, ok, t0, f"duality {worst:.1e} <= 1e-12, composition {comp:.3f} <= 10%, "

@@ -374,9 +374,11 @@ INVALID_INPUTS = [
     ("negative-max_iter", _set("solver", "max_iter", -1), [], {}, "solver.max_iter"),
     ("zero-ball_radius", _set("solver", "ball_radius", 0.0), [], {}, "solver.ball_radius"),
     ("negative-ball_radius", _set("solver", "ball_radius", -1.0), [], {}, "solver.ball_radius"),
-    # an option the solvers no longer have
+    # options the solvers no longer have
     ("stale-path_points", _set("solver", "path_points", 41), [], {},
      'unknown key "path_points" in section "solver"'),
+    ("stale-armijo_factor", _set("solver", "armijo_factor", 0.5), [], {},
+     'unknown key "armijo_factor" in section "solver"'),
     # wrong types and names
     ("string-bool", _set("operator", "tail_correction", "false"), [], {},
      "operator.tail_correction"),

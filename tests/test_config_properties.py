@@ -2,8 +2,9 @@
 
 The snapshot that parse_config returns is itself a valid configuration that
 parses back to the same snapshot, a non-finite value at any numeric key is
-a ConfigError that names the key, and a field written in the FVFD format
-reads back bit for bit.
+a ConfigError that names the key, the README's config table lists the keys
+and defaults the parser materializes, and a field written in the FVFD
+format reads back bit for bit.
 """
 
 import dataclasses
@@ -51,10 +52,7 @@ OPERATOR = {
 SOLVER = {
     "max_iter": st.integers(0, 10**6),
     "tol_g": _positive(1.0),
-    "armijo_factor": st.floats(min_value=1e-6, max_value=0.999),
-    "armijo_slope": st.floats(min_value=1e-6, max_value=0.499),
     "ball_radius": _optional(_positive()),
-    "tol_active": _positive(1.0),
 }
 COEFFICIENTS = st.one_of(
     st.fixed_dictionaries({"A": _positive(), "B": _positive(),
@@ -112,6 +110,45 @@ def test_snapshot_is_a_fixed_point(operator, solver, coefficient, reaction, forc
         assert snapshot["operator"][key] == value
     for key, value in solver.items():
         assert snapshot["solver"][key] == value
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# a backticked key and its parenthesized default, which may hold one level
+# of parentheses itself ("(required, in (0, 1))")
+_README_KEY = re.compile(r"`(\w+)`(?:\s*\(((?:[^()]|\([^()]*\))*)\))?")
+
+
+def _readme_row(label: str):
+    """The keys of one row of the README config table, and the default of
+    each key whose default is a plain literal (a number, true, false or
+    null before any colon)."""
+    for line in README.read_text().splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if len(cells) > 3 and cells[1] == label:
+            keys, defaults = set(), {}
+            for key, default in _README_KEY.findall(cells[2]):
+                keys.add(key)
+                try:
+                    value = json.loads(default.split(":")[0])
+                except ValueError:
+                    continue
+                if not isinstance(value, (str, list, dict)):
+                    defaults[key] = value
+            return keys, defaults
+    raise AssertionError(f"README has no config table row {label!r}")
+
+
+def test_readme_config_table_matches_the_parser():
+    snapshot = _parse({"domain": {"bounds": [[0.0, 1.0]], "nodes": [16]},
+                       "operator": {"s": 0.5}})
+    sections = {"`operator`": snapshot["operator"], "`solver`": snapshot["solver"],
+                "root": {k: v for k, v in snapshot.items() if not isinstance(v, dict)}}
+    for label, section in sections.items():
+        keys, defaults = _readme_row(label)
+        assert keys == set(section), label
+        assert defaults, label
+        for key, value in defaults.items():
+            assert section[key] == value, (label, key)
 
 
 BASE = {

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from fracvar import (DomainSpec, EnergyModel, Field, apply_gradient_batch,
-                     assemble_gradient, build_grid, composition_residual,
-                     convexity_gap, energy, energy_gradient, field_from_function,
-                     hs_norm, make_coefficient, make_reaction, monotonicity_pairing,
-                     path_energies, quasilinear_part, weighted_form)
+from fracvar import (DomainSpec, EnergyModel, Field, apply_gradient, assemble_gradient,
+                     build_grid, composition_residual, convexity_gap, energy,
+                     energy_gradient, field_from_function, hs_norm, make_coefficient,
+                     make_reaction, monotonicity_pairing, path_energies, quasilinear_part,
+                     weighted_form)
 from fracvar.coeffs import COEFFICIENT_FAMILIES, REACTION_FAMILIES
 from fracvar.energy import EnergyOverflowError, PointState
 
@@ -205,16 +205,18 @@ def test_nonneg_forcing_enforced(grad_128, power_coeff, grid_1d_128):
     h = Field(grid_1d_128, -np.ones(128))
     with pytest.raises(ValueError, match="nonneg"):
         EnergyModel(grad_op=grad_128, coeff=power_coeff, reaction=None, forcing=h)
-    model = EnergyModel(grad_op=grad_128, coeff=power_coeff, reaction=None,
-                        forcing=h, require_nonneg_forcing=False)
-    assert model.forcing is h
+
+
+def gradients(grad_op, vals):
+    """The fractional gradients of the rows of vals, stacked (P, N, d)."""
+    return np.stack([apply_gradient(grad_op, Field(grad_op.grid, v)).values for v in vals])
 
 
 class TestPathEnergies:
     def test_matches_per_point_energy(self, quasilinear_model, grid_1d_128, grad_128, rng):
         vals = np.abs(rng.standard_normal((9, 128))) * np.logspace(-3, 2, 9)[:, None]
         vals[0] = 0.0
-        batched = path_energies(quasilinear_model, vals, apply_gradient_batch(grad_128, vals))
+        batched = path_energies(quasilinear_model, vals, gradients(grad_128, vals))
         single = np.array([energy(quasilinear_model, Field(grid_1d_128, v)) for v in vals])
         assert np.allclose(batched, single, rtol=1e-13, atol=0.0)
 
@@ -223,7 +225,7 @@ class TestPathEnergies:
                                       scale, overflows):
         row = np.full(128, scale)
         vals = np.stack([np.zeros(128), row])
-        grads = apply_gradient_batch(grad_128, vals)
+        grads = gradients(grad_128, vals)
         if overflows:
             with pytest.raises(EnergyOverflowError):
                 energy(quasilinear_model, Field(grid_1d_128, row))

@@ -5,11 +5,10 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 from fracvar import (DomainSpec, Field, QuadratureParams, RegimeConfig, SolverOptions,
-                     VectorField, apply_divergence, apply_gradient, apply_gradient_batch,
-                     apply_laplacian, assemble_gradient, assemble_laplacian,
+                     VectorField, apply_divergence, apply_gradient, apply_laplacian, assemble_gradient, assemble_laplacian,
                      build_grid, composition_residual, field_from_function,
                      first_eigenpair, l2_inner, normalizing_constants, prepare)
-from fracvar import EnergyModel, experiments, fracops, minimize_cone
+from fracvar import EnergyModel, experiments, fracops, minimize_cone, solvers
 from fracvar.fracops import (_directions, _exterior, _ray_exit_distance, composition_matrix,
                              symbol_solve)
 
@@ -114,25 +113,6 @@ class TestGradient:
         other = build_grid(DomainSpec(bounds=((0.0, 2.0),), nodes=(128,)))
         with pytest.raises(ValueError, match="grid"):
             apply_gradient(grad_128, Field(other, np.ones(128)))
-
-
-    @pytest.mark.parametrize("case", ["1d", "2d"])
-    def test_batch_matches_single_applies(self, case, grad_128, grad_2d_16, rng):
-        op = {"1d": grad_128, "2d": grad_2d_16}[case]
-        rows = rng.standard_normal((5, op.n_nodes))
-        batched = apply_gradient_batch(op, rows)
-        assert batched.shape == (5, op.n_nodes, op.grid.dimension)
-        for row, got in zip(rows, batched):
-            want = apply_gradient(op, Field(op.grid, row)).values
-            assert np.allclose(got, want, rtol=0.0, atol=1e-13 * np.max(np.abs(want)))
-
-    def test_batch_rejects_bad_input(self, grad_128, lap_128):
-        with pytest.raises(ValueError):
-            apply_gradient_batch(grad_128, np.zeros(128))
-        with pytest.raises(ValueError):
-            apply_gradient_batch(grad_128, np.zeros((3, 127)))
-        with pytest.raises(ValueError):
-            apply_gradient_batch(lap_128, np.zeros((3, 128)))
 
 
 def _exit_distance_reference(nodes, bounds, dirs):
@@ -296,7 +276,6 @@ class TestMatrixFree:
         grad, lap = assemble_gradient(grid, 0.5), assemble_laplacian(grid, 0.5)
         u = Field(grid, rng.standard_normal(n))
         apply_gradient(grad, u)
-        apply_gradient_batch(grad, rng.standard_normal((3, n)))
         apply_divergence(grad, VectorField(grid, rng.standard_normal((n, d))))
         apply_laplacian(lap, u)
         first_eigenpair(lap)
@@ -368,8 +347,11 @@ class TestMatrixFree:
         model = EnergyModel(grad_op=fft_prep.grad_op, coeff=fft_prep.coefficient,
                             reaction=reaction, forcing=experiments.build_forcing(fft_prep))
         u0 = experiments.default_initial_guess(dense_prep, experiments.build_forcing(dense_prep))
-        fft = minimize_cone(model, cfg.solver, Field(fft_prep.grid, u0.values),
-                            precond_op=dense_prep.grad_op, lambda1=fft_prep.lambda1)
+        held = solvers._preconditioner(dense_prep.grad_op)
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "_preconditioner", lambda op: held)
+            fft = minimize_cone(model, cfg.solver, Field(fft_prep.grid, u0.values),
+                                lambda1=fft_prep.lambda1)
         # the matrix-free solve: LOBPCG eigenpair, symbol-preconditioned CG
         symbol = experiments._solve_once(fft_prep, reaction, experiments.build_forcing(fft_prep))
         assert fft_prep.lambda1 == pytest.approx(dense_prep.lambda1, rel=1e-12)

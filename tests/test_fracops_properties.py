@@ -15,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracvar import (DomainSpec, Field, QuadratureParams, VectorField,
-                     apply_divergence, apply_gradient, apply_gradient_batch,
-                     apply_laplacian, assemble_gradient, assemble_laplacian,
+                     apply_divergence, apply_gradient, apply_laplacian, assemble_gradient, assemble_laplacian,
                      build_grid, l2_inner, normalizing_constants)
 from fracvar import fracops
 from fracvar.fracops import _axis_stencils, _exterior, _kernel_by_offset, _self_cell_moments
@@ -157,13 +156,10 @@ def test_fft_applies_match_the_gathered_table(problem, seed):
     grad, lap = _operators(grid, s, params, matrix_free=True)
     w, a = grad.to_dense(), lap.to_dense()
     u = Field(grid, rng.standard_normal(n))
-    rows = rng.standard_normal((3, n))
     phi = VectorField(grid, rng.standard_normal((n, d)))
 
     want = np.stack([w[c] @ u.values for c in range(d)], axis=-1)
     assert _rel(apply_gradient(grad, u).values, want) <= 1e-12
-    want = np.stack([rows @ w[c].T for c in range(d)], axis=-1)
-    assert _rel(apply_gradient_batch(grad, rows), want) <= 1e-12
     want = -sum(w[c].T @ phi.values[:, c] for c in range(d))
     assert _rel(apply_divergence(grad, phi).values, want) <= 1e-12
     assert _rel(apply_laplacian(lap, u).values, a @ u.values) <= 1e-12

@@ -13,7 +13,7 @@ from fracvar import (DomainSpec, EnergyModel, Field, SolverOptions, assemble_gra
                      minimize_cone, mountain_pass, project_cone, ray_search)
 from fracvar import fracops
 from fracvar.fracops import composition_matrix
-from fracvar.solvers import _Preconditioner
+from fracvar.solvers import _preconditioner
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ class TestMinimizeCone:
         coeff = make_coefficient("constant", {"c": 1.0})
         model = model_with(grad_128, coeff, None, eig_128.function)
         rep = minimize_cone(model, SolverOptions(max_iter=5000, tol_g=1e-8),
-                            Field(grid_1d_128, np.zeros(128)), precond_op=grad_128)
+                            Field(grid_1d_128, np.zeros(128)))
         dense = np.linalg.solve(comp_matrix_128, eig_128.function.values)
         rel = np.linalg.norm(rep.solution.values - dense) / np.linalg.norm(dense)
         assert rel <= 1e-4
@@ -82,7 +82,7 @@ class TestMinimizeCone:
         reaction = make_reaction("saturating", {"nu": nu})
         model = model_with(grad_128, power_coeff, reaction, zero_h)
         u0 = Field(grid_1d_128, 1e-3 * eig_128.function.values)
-        rep = minimize_cone(model, opts, u0, precond_op=grad_128, lambda1=eig_128.value)
+        rep = minimize_cone(model, opts, u0, lambda1=eig_128.value)
         assert rep.classification == "trivial"
         assert rep.l2_norm <= 1e-8
 
@@ -92,7 +92,7 @@ class TestMinimizeCone:
         reaction = make_reaction("saturating", {"nu": nu})
         model = model_with(grad_128, power_coeff, reaction, zero_h)
         u0 = Field(grid_1d_128, 0.1 * eig_128.function.values)
-        rep = minimize_cone(model, opts, u0, precond_op=grad_128, lambda1=eig_128.value)
+        rep = minimize_cone(model, opts, u0, lambda1=eig_128.value)
         assert rep.classification == "local-min"
         assert rep.energy < 0.0
         assert np.min(rep.solution.values) >= 0.0
@@ -103,7 +103,7 @@ class TestMinimizeCone:
         reaction = make_reaction("saturating", {"nu": nu})
         model = model_with(grad_128, power_coeff, reaction, zero_h)
         u0 = Field(grid_1d_128, 0.1 * eig_128.function.values)
-        rep = minimize_cone(model, opts, u0, precond_op=grad_128, lambda1=eig_128.value)
+        rep = minimize_cone(model, opts, u0, lambda1=eig_128.value)
         trace = np.array(rep.diagnostics["energy_trace"])
         scale = np.max(np.abs(trace))
         assert np.all(np.diff(trace) <= 1e-10 * scale)
@@ -117,7 +117,7 @@ class TestMinimizeCone:
         reaction = make_reaction("saturating", {"nu": 1.0})
         model = model_with(grad_128, power_coeff, reaction, h)
         rep = minimize_cone(model, opts, Field(grid_1d_128, np.zeros(128)),
-                            precond_op=grad_128, lambda1=eig_128.value)
+                            lambda1=eig_128.value)
         assert rep.classification == "local-min"
         assert rep.kkt_residual <= opts.tol_g
         assert kkt_residual(model, rep.solution) <= opts.tol_g
@@ -175,7 +175,7 @@ def two_solution_setup(grid_1d_128, grad_128, power_coeff, eig_128):
     opts = SolverOptions(max_iter=8000, tol_g=1e-6)
     mat = composition_matrix(grad_128)
     u0 = project_cone(Field(grid_1d_128, np.linalg.solve(mat, h.values)))
-    rep1 = minimize_cone(model, opts, u0, precond_op=grad_128, lambda1=eig_128.value)
+    rep1 = minimize_cone(model, opts, u0, lambda1=eig_128.value)
     ray = ray_search(model, eig_128.function, t_max=1e3,
                      margin=abs(rep1.energy) * 1.001 + 1e-12)
     u_far = Field(grid_1d_128, ray.t_star * eig_128.function.values)
@@ -190,7 +190,7 @@ class TestMountainPass:
 
     def test_finds_second_solution(self, two_solution_setup, grad_128):
         model, opts, rep1, u_far = two_solution_setup
-        rep2 = mountain_pass(model, rep1.solution, u_far, opts, precond_op=grad_128)
+        rep2 = mountain_pass(model, rep1.solution, u_far, opts)
         assert rep2.classification == "mountain-pass"
         assert rep2.kkt_residual <= opts.tol_g
         assert rep2.energy > 0.0 >= rep1.energy
@@ -201,21 +201,13 @@ class TestMountainPass:
                                        rep1.solution.values - rep2.solution.values))
         assert dist >= 0.1 * max(rep1.hs_norm, rep2.hs_norm, 0.1)
 
-    def test_sphere_level_check(self, two_solution_setup, grad_128):
-        model, opts, rep1, u_far = two_solution_setup
-        rep2 = mountain_pass(model, rep1.solution, u_far, opts, precond_op=grad_128,
-                             r_h=0.5 * rep1.hs_norm + 0.05)
-        assert "sphere_inf_sampled" in rep2.diagnostics
-        assert rep2.diagnostics["level_above_sphere_inf"]
-
     def test_same_critical_point_for_every_budget(self, two_solution_setup, grad_128):
         # the iteration budget caps the run; it must not select the point
         model, opts, rep1, u_far = two_solution_setup
-        reference = mountain_pass(model, rep1.solution, u_far, opts, precond_op=grad_128)
+        reference = mountain_pass(model, rep1.solution, u_far, opts)
         for max_iter in (100, 200, 400):
             rep = mountain_pass(model, rep1.solution, u_far,
-                                dataclasses.replace(opts, max_iter=max_iter),
-                                precond_op=grad_128)
+                                dataclasses.replace(opts, max_iter=max_iter))
             assert rep.classification == "mountain-pass", max_iter
             dist = hs_norm(grad_128, Field(rep1.solution.grid,
                                            rep1.solution.values - rep.solution.values))
@@ -236,8 +228,7 @@ class TestMountainPass:
         u_far = Field(grid, ray.t_star * eig.function.values)
         tracemalloc.start()
         try:
-            rep = mountain_pass(model, Field(grid, np.zeros(2048)), u_far,
-                                SolverOptions(), precond_op=grad_op)
+            rep = mountain_pass(model, Field(grid, np.zeros(2048)), u_far, SolverOptions())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -246,17 +237,16 @@ class TestMountainPass:
         assert set(grad_op._derived) == {"fft", "symbol"}
 
     @pytest.mark.parametrize("max_iter", [0, 5])
-    def test_iterations_within_max_iter(self, two_solution_setup, grad_128, max_iter):
+    def test_iterations_within_max_iter(self, two_solution_setup, max_iter):
         model, _, rep1, u_far = two_solution_setup
-        rep = mountain_pass(model, rep1.solution, u_far, SolverOptions(max_iter=max_iter),
-                            precond_op=grad_128)
+        rep = mountain_pass(model, rep1.solution, u_far, SolverOptions(max_iter=max_iter))
         assert rep.iterations <= max_iter
 
     def test_resonant_degenerate_fails_within_cap(self, grid_1d_128, grad_128,
                                                   eig_128, zero_h):
         # gamma == 1 and linear reaction at the spectral eigenvalue: the
         # landscape has no barrier (descent directions from the origin), so
-        # the deformation must report failure instead of a fake solution
+        # the minimax must report failure instead of a fake solution
         coeff = make_coefficient("constant", {"c": 1.0})
         reaction = make_reaction("linear", {"kappa": eig_128.value})
         model = model_with(grad_128, coeff, reaction, zero_h)
@@ -264,16 +254,13 @@ class TestMountainPass:
         assert ray.found
         opts = SolverOptions(max_iter=300, tol_g=1e-6)
         u_far = Field(grid_1d_128, ray.t_star * eig_128.function.values)
-        rep = mountain_pass(model, Field(grid_1d_128, np.zeros(128)), u_far, opts,
-                            precond_op=grad_128)
+        rep = mountain_pass(model, Field(grid_1d_128, np.zeros(128)), u_far, opts)
         assert rep.classification == "failed"
 
 
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(tol_g=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(armijo_slope=0.9)
 
 
 def test_ball_constraint_binds_and_records_boundary(grid_1d_128, grad_128,
@@ -285,7 +272,7 @@ def test_ball_constraint_binds_and_records_boundary(grid_1d_128, grad_128,
     model = model_with(grad_128, power_coeff, reaction, zero_h)
     opts = SolverOptions(max_iter=300, ball_radius=0.5)
     u0 = Field(grid_1d_128, 0.1 * eig_128.function.values)
-    rep = minimize_cone(model, opts, u0, precond_op=grad_128, lambda1=eig_128.value)
+    rep = minimize_cone(model, opts, u0, lambda1=eig_128.value)
     assert rep.boundary["hits"] > 0
     assert rep.boundary["condition"] in ("b", "c")
     assert rep.hs_norm <= 0.5 * (1 + 1e-9)
@@ -307,7 +294,7 @@ def test_newton_iterations_flat_in_n(power_coeff, s):
         reaction = make_reaction("saturating", {"nu": 50.0 * power_coeff.gamma_max * eig.value})
         model = model_with(grad_op, power_coeff, reaction, Field(grid, np.zeros(n)))
         rep = minimize_cone(model, SolverOptions(), Field(grid, 0.1 * eig.function.values),
-                            precond_op=grad_op, lambda1=eig.value)
+                            lambda1=eig.value)
         assert rep.classification == "local-min"
         iterations.append(rep.iterations)
     assert max(iterations) <= 2 * min(iterations), iterations
@@ -350,8 +337,7 @@ class TestEvaluationBudget:
         model = model_with(grad_128, power_coeff, make_reaction("saturating", {"nu": nu}), h)
         forward = count_calls(monkeypatch, fracops.apply_gradient)
         transposed = count_calls(monkeypatch, fracops.apply_divergence)
-        rep = minimize_cone(model, opts, Field(grid_1d_128, u0), precond_op=grad_128,
-                            lambda1=eig_128.value)
+        rep = minimize_cone(model, opts, Field(grid_1d_128, u0), lambda1=eig_128.value)
         assert rep.classification != "failed"
         assert rep.iterations > 0
         assert len(forward) + len(transposed) <= budget
@@ -359,35 +345,46 @@ class TestEvaluationBudget:
         # forward: the initial point, each line-search trial, each Hessian product
         assert len(forward) == 1 + counts["trials"] + counts["hessian_products"]
 
-    def test_mountain_pass_table_applies_per_iteration(self, monkeypatch, two_solution_setup,
-                                                       grad_128):
-        # a batched product over the path counts as one apply
+    def test_mountain_pass_table_applies_per_iteration(self, monkeypatch, two_solution_setup):
         model, opts, rep1, u_far = two_solution_setup
-        applies = [count_calls(monkeypatch, fn) for fn in (
-            fracops.apply_gradient, fracops.apply_divergence, fracops.apply_gradient_batch)]
-        rep = mountain_pass(model, rep1.solution, u_far, opts, precond_op=grad_128)
+        forward = count_calls(monkeypatch, fracops.apply_gradient)
+        transposed = count_calls(monkeypatch, fracops.apply_divergence)
+        rep = mountain_pass(model, rep1.solution, u_far, opts)
         assert rep.classification == "mountain-pass"
-        assert sum(map(len, applies)) / rep.iterations <= 10.0
+        assert (len(forward) + len(transposed)) / rep.iterations <= 10.0
+        # forward: u_low and u_far once each, the first peak's ray, and the
+        # ray of each line-search trial; peaks take their gradient by linearity
+        assert len(forward) == 3 + rep.diagnostics["counts"]["trials"]
 
     def test_counts_repeat_exactly(self, grid_1d_128, grad_128, power_coeff, eig_128,
                                    zero_h, opts, two_solution_setup):
         nu = 50.0 * power_coeff.gamma_max * eig_128.value
         model = model_with(grad_128, power_coeff, make_reaction("saturating", {"nu": nu}), zero_h)
         counts = [minimize_cone(model, opts, Field(grid_1d_128, 0.1 * eig_128.function.values),
-                                precond_op=grad_128, lambda1=eig_128.value
-                                ).to_dict()["diagnostics"]["counts"] for _ in range(2)]
+                                lambda1=eig_128.value).to_dict()["diagnostics"]["counts"]
+                  for _ in range(2)]
         assert counts[0] == counts[1]
         assert set(counts[0]) == {"trials", "backtracks", "cg_iterations",
                                   "hessian_products", "negative_curvature_exits"}
         assert all(type(v) is int for v in counts[0].values())
         assert counts[0]["trials"] > 0 and counts[0]["cg_iterations"] > 0
         model, _, rep1, u_far = two_solution_setup
-        counts = [mountain_pass(model, rep1.solution, u_far, opts, precond_op=grad_128
-                                ).to_dict()["diagnostics"]["counts"] for _ in range(2)]
+        counts = [mountain_pass(model, rep1.solution, u_far, opts).to_dict()["diagnostics"]["counts"]
+                  for _ in range(2)]
         assert counts[0] == counts[1]
         assert set(counts[0]) == {"trials", "backtracks"}
         assert all(type(v) is int for v in counts[0].values())
         assert counts[0]["trials"] > 0
+
+    def test_preconditions_by_the_models_own_operator(self, grid_1d_128, power_coeff,
+                                                      eig_128, opts):
+        grad_op = assemble_gradient(grid_1d_128, 0.5)
+        assert not grad_op.matrix_free and "preconditioner" not in grad_op._derived
+        h = Field(grid_1d_128, 0.01 * eig_128.function.values)
+        model = model_with(grad_op, power_coeff, make_reaction("saturating", {"nu": 1.0}), h)
+        rep = minimize_cone(model, opts, Field(grid_1d_128, np.zeros(128)))
+        assert rep.classification == "local-min"
+        assert "preconditioner" in grad_op._derived
 
     def test_one_composition_matrix_per_operator(self, monkeypatch, grid_1d_128,
                                                  power_coeff, eig_128, opts):
@@ -396,8 +393,7 @@ class TestEvaluationBudget:
         model = model_with(grad_op, power_coeff, make_reaction("saturating", {"nu": 1.0}), h)
         built = count_calls(monkeypatch, fracops.composition_matrix)
         reports = [minimize_cone(model, opts, Field(grid_1d_128, np.zeros(128)),
-                                 precond_op=grad_op, lambda1=eig_128.value)
-                   for _ in range(2)]
+                                 lambda1=eig_128.value) for _ in range(2)]
         assert len(built) == 1
         assert np.array_equal(reports[0].solution.values, reports[1].solution.values)
 
@@ -408,7 +404,7 @@ class TestEvaluationBudget:
         sys.setswitchinterval(1e-6)  # switch threads often, to expose a racy first build
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
-                factors = list(pool.map(lambda _: _Preconditioner(grad_op)._factor,
+                factors = list(pool.map(lambda _: _preconditioner(grad_op).args[0],
                                         range(8), timeout=60))
         finally:
             sys.setswitchinterval(interval)
@@ -419,7 +415,7 @@ class TestEvaluationBudget:
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_preconditioned_solves_reject_non_finite_rhs(grad_128, bad):
     # factors are checked once when made; each solve still checks its rhs
-    precond = _Preconditioner(grad_128)
+    precond = _preconditioner(grad_128)
     rhs = np.ones(128)
     rhs[5] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
