@@ -432,9 +432,9 @@ def _cmd_sweep(rcfg, outdir, files, timings):
     if ex._reaction_with(rcfg).growth_class != "sublinear":
         raise ConfigError(
             f"sweep needs the sublinear reaction family, got {rcfg.reaction[0]!r}")
-    if any(v <= 0 for v in rcfg.sweep):
-        raise ConfigError(f'"sweep.values" are nu values for sweep and must be positive, '
-                          f"got {list(rcfg.sweep)}")
+    if not rcfg.sweep or any(v <= 0 for v in rcfg.sweep):
+        raise ConfigError(f'"sweep.values" are nu values for sweep and must be one or more '
+                          f"positive values, got {list(rcfg.sweep)}")
     prep = _prepare(rcfg, timings)
     with ex.timed(timings, "sweep_seconds"):
         report = ex.run_sublinear_regime(rcfg, prep)

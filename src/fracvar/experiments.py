@@ -32,14 +32,13 @@ from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import coeffs as coeffs_mod
 from .coeffs import CoefficientModel, HypothesisReport, ReactionModel
 from .energy import EnergyModel, convexity_gap, energy, hs_norm, monotonicity_pairing, weighted_form
 from .fracops import (NonlocalOperator, QuadratureParams, apply_divergence,
-                      apply_gradient, assemble_gradient, assemble_laplacian,
-                      composition_residual, normalizing_constants, symbol_solve)
+                      apply_gradient, assemble_gradient, assemble_laplacian, cho_factor,
+                      cho_solve, composition_residual, normalizing_constants, symbol_solve)
 from .grid import DomainSpec, Field, Grid, VectorField, build_grid, field_from_function, l2_inner
 from .solvers import (TRIVIAL_L2, RaySearchResult, SolveReport, SolverOptions,
                       minimize_cone, mountain_pass, project_cone, ray_search,
@@ -202,9 +201,10 @@ def default_initial_guess(prep: PreparedProblem, h: Field) -> Field:
     or a small multiple of phi1 for the homogeneous problem.
 
     The system is -div_s grad_s + 1e-12 I. While the gradient operator
-    holds its table, its Cholesky factor is made on the first call with a
-    nonzero h and kept with the operator; above the crossover it is solved
-    by CG on the operator's applies, preconditioned by its symbol solve.
+    holds its table, the system's inverse (fracops.cho_factor) is made on
+    the first call with a nonzero h and kept with the operator; above the
+    crossover it is solved by CG on the operator's applies, preconditioned
+    by its symbol solve.
     """
     if np.any(h.values):
         if not np.isfinite(h.values).all():
@@ -213,9 +213,9 @@ def default_initial_guess(prep: PreparedProblem, h: Field) -> Field:
         if op.matrix_free:
             sol = _composition_cg(op, h.values, _GUESS_SHIFT)
         else:
-            factor = op.cached("initial guess", lambda: cho_factor(
-                shifted_system(op, _GUESS_SHIFT), overwrite_a=True))
-            sol = cho_solve(factor, h.values, check_finite=False)
+            factor = op.cached("initial guess",
+                               lambda: cho_factor(shifted_system(op, _GUESS_SHIFT)))
+            sol = cho_solve(factor, h.values)
         return project_cone(Field(prep.grid, sol))
     return Field(prep.grid, 1e-3 * prep.eigenpair.function.values)
 

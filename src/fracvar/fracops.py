@@ -54,20 +54,22 @@ table: the DST-I symbol (-Lap_h)^s of the grid's second-difference
 Laplacian, scaled to the trace of that matrix, built in O(N) and applied
 by two orthonormal DST-I transforms (symbol_solve; a tau-type
 fast-transform preconditioner, Chan & Ng 1996). The solvers use it above
-the crossover.
+the crossover; below it they solve with the inverse of the dense matrix
+that cho_factor holds (cho_factor / cho_solve, numpy only).
+
+The FFTs come from scipy.fft, imported on the first FFT apply or symbol
+solve (_fft): grids that hold their tables never load scipy.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import dstn, irfftn, next_fast_len, rfftn
-from scipy.linalg.blas import dsyrk
-from scipy.special import gamma as _gamma
 
 from .grid import Field, Grid, VectorField
 
@@ -97,6 +99,15 @@ _BLOCK_ENTRIES = 1 << 20
 # default n_theta, and one block (so the arithmetic of one pass) on every
 # grid that holds its table
 _NODE_BLOCK = 512
+
+
+@cache
+def _fft():
+    """scipy.fft, imported on first use: importing any part of scipy costs
+    ~0.45 s, which grids that hold their tables never pay."""
+    import scipy.fft
+
+    return scipy.fft
 
 
 @dataclass(frozen=True)
@@ -165,8 +176,9 @@ class NonlocalOperator:
     Up to _DENSE_MAX_NODES nodes the operator holds the gathered table and
     applies it by matrix products; above, it applies by FFT and ``table``
     gathers a new copy on each access. Matrices derived from the table (the
-    solvers' composition matrix and Cholesky factors), the FFT spectrum
-    and the DST-I symbol are kept with the operator by ``cached``.
+    solvers' composition matrix and the inverses cho_factor holds), the
+    FFT spectrum and the DST-I symbol are kept with the operator by
+    ``cached``.
     """
 
     kind: str
@@ -212,12 +224,12 @@ class NonlocalOperator:
             self._gather_into(w, c)
         return out if self.kind == "gradient" else out[0]
 
-    def component(self, c: int, order: str = "C") -> np.ndarray:
+    def component(self, c: int) -> np.ndarray:
         """Component c of the table as an (N, N) array: the held one (read
-        only) for order "C", else a new gather in the given memory order."""
-        if self._held is not None and order == "C":
+        only), or a new gather."""
+        if self._held is not None:
             return self._held[c] if self.kind == "gradient" else self._held
-        out = np.empty((self.n_nodes, self.n_nodes), order=order)
+        out = np.empty((self.n_nodes, self.n_nodes))
         self._gather_into(out, c)
         return out
 
@@ -277,7 +289,7 @@ class NonlocalOperator:
         the kernel's share there, shape (m, d, 2)."""
         def build():
             shape = self.grid.shape
-            size = tuple(next_fast_len(2 * n - 1, real=True) for n in shape)
+            size = tuple(_fft().next_fast_len(2 * n - 1, real=True) for n in shape)
             axes = tuple(range(1, len(shape) + 1))
             flipped = self.scale * self.kernel[(slice(None),) + (slice(None, None, -1),) * len(shape)]
             padded = np.zeros((len(self.kernel), *size))
@@ -285,7 +297,7 @@ class NonlocalOperator:
             # offset -o at index o mod size
             padded = np.roll(padded, [1 - n for n in shape], axis=axes)
             rest = self.neighbors - self.scale * _at_axis_neighbors(self.kernel, shape)
-            return size, rfftn(padded, axes=axes), rest
+            return size, _fft().rfftn(padded, axes=axes), rest
         return self.cached("fft", build)
 
     def _fft_forward(self, values: np.ndarray) -> np.ndarray:
@@ -294,7 +306,8 @@ class NonlocalOperator:
         size, spectrum, rest = self._fft_parts()
         axes = tuple(range(-d, 0))
         u = values.reshape(-1, *shape)
-        y = irfftn(spectrum[:, None] * rfftn(u, s=size, axes=axes), s=size, axes=axes)
+        fft = _fft()
+        y = fft.irfftn(spectrum[:, None] * fft.rfftn(u, s=size, axes=axes), s=size, axes=axes)
         y = np.ascontiguousarray(y[(..., *[slice(0, n) for n in shape])])
         for c, yc in enumerate(y):
             self._add_stencil(yc, u, c, rest[c])
@@ -307,8 +320,10 @@ class NonlocalOperator:
         size, spectrum, rest = self._fft_parts()
         axes = tuple(range(-d, 0))
         v = np.moveaxis(values, -1, 0).reshape(len(spectrum), -1, *shape)
-        acc = np.sum(np.conj(spectrum)[:, None] * rfftn(v, s=size, axes=axes), axis=0)
-        y = np.ascontiguousarray(irfftn(acc, s=size, axes=axes)[(..., *[slice(0, n) for n in shape])])
+        fft = _fft()
+        acc = np.sum(np.conj(spectrum)[:, None] * fft.rfftn(v, s=size, axes=axes), axis=0)
+        y = fft.irfftn(acc, s=size, axes=axes)
+        y = np.ascontiguousarray(y[(..., *[slice(0, n) for n in shape])])
         for c, vc in enumerate(v):
             # the transpose swaps the entries at +e_k and -e_k
             self._add_stencil(y, vc, c, rest[c, :, ::-1])
@@ -339,8 +354,9 @@ def normalizing_constants(d: int, s: float) -> tuple[float, float]:
         raise ValueError(f"dimension must be 1 or 2, got {d}")
     if not 0.0 < s < 1.0:
         raise ValueError(f"order s must lie in (0, 1), got {s}")
-    mu = 2.0**s * _gamma((d + s + 1.0) / 2.0) / (np.pi ** (d / 2.0) * _gamma((1.0 - s) / 2.0))
-    c_lap = 4.0**s * s * _gamma(d / 2.0 + s) / (np.pi ** (d / 2.0) * _gamma(1.0 - s))
+    mu = 2.0**s * math.gamma((d + s + 1.0) / 2.0) / (np.pi ** (d / 2.0)
+                                                     * math.gamma((1.0 - s) / 2.0))
+    c_lap = 4.0**s * s * math.gamma(d / 2.0 + s) / (np.pi ** (d / 2.0) * math.gamma(1.0 - s))
     return float(mu), float(c_lap)
 
 
@@ -624,27 +640,39 @@ def apply_laplacian(op: NonlocalOperator, u: Field) -> Field:
 def composition_matrix(grad_op: NonlocalOperator) -> np.ndarray:
     """Dense matrix of -div_s grad_s built from the gradient table.
 
-    This is sum_c W_c^T W_c, automatically symmetric positive semidefinite;
-    it is the operator whose quadratic form the energy functional actually
-    integrates. Each W_c (held, or gathered for its own product) is added
-    in place into the lower triangle by BLAS syrk, which is then mirrored,
-    so the result and one component are all that is held.
+    This is sum_c W_c^T W_c, symmetric positive semidefinite; it is the
+    operator whose quadratic form the energy functional actually
+    integrates. numpy runs each W_c^T W_c (W_c held, or gathered for its
+    own product) as BLAS syrk, whose result is exactly symmetric.
     """
     if grad_op.kind != "gradient":
         raise ValueError("composition_matrix needs a gradient operator")
-    n = grad_op.n_nodes
-    out = np.zeros((n, n), order="F")
-    for c in range(grad_op.grid.dimension):
-        w = grad_op.component(c)
-        dsyrk(1.0, w.T, beta=1.0, c=out, lower=1, overwrite_c=1)
-        del w
-    for j in range(0, n, 512):
-        # upper triangle from the lower one, a panel of columns at a time
-        k = min(j + 512, n)
-        out[:j, j:k] = out[j:k, :j].T
-        block, upper = out[j:k, j:k], np.triu_indices(k - j, 1)
-        block[upper] = block.T[upper]
+    out = _gram(grad_op.component(0))
+    for c in range(1, grad_op.grid.dimension):
+        out += _gram(grad_op.component(c))
     return out
+
+
+def _gram(w: np.ndarray) -> np.ndarray:
+    return w.T @ w
+
+
+def cho_factor(a: np.ndarray) -> np.ndarray:
+    """The inverse L^{-T} L^{-1} of a symmetric positive definite matrix
+    a = L L^T, exactly symmetric, for cho_solve: a solve is then one
+    matrix-vector product (1D 384 nodes, one BLAS thread: ~35 us against
+    ~190 us for scipy's cho_solve, for a ~23 ms factor against ~2 ms).
+    Raises ValueError when a holds a non-finite entry and
+    numpy.linalg.LinAlgError when it is not positive definite.
+    """
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return _gram(np.linalg.inv(np.linalg.cholesky(a)))
+
+
+def cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a^{-1} b for factor = cho_factor(a); b is (N,) or a block (N, k)."""
+    return factor @ b
 
 
 def symbol_solve(op: NonlocalOperator, values: np.ndarray, shift: float) -> np.ndarray:
@@ -655,6 +683,7 @@ def symbol_solve(op: NonlocalOperator, values: np.ndarray, shift: float) -> np.n
     block (N, k)."""
     shape = op.grid.shape
     axes = tuple(range(len(shape)))
+    dstn = _fft().dstn
     y = dstn(values.reshape(*shape, -1), type=1, norm="ortho", axes=axes)
     y /= (op._symbol() + shift)[..., None]
     return dstn(y, type=1, norm="ortho", axes=axes).reshape(values.shape)

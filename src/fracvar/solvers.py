@@ -6,13 +6,13 @@ modes cover the two existence mechanisms:
 * minimize_cone: projected Newton-CG for the local minimizer the direct
   method produces; truncated CG is preconditioned by (C + I)^{-1},
   C = -div_s grad_s the composition matrix, with the active entries
-  zeroed. While the gradient operator holds its table, C and the dense
-  Cholesky factor of C + I are built on the first solve and kept with it
-  (NonlocalOperator.cached), so a sweep or a bisection factors once; above
-  the operator crossover the inverse is approximated by the operator's
-  DST-I symbol solve (fracops.symbol_solve, shift 1), and no N x N matrix
-  is made. The cone projection is the
-  nodewise positive part. An optional ball constraint rescales iterates
+  zeroed. While the gradient operator holds its table, C and the inverse
+  of C + I (fracops.cho_factor) are built on the first solve and kept
+  with it (NonlocalOperator.cached), so a sweep or a bisection factors
+  once; above the operator crossover the inverse is approximated by the
+  operator's DST-I symbol solve (fracops.symbol_solve, shift 1), and no
+  N x N matrix is made. The cone projection is the nodewise positive
+  part. An optional ball constraint rescales iterates
   back to radius R in the discrete H^s norm and records which boundary
   variant of the compactness condition was active (sign of <E'(u), u>).
 
@@ -28,14 +28,13 @@ modes cover the two existence mechanisms:
   E(t d) the same way, from grad_s(t d) = t grad_s(d).
 
 Both solvers precondition by the same (C + I)^{-1} of the model's own
-gradient operator: the cached dense factor up to the operator crossover,
+gradient operator: the cached dense inverse up to the operator crossover,
 the symbol solve above it. Both carry each iterate as an
 energy.PointState, which evaluates grad_s u, the energy, the derivative
 representer and the H^s norm once per point: an accepted line-search
 trial brings its gradient to the next iteration's derivative, KKT residual
-and norm trace. Factors are checked for
-finite values once, when they are made; each solve then checks only its
-right-hand side.
+and norm trace. Factors are checked for finite values once, when they
+are made; each solve then checks only its right-hand side.
 
 First-order optimality over the cone is measured by the KKT residual:
 |g_i| on nodes with u_i > 0 and max(0, -g_i) on active nodes, g being the
@@ -48,11 +47,11 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .coeffs import check_ball_condition
 from .energy import EnergyModel, EnergyOverflowError, PointState, path_energies
-from .fracops import NonlocalOperator, apply_gradient, composition_matrix, symbol_solve
+from .fracops import (NonlocalOperator, apply_gradient, cho_factor, cho_solve,
+                      composition_matrix, symbol_solve)
 from .grid import Field, VectorField
 
 __all__ = [
@@ -208,11 +207,9 @@ def shifted_system(op: NonlocalOperator, shift: float) -> np.ndarray:
 
     C is the composition matrix -div_s grad_s of a gradient operator (any
     other kind raises ValueError), built once per operator and shared
-    read-only. The result is Fortran-ordered, the order LAPACK works in, so
-    cho_factor(..., overwrite_a=True) factors it in place instead of
-    copying it again.
+    read-only.
     """
-    out = np.array(op.cached("composition", lambda: composition_matrix(op)), order="F")
+    out = op.cached("composition", lambda: composition_matrix(op)).copy()
     out[np.diag_indices_from(out)] += shift
     return out
 
@@ -226,7 +223,7 @@ def _check_finite(rhs: np.ndarray) -> np.ndarray:
 def _solve(factor, rhs: np.ndarray) -> np.ndarray:
     """cho_solve against a factor that cho_factor checked for finite values
     when it was made; only the O(N) right-hand side is checked here."""
-    return cho_solve(factor, _check_finite(rhs), check_finite=False)
+    return cho_solve(factor, _check_finite(rhs))
 
 
 def _preconditioner(op: NonlocalOperator):
@@ -235,13 +232,14 @@ def _preconditioner(op: NonlocalOperator):
     Its composition matrix C = -div_s grad_s is the Laplacian the energy
     actually induces, which makes the preconditioned Hessian close to the
     identity in the semilinear regime. The inverse is the operator's cached
-    dense Cholesky factor while the operator holds its table, and the DST-I
-    symbol solve once it applies by FFT, so no N x N matrix is made there.
+    dense inverse (cho_factor) while the operator holds its table, and the
+    DST-I symbol solve once it applies by FFT, so no N x N matrix is made
+    there.
     """
     if op.matrix_free:
         return lambda vec: symbol_solve(op, _check_finite(vec), 1.0)
-    return partial(_solve, op.cached("preconditioner", lambda: cho_factor(
-        shifted_system(op, 1.0), overwrite_a=True)))
+    return partial(_solve, op.cached("preconditioner",
+                                     lambda: cho_factor(shifted_system(op, 1.0))))
 
 
 def _ball_rescale(point: PointState, radius: float | None, boundary: dict) -> PointState:

@@ -4,8 +4,8 @@ The smallest eigenvalue lambda1 and its eigenfunction phi1 drive most of
 the quantitative hypotheses: the slope thresholds gamma * lambda1, the
 coercivity estimates, and the ray direction of the mountain-pass geometry.
 Only the bottom of the spectrum is needed. While the operator holds its
-table the solver is a plain inverse power iteration on a dense Cholesky
-factorization, made from a gather of the table and dropped on return.
+table the solver is a plain inverse power iteration on the inverse of that
+table (fracops.cho_factor), made from the held table and dropped on return.
 Above the operator crossover it is LOBPCG (Knyazev 2001) preconditioned by
 the operator's DST-I symbol solve (fracops.symbol_solve), so no N x N
 matrix is made. Products with the table go through fracops.apply_laplacian
@@ -25,9 +25,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .fracops import NonlocalOperator, apply_laplacian, symbol_solve
+from .fracops import NonlocalOperator, apply_laplacian, cho_factor, cho_solve, symbol_solve
 from .grid import Field
 
 __all__ = ["EigenPair", "first_eigenpair", "rayleigh_quotient", "eigenpair_to_csv"]
@@ -57,15 +56,15 @@ def _finite(x: np.ndarray) -> np.ndarray:
 
 
 def _inverse_iteration(lap_op: NonlocalOperator, tol: float, max_iter: int):
-    """Inverse power iteration on a Fortran-ordered gather of the table,
-    factored in place (checked for finite values once): the L2-normalized
-    iterate and the iteration count."""
+    """Inverse power iteration on the inverse of the held table (checked for
+    finite values once, when it is made): the L2-normalized iterate and the
+    iteration count."""
     grid = lap_op.grid
-    factor = cho_factor(lap_op.component(0, order="F"), overwrite_a=True)
+    factor = cho_factor(lap_op.component(0))
     x = np.ones(grid.n_nodes)
     x /= _l2(grid, x)
     for it in range(1, max_iter + 1):
-        x = cho_solve(factor, _finite(x), check_finite=False)
+        x = cho_solve(factor, _finite(x))
         x /= _l2(grid, x)
         ax = apply_laplacian(lap_op, Field(grid, x)).values
         lam = grid.weight * np.dot(x, ax)

@@ -210,18 +210,43 @@ class TestMainEntry:
                        "--out", str(tmp_path / "o")])
         assert status == 2
 
-    def test_import_leaves_scipy_integrate_out(self):
-        # only the verify command's divergence oracle uses scipy.integrate,
-        # which is slow to import; every other command starts without it.
-        # scipy.sparse.linalg (LOBPCG, CG) is loaded only above the crossover
+    @staticmethod
+    def _run_fresh(*commands):
+        """Import the CLI in a fresh interpreter and run each argv list
+        through main: the exit statuses and the scipy modules loaded."""
         src = str(Path(fracvar.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        code = ("import sys, fracvar.cli; "
-                "print('scipy.integrate' in sys.modules, 'scipy.sparse.linalg' in sys.modules)")
+        code = ("import json, sys\nfrom fracvar.cli import main\n"
+                f"status = [main(argv) for argv in {list(commands)!r}]\n"
+                "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                "print(json.dumps([status, scipy]))")
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
-        assert proc.stdout.strip() == "False False"
+        return json.loads(proc.stdout.strip().splitlines()[-1])
+
+    def test_import_loads_no_scipy(self):
+        # importing any part of scipy costs ~0.45 s; the CLI starts without
+        # it, and only the FFT path above the crossover and the verify
+        # command's quadrature load it
+        assert self._run_fresh() == [[], []]
+
+    def test_held_table_commands_run_without_scipy(self, tmp_path):
+        solve = write_config(tmp_path / "solve.json")
+        sweep = write_config(tmp_path / "sweep.json", forcing={"kind": "zero"},
+                             sweep={"values": [0.02, 200.0]})
+        status, loaded = self._run_fresh(
+            ["solve", "--config", str(solve), "--out", str(tmp_path / "a")],
+            ["sweep", "--config", str(sweep), "--out", str(tmp_path / "b")])
+        assert status == [0, 0]
+        assert loaded == []
+
+    def test_matrix_free_eig_uses_scipy_fft(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", domain={"bounds": [[0.0, 1.0]], "nodes": [600]})
+        status, loaded = self._run_fresh(
+            ["eig", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert status == [0]
+        assert "scipy.fft" in loaded
 
 
 class TestCommandFamilyValidation:
@@ -286,6 +311,15 @@ class TestCommandFamilyValidation:
                                         sweep={"values": values}))
         with pytest.raises(ConfigError, match="sweep.values"):
             run_command(cfg, command, out_dir=tmp_path / "out")
+
+    def test_empty_sweep_exits_2_before_prepare(self, tmp_path, capsys, monkeypatch):
+        # nothing to classify: a config error, raised before the assembly
+        # and the eigenpair are paid for
+        monkeypatch.setattr(experiments, "prepare", lambda *args: pytest.fail("prepared"))
+        path = write_config(tmp_path / "cfg.json", forcing={"kind": "zero"},
+                            sweep={"values": []})
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "sweep.values" in capsys.readouterr().err
 
     def test_verify_command(self, tmp_path):
         cfg = parse_config(write_config(tmp_path / "cfg.json"))

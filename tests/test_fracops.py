@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import gamma as gamma_fn
 
 from fracvar import (DomainSpec, Field, QuadratureParams, RegimeConfig, SolverOptions,
@@ -223,6 +224,34 @@ class TestComposition:
         m = comp_matrix_128
         assert np.max(np.abs(m - m.T)) <= 1e-10
         assert np.linalg.eigvalsh(m)[0] > 0.0
+
+
+class TestHeldInverse:
+    """fracops.cho_factor / cho_solve, numpy's Cholesky held as the inverse,
+    against scipy's Cholesky pair."""
+
+    @pytest.mark.parametrize("nodes", [(128,), (12, 12)])
+    def test_matches_scipy_cho_solve(self, nodes, rng):
+        grid = build_grid(DomainSpec(bounds=tuple((0.0, 1.0) for _ in nodes), nodes=nodes))
+        a = composition_matrix(assemble_gradient(grid, 0.5)) + np.eye(grid.n_nodes)
+        factor = fracops.cho_factor(a)
+        assert np.array_equal(factor, factor.T)
+        b = rng.standard_normal((grid.n_nodes, 3))
+        want = scipy.linalg.cho_solve(scipy.linalg.cho_factor(a), b)
+        for rhs, ref in ((b, want), (b[:, 0], want[:, 0])):
+            got = fracops.cho_solve(factor, rhs)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        a = np.eye(4)
+        a[1, 2] = a[2, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            fracops.cho_factor(a)
+
+    def test_rejects_indefinite_matrix(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            fracops.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestQuadratureParams:

@@ -144,7 +144,7 @@ def test_gather_is_the_direct_dense_assembly(problem, matrix_free):
     assert np.array_equal(grad.to_dense(), want_grad)
     assert np.array_equal(lap.to_dense(), want_lap)
     assert np.array_equal(grad.table, want_grad)
-    assert np.array_equal(lap.component(0, order="F"), want_lap)
+    assert np.array_equal(lap.component(0), want_lap)
 
 
 @SETTINGS
