@@ -14,7 +14,8 @@ a hypothesis parameter would invalidate regime conclusions), ranges are
 validated with the offending key named, and the persisted snapshot has all
 defaults materialized. Every run directory receives a manifest listing the
 config snapshot, per-stage wall-clock timings (prepare_seconds: grid,
-operator assembly and first eigenpair; for sweep, sweep_seconds and
+operator assembly and first eigenpair, of which assemble_seconds and
+eigenpair_seconds are the last two; for sweep, sweep_seconds and
 threshold_seconds: the sweep solves and the bisection; for solve,
 minimize_seconds; for mpass, minimize_seconds, ray_seconds and
 mountain_pass_seconds summed over the sweep values; command_seconds: the
@@ -331,7 +332,7 @@ def _report_payload(report) -> dict:
 
 def _prepare(rcfg, timings: dict):
     with ex.timed(timings, "prepare_seconds"):
-        return ex.prepare(rcfg)
+        return ex.prepare(rcfg, timings)
 
 
 def _cmd_verify(rcfg, outdir, files, timings):

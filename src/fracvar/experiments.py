@@ -166,12 +166,19 @@ def timed(timings: dict, key: str):
         timings[key] = timings.get(key, 0.0) + (time.perf_counter() - t0)
 
 
-def prepare(config: RegimeConfig) -> PreparedProblem:
-    """Assemble grid, operators, and the first eigenpair for a config."""
+def prepare(config: RegimeConfig, timings: dict | None = None) -> PreparedProblem:
+    """Assemble grid, operators, and the first eigenpair for a config.
+
+    timings, when given, receives the wall-clock seconds of the operator
+    assembly (assemble_seconds) and of the eigenpair (eigenpair_seconds).
+    """
+    timings = {} if timings is None else timings
     grid = build_grid(config.domain)
-    grad_op = assemble_gradient(grid, config.s, config.quadrature)
-    lap_op = assemble_laplacian(grid, config.s, config.quadrature)
-    pair = first_eigenpair(lap_op)
+    with timed(timings, "assemble_seconds"):
+        grad_op = assemble_gradient(grid, config.s, config.quadrature)
+        lap_op = assemble_laplacian(grid, config.s, config.quadrature)
+    with timed(timings, "eigenpair_seconds"):
+        pair = first_eigenpair(lap_op)
     coeff = coeffs_mod.make_coefficient(*config.coefficient)
     return PreparedProblem(config=config, grid=grid, grad_op=grad_op,
                            lap_op=lap_op, eigenpair=pair, coefficient=coeff)

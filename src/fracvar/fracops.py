@@ -32,7 +32,13 @@ Each table is built from three parts, by one code path for d = 1 and 2:
   annihilates the constant term but not the linear one) and a second
   difference for the Laplacian. The exterior and the self-cell moments use
   one angular rule: the exact pair of directions +-e_1 in 1D, ``n_theta``
-  midpoint angles in 2D, with the radial integral exact along each.
+  midpoint angles in 2D, with the radial integral exact along each. Both
+  sums over a row cost O(1) per node: the row sum is a box sum of the
+  kernel (a cumulative sum and a lag difference per axis), and the 2D
+  exterior is, per wall, the wall's distance to the power -q times a
+  difference of angular prefix sums between two of the node's corner
+  angles (between them every ray exits through that wall). Assembly costs
+  O(N + n_theta) besides the kernel's near-cell rules.
 * axis stencils: per axis, the self-cell couplings to the two neighbors
   (for the gradient with an anchoring diagonal term at wall rows, whose
   outer neighbor lies outside Omega) and the gradient's even Nyquist
@@ -93,12 +99,10 @@ __all__ = [
 # 0.277 / 0.122; 2D 20x20 0.183 / 0.286, 24x24 0.288 / 0.214, 48x48
 # 7.26 / 0.500.
 _DENSE_MAX_NODES = 512
-# entries of one row block when a table is gathered or summed by rows
+# entries of one row block when a table is gathered
 _BLOCK_ENTRIES = 1 << 20
-# nodes per block of the exterior quadrature: 8 MB temporaries at the
-# default n_theta, and one block (so the arithmetic of one pass) on every
-# grid that holds its table
-_NODE_BLOCK = 512
+# largest angular resolution (see QuadratureParams.n_theta)
+_MAX_N_THETA = 1 << 20
 
 
 @cache
@@ -122,7 +126,12 @@ class QuadratureParams:
     tail_correction: add the closed-form radial tail beyond rho_tail.
     near_cells: cells within this many spacings of the diagonal use refined
         kernel integrals instead of the midpoint value.
-    n_theta: angular resolution of the 2D exterior / self-cell quadrature.
+    n_theta: angular resolution of the 2D exterior / self-cell quadrature,
+        unused in 1D. It costs O(n_theta) time and memory per operator
+        (the angular prefix sums, ~72 bytes per angle), so it is capped at
+        2^20 (~75 MB): the rule's relative error falls as n_theta^-2, from
+        ~4e-7 at the default to ~1e-12 at the cap, far below the scheme's
+        own error, and a larger value would only run out of memory.
     nyquist_stabilization: coefficient (in units of (pi/h)^s) of the even
         second-difference term added to the gradient rows. An odd collocated
         stencil has symbol i * sum_k b_k sin(k xi h), which vanishes at the
@@ -147,8 +156,8 @@ class QuadratureParams:
             raise ValueError(f"rho_tail must be positive and finite, got {self.rho_tail}")
         if self.near_cells < 0:
             raise ValueError(f"near_cells must be nonnegative, got {self.near_cells}")
-        if self.n_theta < 64:
-            raise ValueError(f"n_theta must be at least 64, got {self.n_theta}")
+        if not 64 <= self.n_theta <= _MAX_N_THETA:
+            raise ValueError(f"n_theta must lie in [64, {_MAX_N_THETA}], got {self.n_theta}")
         if not 0.0 <= self.nyquist_stabilization < np.inf:
             raise ValueError("nyquist_stabilization must be nonnegative and finite, "
                              f"got {self.nyquist_stabilization}")
@@ -432,8 +441,19 @@ def _offset_rows(kernel: np.ndarray, grid: Grid):
 
 
 def _row_sums(kernel: np.ndarray, grid: Grid) -> np.ndarray:
-    """Row sums of the matrix gathered from kernel, without forming it."""
-    return np.concatenate([block.sum(axis=1) for _, block in _offset_rows(kernel, grid)])
+    """Row sums of the matrix gathered from kernel, without forming it.
+
+    Row i sums the kernel over the box of offsets [-i_k, n_k - 1 - i_k] on
+    each axis k, which is indices [n_k - 1 - i_k, 2 n_k - 2 - i_k]: per axis
+    a cumulative sum and its lag-n_k difference, in O(N).
+    """
+    sums = kernel
+    for axis, n in enumerate(grid.shape):
+        c = np.cumsum(np.moveaxis(sums, axis, 0), axis=0)
+        box = c[n - 1:].copy()
+        box[1:] -= c[:n - 1]
+        sums = np.moveaxis(box[::-1], 0, axis)
+    return sums.ravel()
 
 
 def _at_axis_neighbors(kernel: np.ndarray, shape) -> np.ndarray:
@@ -481,18 +501,49 @@ def _exterior(grid: Grid, q: float, params: QuadratureParams, signed: bool) -> n
     distance R outwards is R^{-q}/q; rho_tail cuts it unless the tail
     correction adds the rest in closed form. signed=True weights each
     direction by its unit vector (gradient, shape (N, d)), signed=False
-    sums the directions (Laplacian, shape (N,)). Nodes go in blocks of
-    _NODE_BLOCK, so the temporaries hold _NODE_BLOCK x n_theta entries.
+    sums the directions (Laplacian, shape (N,)).
+
+    In 1D the two directions +-e_1 exit through one wall each. In 2D a ray
+    exits through wall w at distance dist_w / comp_w(theta), comp_w the
+    direction's outward component, and the wall changes only at the node's
+    four corner angles. So the midpoint sum over the directions of one
+    wall's sector is dist_w^{-q} times a difference of the prefix sums over
+    theta of comp_w^q (times the direction when signed): O(N + n_theta).
     """
     rt = params.resolve_tail(grid)
-    dirs, weight = _directions(grid.dimension, params.n_theta)
     cut = 0.0 if params.tail_correction else rt ** (-q)
-    out = np.empty((grid.n_nodes, grid.dimension) if signed else grid.n_nodes)
-    for a in range(0, grid.n_nodes, _NODE_BLOCK):
-        nodes = grid.nodes[a:a + _NODE_BLOCK]
-        radial = (_ray_exit_distance(nodes, grid.spec.bounds, dirs) ** (-q) - cut) / q
-        out[a:a + _NODE_BLOCK] = weight * radial @ dirs if signed else weight * radial.sum(axis=1)
-    return out
+    x = grid.nodes
+    if grid.dimension == 1:
+        ((a, b),) = grid.spec.bounds
+        up = ((b - x[:, 0]) ** (-q) - cut) / q
+        down = ((x[:, 0] - a) ** (-q) - cut) / q
+        return (up - down)[:, None] if signed else up + down
+    n = params.n_theta
+    dirs, weight = _directions(2, n)
+    vec = dirs if signed else np.ones((n, 1))
+    (a0, b0), (a1, b1) = grid.spec.bounds
+    # the walls counterclockwise from +x: distance from each node, outward
+    # component of each direction; wall w's sector runs from the corner
+    # angle edges[w] to edges[w + 1]
+    dist = (b0 - x[:, 0], b1 - x[:, 1], x[:, 0] - a0, x[:, 1] - a1)
+    comps = (dirs[:, 0], dirs[:, 1], -dirs[:, 0], -dirs[:, 1])
+    edges = (np.arctan2(a1 - x[:, 1], b0 - x[:, 0]), np.arctan2(b1 - x[:, 1], b0 - x[:, 0]),
+             np.arctan2(b1 - x[:, 1], a0 - x[:, 0]), np.arctan2(a1 - x[:, 1], a0 - x[:, 0]) + 2.0 * np.pi)
+    # index of the first midpoint angle (j + 1/2) 2 pi / n at or above each
+    # edge; the last sector ends where the first begins, one turn later, so
+    # that each direction lies in exactly one sector
+    first = [np.ceil(e * (n / (2.0 * np.pi)) - 0.5).astype(np.intp) for e in edges]
+    first.append(first[0] + n)
+    out = np.zeros((grid.n_nodes, vec.shape[1]))
+    for w, (dw, cw) in enumerate(zip(dist, comps)):
+        prefix = np.zeros((n + 1, vec.shape[1]))
+        np.cumsum(np.maximum(cw, 0.0)[:, None] ** q * vec, axis=0, out=prefix[1:])
+        # the prefix sum up to any index k, the directions repeated with
+        # period n: the sector of +x straddles theta = 0
+        lo, hi = (prefix[k % n] + (k // n)[:, None] * prefix[n] for k in first[w:w + 2])
+        out += (dw ** (-q))[:, None] * (hi - lo)
+    out = weight * (out - cut * vec.sum(axis=0)) / q
+    return out if signed else out[:, 0]
 
 
 def _self_cell_moments(grid: Grid, params: QuadratureParams, p: float) -> np.ndarray:

@@ -168,13 +168,17 @@ class TestRunCommand:
         assert outs[0]["files"] == outs[1]["files"]
         assert outs[0]["config"] == outs[1]["config"]
 
-    @pytest.mark.parametrize("command", ["verify", "eig", "solve", "sweep", "mpass", "appendix"])
+    @pytest.mark.parametrize("command", ["verify", "eig", "solve", "sweep", "mpass", "appendix",
+                                         "solve-16x16"])
     def test_manifest_times_prepare_outside_the_inventory(self, tmp_path, command):
         overrides = {
             "sweep": {"forcing": {"kind": "zero"}, "sweep": {"values": [0.02, 200.0]}},
             "mpass": {"reaction": {"family": "cubic_saturating", "params": {"kappa": 4.65}}},
+            "solve-16x16": {"domain": {"bounds": [[0.0, 1.0], [0.0, 1.0]], "nodes": [16, 16]},
+                            "solver": {"tol_g": 1e-4}},
         }
         cfg_path = write_config(tmp_path / "cfg.json", **overrides.get(command, {}))
+        command = command.split("-")[0]
         manifests = []
         for name in ("out_a", "out_b"):
             run_command(parse_config(cfg_path), command, out_dir=tmp_path / name)
@@ -185,8 +189,10 @@ class TestRunCommand:
                   }.get(command, set())
         for manifest in manifests:
             timings = manifest["timings"]
-            assert set(timings) == {"prepare_seconds", "command_seconds"} | stages
+            parts = {"assemble_seconds", "eigenpair_seconds"}
+            assert set(timings) == {"prepare_seconds", "command_seconds"} | parts | stages
             assert 0.0 <= timings["prepare_seconds"] <= timings["command_seconds"]
+            assert 0.0 <= sum(timings[k] for k in parts) <= timings["prepare_seconds"]
             assert 0.0 <= sum(timings[k] for k in stages) <= timings["command_seconds"]
             assert not set(manifest["files"]) & {"manifest.json"}
         assert manifests[0]["files"] == manifests[1]["files"]
@@ -390,6 +396,11 @@ def _mpass_file_forcing(cfg, tmp_path):
     cfg["reaction"] = {"family": "cubic_saturating", "params": {"kappa": 4.65}}
 
 
+def _huge_n_theta(cfg, tmp_path):
+    cfg["domain"] = {"bounds": [[0.0, 1.0], [0.0, 1.0]], "nodes": [8, 8]}
+    _set("operator", "n_theta", 100_000_000)(cfg, tmp_path)
+
+
 INVALID_INPUTS = [
     # non-finite and out-of-range values
     ("nan-tol_g", _set("solver", "tol_g", float("nan")), [], {}, "solver.tol_g"),
@@ -406,6 +417,8 @@ INVALID_INPUTS = [
     ("nan-c", _set_param("coefficient", "constant", "c", float("nan")), [], {},
      "coefficient.params.c"),
     ("negative-max_iter", _set("solver", "max_iter", -1), [], {}, "solver.max_iter"),
+    # on a 2D grid a huge angular rule would run out of memory in assembly
+    ("huge-n_theta", _huge_n_theta, [], {}, "operator.n_theta"),
     ("zero-ball_radius", _set("solver", "ball_radius", 0.0), [], {}, "solver.ball_radius"),
     ("negative-ball_radius", _set("solver", "ball_radius", -1.0), [], {}, "solver.ball_radius"),
     # options the solvers no longer have

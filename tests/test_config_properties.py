@@ -46,7 +46,7 @@ OPERATOR = {
     "rho_tail": _optional(_positive(1e3)),
     "tail_correction": st.booleans(),
     "near_cells": st.integers(0, 32),
-    "n_theta": st.integers(64, 8192),
+    "n_theta": st.integers(64, 2**20),
     "nyquist_stabilization": st.floats(min_value=0.0, max_value=10.0),
 }
 SOLVER = {

@@ -10,8 +10,7 @@ from fracvar import (DomainSpec, Field, QuadratureParams, RegimeConfig, SolverOp
                      build_grid, composition_residual, field_from_function,
                      first_eigenpair, l2_inner, normalizing_constants, prepare)
 from fracvar import EnergyModel, experiments, fracops, minimize_cone, solvers
-from fracvar.fracops import (_directions, _exterior, _ray_exit_distance, composition_matrix,
-                             symbol_solve)
+from fracvar.fracops import _directions, _ray_exit_distance, composition_matrix, symbol_solve
 
 
 def gaussian_bump(grid, sharp=40.0):
@@ -264,6 +263,9 @@ class TestQuadratureParams:
             QuadratureParams(rho_tail=-1.0)
         with pytest.raises(ValueError):
             QuadratureParams(n_theta=8)
+        with pytest.raises(ValueError, match="n_theta"):
+            QuadratureParams(n_theta=2**20 + 1)
+        QuadratureParams(n_theta=2**20)
 
     def test_tail_must_clear_domain(self, grid_1d_128):
         params = QuadratureParams(rho_tail=0.5)
@@ -342,19 +344,19 @@ class TestMatrixFree:
         want = v / (grad._symbol()[tuple(jk - 1 for jk in j)] + 1.0)
         assert np.max(np.abs(symbol_solve(grad, v, 1.0) - want)) <= 1e-14 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("nodes", [(1100,), (30, 31)])
-    def test_exterior_in_node_blocks(self, monkeypatch, nodes):
-        grid = build_grid(DomainSpec(bounds=tuple((0.0, 1.0) for _ in nodes), nodes=nodes))
-        params = QuadratureParams()
-        for signed, q in ((True, 0.5), (False, 1.0)):
-            blocked = _exterior(grid, q, params, signed)
-            with monkeypatch.context() as m:
-                m.setattr(fracops, "_NODE_BLOCK", grid.n_nodes)
-                whole = _exterior(grid, q, params, signed)
-            if grid.dimension == 1:
-                assert np.array_equal(blocked, whole)
-            else:
-                assert np.max(np.abs(blocked - whole)) <= 1e-15 * np.max(np.abs(whole))
+    @pytest.mark.parametrize("n", [96, 128])
+    def test_assembly_allocates_o_n(self, n):
+        # the exterior and the row sums are O(N + n_theta): an N x n_theta or
+        # N x N temporary would exceed the bound many times over
+        grid = build_grid(DomainSpec(bounds=((0.0, 1.0), (0.0, 1.0)), nodes=(n, n)))
+        tracemalloc.start()
+        try:
+            assemble_gradient(grid, 0.5)
+            assemble_laplacian(grid, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * grid.n_nodes * 8
 
     def test_2d_solve_on_both_sides_of_the_crossover(self, monkeypatch):
         spec = DomainSpec(bounds=((0.0, 1.0), (0.0, 1.0)), nodes=(16, 16))

@@ -5,20 +5,24 @@ diagonal and the axis-neighbor stencil. Outside the diagonal and that
 stencil an entry therefore depends only on the node offset j - i, exactly.
 The gradient and the divergence are dual (div_s = -grad_s^T) and the
 Laplacian is self-adjoint, to roundoff. The FFT applies match the gathered
-table, and the gather matches a direct dense assembly bit for bit.
+table, and the gather matches a direct dense assembly: bit for bit off the
+diagonal, to roundoff on it, where the row sums and the exterior mass are
+taken by box and angular-sector sums instead of entry by entry (the
+brute-force sums are kept here as the oracle).
 """
 
 from unittest.mock import patch
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracvar import (DomainSpec, Field, QuadratureParams, VectorField,
                      apply_divergence, apply_gradient, apply_laplacian, assemble_gradient, assemble_laplacian,
                      build_grid, l2_inner, normalizing_constants)
 from fracvar import fracops
-from fracvar.fracops import _axis_stencils, _exterior, _kernel_by_offset, _self_cell_moments
+from fracvar.fracops import (_axis_stencils, _directions, _exterior, _kernel_by_offset,
+                             _ray_exit_distance, _row_sums, _self_cell_moments)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -81,18 +85,32 @@ def _operators(grid, s, params, matrix_free):
     return grad, lap
 
 
+def _exterior_reference(grid, q, params, signed):
+    """The exterior kernel mass direction by direction: R^{-q}/q along each
+    direction of the angular rule, R the exit distance, less the rho_tail
+    cut unless the tail is corrected; O(N n_theta)."""
+    rt = params.resolve_tail(grid)
+    dirs, weight = _directions(grid.dimension, params.n_theta)
+    cut = 0.0 if params.tail_correction else rt ** (-q)
+    radial = (_ray_exit_distance(grid.nodes, grid.spec.bounds, dirs) ** (-q) - cut) / q
+    return weight * radial @ dirs if signed else weight * radial.sum(axis=1)
+
+
+def _gather(kernel, grid):
+    """The (N, N) matrix whose entry [i, j] is kernel at the offset j - i."""
+    multi = np.unravel_index(np.arange(grid.n_nodes), grid.shape)
+    pos = np.ravel_multi_index(multi, kernel.shape)
+    center = np.ravel_multi_index(tuple(m - 1 for m in grid.shape), kernel.shape)
+    return kernel.ravel()[pos[None, :] - pos[:, None] + center]
+
+
 def _reference_tables(grid, s, params):
     """The tables of a direct dense assembly: each kernel gathered by offset
-    with an index matrix, the diagonal and the stencils written into it."""
+    with an index matrix, the diagonal (from the gathered row sums and the
+    direction-by-direction exterior) and the stencils written into it."""
     mu, c_lap = normalizing_constants(grid.dimension, s)
     n = grid.n_nodes
     diag = np.arange(n)
-    multi = np.unravel_index(diag, grid.shape)
-
-    def gather(kernel):
-        pos = np.ravel_multi_index(multi, kernel.shape)
-        center = np.ravel_multi_index(tuple(m - 1 for m in grid.shape), kernel.shape)
-        return kernel.ravel()[pos[None, :] - pos[:, None] + center]
 
     def second_difference(mat, stencil, coeff):
         stride, upper, lower, _, _ = stencil
@@ -100,13 +118,13 @@ def _reference_tables(grid, s, params):
         mat[upper, upper + stride] -= coeff
         mat[lower, lower - stride] -= coeff
 
-    ext = _exterior(grid, s, params, signed=True)
+    ext = _exterior_reference(grid, s, params, signed=True)
     kernel = _kernel_by_offset(grid, s, params.near_cells, "gradient")
     moments = _self_cell_moments(grid, params, 1.0 - s)
     grad = np.empty((grid.dimension, n, n))
     for c, stencil in enumerate(_axis_stencils(grid)):
         w = grad[c]
-        w[...] = gather(kernel[c])
+        w[...] = _gather(kernel[c], grid)
         w[diag, diag] = -w.sum(axis=1) - ext[:, c]
         stride, upper, lower, upper_wall, lower_wall = stencil
         coeff = moments[c] / (2.0 * grid.spacing[c])
@@ -119,8 +137,8 @@ def _reference_tables(grid, s, params):
             delta = params.nyquist_stabilization * (np.pi / grid.spacing[c]) ** s
             second_difference(w, stencil, delta)
 
-    lap = gather(_kernel_by_offset(grid, s, params.near_cells, "laplacian"))
-    row_mass = lap.sum(axis=1) + _exterior(grid, 2.0 * s, params, signed=False)
+    lap = _gather(_kernel_by_offset(grid, s, params.near_cells, "laplacian"), grid)
+    row_mass = lap.sum(axis=1) + _exterior_reference(grid, 2.0 * s, params, signed=False)
     np.negative(lap, out=lap)
     lap[diag, diag] = row_mass
     lap *= c_lap
@@ -129,6 +147,21 @@ def _reference_tables(grid, s, params):
     for coeff, stencil in zip(slf, _axis_stencils(grid)):
         second_difference(lap, stencil, coeff)
     return grad, lap
+
+
+def _diagonal_scale(grid, s, params):
+    """Per component and node, the unsigned size of the sums behind the
+    diagonal: the absolute kernel row sum plus the unsigned exterior mass,
+    times the normalization, shape (d + 1, N) (gradient components, then
+    the Laplacian)."""
+    mu, c_lap = normalizing_constants(grid.dimension, s)
+    out = []
+    for kind, q, const in (("gradient", s, mu), ("laplacian", 2.0 * s, c_lap)):
+        mass = _exterior_reference(grid, q, params, signed=False)
+        kernel = np.abs(_kernel_by_offset(grid, s, params.near_cells, kind)).reshape(
+            -1, *[2 * n - 1 for n in grid.shape])
+        out += [const * (_gather(k, grid).sum(axis=1) + mass) for k in kernel]
+    return np.array(out)
 
 
 def _rel(got, want):
@@ -141,10 +174,59 @@ def test_gather_is_the_direct_dense_assembly(problem, matrix_free):
     grid, s, params = problem
     grad, lap = _operators(grid, s, params, matrix_free)
     want_grad, want_lap = _reference_tables(grid, s, params)
-    assert np.array_equal(grad.to_dense(), want_grad)
-    assert np.array_equal(lap.to_dense(), want_lap)
-    assert np.array_equal(grad.table, want_grad)
-    assert np.array_equal(lap.component(0), want_lap)
+    want = np.concatenate([want_grad, want_lap[None]])
+    diag = np.arange(grid.n_nodes)
+    # the diagonal to roundoff of the sums behind it
+    got_diag = np.concatenate([grad.diagonal, lap.diagonal])
+    want_diag = want[:, diag, diag]
+    scale = _diagonal_scale(grid, s, params) + np.abs(want_diag)
+    assert np.all(np.abs(got_diag - want_diag) <= 1e-13 * scale)
+    # every other entry bit for bit
+    want[:, diag, diag] = got_diag
+    assert np.array_equal(grad.to_dense(), want[:-1])
+    assert np.array_equal(lap.to_dense(), want[-1])
+    assert np.array_equal(grad.table, want[:-1])
+    assert np.array_equal(lap.component(0), want[-1])
+
+
+@st.composite
+def boxes(draw):
+    """A grid on a shifted box, 1D or 2D (non-square and thin included)."""
+    if draw(st.booleans()):
+        nodes = (draw(st.integers(4, 64)),)
+    else:
+        nodes = (draw(st.integers(4, 24)), draw(st.integers(4, 24)))
+    bounds = []
+    for _ in nodes:
+        lo, length = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.1, 5.0))
+        bounds.append((lo, lo + length))
+    return build_grid(DomainSpec(bounds=tuple(bounds), nodes=nodes))
+
+
+@SETTINGS
+@given(grid=boxes(), s=st.floats(0.01, 0.99), tail_correction=st.booleans(),
+       n_theta=st.integers(64, 4096))
+# a corner angle on a midpoint direction: seen from the node (0.6, -0.1)
+# the lower right corner lies at -pi/4, the ninth-last of 68 angles, where
+# the two ends of the sector that straddles theta = 0 must not round apart
+@example(grid=build_grid(DomainSpec(bounds=((-0.75, 0.75), (-0.25, 0.25)), nodes=(5, 5))),
+         s=0.5, tail_correction=False, n_theta=68)
+def test_sector_and_box_sums_match_the_brute_force_sums(grid, s, tail_correction, n_theta):
+    params = QuadratureParams(tail_correction=tail_correction, n_theta=n_theta)
+    for signed, q in ((True, s), (False, 2.0 * s)):
+        got = _exterior(grid, q, params, signed)
+        want = _exterior_reference(grid, q, params, signed)
+        if grid.dimension == 1:
+            assert np.array_equal(got, want)
+        mass = _exterior_reference(grid, q, params, signed=False) if signed else want
+        err = np.abs(got - want).reshape(grid.n_nodes, -1)
+        assert np.all(err <= 1e-13 * mass[:, None])
+    for kind in ("gradient", "laplacian"):
+        kernel = _kernel_by_offset(grid, s, params.near_cells, kind)
+        for k in kernel.reshape(-1, *[2 * n - 1 for n in grid.shape]):
+            gathered = _gather(k, grid)
+            err = np.abs(_row_sums(k, grid) - gathered.sum(axis=1))
+            assert np.all(err <= 1e-13 * np.abs(gathered).sum(axis=1))
 
 
 @SETTINGS
