@@ -19,10 +19,10 @@ from .experiments import (ConvergenceReport, IdentityReport, LinearRun,
                           SublinearRun, appendix_convergence, find_nu_threshold,
                           prepare, run_linear_regime, run_sublinear_regime,
                           verify_identities)
-from .fracops import (NonlocalOperator, QuadratureParams, apply_divergence,
-                      apply_gradient, apply_laplacian, assemble_gradient,
-                      assemble_laplacian, composition_matrix,
-                      composition_residual, normalizing_constants)
+from .fracops import (NonlocalOperator, apply_divergence, apply_gradient,
+                      apply_laplacian, assemble_gradient, assemble_laplacian,
+                      composition_matrix, composition_residual,
+                      normalizing_constants)
 from .grid import (DomainSpec, Field, Grid, VectorField, build_grid,
                    field_from_function, l2_inner)
 from .solvers import (RaySearchResult, SolveReport, SolverOptions,

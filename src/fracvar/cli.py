@@ -2,7 +2,7 @@
 
 Usage:
 
-    fracvar <command> --config <path> [--out <dir>] [--threads <k>]
+    fracvar <command> --config <path> [--out <dir>]
 
 Commands: verify (operator identity suite), eig (first eigenpair), solve
 (cone minimization), mpass (two-solution pipeline), sweep (sublinear
@@ -35,7 +35,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import struct
 import sys
 import time
@@ -46,7 +45,6 @@ import numpy as np
 
 from . import experiments as ex
 from .coeffs import COEFFICIENT_FAMILIES, REACTION_FAMILIES, make_coefficient, make_reaction
-from .fracops import QuadratureParams
 from .grid import DomainSpec, Field, Grid, build_grid
 from .solvers import SolverOptions
 from .spectral import eigenpair_to_csv
@@ -88,22 +86,19 @@ def _section(raw: dict, name: str) -> dict:
     return data
 
 
-_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number"}
+_EXPECTED = {int: "an integer", float: "a finite number"}
 
 
 def _typed(key: str, hint, value):
-    """Check one JSON value against a field type: a bool only for bool, an
-    integral number only for int, a finite number for float, and null only
-    where the type admits None."""
+    """Check one JSON value against a numeric field type: an integral number
+    for int, a finite number for float (a JSON bool is neither), and null
+    only where the type admits None."""
     options = typing.get_args(hint) or (hint,)
     if value is None and type(None) in options:
         return None
     kind = options[0]
-    if kind is bool:
-        ok = isinstance(value, bool)
-    else:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and abs(value) <= sys.float_info.max and (kind is float or value == int(value)))
+    ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+          and abs(value) <= sys.float_info.max and (kind is float or value == int(value)))
     if not ok:
         raise ConfigError(f'"{key}" must be {_EXPECTED[kind]}, got {value!r}')
     return kind(value)
@@ -117,14 +112,13 @@ def _checked(key: str, build, *args, **kwargs):
         raise ConfigError(f"{key}.{err}") from None
 
 
-def _dataclass_from(cls, section: str, data: dict, extra=()):
-    """Build a config dataclass from its section: the keys are the fields
-    (plus `extra`, read by the caller), every value is type-checked, and
-    omitted keys keep the dataclass defaults."""
+def _dataclass_from(cls, section: str, data: dict):
+    """Build a config dataclass from its section: the keys are the fields,
+    every value is type-checked, and omitted keys keep the dataclass
+    defaults."""
     hints = typing.get_type_hints(cls)
-    names = {f.name for f in dataclasses.fields(cls)}
-    _reject_unknown(section, data, names | set(extra))
-    kwargs = {k: _typed(f"{section}.{k}", hints[k], v) for k, v in data.items() if k in names}
+    _reject_unknown(section, data, {f.name for f in dataclasses.fields(cls)})
+    kwargs = {k: _typed(f"{section}.{k}", hints[k], v) for k, v in data.items()}
     return _checked(section, cls, **kwargs)
 
 
@@ -182,10 +176,10 @@ def parse_config(path) -> dict:
         raise ConfigError(f"domain: {err}") from None
 
     op = _section(raw, "operator")
+    _reject_unknown("operator", op, {"s"})
     s = _typed("operator.s", float, _require(op, "operator", "s"))
     if not 0.0 < s < 1.0:
         raise ConfigError(f'"operator.s" must lie in (0, 1), got {s}')
-    quad = _dataclass_from(QuadratureParams, "operator", op, extra={"s"})
 
     forcing = _checked("forcing", ex.forcing_spec, _section(raw, "forcing"))
     if forcing["kind"] == "file":
@@ -209,7 +203,7 @@ def parse_config(path) -> dict:
 
     return {
         "domain": spec.to_dict(),
-        "operator": {"s": s, **dataclasses.asdict(quad)},
+        "operator": {"s": s},
         "coefficient": _family_from(raw, "coefficient", COEFFICIENT_FAMILIES, make_coefficient),
         "reaction": _family_from(raw, "reaction", REACTION_FAMILIES, make_reaction),
         "forcing": forcing,
@@ -221,14 +215,11 @@ def parse_config(path) -> dict:
     }
 
 
-def regime_config_from(materialized: dict, threads: int | None = None) -> ex.RegimeConfig:
+def regime_config_from(materialized: dict) -> ex.RegimeConfig:
     """Build the experiments-facing config from a materialized dict."""
-    op = dict(materialized["operator"])
-    s = op.pop("s")
     return ex.RegimeConfig(
         domain=DomainSpec.from_dict(materialized["domain"]),
-        s=s,
-        quadrature=QuadratureParams(**op),
+        s=materialized["operator"]["s"],
         coefficient=(materialized["coefficient"]["family"],
                      materialized["coefficient"]["params"]),
         reaction=(materialized["reaction"]["family"], materialized["reaction"]["params"]),
@@ -236,7 +227,7 @@ def regime_config_from(materialized: dict, threads: int | None = None) -> ex.Reg
         solver=SolverOptions(**materialized["solver"]),
         sweep=tuple(materialized["sweep"]["values"]),
         seed=materialized["seed"],
-        threads=threads if threads is not None else materialized["threads"],
+        threads=materialized["threads"],
     )
 
 
@@ -502,15 +493,14 @@ _DISPATCH = {
 COMMANDS = tuple(_DISPATCH)
 
 
-def run_command(materialized: dict, command: str, out_dir=None,
-                threads: int | None = None) -> int:
+def run_command(materialized: dict, command: str, out_dir=None) -> int:
     """Execute one command; writes outputs plus the manifest, returns the
     exit status (0 ok, 1 solver failure recorded in the report)."""
     if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
     outdir = Path(out_dir if out_dir is not None else materialized["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
-    rcfg = regime_config_from(materialized, threads=threads)
+    rcfg = regime_config_from(materialized)
 
     files: list[str] = []
     timings: dict = {}
@@ -529,17 +519,6 @@ def run_command(materialized: dict, command: str, out_dir=None,
     return status
 
 
-def _threads_override(flag: str | None) -> int | None:
-    """--threads, else FRACVAR_THREADS, else None (the config decides)."""
-    key, value = ("--threads", flag) if flag is not None else (
-        "FRACVAR_THREADS", os.environ.get("FRACVAR_THREADS"))
-    if not value:
-        return None
-    if not value.isdecimal() or int(value) < 1:
-        raise ConfigError(f'"{key}" must be an integer of at least 1, got {value!r}')
-    return int(value)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="fracvar",
@@ -548,14 +527,11 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", default=None, help="output directory (default from config)")
-    parser.add_argument("--threads", default=None,
-                        help="sweep concurrency (default FRACVAR_THREADS or config)")
     args = parser.parse_args(argv)
 
     try:
-        threads = _threads_override(args.threads)
         materialized = parse_config(args.config)
-        status = run_command(materialized, args.command, out_dir=args.out, threads=threads)
+        status = run_command(materialized, args.command, out_dir=args.out)
     except ConfigError as err:
         print(f"fracvar: config error: {err}", file=sys.stderr)
         return 2

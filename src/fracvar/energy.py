@@ -60,9 +60,9 @@ class EnergyModel:
     """Bundle of the pieces the energy functional integrates.
 
     All components live on the gradient operator's grid and order s. The
-    reaction may be None (f == 0). The forcing h must be nonnegative, the
-    regime of the existence theory. grad_op is also the operator whose
-    (C + I)^{-1} preconditions the solvers.
+    reaction may be None (f == 0). The forcing h must be finite and
+    nonnegative, the regime of the existence theory. grad_op is also the
+    operator whose (C + I)^{-1} preconditions the solvers.
     """
 
     grad_op: NonlocalOperator
@@ -75,6 +75,8 @@ class EnergyModel:
             raise ValueError("EnergyModel needs a gradient operator")
         if self.forcing.grid is not self.grid and self.forcing.grid.spec != self.grid.spec:
             raise ValueError("forcing field lives on a different grid")
+        if not np.isfinite(self.forcing.values).all():
+            raise ValueError("forcing must not contain infs or NaNs")
         if np.any(self.forcing.values < 0):
             raise ValueError("forcing must be nonnegative")
 

@@ -36,9 +36,9 @@ import numpy as np
 from . import coeffs as coeffs_mod
 from .coeffs import CoefficientModel, HypothesisReport, ReactionModel
 from .energy import EnergyModel, convexity_gap, energy, hs_norm, monotonicity_pairing, weighted_form
-from .fracops import (NonlocalOperator, QuadratureParams, apply_divergence,
-                      apply_gradient, assemble_gradient, assemble_laplacian, cho_factor,
-                      cho_solve, composition_residual, normalizing_constants, symbol_solve)
+from .fracops import (NonlocalOperator, apply_divergence, apply_gradient, assemble_gradient,
+                      assemble_laplacian, cho_factor, cho_solve, composition_residual,
+                      normalizing_constants, symbol_solve)
 from .grid import DomainSpec, Field, Grid, VectorField, build_grid, field_from_function, l2_inner
 from .solvers import (TRIVIAL_L2, RaySearchResult, SolveReport, SolverOptions,
                       minimize_cone, mountain_pass, project_cone, ray_search,
@@ -94,7 +94,6 @@ class RegimeConfig:
 
     domain: DomainSpec
     s: float = 0.5
-    quadrature: QuadratureParams = field(default_factory=QuadratureParams)
     coefficient: tuple[str, dict | None] = ("power", None)
     reaction: tuple[str, dict | None] = ("saturating", None)
     forcing: dict = field(default_factory=dict)
@@ -175,8 +174,8 @@ def prepare(config: RegimeConfig, timings: dict | None = None) -> PreparedProble
     timings = {} if timings is None else timings
     grid = build_grid(config.domain)
     with timed(timings, "assemble_seconds"):
-        grad_op = assemble_gradient(grid, config.s, config.quadrature)
-        lap_op = assemble_laplacian(grid, config.s, config.quadrature)
+        grad_op = assemble_gradient(grid, config.s)
+        lap_op = assemble_laplacian(grid, config.s)
     with timed(timings, "eigenpair_seconds"):
         pair = first_eigenpair(lap_op)
     coeff = coeffs_mod.make_coefficient(*config.coefficient)
@@ -431,15 +430,14 @@ def _duality_check(grid, grad_op, rng, pairs=20) -> IdentityCheck:
     return IdentityCheck("duality", worst, 1e-12, worst <= 1e-12)
 
 
-def _divergence_oracle_check(s: float, quadrature: QuadratureParams,
-                             n: int = 256) -> IdentityCheck:
+def _divergence_oracle_check(s: float, n: int = 256) -> IdentityCheck:
     """Table divergence against adaptive continuum quadrature of the same
     integral (zero-extended smooth phi), an evaluation path independent of
     the assembled table."""
     from scipy.integrate import quad  # only this check needs it, and it is slow to import
 
     grid = build_grid(DomainSpec(bounds=((0.0, 1.0),), nodes=(n,)))
-    grad_op = assemble_gradient(grid, s, quadrature)
+    grad_op = assemble_gradient(grid, s)
     phi_fn = lambda x: np.sin(np.pi * x) * np.exp(-8.0 * (x - 0.4) ** 2)
     phi = VectorField(grid, field_from_function(grid, phi_fn).values[:, None])
     table_div = apply_divergence(grad_op, phi).values
@@ -469,14 +467,13 @@ def _divergence_oracle_check(s: float, quadrature: QuadratureParams,
     return IdentityCheck(f"divergence_oracle_s{s}", rel, 0.02, rel <= 0.02)
 
 
-def _composition_checks(s: float, quadrature: QuadratureParams,
-                        resolutions=(64, 128, 256)) -> list[IdentityCheck]:
+def _composition_checks(s: float, resolutions=(64, 128, 256)) -> list[IdentityCheck]:
     residuals = []
     for n in resolutions:
         grid = build_grid(DomainSpec(bounds=COMPOSITION_DOMAIN, nodes=(n,)))
         u = _composition_bump(grid)
-        grad_op = assemble_gradient(grid, s, quadrature)
-        lap_op = assemble_laplacian(grid, s, quadrature)
+        grad_op = assemble_gradient(grid, s)
+        lap_op = assemble_laplacian(grid, s)
         residuals.append(composition_residual(grad_op, lap_op, u))
     final = residuals[-1]
     mono = all(a > b for a, b in zip(residuals, residuals[1:]))
@@ -488,8 +485,7 @@ def _composition_checks(s: float, quadrature: QuadratureParams,
     ]
 
 
-def sign_pattern_checks(s: float = 0.5, width: float = 32.0, n: int = 512,
-                        quadrature: QuadratureParams | None = None) -> list[IdentityCheck]:
+def sign_pattern_checks(s: float = 0.5, width: float = 32.0, n: int = 512) -> list[IdentityCheck]:
     """The one-dimensional positive/negative-part computation.
 
     On a truncated line, the fractional gradient of the positive part of
@@ -498,10 +494,9 @@ def sign_pattern_checks(s: float = 0.5, width: float = 32.0, n: int = 512,
     strictly negative - the obstruction to the classical truncation
     argument for nonnegativity.
     """
-    quadrature = quadrature or QuadratureParams()
     half = width / 2.0
     grid = build_grid(DomainSpec(bounds=((-half, half),), nodes=(n,)))
-    grad_op = assemble_gradient(grid, s, quadrature)
+    grad_op = assemble_gradient(grid, s)
     x = grid.nodes[:, 0]
     u_plus = Field(grid, np.maximum(x, 0.0))
     u_minus = Field(grid, np.maximum(-x, 0.0))
@@ -558,9 +553,9 @@ def verify_identities(config: RegimeConfig,
     checks: list[IdentityCheck] = [_duality_check(prep.grid, prep.grad_op, rng)]
     if prep.grid.dimension == 1:
         for s in s_values:
-            checks.extend(_composition_checks(s, config.quadrature))
-            checks.append(_divergence_oracle_check(s, config.quadrature))
-        checks.extend(sign_pattern_checks(quadrature=config.quadrature))
+            checks.extend(_composition_checks(s))
+            checks.append(_divergence_oracle_check(s))
+        checks.extend(sign_pattern_checks())
     else:
         u = _composition_bump(prep.grid)
         res = composition_residual(prep.grad_op, prep.lap_op, u)

@@ -19,30 +19,30 @@ Each table is built from three parts, by one code path for d = 1 and 2:
 
 * kernel by offset: on the uniform grid the kernel integral over the cell
   of node j, seen from node i, depends only on the offset j - i. Cells
-  within ``near_cells`` spacings get the exact radial antiderivative (1D)
-  or a tensor Gauss-Legendre rule (2D), farther cells the midpoint value;
-  entry [i, j] of the table is gathered from offset j - i.
+  within NEAR_CELLS spacings get the exact radial antiderivative (1D) or a
+  tensor Gauss-Legendre rule (2D), farther cells the midpoint value; entry
+  [i, j] of the table is gathered from offset j - i.
 * diagonal: the row sum of the kernel (the u(x_i) part of the difference
   u(y) - u(x_i)), plus the kernel mass of the exterior of Omega, where
-  fields vanish, integrated radially exactly out to rho_tail with the
-  closed-form tail beyond it (tail on by default), plus the self cell: the
-  cell around the singularity is excluded and its contribution restored
-  by integrating the kernel against a local interpolant through the axis
-  neighbors, a central first difference for the gradient (the odd kernel
-  annihilates the constant term but not the linear one) and a second
-  difference for the Laplacian. The exterior and the self-cell moments use
-  one angular rule: the exact pair of directions +-e_1 in 1D, ``n_theta``
-  midpoint angles in 2D, with the radial integral exact along each. Both
-  sums over a row cost O(1) per node: the row sum is a box sum of the
-  kernel (a cumulative sum and a lag difference per axis), and the 2D
-  exterior is, per wall, the wall's distance to the power -q times a
-  difference of angular prefix sums between two of the node's corner
-  angles (between them every ray exits through that wall). Assembly costs
-  O(N + n_theta) besides the kernel's near-cell rules.
+  fields vanish, integrated radially exactly to infinity, plus the self
+  cell: the cell of half-width SELF_CELL spacings around the singularity
+  is excluded and its contribution restored by integrating the kernel
+  against a local interpolant through the axis neighbors, a central first
+  difference for the gradient (the odd kernel annihilates the constant
+  term but not the linear one) and a second difference for the Laplacian.
+  The exterior and the self-cell moments use one angular rule: the exact
+  pair of directions +-e_1 in 1D, N_THETA midpoint angles in 2D, with the
+  radial integral exact along each. Both sums over a row cost O(1) per
+  node: the row sum is a box sum of the kernel (a cumulative sum and a lag
+  difference per axis), and the 2D exterior is, per wall, the wall's
+  distance to the power -q times a difference of angular prefix sums
+  between two of the node's corner angles (between them every ray exits
+  through that wall). Assembly costs O(N + N_THETA) besides the kernel's
+  near-cell rules.
 * axis stencils: per axis, the self-cell couplings to the two neighbors
   (for the gradient with an anchoring diagonal term at wall rows, whose
   outer neighbor lies outside Omega) and the gradient's even Nyquist
-  stabilization.
+  stabilization (NYQUIST_STABILIZATION).
 
 An operator keeps these parts, not the dense table. Off the diagonal and
 the axis stencil the table is a Toeplitz (1D) or block-Toeplitz (2D)
@@ -80,7 +80,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .grid import Field, Grid, VectorField
 
 __all__ = [
-    "QuadratureParams",
     "NonlocalOperator",
     "normalizing_constants",
     "assemble_gradient",
@@ -101,8 +100,28 @@ __all__ = [
 _DENSE_MAX_NODES = 512
 # entries of one row block when a table is gathered
 _BLOCK_ENTRIES = 1 << 20
-# largest angular resolution (see QuadratureParams.n_theta)
-_MAX_N_THETA = 1 << 20
+
+# The quadrature of the principal-value and exterior integrals.
+#
+# Half-width of the excluded symmetric cell at the singularity, in units of
+# the grid spacing: 0.5 tiles the self cell exactly (smaller would leave part
+# of it to no rule, larger would double-count the neighbor cells).
+SELF_CELL = 0.5
+# Cells within this many spacings of the diagonal, on every axis, get the
+# refined kernel integrals instead of the midpoint value.
+NEAR_CELLS = 8
+# Angular resolution of the 2D exterior and self-cell rule (1D uses the
+# exact pair +-e_1). It costs O(N_THETA) time and memory per operator (the
+# angular prefix sums, ~72 bytes per angle); the rule's relative error falls
+# as N_THETA^-2 and is ~4e-7 here, far below the scheme's own error.
+N_THETA = 2048
+# Coefficient, in units of (pi/h)^s, of the even second-difference term added
+# to the gradient rows. An odd collocated stencil has symbol
+# i * sum_k b_k sin(k xi h), which vanishes at the grid Nyquist frequency
+# regardless of the quadrature, so the induced energy form would be blind to
+# sawtooth modes; this restores a continuum-scaled response there at an
+# O(h^{2-s}) consistency cost, the same order as the scheme's native error.
+NYQUIST_STABILIZATION = 0.12
 
 
 @cache
@@ -112,63 +131,6 @@ def _fft():
     import scipy.fft
 
     return scipy.fft
-
-
-@dataclass(frozen=True)
-class QuadratureParams:
-    """Knobs of the principal-value / improper-integral quadrature.
-
-    rho0: radius of the excluded symmetric cell at the singularity, in units
-        of the grid spacing. 0.5 (default) tiles the self cell exactly;
-        values above 0.5 would double-count neighbor cells and are rejected.
-    rho_tail: absolute truncation radius of the exterior integral; None
-        means 10 * diam(Omega), resolved at assembly.
-    tail_correction: add the closed-form radial tail beyond rho_tail.
-    near_cells: cells within this many spacings of the diagonal use refined
-        kernel integrals instead of the midpoint value.
-    n_theta: angular resolution of the 2D exterior / self-cell quadrature,
-        unused in 1D. It costs O(n_theta) time and memory per operator
-        (the angular prefix sums, ~72 bytes per angle), so it is capped at
-        2^20 (~75 MB): the rule's relative error falls as n_theta^-2, from
-        ~4e-7 at the default to ~1e-12 at the cap, far below the scheme's
-        own error, and a larger value would only run out of memory.
-    nyquist_stabilization: coefficient (in units of (pi/h)^s) of the even
-        second-difference term added to the gradient rows. An odd collocated
-        stencil has symbol i * sum_k b_k sin(k xi h), which vanishes at the
-        grid Nyquist frequency regardless of the quadrature, so the induced
-        energy form would be blind to sawtooth modes; the default restores
-        a continuum-scaled response there at an O(h^{2-s}) consistency
-        cost, the same order as the scheme's native error.
-    """
-
-    rho0: float = 0.5
-    rho_tail: float | None = None
-    tail_correction: bool = True
-    near_cells: int = 8
-    n_theta: int = 2048
-    nyquist_stabilization: float = 0.12
-
-    def __post_init__(self):
-        # messages start with the field name, which config errors report
-        if not 0.0 < self.rho0 <= 0.5:
-            raise ValueError(f"rho0 must lie in (0, 0.5], got {self.rho0}")
-        if self.rho_tail is not None and not 0.0 < self.rho_tail < np.inf:
-            raise ValueError(f"rho_tail must be positive and finite, got {self.rho_tail}")
-        if self.near_cells < 0:
-            raise ValueError(f"near_cells must be nonnegative, got {self.near_cells}")
-        if not 64 <= self.n_theta <= _MAX_N_THETA:
-            raise ValueError(f"n_theta must lie in [64, {_MAX_N_THETA}], got {self.n_theta}")
-        if not 0.0 <= self.nyquist_stabilization < np.inf:
-            raise ValueError("nyquist_stabilization must be nonnegative and finite, "
-                             f"got {self.nyquist_stabilization}")
-
-    def resolve_tail(self, grid: Grid) -> float:
-        rt = self.rho_tail if self.rho_tail is not None else 10.0 * grid.spec.diameter
-        if rt <= grid.spec.diameter:
-            raise ValueError(
-                f"rho_tail={rt} must exceed the domain diameter {grid.spec.diameter}"
-            )
-        return rt
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +156,6 @@ class NonlocalOperator:
     s: float
     grid: Grid
     constant: float
-    params: QuadratureParams
     kernel: np.ndarray
     diagonal: np.ndarray
     neighbors: np.ndarray
@@ -467,7 +428,7 @@ def _at_axis_neighbors(kernel: np.ndarray, shape) -> np.ndarray:
     return out
 
 
-def _directions(d: int, n_theta: int):
+def _directions(d: int, n_theta: int = N_THETA):
     """Unit directions of the angular rule and their common weight: the
     exact pair +-e_1 in 1D, n_theta midpoint angles in 2D."""
     if d == 1:
@@ -494,14 +455,13 @@ def _ray_exit_distance(nodes: np.ndarray, bounds, dirs: np.ndarray) -> np.ndarra
     return out
 
 
-def _exterior(grid: Grid, q: float, params: QuadratureParams, signed: bool) -> np.ndarray:
+def _exterior(grid: Grid, q: float, signed: bool, n_theta: int = N_THETA) -> np.ndarray:
     """Per-node integral of the kernel over the exterior of Omega.
 
     Along each direction the radial integral of r^{-1-q} from the exit
-    distance R outwards is R^{-q}/q; rho_tail cuts it unless the tail
-    correction adds the rest in closed form. signed=True weights each
-    direction by its unit vector (gradient, shape (N, d)), signed=False
-    sums the directions (Laplacian, shape (N,)).
+    distance R to infinity is R^{-q}/q. signed=True weights each direction
+    by its unit vector (gradient, shape (N, d)), signed=False sums the
+    directions (Laplacian, shape (N,)).
 
     In 1D the two directions +-e_1 exit through one wall each. In 2D a ray
     exits through wall w at distance dist_w / comp_w(theta), comp_w the
@@ -510,15 +470,13 @@ def _exterior(grid: Grid, q: float, params: QuadratureParams, signed: bool) -> n
     wall's sector is dist_w^{-q} times a difference of the prefix sums over
     theta of comp_w^q (times the direction when signed): O(N + n_theta).
     """
-    rt = params.resolve_tail(grid)
-    cut = 0.0 if params.tail_correction else rt ** (-q)
     x = grid.nodes
     if grid.dimension == 1:
         ((a, b),) = grid.spec.bounds
-        up = ((b - x[:, 0]) ** (-q) - cut) / q
-        down = ((x[:, 0] - a) ** (-q) - cut) / q
+        up = (b - x[:, 0]) ** (-q) / q
+        down = (x[:, 0] - a) ** (-q) / q
         return (up - down)[:, None] if signed else up + down
-    n = params.n_theta
+    n = n_theta
     dirs, weight = _directions(2, n)
     vec = dirs if signed else np.ones((n, 1))
     (a0, b0), (a1, b1) = grid.spec.bounds
@@ -542,19 +500,19 @@ def _exterior(grid: Grid, q: float, params: QuadratureParams, signed: bool) -> n
         # period n: the sector of +x straddles theta = 0
         lo, hi = (prefix[k % n] + (k // n)[:, None] * prefix[n] for k in first[w:w + 2])
         out += (dw ** (-q))[:, None] * (hi - lo)
-    out = weight * (out - cut * vec.sum(axis=0)) / q
+    out = weight * out / q
     return out if signed else out[:, 0]
 
 
-def _self_cell_moments(grid: Grid, params: QuadratureParams, p: float) -> np.ndarray:
+def _self_cell_moments(grid: Grid, p: float) -> np.ndarray:
     """Per axis k, the integral of z_k^2 |z|^{p-d-2} over the excluded cell
-    of half-widths rho0 * h: along each direction the radial integral is
-    R^p / p with R the distance to the cell edge."""
-    dirs, weight = _directions(grid.dimension, params.n_theta)
-    half = [(-params.rho0 * h, params.rho0 * h) for h in grid.spacing]
+    of half-widths SELF_CELL * h: along each direction the radial integral
+    is R^p / p with R the distance to the cell edge."""
+    dirs, weight = _directions(grid.dimension)
+    half = [(-SELF_CELL * h, SELF_CELL * h) for h in grid.spacing]
     exits = _ray_exit_distance(np.zeros((1, grid.dimension)), half, dirs)[0]
-    # scalar powers, so that in 1D this is the closed form 2 (rho0 h)^p / p
-    # to the last bit
+    # scalar powers, so that in 1D this is the closed form
+    # 2 (SELF_CELL h)^p / p to the last bit
     radial = np.array([r**p for r in exits]) / p
     return np.array([weight * np.sum(dirs[:, k] ** 2 * radial) for k in range(grid.dimension)])
 
@@ -571,20 +529,19 @@ def _axis_stencils(grid: Grid):
         yield stride, rows[upper], rows[lower], rows[~upper], rows[~lower]
 
 
-def assemble_gradient(grid: Grid, s: float, params: QuadratureParams | None = None) -> NonlocalOperator:
+def assemble_gradient(grid: Grid, s: float) -> NonlocalOperator:
     """Assemble the fractional gradient on a grid.
 
     Its table W satisfies grad_s u(x_i) ~= sum_j W[:, i, j] u_j with the
     exterior-zero convention baked into the diagonal.
     """
-    params = params or QuadratureParams()
     mu, _ = normalizing_constants(grid.dimension, s)
-    ext = _exterior(grid, s, params, signed=True)
-    kernel = _kernel_by_offset(grid, s, params.near_cells, "gradient")
+    ext = _exterior(grid, s, signed=True)
+    kernel = _kernel_by_offset(grid, s, NEAR_CELLS, "gradient")
     # the first-difference self weight of axis k: over the excluded cell the
     # odd kernel cancels the constant part of u but pairs with the linear
     # part, int z_k (z . grad u) / |z|^{d+s+1} dz = I_k d_k u
-    moments = _self_cell_moments(grid, params, 1.0 - s)
+    moments = _self_cell_moments(grid, 1.0 - s)
     at_neighbors = _at_axis_neighbors(kernel, grid.shape)
     neighbors = at_neighbors * mu
     diagonal = np.empty((grid.dimension, grid.n_nodes))
@@ -603,20 +560,19 @@ def assemble_gradient(grid: Grid, s: float, params: QuadratureParams | None = No
         dg *= mu
         up, down = at_neighbors[c, c]
         neighbors[c, c] = ((up + coeff) * mu, (down - coeff) * mu)
-        # even-symbol stabilization (see QuadratureParams), a second
+        # even-symbol stabilization (see NYQUIST_STABILIZATION), a second
         # difference; missing neighbors are the zero extension, so wall
         # rows keep only its diagonal part
-        if params.nyquist_stabilization > 0.0:
-            delta = params.nyquist_stabilization * (np.pi / grid.spacing[c]) ** s
-            dg += 2.0 * delta
-            neighbors[c, c] -= delta
+        delta = NYQUIST_STABILIZATION * (np.pi / grid.spacing[c]) ** s
+        dg += 2.0 * delta
+        neighbors[c, c] -= delta
         diagonal[c] = dg
 
-    return NonlocalOperator(kind="gradient", s=float(s), grid=grid, constant=mu, params=params,
+    return NonlocalOperator(kind="gradient", s=float(s), grid=grid, constant=mu,
                             kernel=kernel, diagonal=diagonal, neighbors=neighbors)
 
 
-def assemble_laplacian(grid: Grid, s: float, params: QuadratureParams | None = None) -> NonlocalOperator:
+def assemble_laplacian(grid: Grid, s: float) -> NonlocalOperator:
     """Assemble (-Lap)^s; its table is symmetric positive definite.
 
     Row sums equal the exterior kernel mass (plus the boundary remainder of
@@ -624,14 +580,13 @@ def assemble_laplacian(grid: Grid, s: float, params: QuadratureParams | None = N
     with positive diagonal, hence positive definite on the zero-extension
     class.
     """
-    params = params or QuadratureParams()
     _, c_lap = normalizing_constants(grid.dimension, s)
-    ext = _exterior(grid, 2.0 * s, params, signed=False)
-    kernel = _kernel_by_offset(grid, s, params.near_cells, "laplacian")[None]
+    ext = _exterior(grid, 2.0 * s, signed=False)
+    kernel = _kernel_by_offset(grid, s, NEAR_CELLS, "laplacian")[None]
     # second-difference self weight of axis k: the kernel integrated against
     # the quadratic interpolant through the axis neighbors over the excluded
     # cell, multiplying -(u_{i+e_k} - 2 u_i + u_{i-e_k})
-    slf = c_lap * (0.5 * _self_cell_moments(grid, params, 2.0 - 2.0 * s)
+    slf = c_lap * (0.5 * _self_cell_moments(grid, 2.0 - 2.0 * s)
                    / np.asarray(grid.spacing) ** 2)
     diagonal = (_row_sums(kernel[0], grid) + ext) * c_lap
     for coeff in slf:
@@ -639,8 +594,7 @@ def assemble_laplacian(grid: Grid, s: float, params: QuadratureParams | None = N
     neighbors = _at_axis_neighbors(kernel, grid.shape) * -c_lap - slf[:, None]
 
     return NonlocalOperator(kind="laplacian", s=float(s), grid=grid, constant=c_lap,
-                            params=params, kernel=kernel, diagonal=diagonal[None],
-                            neighbors=neighbors)
+                            kernel=kernel, diagonal=diagonal[None], neighbors=neighbors)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from fracvar import (DomainSpec, QuadratureParams, assemble_gradient,
-                     assemble_laplacian, build_grid, first_eigenpair,
-                     make_coefficient)
+from fracvar import (DomainSpec, assemble_gradient, assemble_laplacian,
+                     build_grid, first_eigenpair, make_coefficient)
 from fracvar.fracops import composition_matrix
 
 

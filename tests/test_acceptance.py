@@ -22,7 +22,7 @@ from fracvar import (DomainSpec, EnergyModel, Field, RegimeConfig,
 from fracvar.cli import parse_config, run_command
 from fracvar.experiments import (_composition_checks, _divergence_oracle_check,
                                  sign_pattern_checks)
-from fracvar.fracops import QuadratureParams, composition_matrix
+from fracvar.fracops import composition_matrix
 from fracvar.solvers import project_cone
 
 
@@ -43,12 +43,11 @@ def prep_128():
 
 def test_criterion_01_operator_identity_suite(rng):
     t0 = time.time()
-    quad = QuadratureParams()
     grid = build_grid(DomainSpec(bounds=((0.0, 1.0),), nodes=(256,)))
     details = []
     ok = True
     for s in (0.3, 0.5, 0.7):
-        grad_op = assemble_gradient(grid, s, quad)
+        grad_op = assemble_gradient(grid, s)
         worst = 0.0
         for _ in range(20):
             u = Field(grid, rng.standard_normal(256))
@@ -57,9 +56,9 @@ def test_criterion_01_operator_identity_suite(rng):
             rhs = -grid.weight * np.sum(phi.values * apply_gradient(grad_op, u).values)
             worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
         ok &= worst <= 1e-12
-        div = _divergence_oracle_check(s, quad)
+        div = _divergence_oracle_check(s)
         ok &= div.passed
-        comp_final, comp_mono = _composition_checks(s, quad)
+        comp_final, comp_mono = _composition_checks(s)
         ok &= comp_final.passed and comp_mono.passed
         details.append(f"s={s}: dual={worst:.1e} div={div.value:.3f} "
                        f"comp={comp_final.value:.3f}{'v' if comp_mono.passed else 'x'}")

@@ -39,8 +39,7 @@ class TestParseConfig:
             "reaction": {"family": "saturating", "params": {"nu": 1}},
         }))
         cfg = parse_config(path)
-        assert cfg["operator"]["rho0"] == 0.5
-        assert cfg["operator"]["tail_correction"] is True
+        assert cfg["operator"] == {"s": 0.5}
         assert cfg["solver"]["tol_g"] == 1e-6
         assert cfg["forcing"] == {"kind": "zero"}
         assert cfg["seed"] == 0
@@ -338,11 +337,10 @@ class TestCommandFamilyValidation:
         assert lines[0] == "check,value,tolerance,passed"
         assert len(lines) > 10
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch, capsys):
+    def test_sweep_threads_from_config(self, tmp_path):
         path = write_config(tmp_path / "cfg.json",
                             forcing={"kind": "zero"},
-                            sweep={"values": [0.5, 5.0]})
-        monkeypatch.setenv("FRACVAR_THREADS", "2")
+                            sweep={"values": [0.5, 5.0]}, threads=2)
         status = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
         assert status == 0
 
@@ -396,81 +394,71 @@ def _mpass_file_forcing(cfg, tmp_path):
     cfg["reaction"] = {"family": "cubic_saturating", "params": {"kappa": 4.65}}
 
 
-def _huge_n_theta(cfg, tmp_path):
-    cfg["domain"] = {"bounds": [[0.0, 1.0], [0.0, 1.0]], "nodes": [8, 8]}
-    _set("operator", "n_theta", 100_000_000)(cfg, tmp_path)
-
-
 INVALID_INPUTS = [
     # non-finite and out-of-range values
-    ("nan-tol_g", _set("solver", "tol_g", float("nan")), [], {}, "solver.tol_g"),
-    ("nan-nu", _set_param("reaction", "saturating", "nu", float("nan")), [], {},
+    ("nan-tol_g", _set("solver", "tol_g", float("nan")), "solver.tol_g"),
+    ("nan-nu", _set_param("reaction", "saturating", "nu", float("nan")),
      "reaction.params.nu"),
-    ("inf-nu", _set_param("reaction", "saturating", "nu", float("inf")), [], {},
+    ("inf-nu", _set_param("reaction", "saturating", "nu", float("inf")),
      "reaction.params.nu"),
-    ("nan-kappa", _set_param("reaction", "cubic_saturating", "kappa", float("nan")), [], {},
+    ("nan-kappa", _set_param("reaction", "cubic_saturating", "kappa", float("nan")),
      "reaction.params.kappa"),
-    ("nan-A", _set_param("coefficient", "power", "A", float("nan")), [], {},
+    ("nan-A", _set_param("coefficient", "power", "A", float("nan")),
      "coefficient.params.A"),
-    ("inf-B", _set_param("coefficient", "power", "B", float("inf")), [], {},
+    ("inf-B", _set_param("coefficient", "power", "B", float("inf")),
      "coefficient.params.B"),
-    ("nan-c", _set_param("coefficient", "constant", "c", float("nan")), [], {},
+    ("nan-c", _set_param("coefficient", "constant", "c", float("nan")),
      "coefficient.params.c"),
-    ("negative-max_iter", _set("solver", "max_iter", -1), [], {}, "solver.max_iter"),
-    # on a 2D grid a huge angular rule would run out of memory in assembly
-    ("huge-n_theta", _huge_n_theta, [], {}, "operator.n_theta"),
-    ("zero-ball_radius", _set("solver", "ball_radius", 0.0), [], {}, "solver.ball_radius"),
-    ("negative-ball_radius", _set("solver", "ball_radius", -1.0), [], {}, "solver.ball_radius"),
-    # options the solvers no longer have
-    ("stale-path_points", _set("solver", "path_points", 41), [], {},
+    ("negative-max_iter", _set("solver", "max_iter", -1), "solver.max_iter"),
+    ("zero-ball_radius", _set("solver", "ball_radius", 0.0), "solver.ball_radius"),
+    ("negative-ball_radius", _set("solver", "ball_radius", -1.0), "solver.ball_radius"),
+    # options the solvers no longer have, and the quadrature settings that
+    # are now constants of the scheme (set here to their old defaults)
+    ("stale-path_points", _set("solver", "path_points", 41),
      'unknown key "path_points" in section "solver"'),
-    ("stale-armijo_factor", _set("solver", "armijo_factor", 0.5), [], {},
+    ("stale-armijo_factor", _set("solver", "armijo_factor", 0.5),
      'unknown key "armijo_factor" in section "solver"'),
+    *[(f"removed-{key}", _set("operator", key, value),
+       f'unknown key "{key}" in section "operator"')
+      for key, value in (("rho0", 0.5), ("rho_tail", None), ("tail_correction", True),
+                         ("near_cells", 8), ("n_theta", 2048), ("nyquist_stabilization", 0.12))],
     # wrong types and names
-    ("string-bool", _set("operator", "tail_correction", "false"), [], {},
-     "operator.tail_correction"),
-    ("fractional-int", _set("operator", "near_cells", 2.7), [], {}, "operator.near_cells"),
-    ("unknown-param", _set_param("reaction", "saturating", "nuu", 2.0), [], {},
+    ("fractional-int", _set("solver", "max_iter", 2.7), "solver.max_iter"),
+    ("unknown-param", _set_param("reaction", "saturating", "nuu", 2.0),
      "reaction.params.nuu"),
-    ("missing-param", _set_param("coefficient", "power", "B", None), [], {},
+    ("missing-param", _set_param("coefficient", "power", "B", None),
      "coefficient.params.B"),
-    ("negative-nu", _set_param("reaction", "saturating", "nu", -1.0), [], {},
+    ("negative-nu", _set_param("reaction", "saturating", "nu", -1.0),
      "reaction.params.nu"),
-    ("zero-kappa", _set_param("reaction", "cubic_saturating", "kappa", 0.0), [], {},
+    ("zero-kappa", _set_param("reaction", "cubic_saturating", "kappa", 0.0),
      "reaction.params.kappa"),
-    ("string-s", _set("operator", "s", "half"), [], {}, "operator.s"),
-    ("string-sweep", _set("sweep", "values", [0.5, "x"]), [], {}, "sweep.values"),
-    ("string-seed", _set(None, "seed", "abc"), [], {}, "seed"),
-    ("unused-forcing-key", _set(None, "forcing", {"kind": "zero", "scale": 1.0}), [], {},
+    ("string-s", _set("operator", "s", "half"), "operator.s"),
+    ("string-sweep", _set("sweep", "values", [0.5, "x"]), "sweep.values"),
+    ("string-seed", _set(None, "seed", "abc"), "seed"),
+    ("zero-threads", _set(None, "threads", 0), "threads"),
+    ("unused-forcing-key", _set(None, "forcing", {"kind": "zero", "scale": 1.0}),
      "forcing.scale"),
     # forcing files
-    ("missing-forcing-file", _forcing_file(None), [], {}, "forcing.path"),
-    ("bad-forcing-header", _forcing_file(b"FVFD\x01\x00"), [], {}, "forcing.path"),
+    ("missing-forcing-file", _forcing_file(None), "forcing.path"),
+    ("bad-forcing-header", _forcing_file(b"FVFD\x01\x00"), "forcing.path"),
     ("nan-forcing-values", _forcing_file(
-        _FVFD_64_HEADER + np.full(64, np.nan).astype("<f8").tobytes()), [], {}, "forcing.path"),
+        _FVFD_64_HEADER + np.full(64, np.nan).astype("<f8").tobytes()), "forcing.path"),
     # a valid forcing file that mpass would not read (its forcing is the
     # sweep value times phi1)
-    ("mpass-file-forcing", _mpass_file_forcing, [], {}, "forcing.kind", "mpass"),
-    # thread overrides
-    ("zero-threads-flag", lambda cfg, tmp_path: None, ["--threads", "0"], {}, "--threads"),
-    ("bad-threads-env", lambda cfg, tmp_path: None, [], {"FRACVAR_THREADS": "abc"},
-     "FRACVAR_THREADS"),
+    ("mpass-file-forcing", _mpass_file_forcing, "forcing.kind", "mpass"),
 ]
 
 
-@pytest.mark.parametrize("edit,argv,env,key,command",
+@pytest.mark.parametrize("edit,key,command",
                          # the command a case runs follows its key; solve if none
-                         [(*case[1:5], case[5] if len(case) > 5 else "solve")
+                         [(*case[1:3], case[3] if len(case) > 3 else "solve")
                           for case in INVALID_INPUTS],
                          ids=[case[0] for case in INVALID_INPUTS])
-def test_invalid_input_exits_2_naming_key(tmp_path, capsys, monkeypatch, edit, argv, env, key,
-                                          command):
+def test_invalid_input_exits_2_naming_key(tmp_path, capsys, edit, key, command):
     cfg = json.loads(write_config(tmp_path / "base.json").read_text())
     edit(cfg, tmp_path)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
-    status = main([command, "--config", str(path), "--out", str(tmp_path / "o")] + argv)
+    status = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
     assert status == 2
     assert key in capsys.readouterr().err

@@ -1,8 +1,8 @@
 """Property tests of the configuration contract and the field file format.
 
 The snapshot that parse_config returns is itself a valid configuration that
-parses back to the same snapshot, a non-finite value at any numeric key is
-a ConfigError that names the key, the README's config table lists the keys
+parses back to the same snapshot, a non-finite value or a JSON bool at any
+numeric key is a ConfigError that names the key, the README's config table lists the keys
 and defaults the parser materializes, and a field written in the FVFD
 format reads back bit for bit.
 """
@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fracvar import DomainSpec, Field, QuadratureParams, SolverOptions, build_grid
+from fracvar import DomainSpec, Field, SolverOptions, build_grid
 from fracvar.cli import ConfigError, parse_config, read_field, write_field
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -41,14 +41,6 @@ def _optional(strategy):
     return st.one_of(st.none(), strategy)
 
 
-OPERATOR = {
-    "rho0": st.floats(min_value=1e-6, max_value=0.5),
-    "rho_tail": _optional(_positive(1e3)),
-    "tail_correction": st.booleans(),
-    "near_cells": st.integers(0, 32),
-    "n_theta": st.integers(64, 2**20),
-    "nyquist_stabilization": st.floats(min_value=0.0, max_value=10.0),
-}
 SOLVER = {
     "max_iter": st.integers(0, 10**6),
     "tol_g": _positive(1.0),
@@ -76,13 +68,12 @@ FORCINGS = st.one_of(
 
 
 def test_strategies_cover_every_dataclass_field():
-    assert set(OPERATOR) == {f.name for f in dataclasses.fields(QuadratureParams)}
     assert set(SOLVER) == {f.name for f in dataclasses.fields(SolverOptions)}
 
 
 @SETTINGS
 @given(
-    operator=st.fixed_dictionaries({}, optional=OPERATOR),
+    s=st.floats(min_value=1e-6, max_value=1.0, exclude_max=True),
     solver=st.fixed_dictionaries({}, optional=SOLVER),
     coefficient=COEFFICIENTS,
     reaction=REACTIONS,
@@ -91,11 +82,11 @@ def test_strategies_cover_every_dataclass_field():
     seed=st.integers(0, 2**31),
     threads=st.integers(1, 4),
 )
-def test_snapshot_is_a_fixed_point(operator, solver, coefficient, reaction, forcing,
+def test_snapshot_is_a_fixed_point(s, solver, coefficient, reaction, forcing,
                                    sweep, seed, threads):
     cfg = {
         "domain": {"bounds": [[0.0, 1.0]], "nodes": [16]},
-        "operator": {"s": 0.5, **operator},
+        "operator": {"s": s},
         "coefficient": coefficient,
         "reaction": reaction,
         "forcing": forcing,
@@ -106,8 +97,7 @@ def test_snapshot_is_a_fixed_point(operator, solver, coefficient, reaction, forc
     }
     snapshot = _parse(cfg)
     assert _parse(snapshot) == snapshot
-    for key, value in operator.items():
-        assert snapshot["operator"][key] == value
+    assert snapshot["operator"] == {"s": s}
     for key, value in solver.items():
         assert snapshot["solver"][key] == value
 
@@ -146,7 +136,8 @@ def test_readme_config_table_matches_the_parser():
     for label, section in sections.items():
         keys, defaults = _readme_row(label)
         assert keys == set(section), label
-        assert defaults, label
+        # the order s is required and has no default
+        assert defaults or set(section) == {"s"}, label
         for key, value in defaults.items():
             assert section[key] == value, (label, key)
 
@@ -162,8 +153,6 @@ BASE = {
 # (path into the config, the key name the error must carry)
 NUMERIC_KEYS = (
     [(("operator", "s"), "operator.s")]
-    + [(("operator", f.name), f"operator.{f.name}") for f in dataclasses.fields(QuadratureParams)
-       if f.type != "bool"]
     + [(("solver", f.name), f"solver.{f.name}") for f in dataclasses.fields(SolverOptions)]
     + [(("coefficient", "params", k), f"coefficient.params.{k}") for k in ("A", "B", "p")]
     + [(("reaction", "params", k), f"reaction.params.{k}") for k in ("nu", "amplitude")]
@@ -176,17 +165,29 @@ NUMERIC_KEYS = (
 )
 
 
-@pytest.mark.parametrize("path,name", NUMERIC_KEYS, ids=[name for _, name in NUMERIC_KEYS])
-@settings(max_examples=10, deadline=None)
-@given(value=st.sampled_from([math.nan, math.inf, -math.inf]))
-def test_non_finite_value_names_its_key(path, name, value):
+def _base_with(path, value) -> dict:
+    """A copy of BASE with value at path."""
     cfg = json.loads(json.dumps(BASE))
     node = cfg
     for part in path[:-1]:
         node = node.setdefault(part, {}) if isinstance(node, dict) else node[part]
     node[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("path,name", NUMERIC_KEYS, ids=[name for _, name in NUMERIC_KEYS])
+@settings(max_examples=10, deadline=None)
+@given(value=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_value_names_its_key(path, name, value):
     with pytest.raises(ConfigError, match=re.escape(name)):
-        _parse(cfg)
+        _parse(_base_with(path, value))
+
+
+@pytest.mark.parametrize("path,name", NUMERIC_KEYS, ids=[name for _, name in NUMERIC_KEYS])
+@pytest.mark.parametrize("value", [True, False])
+def test_bool_value_names_its_key(path, name, value):
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        _parse(_base_with(path, value))
 
 
 @st.composite

@@ -207,6 +207,16 @@ def test_nonneg_forcing_enforced(grad_128, power_coeff, grid_1d_128):
         EnergyModel(grad_op=grad_128, coeff=power_coeff, reaction=None, forcing=h)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_finite_forcing_enforced(grad_128, power_coeff, grid_1d_128, bad):
+    # NaN passes the sign test, and the solver then misreports an overflow
+    values = np.ones(128)
+    values[5] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        EnergyModel(grad_op=grad_128, coeff=power_coeff, reaction=None,
+                    forcing=Field(grid_1d_128, values))
+
+
 def gradients(grad_op, vals):
     """The fractional gradients of the rows of vals, stacked (P, N, d)."""
     return np.stack([apply_gradient(grad_op, Field(grad_op.grid, v)).values for v in vals])

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.special import gamma as gamma_fn
 
-from fracvar import (DomainSpec, Field, QuadratureParams, RegimeConfig, SolverOptions,
+from fracvar import (DomainSpec, Field, RegimeConfig, SolverOptions,
                      VectorField, apply_divergence, apply_gradient, apply_laplacian, assemble_gradient, assemble_laplacian,
                      build_grid, composition_residual, field_from_function,
                      first_eigenpair, l2_inner, normalizing_constants, prepare)
@@ -75,12 +75,11 @@ class TestGradient:
         # odd-kernel weights cancel exactly at the symmetry node; what is
         # left is the documented even stabilization stencil
         grid = build_grid(DomainSpec(bounds=((0.0, 1.0),), nodes=(65,)))
-        params = QuadratureParams()
-        op = assemble_gradient(grid, 0.5, params)
+        op = assemble_gradient(grid, 0.5)
         u = gaussian_bump(grid)
         c = 32  # center node of 65
         got = apply_gradient(op, u).values[c, 0]
-        delta = params.nyquist_stabilization * (np.pi / grid.spacing[0]) ** 0.5
+        delta = fracops.NYQUIST_STABILIZATION * (np.pi / grid.spacing[0]) ** 0.5
         even_part = delta * (2 * u.values[c] - u.values[c - 1] - u.values[c + 1])
         assert abs(got - even_part) <= 1e-10
 
@@ -253,35 +252,6 @@ class TestHeldInverse:
             fracops.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
-class TestQuadratureParams:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureParams(rho0=0.0)
-        with pytest.raises(ValueError):
-            QuadratureParams(rho0=0.7)
-        with pytest.raises(ValueError):
-            QuadratureParams(rho_tail=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureParams(n_theta=8)
-        with pytest.raises(ValueError, match="n_theta"):
-            QuadratureParams(n_theta=2**20 + 1)
-        QuadratureParams(n_theta=2**20)
-
-    def test_tail_must_clear_domain(self, grid_1d_128):
-        params = QuadratureParams(rho_tail=0.5)
-        with pytest.raises(ValueError, match="diameter"):
-            assemble_gradient(grid_1d_128, 0.5, params)
-
-    def test_tail_correction_flag_changes_weights(self, grid_1d_128):
-        on = assemble_laplacian(grid_1d_128, 0.5, QuadratureParams(tail_correction=True))
-        off = assemble_laplacian(grid_1d_128, 0.5, QuadratureParams(tail_correction=False))
-        d_on = np.diag(on.table)
-        d_off = np.diag(off.table)
-        assert np.all(d_on >= d_off)
-        assert np.any(d_on > d_off)
-
-
-
 def _array_sizes(obj):
     """Entry counts of every array an operator holds, cached parts included."""
     if isinstance(obj, np.ndarray):
@@ -346,7 +316,7 @@ class TestMatrixFree:
 
     @pytest.mark.parametrize("n", [96, 128])
     def test_assembly_allocates_o_n(self, n):
-        # the exterior and the row sums are O(N + n_theta): an N x n_theta or
+        # the exterior and the row sums are O(N + N_THETA): an N x N_THETA or
         # N x N temporary would exceed the bound many times over
         grid = build_grid(DomainSpec(bounds=((0.0, 1.0), (0.0, 1.0)), nodes=(n, n)))
         tracemalloc.start()

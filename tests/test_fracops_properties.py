@@ -17,36 +17,27 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracvar import (DomainSpec, Field, QuadratureParams, VectorField,
+from fracvar import (DomainSpec, Field, VectorField,
                      apply_divergence, apply_gradient, apply_laplacian, assemble_gradient, assemble_laplacian,
                      build_grid, l2_inner, normalizing_constants)
 from fracvar import fracops
-from fracvar.fracops import (_axis_stencils, _directions, _exterior, _kernel_by_offset,
-                             _ray_exit_distance, _row_sums, _self_cell_moments)
+from fracvar.fracops import (NEAR_CELLS, N_THETA, NYQUIST_STABILIZATION, _axis_stencils,
+                             _directions, _exterior, _kernel_by_offset, _ray_exit_distance,
+                             _row_sums, _self_cell_moments)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
 
 @st.composite
 def problems(draw):
-    """A grid (1D or 2D, non-square included), an order s, and quadrature
-    parameters drawn away from their defaults."""
+    """A grid (1D or 2D, non-square included) and an order s."""
     if draw(st.booleans()):
         nodes = (draw(st.integers(4, 64)),)
     else:
         nodes = (draw(st.integers(4, 12)), draw(st.integers(4, 12)))
     lengths = [draw(st.floats(0.5, 3.0)) for _ in nodes]
     spec = DomainSpec(bounds=tuple((-0.5 * L, 0.5 * L) for L in lengths), nodes=nodes)
-    tail = draw(st.one_of(st.none(), st.floats(1.1, 20.0)))
-    params = QuadratureParams(
-        rho0=draw(st.floats(0.05, 0.5)),
-        rho_tail=None if tail is None else tail * spec.diameter,
-        tail_correction=draw(st.booleans()),
-        near_cells=draw(st.integers(0, 10)),
-        n_theta=draw(st.integers(64, 512)),
-        nyquist_stabilization=draw(st.floats(0.0, 1.0)),
-    )
-    return build_grid(spec), draw(st.floats(0.05, 0.95)), params
+    return build_grid(spec), draw(st.floats(0.05, 0.95))
 
 
 def _offset_spread(matrix: np.ndarray, grid) -> float:
@@ -68,31 +59,28 @@ def _offset_spread(matrix: np.ndarray, grid) -> float:
 @SETTINGS
 @given(problem=problems())
 def test_tables_depend_only_on_offset_off_the_stencil(problem):
-    grid, s, params = problem
-    grad = assemble_gradient(grid, s, params)
+    grid, s = problem
+    grad = assemble_gradient(grid, s)
     for c in range(grid.dimension):
         assert _offset_spread(grad.table[c], grid) == 0.0
-    assert _offset_spread(assemble_laplacian(grid, s, params).table, grid) == 0.0
+    assert _offset_spread(assemble_laplacian(grid, s).table, grid) == 0.0
 
 
-def _operators(grid, s, params, matrix_free):
+def _operators(grid, s, matrix_free):
     """Both operators; matrix_free forces the FFT path whatever the grid size
     (the hypothesis grids all lie below the crossover)."""
     limit = -1 if matrix_free else fracops._DENSE_MAX_NODES
     with patch.object(fracops, "_DENSE_MAX_NODES", limit):
-        grad, lap = assemble_gradient(grid, s, params), assemble_laplacian(grid, s, params)
+        grad, lap = assemble_gradient(grid, s), assemble_laplacian(grid, s)
     assert grad.matrix_free == lap.matrix_free == matrix_free
     return grad, lap
 
 
-def _exterior_reference(grid, q, params, signed):
+def _exterior_reference(grid, q, signed, n_theta=N_THETA):
     """The exterior kernel mass direction by direction: R^{-q}/q along each
-    direction of the angular rule, R the exit distance, less the rho_tail
-    cut unless the tail is corrected; O(N n_theta)."""
-    rt = params.resolve_tail(grid)
-    dirs, weight = _directions(grid.dimension, params.n_theta)
-    cut = 0.0 if params.tail_correction else rt ** (-q)
-    radial = (_ray_exit_distance(grid.nodes, grid.spec.bounds, dirs) ** (-q) - cut) / q
+    direction of the angular rule, R the exit distance; O(N n_theta)."""
+    dirs, weight = _directions(grid.dimension, n_theta)
+    radial = _ray_exit_distance(grid.nodes, grid.spec.bounds, dirs) ** (-q) / q
     return weight * radial @ dirs if signed else weight * radial.sum(axis=1)
 
 
@@ -104,7 +92,7 @@ def _gather(kernel, grid):
     return kernel.ravel()[pos[None, :] - pos[:, None] + center]
 
 
-def _reference_tables(grid, s, params):
+def _reference_tables(grid, s):
     """The tables of a direct dense assembly: each kernel gathered by offset
     with an index matrix, the diagonal (from the gathered row sums and the
     direction-by-direction exterior) and the stencils written into it."""
@@ -118,9 +106,9 @@ def _reference_tables(grid, s, params):
         mat[upper, upper + stride] -= coeff
         mat[lower, lower - stride] -= coeff
 
-    ext = _exterior_reference(grid, s, params, signed=True)
-    kernel = _kernel_by_offset(grid, s, params.near_cells, "gradient")
-    moments = _self_cell_moments(grid, params, 1.0 - s)
+    ext = _exterior_reference(grid, s, signed=True)
+    kernel = _kernel_by_offset(grid, s, NEAR_CELLS, "gradient")
+    moments = _self_cell_moments(grid, 1.0 - s)
     grad = np.empty((grid.dimension, n, n))
     for c, stencil in enumerate(_axis_stencils(grid)):
         w = grad[c]
@@ -133,23 +121,21 @@ def _reference_tables(grid, s, params):
         w[lower, lower - stride] -= coeff
         w[lower_wall, lower_wall] += coeff
         w *= mu
-        if params.nyquist_stabilization > 0.0:
-            delta = params.nyquist_stabilization * (np.pi / grid.spacing[c]) ** s
-            second_difference(w, stencil, delta)
+        second_difference(w, stencil, NYQUIST_STABILIZATION * (np.pi / grid.spacing[c]) ** s)
 
-    lap = _gather(_kernel_by_offset(grid, s, params.near_cells, "laplacian"), grid)
-    row_mass = lap.sum(axis=1) + _exterior_reference(grid, 2.0 * s, params, signed=False)
+    lap = _gather(_kernel_by_offset(grid, s, NEAR_CELLS, "laplacian"), grid)
+    row_mass = lap.sum(axis=1) + _exterior_reference(grid, 2.0 * s, signed=False)
     np.negative(lap, out=lap)
     lap[diag, diag] = row_mass
     lap *= c_lap
-    slf = c_lap * (0.5 * _self_cell_moments(grid, params, 2.0 - 2.0 * s)
+    slf = c_lap * (0.5 * _self_cell_moments(grid, 2.0 - 2.0 * s)
                    / np.asarray(grid.spacing) ** 2)
     for coeff, stencil in zip(slf, _axis_stencils(grid)):
         second_difference(lap, stencil, coeff)
     return grad, lap
 
 
-def _diagonal_scale(grid, s, params):
+def _diagonal_scale(grid, s):
     """Per component and node, the unsigned size of the sums behind the
     diagonal: the absolute kernel row sum plus the unsigned exterior mass,
     times the normalization, shape (d + 1, N) (gradient components, then
@@ -157,8 +143,8 @@ def _diagonal_scale(grid, s, params):
     mu, c_lap = normalizing_constants(grid.dimension, s)
     out = []
     for kind, q, const in (("gradient", s, mu), ("laplacian", 2.0 * s, c_lap)):
-        mass = _exterior_reference(grid, q, params, signed=False)
-        kernel = np.abs(_kernel_by_offset(grid, s, params.near_cells, kind)).reshape(
+        mass = _exterior_reference(grid, q, signed=False)
+        kernel = np.abs(_kernel_by_offset(grid, s, NEAR_CELLS, kind)).reshape(
             -1, *[2 * n - 1 for n in grid.shape])
         out += [const * (_gather(k, grid).sum(axis=1) + mass) for k in kernel]
     return np.array(out)
@@ -171,15 +157,15 @@ def _rel(got, want):
 @SETTINGS
 @given(problem=problems(), matrix_free=st.booleans())
 def test_gather_is_the_direct_dense_assembly(problem, matrix_free):
-    grid, s, params = problem
-    grad, lap = _operators(grid, s, params, matrix_free)
-    want_grad, want_lap = _reference_tables(grid, s, params)
+    grid, s = problem
+    grad, lap = _operators(grid, s, matrix_free)
+    want_grad, want_lap = _reference_tables(grid, s)
     want = np.concatenate([want_grad, want_lap[None]])
     diag = np.arange(grid.n_nodes)
     # the diagonal to roundoff of the sums behind it
     got_diag = np.concatenate([grad.diagonal, lap.diagonal])
     want_diag = want[:, diag, diag]
-    scale = _diagonal_scale(grid, s, params) + np.abs(want_diag)
+    scale = _diagonal_scale(grid, s) + np.abs(want_diag)
     assert np.all(np.abs(got_diag - want_diag) <= 1e-13 * scale)
     # every other entry bit for bit
     want[:, diag, diag] = got_diag
@@ -204,25 +190,25 @@ def boxes(draw):
 
 
 @SETTINGS
-@given(grid=boxes(), s=st.floats(0.01, 0.99), tail_correction=st.booleans(),
-       n_theta=st.integers(64, 4096))
+@given(grid=boxes(), s=st.floats(0.01, 0.99), n_theta=st.integers(64, 4096))
 # a corner angle on a midpoint direction: seen from the node (0.6, -0.1)
 # the lower right corner lies at -pi/4, the ninth-last of 68 angles, where
 # the two ends of the sector that straddles theta = 0 must not round apart
 @example(grid=build_grid(DomainSpec(bounds=((-0.75, 0.75), (-0.25, 0.25)), nodes=(5, 5))),
-         s=0.5, tail_correction=False, n_theta=68)
-def test_sector_and_box_sums_match_the_brute_force_sums(grid, s, tail_correction, n_theta):
-    params = QuadratureParams(tail_correction=tail_correction, n_theta=n_theta)
+         s=0.5, n_theta=68)
+def test_sector_and_box_sums_match_the_brute_force_sums(grid, s, n_theta):
+    # the operators always use N_THETA; the private argument sweeps the
+    # resolution
     for signed, q in ((True, s), (False, 2.0 * s)):
-        got = _exterior(grid, q, params, signed)
-        want = _exterior_reference(grid, q, params, signed)
+        got = _exterior(grid, q, signed, n_theta)
+        want = _exterior_reference(grid, q, signed, n_theta)
         if grid.dimension == 1:
             assert np.array_equal(got, want)
-        mass = _exterior_reference(grid, q, params, signed=False) if signed else want
+        mass = _exterior_reference(grid, q, False, n_theta) if signed else want
         err = np.abs(got - want).reshape(grid.n_nodes, -1)
         assert np.all(err <= 1e-13 * mass[:, None])
     for kind in ("gradient", "laplacian"):
-        kernel = _kernel_by_offset(grid, s, params.near_cells, kind)
+        kernel = _kernel_by_offset(grid, s, NEAR_CELLS, kind)
         for k in kernel.reshape(-1, *[2 * n - 1 for n in grid.shape]):
             gathered = _gather(k, grid)
             err = np.abs(_row_sums(k, grid) - gathered.sum(axis=1))
@@ -232,10 +218,10 @@ def test_sector_and_box_sums_match_the_brute_force_sums(grid, s, tail_correction
 @SETTINGS
 @given(problem=problems(), seed=st.integers(0, 2**32 - 1))
 def test_fft_applies_match_the_gathered_table(problem, seed):
-    grid, s, params = problem
+    grid, s = problem
     rng = np.random.default_rng(seed)
     n, d = grid.n_nodes, grid.dimension
-    grad, lap = _operators(grid, s, params, matrix_free=True)
+    grad, lap = _operators(grid, s, matrix_free=True)
     w, a = grad.to_dense(), lap.to_dense()
     u = Field(grid, rng.standard_normal(n))
     phi = VectorField(grid, rng.standard_normal((n, d)))
@@ -250,7 +236,7 @@ def test_fft_applies_match_the_gathered_table(problem, seed):
 @SETTINGS
 @given(problem=problems(), seed=st.integers(0, 2**32 - 1))
 def test_duality_pairings(problem, seed):
-    grid, s, params = problem
+    grid, s = problem
     rng = np.random.default_rng(seed)
     n, d = grid.n_nodes, grid.dimension
     u = Field(grid, rng.standard_normal(n))
@@ -258,7 +244,7 @@ def test_duality_pairings(problem, seed):
     phi = VectorField(grid, rng.standard_normal((n, d)))
 
     for matrix_free in (False, True):
-        grad, lap = _operators(grid, s, params, matrix_free)
+        grad, lap = _operators(grid, s, matrix_free)
         lhs = l2_inner(u, apply_divergence(grad, phi))
         rhs = -grid.weight * np.sum(phi.values * apply_gradient(grad, u).values)
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
