@@ -7,9 +7,8 @@ nonnegative critical points by cone-constrained minimization and a
 numerical mountain-pass method.
 """
 
-from .coeffs import (BallConditionReport, CoefficientModel, HypothesisReport,
-                     ReactionModel, check_ball_condition, check_hypotheses,
-                     make_coefficient, make_reaction)
+from .coeffs import (CoefficientModel, HypothesisReport, ReactionModel,
+                     check_hypotheses, make_coefficient, make_reaction)
 from .energy import (EnergyGradient, EnergyModel, EnergyOverflowError,
                      convexity_gap, energy, energy_gradient, hs_norm,
                      monotonicity_pairing, path_energies, quasilinear_part,
@@ -25,9 +24,8 @@ from .fracops import (NonlocalOperator, apply_divergence, apply_gradient,
                       normalizing_constants)
 from .grid import (DomainSpec, Field, Grid, VectorField, build_grid,
                    field_from_function, l2_inner)
-from .solvers import (RaySearchResult, SolveReport, SolverOptions,
-                      coercivity_radius, kkt_residual, minimize_cone,
-                      mountain_pass, project_cone, ray_search)
+from .solvers import (RaySearchResult, SolveReport, SolverOptions, kkt_residual,
+                      minimize_cone, mountain_pass, project_cone, ray_search)
 from .spectral import EigenPair, first_eigenpair, rayleigh_quotient
 
 __version__ = "0.1.0"

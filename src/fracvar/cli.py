@@ -435,13 +435,12 @@ def _cmd_sweep(rcfg, outdir, files, timings):
     for run in report.runs:
         rep = run.report
         rows.append([run.nu, rep.classification, rep.energy, rep.kkt_residual,
-                     rep.l2_norm, rep.hs_norm,
-                     rep.ball_margin if rep.ball_margin is not None else float("nan")])
+                     rep.l2_norm, rep.hs_norm])
         if rep.classification == "failed":
             status = 1
     _write_csv(outdir / "sweep.csv",
                ["nu", "classification", "energy", "kkt_residual", "l2_norm",
-                "hs_norm", "ball_margin"], rows)
+                "hs_norm"], rows)
     files.append("sweep.csv")
     payload = {
         "lambda1": report.lambda1,

@@ -24,11 +24,9 @@ __all__ = [
     "CoefficientModel",
     "ReactionModel",
     "HypothesisReport",
-    "BallConditionReport",
     "make_coefficient",
     "make_reaction",
     "check_hypotheses",
-    "check_ball_condition",
 ]
 
 # family name -> its parameters' defaults, used whole when no params are given
@@ -88,19 +86,12 @@ class CoefficientModel:
 
 @dataclass(frozen=True)
 class ReactionModel:
-    """Reaction family: f with primitive F, growth class, linear bound data.
-
-    For the sublinear class f = nu * g; linear_bound_C is the constant of
-    the bound f(t) <= C t for t > onset_t0, and asymptotic_slope the limit
-    of f(t)/t at infinity (0 for genuinely sublinear families).
-    """
+    """Reaction family: f with primitive F and growth class; for the
+    sublinear class f = nu * g."""
 
     family: str
     params: dict
     growth_class: str
-    linear_bound_C: float
-    onset_t0: float
-    asymptotic_slope: float
 
     def f(self, t):
         t = np.asarray(t, dtype=float)
@@ -168,16 +159,6 @@ class HypothesisReport:
         return all(v.startswith("verified") for v in items.values())
 
 
-@dataclass(frozen=True)
-class BallConditionReport:
-    """Margin report of the radius condition R^2 >= C R^2 + ||h|| R."""
-
-    satisfied: bool
-    margin: float
-    radius: float
-    bound_constant: float
-
-
 def _family_params(kind: str, families: dict, family: str, params: dict | None) -> dict:
     """Parameters of one family: its defaults when params is None, else
     params with every name known, present (unless optional), and a finite
@@ -238,17 +219,8 @@ def make_reaction(family: str, params: dict | None = None) -> ReactionModel:
     equals the slope at infinity).
     """
     params = _family_params("reaction", REACTION_FAMILIES, family, params)
-    if family == "saturating":
-        return ReactionModel(
-            family=family, params=params, growth_class="sublinear",
-            linear_bound_C=params["nu"] * params["amplitude"], onset_t0=1.0,
-            asymptotic_slope=0.0,
-        )
-    k = params["kappa"]
-    return ReactionModel(
-        family=family, params=params, growth_class="linear", linear_bound_C=k,
-        onset_t0=1.0 if family == "cubic_saturating" else 0.0, asymptotic_slope=k,
-    )
+    growth_class = "sublinear" if family == "saturating" else "linear"
+    return ReactionModel(family=family, params=params, growth_class=growth_class)
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +289,8 @@ def _audit_sublinear_reaction(reaction, verdicts, witnesses):
     small = slopes[-1] <= 1e-2 and np.all(np.diff(slopes) <= 1e-15)
     verdicts["g1"] = "verified-sampled" if small else "inconclusive"
 
-    t0 = max(reaction.onset_t0, 1.0)
-    # midpoint-rule quadrature of g as an oracle-grade integral of G(t0)
-    rq = np.linspace(0.0, t0, 20001)
+    # midpoint-rule quadrature of g as an oracle-grade integral of G(t0), t0 = 1
+    rq = np.linspace(0.0, 1.0, 20001)
     mid = 0.5 * (rq[1:] + rq[:-1])
     g_t0 = float(np.sum(reaction.g(mid)) * (rq[1] - rq[0]))
     witnesses["g2_G_at_t0"] = g_t0
@@ -358,24 +329,3 @@ def check_hypotheses(coeff: CoefficientModel, reaction: ReactionModel,
             crit_p = 2.0
         _audit_linear_reaction(reaction, coeff, lambda1, verdicts, witnesses, crit_p)
     return HypothesisReport(verdicts=verdicts, witnesses=witnesses, lambda1=float(lambda1))
-
-
-def check_ball_condition(R: float, reaction: ReactionModel, h_norm: float) -> BallConditionReport:
-    """Margin of the radius condition R^2 >= C R^2 + ||h||_{L2} R.
-
-    Reported, never used as a hard gate: with C >= 1 the condition is
-    unsatisfiable for any R > 0, which conflicts with the slope regimes the
-    two-solution theory needs; runs log the margin and proceed.
-    """
-    if R < reaction.onset_t0:
-        raise ValueError(
-            f"radius R={R} must be at least the onset t0={reaction.onset_t0}"
-        )
-    if h_norm < 0:
-        raise ValueError("h_norm must be nonnegative")
-    c = reaction.linear_bound_C
-    margin = R**2 - c * R**2 - h_norm * R
-    return BallConditionReport(
-        satisfied=bool(margin >= 0), margin=float(margin),
-        radius=float(R), bound_constant=float(c),
-    )

@@ -36,9 +36,9 @@ import numpy as np
 from . import coeffs as coeffs_mod
 from .coeffs import CoefficientModel, HypothesisReport, ReactionModel
 from .energy import EnergyModel, convexity_gap, energy, hs_norm, monotonicity_pairing, weighted_form
-from .fracops import (NonlocalOperator, apply_divergence, apply_gradient, assemble_gradient,
-                      assemble_laplacian, cho_factor, cho_solve, composition_residual,
-                      normalizing_constants, symbol_solve)
+from .fracops import (NonlocalOperator, _check_finite, apply_divergence, apply_gradient,
+                      assemble_gradient, assemble_laplacian, cho_factor, cho_solve,
+                      composition_residual, normalizing_constants, symbol_solve)
 from .grid import DomainSpec, Field, Grid, VectorField, build_grid, field_from_function, l2_inner
 from .solvers import (TRIVIAL_L2, RaySearchResult, SolveReport, SolverOptions,
                       minimize_cone, mountain_pass, project_cone, ray_search,
@@ -151,7 +151,6 @@ class RegimeReport:
     regime: str
     runs: tuple
     audit: HypothesisReport
-    thresholds: dict
     lambda1: float
 
 
@@ -213,15 +212,13 @@ def default_initial_guess(prep: PreparedProblem, h: Field) -> Field:
     by its symbol solve.
     """
     if np.any(h.values):
-        if not np.isfinite(h.values).all():
-            raise ValueError("array must not contain infs or NaNs")
-        op = prep.grad_op
+        rhs, op = _check_finite(h.values), prep.grad_op
         if op.matrix_free:
-            sol = _composition_cg(op, h.values, _GUESS_SHIFT)
+            sol = _composition_cg(op, rhs, _GUESS_SHIFT)
         else:
             factor = op.cached("initial guess",
                                lambda: cho_factor(shifted_system(op, _GUESS_SHIFT)))
-            sol = cho_solve(factor, h.values)
+            sol = cho_solve(factor, rhs)
         return project_cone(Field(prep.grid, sol))
     return Field(prep.grid, 1e-3 * prep.eigenpair.function.values)
 
@@ -254,7 +251,7 @@ def _solve_once(prep: PreparedProblem, reaction: ReactionModel, h: Field) -> Sol
     model = EnergyModel(grad_op=prep.grad_op, coeff=prep.coefficient,
                         reaction=reaction, forcing=h)
     u0 = default_initial_guess(prep, h)
-    return minimize_cone(model, prep.config.solver, u0, lambda1=prep.lambda1)
+    return minimize_cone(model, prep.config.solver, u0)
 
 
 def run_sublinear_regime(config: RegimeConfig,
@@ -276,8 +273,7 @@ def run_sublinear_regime(config: RegimeConfig,
             runs = tuple(pool.map(one, config.sweep))
     else:
         runs = tuple(one(nu) for nu in config.sweep)
-    return RegimeReport(regime="sublinear", runs=runs, audit=audit,
-                        thresholds={}, lambda1=prep.lambda1)
+    return RegimeReport(regime="sublinear", runs=runs, audit=audit, lambda1=prep.lambda1)
 
 
 def find_nu_threshold(config: RegimeConfig,
@@ -352,7 +348,7 @@ def run_linear_regime(config: RegimeConfig,
                             reaction=base, forcing=h)
         with timed(timings, "minimize_seconds"):
             u0 = default_initial_guess(prep, h)
-            rep1 = minimize_cone(model, config.solver, u0, lambda1=prep.lambda1)
+            rep1 = minimize_cone(model, config.solver, u0)
         margin = abs(rep1.energy) * (1.0 + 1e-3) + 1e-12
         with timed(timings, "ray_seconds"):
             ray = ray_search(model, prep.eigenpair.function, t_max=1e3, margin=margin)
@@ -371,8 +367,7 @@ def run_linear_regime(config: RegimeConfig,
         runs.append(LinearRun(h_scale=delta, minimizer=rep1, ray=ray,
                               geometry_ok=True, pass_report=rep2,
                               distance=dist, distinct=bool(distinct)))
-    return RegimeReport(regime="linear", runs=tuple(runs), audit=audit,
-                        thresholds={}, lambda1=prep.lambda1)
+    return RegimeReport(regime="linear", runs=tuple(runs), audit=audit, lambda1=prep.lambda1)
 
 
 # ---------------------------------------------------------------------------

@@ -662,6 +662,13 @@ def _gram(w: np.ndarray) -> np.ndarray:
     return w.T @ w
 
 
+def _check_finite(x: np.ndarray) -> np.ndarray:
+    """x itself; ValueError when it holds an inf or a NaN."""
+    if not np.isfinite(x).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return x
+
+
 def cho_factor(a: np.ndarray) -> np.ndarray:
     """The inverse L^{-T} L^{-1} of a symmetric positive definite matrix
     a = L L^T, exactly symmetric, for cho_solve: a solve is then one
@@ -670,9 +677,7 @@ def cho_factor(a: np.ndarray) -> np.ndarray:
     Raises ValueError when a holds a non-finite entry and
     numpy.linalg.LinAlgError when it is not positive definite.
     """
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return _gram(np.linalg.inv(np.linalg.cholesky(a)))
+    return _gram(np.linalg.inv(np.linalg.cholesky(_check_finite(a))))
 
 
 def cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -71,10 +71,6 @@ class DomainSpec:
     def volume(self) -> float:
         return float(np.prod([b - a for a, b in self.bounds]))
 
-    @property
-    def diameter(self) -> float:
-        return float(np.sqrt(sum((b - a) ** 2 for a, b in self.bounds)))
-
     def to_dict(self) -> dict:
         return {
             "bounds": [list(ab) for ab in self.bounds],

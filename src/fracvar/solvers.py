@@ -12,9 +12,7 @@ modes cover the two existence mechanisms:
   once; above the operator crossover the inverse is approximated by the
   operator's DST-I symbol solve (fracops.symbol_solve, shift 1), and no
   N x N matrix is made. The cone projection is the nodewise positive
-  part. An optional ball constraint rescales iterates
-  back to radius R in the discrete H^s norm and records which boundary
-  variant of the compactness condition was active (sign of <E'(u), u>).
+  part.
 
 * mountain_pass: the local minimax method (Li & Zhou 2001) in the cone,
   from a low point u_low toward a point u_far below it. A direction v >= 0
@@ -48,10 +46,9 @@ from functools import partial
 
 import numpy as np
 
-from .coeffs import check_ball_condition
 from .energy import EnergyModel, EnergyOverflowError, PointState, path_energies
-from .fracops import (NonlocalOperator, apply_gradient, cho_factor, cho_solve,
-                      composition_matrix, symbol_solve)
+from .fracops import (NonlocalOperator, _check_finite, apply_gradient, cho_factor,
+                      cho_solve, composition_matrix, symbol_solve)
 from .grid import Field, VectorField
 
 __all__ = [
@@ -63,7 +60,6 @@ __all__ = [
     "minimize_cone",
     "mountain_pass",
     "ray_search",
-    "coercivity_radius",
 ]
 
 # L2 norm at or below which a cone point counts as the trivial solution
@@ -84,22 +80,15 @@ _TOL_ACTIVE = 1e-10
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration budget, first-order tolerance and ball radius.
-
-    ball_radius None means unconstrained (a coercivity-based default is
-    derived per run and reported).
-    """
+    """Iteration budget and first-order tolerance."""
 
     max_iter: int = 5000
     tol_g: float = 1e-6
-    ball_radius: float | None = None
 
     def __post_init__(self):
         # messages start with the field name, which config errors report
-        for name in ("tol_g", "ball_radius"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not 0.0 < self.tol_g < np.inf:
+            raise ValueError(f"tol_g must be positive and finite, got {self.tol_g}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be nonnegative, got {self.max_iter}")
 
@@ -107,7 +96,7 @@ class SolverOptions:
 @dataclass
 class SolveReport:
     """Outcome of one solve: the field, its energy, first-order residual,
-    classification, and boundary/ball diagnostics."""
+    classification, and solver diagnostics."""
 
     solution: Field
     energy: float
@@ -116,10 +105,7 @@ class SolveReport:
     classification: str
     hs_norm: float
     l2_norm: float
-    ball_radius: float | None = None
-    ball_margin: float | None = None
     level: float | None = None
-    boundary: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -136,10 +122,7 @@ class SolveReport:
             "classification": self.classification,
             "hs_norm": self.hs_norm,
             "l2_norm": self.l2_norm,
-            "ball_radius": self.ball_radius,
-            "ball_margin": self.ball_margin,
             "level": self.level,
-            "boundary": self.boundary,
             "diagnostics": diag,
         }
 
@@ -179,29 +162,6 @@ def _kkt(point: PointState) -> float:
     return float(max(parts)) if parts else 0.0
 
 
-def coercivity_radius(model: EnergyModel, lambda1: float) -> float | None:
-    """Radius estimate of the coercivity ball, None when not coercive.
-
-    From E(u) >= (gamma_min/4)||u||^2 - ||h|| ||u||/sqrt(lambda1) - A|Omega|
-    with A = sup_t (F(t) - lambda1 gamma_min t^2 / 4): the zero-sublevel set
-    sits inside a computable ball whenever A is finite. The supremum is
-    sampled on a log grid; unbounded growth at the far end reports None.
-    """
-    gmin = model.coeff.gamma_min
-    t = np.logspace(-3, 8, 400)
-    head = model.big_f(t) - lambda1 * gmin * t**2 / 4.0
-    if head[-1] > max(0.0, np.max(head[:-1])):
-        return None
-    a_const = max(0.0, float(np.max(head)))
-    vol = model.grid.spec.volume
-    h_l2 = float(np.sqrt(model.grid.weight * np.dot(model.forcing.values,
-                                                    model.forcing.values)))
-    a = gmin / 4.0
-    b = h_l2 / np.sqrt(lambda1)
-    c = a_const * vol
-    return float((b + np.sqrt(b**2 + 4.0 * a * c)) / (2.0 * a) + 1.0)
-
-
 def shifted_system(op: NonlocalOperator, shift: float) -> np.ndarray:
     """C + shift * I in a new array.
 
@@ -212,12 +172,6 @@ def shifted_system(op: NonlocalOperator, shift: float) -> np.ndarray:
     out = op.cached("composition", lambda: composition_matrix(op)).copy()
     out[np.diag_indices_from(out)] += shift
     return out
-
-
-def _check_finite(rhs: np.ndarray) -> np.ndarray:
-    if not np.isfinite(rhs).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return rhs
 
 
 def _solve(factor, rhs: np.ndarray) -> np.ndarray:
@@ -240,25 +194,6 @@ def _preconditioner(op: NonlocalOperator):
         return lambda vec: symbol_solve(op, _check_finite(vec), 1.0)
     return partial(_solve, op.cached("preconditioner",
                                      lambda: cho_factor(shifted_system(op, 1.0))))
-
-
-def _ball_rescale(point: PointState, radius: float | None, boundary: dict) -> PointState:
-    if radius is None:
-        return point
-    nrm = point.hs_norm
-    if nrm <= radius:
-        return point
-    u = point.u
-    scaled = PointState(point.model, Field(u.grid, u.values * (radius / nrm)))
-    g = scaled.representer
-    inner = float(u.grid.weight * np.dot(g.values, scaled.u.values))
-    boundary["hits"] = boundary.get("hits", 0) + 1
-    boundary["last_inner_product"] = inner
-    # boundary variant (b) needs <E'(u), u> <= 0 on the sphere; a positive
-    # pairing means the rescaled point is not a descent-compatible boundary
-    # state and is flagged as variant (c)
-    boundary["condition"] = "b" if inner <= 0 else "c"
-    return scaled
 
 
 def _armijo_step(point, trial_at, counts, residual):
@@ -376,37 +311,27 @@ def _first_order_done(kkt: float, u: Field, tol_g: float) -> bool:
     return kkt <= tol_g * (l2 / _DRAIN_BAND)
 
 
-def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field,
-                  lambda1: float | None = None) -> SolveReport:
+def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field) -> SolveReport:
     """Projected Newton-CG over the cone (Bertsekas 1982, Steihaug 1983).
 
     Nodes in the epsilon-active set {u_i <= eps, g_i > 0}, eps = min(c max u,
     |u - P(u - g)|) floored at _TOL_ACTIVE, move by -g; the others by the
     truncated Newton step (_newton_direction), preconditioned by (C + I)^{-1}
-    of model.grad_op. A projected Armijo search along P(u + alpha d), with
-    the ball rescale, accepts the step.
+    of model.grad_op. A projected Armijo search along P(u + alpha d) accepts
+    the step; no step raises the energy beyond roundoff (_armijo_step), so
+    the iterates stay in the sublevel set of u0.
     Terminates when the KKT residual reaches opts.tol_g; non-convergence is
-    reported (classification "failed"), not raised. Without a ball radius,
-    10x the coercivity-ball estimate is used (and reported) if the model is
-    coercive. diagnostics["counts"] tallies the search and CG work.
+    reported (classification "failed"), not raised. diagnostics["counts"]
+    tallies the search and CG work.
     """
     precond = _preconditioner(model.grad_op)
     point = PointState(model, project_cone(u0))
-
-    radius = opts.ball_radius
-    if radius is None and lambda1 is not None:
-        est = coercivity_radius(model, lambda1)
-        if est is not None:
-            radius = 10.0 * est
-
-    boundary: dict = {"hits": 0, "condition": None, "last_inner_product": None}
     counts = dict.fromkeys(("trials", "backtracks", "cg_iterations", "hessian_products",
                             "negative_curvature_exits"), 0)
     kkt = _kkt(point)
     converged = _first_order_done(kkt, point.u, opts.tol_g)
     it = 0
     energy_trace = [point.energy]
-    hs_trace_max = point.hs_norm
 
     while not converged and it < opts.max_iter:
         it += 1
@@ -417,34 +342,22 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field,
         direction = np.where(free, _newton_direction(point, free, precond, counts), -g)
 
         def trial_at(step):
-            moved = project_cone(Field(point.u.grid, u + step * direction))
-            return _ball_rescale(PointState(model, moved), radius, boundary)
+            return PointState(model, project_cone(Field(point.u.grid, u + step * direction)))
 
         res = _armijo_step(point, trial_at, counts, _pg_norm)
         if res is None:
             break
         point = res[0]
         energy_trace.append(point.energy)
-        hs_trace_max = max(hs_trace_max, point.hs_norm)
         kkt = _kkt(point)
         converged = _first_order_done(kkt, point.u, opts.tol_g)
 
     u = point.u
     l2 = float(np.sqrt(u.grid.weight * np.dot(u.values, u.values)))
-    hs = point.hs_norm
-    ball_margin = None
-    if model.reaction is not None:
-        h_l2 = float(np.sqrt(model.grid.weight
-                             * np.dot(model.forcing.values, model.forcing.values)))
-        r_eff = radius if radius is not None else max(model.reaction.onset_t0, hs, 1.0)
-        r_eff = max(r_eff, model.reaction.onset_t0)
-        ball_margin = check_ball_condition(r_eff, model.reaction, h_l2).margin
     return SolveReport(
         solution=u, energy=point.energy, kkt_residual=kkt, iterations=it,
-        classification=_classify(u, converged), hs_norm=hs, l2_norm=l2,
-        ball_radius=radius, ball_margin=ball_margin, boundary=boundary,
-        diagnostics={"energy_trace": energy_trace, "hs_trace_max": hs_trace_max,
-                     "counts": counts},
+        classification=_classify(u, converged), hs_norm=point.hs_norm, l2_norm=l2,
+        diagnostics={"energy_trace": energy_trace, "counts": counts},
     )
 
 

@@ -1,8 +1,8 @@
 """First Dirichlet eigenpair of the assembled fractional Laplacian.
 
 The smallest eigenvalue lambda1 and its eigenfunction phi1 drive most of
-the quantitative hypotheses: the slope thresholds gamma * lambda1, the
-coercivity estimates, and the ray direction of the mountain-pass geometry.
+the quantitative hypotheses: the slope thresholds gamma * lambda1 and the
+ray direction of the mountain-pass geometry.
 Only the bottom of the spectrum is needed. While the operator holds its
 table the solver is a plain inverse power iteration on the inverse of that
 table (fracops.cho_factor), made from the held table and dropped on return.
@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracops import NonlocalOperator, apply_laplacian, cho_factor, cho_solve, symbol_solve
+from .fracops import (NonlocalOperator, _check_finite, apply_laplacian, cho_factor, cho_solve,
+                      symbol_solve)
 from .grid import Field
 
 __all__ = ["EigenPair", "first_eigenpair", "rayleigh_quotient", "eigenpair_to_csv"]
@@ -47,24 +48,17 @@ def _l2(grid, v: np.ndarray) -> float:
     return float(np.sqrt(grid.weight * np.dot(v, v)))
 
 
-def _finite(x: np.ndarray) -> np.ndarray:
-    # a non-finite iterate or search direction raises here instead of
-    # running to max_iter
-    if not np.isfinite(x).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return x
-
-
 def _inverse_iteration(lap_op: NonlocalOperator, tol: float, max_iter: int):
     """Inverse power iteration on the inverse of the held table (checked for
     finite values once, when it is made): the L2-normalized iterate and the
-    iteration count."""
+    iteration count. Each iterate is checked before its solve, so a
+    non-finite one raises instead of running to max_iter."""
     grid = lap_op.grid
     factor = cho_factor(lap_op.component(0))
     x = np.ones(grid.n_nodes)
     x /= _l2(grid, x)
     for it in range(1, max_iter + 1):
-        x = cho_solve(factor, _finite(x))
+        x = cho_solve(factor, _check_finite(x))
         x /= _l2(grid, x)
         ax = apply_laplacian(lap_op, Field(grid, x)).values
         lam = grid.weight * np.dot(x, ax)
@@ -90,20 +84,20 @@ def _lobpcg(lap_op: NonlocalOperator, tol: float, max_iter: int):
     iterations = 0
 
     def apply(block):
-        return _finite(np.stack([apply_laplacian(lap_op, Field(grid, col)).values
+        return _check_finite(np.stack([apply_laplacian(lap_op, Field(grid, col)).values
                                  for col in block.T], axis=1))
 
     def precondition(block):
         nonlocal iterations
         iterations += 1  # one preconditioned residual per iteration
-        return _finite(symbol_solve(lap_op, block, 0.0))
+        return _check_finite(symbol_solve(lap_op, block, 0.0))
 
     with warnings.catch_warnings():
         # non-convergence is reported by the residual test below
         warnings.simplefilter("ignore", UserWarning)
         _, vecs = lobpcg(apply, np.ones((grid.n_nodes, 1)), M=precondition, tol=tol,
                          maxiter=max_iter, largest=False)
-    x = _finite(vecs[:, 0]) / _l2(grid, vecs[:, 0])
+    x = _check_finite(vecs[:, 0]) / _l2(grid, vecs[:, 0])
     ax = apply_laplacian(lap_op, Field(grid, x)).values
     lam = grid.weight * np.dot(x, ax)
     if _l2(grid, ax - lam * x) > tol * max(1.0, abs(lam)):

@@ -276,7 +276,7 @@ def test_criterion_10_2d_smoke(rng):
                         reaction=reaction,
                         forcing=Field(prep.grid, np.zeros(n)))
     u0 = Field(prep.grid, 0.1 * prep.eigenpair.function.values)
-    rep = minimize_cone(model, cfg.solver, u0, lambda1=prep.lambda1)
+    rep = minimize_cone(model, cfg.solver, u0)
     ok &= rep.l2_norm > 1e-8 and np.min(rep.solution.values) >= 0.0
     ok &= rep.classification == "local-min"
     _report(10, ok, t0, f"duality {worst:.1e} <= 1e-12, composition {comp:.3f} <= 10%, "

@@ -410,10 +410,10 @@ INVALID_INPUTS = [
     ("nan-c", _set_param("coefficient", "constant", "c", float("nan")),
      "coefficient.params.c"),
     ("negative-max_iter", _set("solver", "max_iter", -1), "solver.max_iter"),
-    ("zero-ball_radius", _set("solver", "ball_radius", 0.0), "solver.ball_radius"),
-    ("negative-ball_radius", _set("solver", "ball_radius", -1.0), "solver.ball_radius"),
     # options the solvers no longer have, and the quadrature settings that
     # are now constants of the scheme (set here to their old defaults)
+    ("removed-ball_radius", _set("solver", "ball_radius", 1.0),
+     'unknown key "ball_radius" in section "solver"'),
     ("stale-path_points", _set("solver", "path_points", 41),
      'unknown key "path_points" in section "solver"'),
     ("stale-armijo_factor", _set("solver", "armijo_factor", 0.5),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracvar import check_ball_condition, check_hypotheses, make_coefficient, make_reaction
+from fracvar import check_hypotheses, make_coefficient, make_reaction
 
 
 class TestCoefficientFamilies:
@@ -70,7 +70,6 @@ class TestReactionFamilies:
         assert np.max(r.f(t) / t) < 1e-3          # slope -> 0 at the origin
         t = np.logspace(4, 6, 20)
         assert np.min(r.f(t) / t) == pytest.approx(3.0, rel=1e-6)
-        assert r.asymptotic_slope == 3.0
 
     def test_saturating_primitive_positive(self):
         r = make_reaction("saturating", {"nu": 1.0})
@@ -101,13 +100,6 @@ class TestReactionFamilies:
         eps = 1e-6 * np.maximum(np.abs(ts), 1.0)
         fd = (r.f(ts + eps) - r.f(ts - eps)) / (2 * eps)
         assert np.allclose(r.f_prime(ts), fd, rtol=1e-5, atol=1e-12)
-
-    def test_linear_bound_holds_beyond_onset(self):
-        for fam, params in (("saturating", {"nu": 2.0}),
-                            ("cubic_saturating", {"kappa": 3.0})):
-            r = make_reaction(fam, params)
-            t = np.logspace(np.log10(max(r.onset_t0, 1e-2)), 6, 200)
-            assert np.all(r.f(t) <= r.linear_bound_C * t * (1 + 1e-12))
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -154,24 +146,3 @@ class TestHypothesisAudit:
         with pytest.raises(ValueError):
             check_hypotheses(power_coeff, reaction, 0.0)
 
-
-class TestBallCondition:
-    def test_satisfied_no_forcing(self):
-        r = make_reaction("saturating", {"nu": 0.5})
-        rep = check_ball_condition(1.0, r, 0.0)
-        assert rep.satisfied and rep.margin == pytest.approx(0.5)
-
-    def test_satisfied_with_forcing(self):
-        r = make_reaction("saturating", {"nu": 0.5})
-        rep = check_ball_condition(1.0, r, 0.4)
-        assert rep.satisfied and rep.margin == pytest.approx(0.1)
-
-    def test_violated_when_constant_exceeds_one(self):
-        r = make_reaction("cubic_saturating", {"kappa": 1.2})
-        rep = check_ball_condition(5.0, r, 0.0)
-        assert not rep.satisfied and rep.margin < 0.0
-
-    def test_radius_below_onset_rejected(self):
-        r = make_reaction("saturating", {"nu": 0.5})
-        with pytest.raises(ValueError, match="onset"):
-            check_ball_condition(0.5, r, 0.0)

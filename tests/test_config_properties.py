@@ -37,14 +37,9 @@ def _positive(hi=1e6):
     return st.floats(min_value=1e-12, max_value=hi, allow_nan=False, allow_infinity=False)
 
 
-def _optional(strategy):
-    return st.one_of(st.none(), strategy)
-
-
 SOLVER = {
     "max_iter": st.integers(0, 10**6),
     "tol_g": _positive(1.0),
-    "ball_radius": _optional(_positive()),
 }
 COEFFICIENTS = st.one_of(
     st.fixed_dictionaries({"A": _positive(), "B": _positive(),

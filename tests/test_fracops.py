@@ -351,8 +351,7 @@ class TestMatrixFree:
         held = solvers._preconditioner(dense_prep.grad_op)
         with monkeypatch.context() as m:
             m.setattr(solvers, "_preconditioner", lambda op: held)
-            fft = minimize_cone(model, cfg.solver, Field(fft_prep.grid, u0.values),
-                                lambda1=fft_prep.lambda1)
+            fft = minimize_cone(model, cfg.solver, Field(fft_prep.grid, u0.values))
         # the matrix-free solve: LOBPCG eigenpair, symbol-preconditioned CG
         symbol = experiments._solve_once(fft_prep, reaction, experiments.build_forcing(fft_prep))
         assert fft_prep.lambda1 == pytest.approx(dense_prep.lambda1, rel=1e-12)

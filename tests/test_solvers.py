@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from fracvar import (DomainSpec, EnergyModel, Field, SolverOptions, assemble_gradient,
-                     assemble_laplacian, build_grid, coercivity_radius, field_from_function,
-                     first_eigenpair, hs_norm,
+                     assemble_laplacian, build_grid, first_eigenpair, hs_norm,
                      kkt_residual, make_coefficient, make_reaction,
                      minimize_cone, mountain_pass, project_cone, ray_search)
 from fracvar import fracops
@@ -82,7 +81,7 @@ class TestMinimizeCone:
         reaction = make_reaction("saturating", {"nu": nu})
         model = model_with(grad_128, power_coeff, reaction, zero_h)
         u0 = Field(grid_1d_128, 1e-3 * eig_128.function.values)
-        rep = minimize_cone(model, opts, u0, lambda1=eig_128.value)
+        rep = minimize_cone(model, opts, u0)
         assert rep.classification == "trivial"
         assert rep.l2_norm <= 1e-8
 
@@ -92,45 +91,48 @@ class TestMinimizeCone:
         reaction = make_reaction("saturating", {"nu": nu})
         model = model_with(grad_128, power_coeff, reaction, zero_h)
         u0 = Field(grid_1d_128, 0.1 * eig_128.function.values)
-        rep = minimize_cone(model, opts, u0, lambda1=eig_128.value)
+        rep = minimize_cone(model, opts, u0)
         assert rep.classification == "local-min"
         assert rep.energy < 0.0
         assert np.min(rep.solution.values) >= 0.0
 
-    def test_energy_trace_monotone_and_iterates_bounded(self, grid_1d_128, grad_128,
-                                                        power_coeff, eig_128, zero_h, opts):
+    def test_energy_trace_monotone(self, grid_1d_128, grad_128, power_coeff, eig_128,
+                                   zero_h, opts):
         nu = 50.0 * power_coeff.gamma_max * eig_128.value
         reaction = make_reaction("saturating", {"nu": nu})
         model = model_with(grad_128, power_coeff, reaction, zero_h)
         u0 = Field(grid_1d_128, 0.1 * eig_128.function.values)
-        rep = minimize_cone(model, opts, u0, lambda1=eig_128.value)
+        rep = minimize_cone(model, opts, u0)
         trace = np.array(rep.diagnostics["energy_trace"])
         scale = np.max(np.abs(trace))
         assert np.all(np.diff(trace) <= 1e-10 * scale)
-        # coercive regime: iterate norms stay within the reported ball
-        assert rep.ball_radius is not None
-        assert rep.diagnostics["hs_trace_max"] <= rep.ball_radius
+
+    def test_far_starts_reach_the_same_minimizer(self, grid_1d_128, grad_128, power_coeff,
+                                                 eig_128, zero_h, opts):
+        # coercive regime: Armijo descent keeps every iterate in the sublevel
+        # set of its start, so a start 1e7 times farther out needs no bound
+        # on the iterates to come back to the same minimizer
+        nu = 50.0 * power_coeff.gamma_max * eig_128.value
+        reaction = make_reaction("saturating", {"nu": nu})
+        model = model_with(grad_128, power_coeff, reaction, zero_h)
+        energies = []
+        for c in (0.1, 1e2, 1e4, 1e6):
+            rep = minimize_cone(model, opts, Field(grid_1d_128, c * eig_128.function.values))
+            assert rep.classification == "local-min", c
+            trace = np.array(rep.diagnostics["energy_trace"])
+            assert np.all(np.diff(trace) <= 1e-10 * np.max(np.abs(trace))), c
+            energies.append(rep.energy)
+        assert np.allclose(energies, energies[0], rtol=1e-10, atol=0.0), energies
 
     def test_converged_kkt_below_tolerance(self, grid_1d_128, grad_128, power_coeff,
                                            eig_128, opts):
         h = Field(grid_1d_128, 0.01 * eig_128.function.values)
         reaction = make_reaction("saturating", {"nu": 1.0})
         model = model_with(grad_128, power_coeff, reaction, h)
-        rep = minimize_cone(model, opts, Field(grid_1d_128, np.zeros(128)),
-                            lambda1=eig_128.value)
+        rep = minimize_cone(model, opts, Field(grid_1d_128, np.zeros(128)))
         assert rep.classification == "local-min"
         assert rep.kkt_residual <= opts.tol_g
         assert kkt_residual(model, rep.solution) <= opts.tol_g
-
-
-def test_coercivity_radius_finite_only_for_sublinear(grid_1d_128, grad_128,
-                                                     power_coeff, eig_128, zero_h):
-    sub = model_with(grad_128, power_coeff, make_reaction("saturating", {"nu": 5.0}), zero_h)
-    assert coercivity_radius(sub, eig_128.value) is not None
-    sup = model_with(grad_128, power_coeff,
-                     make_reaction("cubic_saturating",
-                                   {"kappa": 4.0 * eig_128.value}), zero_h)
-    assert coercivity_radius(sup, eig_128.value) is None
 
 
 class TestRaySearch:
@@ -175,7 +177,7 @@ def two_solution_setup(grid_1d_128, grad_128, power_coeff, eig_128):
     opts = SolverOptions(max_iter=8000, tol_g=1e-6)
     mat = composition_matrix(grad_128)
     u0 = project_cone(Field(grid_1d_128, np.linalg.solve(mat, h.values)))
-    rep1 = minimize_cone(model, opts, u0, lambda1=eig_128.value)
+    rep1 = minimize_cone(model, opts, u0)
     ray = ray_search(model, eig_128.function, t_max=1e3,
                      margin=abs(rep1.energy) * 1.001 + 1e-12)
     u_far = Field(grid_1d_128, ray.t_star * eig_128.function.values)
@@ -263,27 +265,6 @@ def test_solver_options_validation():
         SolverOptions(tol_g=0.0)
 
 
-def test_ball_constraint_binds_and_records_boundary(grid_1d_128, grad_128,
-                                                    power_coeff, eig_128, zero_h):
-    # force a tiny ball so the rescaling engages; the report must record
-    # which boundary variant of the compactness condition was active
-    nu = 50.0 * power_coeff.gamma_max * eig_128.value
-    reaction = make_reaction("saturating", {"nu": nu})
-    model = model_with(grad_128, power_coeff, reaction, zero_h)
-    opts = SolverOptions(max_iter=300, ball_radius=0.5)
-    u0 = Field(grid_1d_128, 0.1 * eig_128.function.values)
-    rep = minimize_cone(model, opts, u0, lambda1=eig_128.value)
-    assert rep.boundary["hits"] > 0
-    assert rep.boundary["condition"] in ("b", "c")
-    assert rep.hs_norm <= 0.5 * (1 + 1e-9)
-    assert rep.ball_radius == 0.5
-    assert rep.ball_margin is not None
-    # every line-search trial that left the ball was rescaled onto it
-    assert rep.diagnostics["counts"]["trials"] >= rep.boundary["hits"]
-    trace = np.array(rep.diagnostics["energy_trace"])
-    assert np.all(np.diff(trace) <= 1e-10 * np.max(np.abs(trace)))
-
-
 @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
 def test_newton_iterations_flat_in_n(power_coeff, s):
     iterations = []
@@ -293,8 +274,7 @@ def test_newton_iterations_flat_in_n(power_coeff, s):
         eig = first_eigenpair(assemble_laplacian(grid, s))
         reaction = make_reaction("saturating", {"nu": 50.0 * power_coeff.gamma_max * eig.value})
         model = model_with(grad_op, power_coeff, reaction, Field(grid, np.zeros(n)))
-        rep = minimize_cone(model, SolverOptions(), Field(grid, 0.1 * eig.function.values),
-                            lambda1=eig.value)
+        rep = minimize_cone(model, SolverOptions(), Field(grid, 0.1 * eig.function.values))
         assert rep.classification == "local-min"
         iterations.append(rep.iterations)
     assert max(iterations) <= 2 * min(iterations), iterations
@@ -337,7 +317,7 @@ class TestEvaluationBudget:
         model = model_with(grad_128, power_coeff, make_reaction("saturating", {"nu": nu}), h)
         forward = count_calls(monkeypatch, fracops.apply_gradient)
         transposed = count_calls(monkeypatch, fracops.apply_divergence)
-        rep = minimize_cone(model, opts, Field(grid_1d_128, u0), lambda1=eig_128.value)
+        rep = minimize_cone(model, opts, Field(grid_1d_128, u0))
         assert rep.classification != "failed"
         assert rep.iterations > 0
         assert len(forward) + len(transposed) <= budget
@@ -360,8 +340,8 @@ class TestEvaluationBudget:
                                    zero_h, opts, two_solution_setup):
         nu = 50.0 * power_coeff.gamma_max * eig_128.value
         model = model_with(grad_128, power_coeff, make_reaction("saturating", {"nu": nu}), zero_h)
-        counts = [minimize_cone(model, opts, Field(grid_1d_128, 0.1 * eig_128.function.values),
-                                lambda1=eig_128.value).to_dict()["diagnostics"]["counts"]
+        u0 = Field(grid_1d_128, 0.1 * eig_128.function.values)
+        counts = [minimize_cone(model, opts, u0).to_dict()["diagnostics"]["counts"]
                   for _ in range(2)]
         assert counts[0] == counts[1]
         assert set(counts[0]) == {"trials", "backtracks", "cg_iterations",
@@ -392,8 +372,8 @@ class TestEvaluationBudget:
         h = Field(grid_1d_128, 0.01 * eig_128.function.values)
         model = model_with(grad_op, power_coeff, make_reaction("saturating", {"nu": 1.0}), h)
         built = count_calls(monkeypatch, fracops.composition_matrix)
-        reports = [minimize_cone(model, opts, Field(grid_1d_128, np.zeros(128)),
-                                 lambda1=eig_128.value) for _ in range(2)]
+        reports = [minimize_cone(model, opts, Field(grid_1d_128, np.zeros(128)))
+                   for _ in range(2)]
         assert len(built) == 1
         assert np.array_equal(reports[0].solution.values, reports[1].solution.values)
 
