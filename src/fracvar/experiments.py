@@ -224,22 +224,24 @@ def default_initial_guess(prep: PreparedProblem, h: Field) -> Field:
 
 
 def _composition_cg(op: NonlocalOperator, rhs: np.ndarray, shift: float) -> np.ndarray:
-    """(C + shift I)^{-1} rhs by CG to relative residual _GUESS_RTOL, with C
-    applied as -div_s grad_s and the symbol solve of the same shift as the
-    preconditioner."""
-    # imported here, as in spectral._lobpcg: only runs above the crossover
-    from scipy.sparse.linalg import LinearOperator, cg
-
-    grid, n = op.grid, op.n_nodes
-
-    def system(v):
-        v = np.ravel(v)
-        return shift * v - apply_divergence(op, apply_gradient(op, Field(grid, v))).values
-
-    sol, _ = cg(LinearOperator((n, n), matvec=system, dtype=float), rhs, rtol=_GUESS_RTOL,
-                M=LinearOperator((n, n), matvec=lambda v: symbol_solve(op, np.ravel(v), shift),
-                                 dtype=float))
-    return sol
+    """(C + shift I)^{-1} rhs by preconditioned CG to ||r|| <= _GUESS_RTOL
+    ||rhs|| (or 10 N iterations), with C applied as -div_s grad_s and the
+    symbol solve of the same shift as the preconditioner."""
+    grid, bound = op.grid, _GUESS_RTOL * np.linalg.norm(rhs)
+    x, r = np.zeros_like(rhs), rhs.copy()
+    z = symbol_solve(op, r, shift)
+    p, rz = z, np.dot(r, z)
+    for _ in range(10 * op.n_nodes):
+        if np.linalg.norm(r) <= bound:
+            break
+        ap = shift * p - apply_divergence(op, apply_gradient(op, Field(grid, p))).values
+        alpha = rz / np.dot(p, ap)
+        x += alpha * p
+        r -= alpha * ap
+        z = symbol_solve(op, r, shift)
+        rz, rz_old = np.dot(r, z), rz
+        p = z + (rz / rz_old) * p
+    return x
 
 
 def _reaction_with(config: RegimeConfig, **overrides) -> ReactionModel:

@@ -61,10 +61,12 @@ Laplacian, scaled to the trace of that matrix, built in O(N) and applied
 by two orthonormal DST-I transforms (symbol_solve; a tau-type
 fast-transform preconditioner, Chan & Ng 1996). The solvers use it above
 the crossover; below it they solve with the inverse of the dense matrix
-that cho_factor holds (cho_factor / cho_solve, numpy only).
+that cho_factor holds (cho_factor / cho_solve).
 
-The FFTs come from scipy.fft, imported on the first FFT apply or symbol
-solve (_fft): grids that hold their tables never load scipy.
+All of it runs on numpy alone, so no command but verify's quadrature loads
+scipy (~0.4 s at start-up). The FFT applies use numpy.fft.rfftn / irfftn
+at 5-smooth padded sizes (next_fast_len), and each DST-I is one rfft per
+axis of the odd extension (_dst1).
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -93,10 +95,11 @@ __all__ = [
 ]
 
 # Operators on more nodes than this apply by FFT; up to it they hold the
-# dense table. Median forward gradient apply, one BLAS thread, 2-core VM
-# (dense / FFT, ms): 1D N=384 0.050 / 0.122, N=512 0.124 / 0.135, N=768
-# 0.277 / 0.122; 2D 20x20 0.183 / 0.286, 24x24 0.288 / 0.214, 48x48
-# 7.26 / 0.500.
+# dense table, which also gives the solvers their exact dense
+# preconditioner. Median forward gradient apply with numpy.fft, one BLAS
+# thread, 2-core VM, three runs (dense / FFT, ms): 1D N=384 0.031 / 0.051,
+# N=512 0.073 / 0.055, N=768 0.21 / 0.061; 2D 20x20 0.10 / 0.11-0.17,
+# 24x24 0.24-0.32 / 0.13-0.22, 48x48 5.4-6.9 / 0.26-0.41.
 _DENSE_MAX_NODES = 512
 # entries of one row block when a table is gathered
 _BLOCK_ENTRIES = 1 << 20
@@ -124,13 +127,29 @@ N_THETA = 2048
 NYQUIST_STABILIZATION = 0.12
 
 
-@cache
-def _fft():
-    """scipy.fft, imported on first use: importing any part of scipy costs
-    ~0.45 s, which grids that hold their tables never pay."""
-    import scipy.fft
+def next_fast_len(n: int) -> int:
+    """The smallest 5-smooth number (2^a 3^b 5^c) at least n >= 1: a
+    transform size that numpy.fft runs fast."""
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
 
-    return scipy.fft
+
+def _dst1(values: np.ndarray, axis: int) -> np.ndarray:
+    """Orthonormal DST-I of values along axis, from one rfft of the odd
+    extension (0, x, 0, -reversed x) of length 2 (n + 1), whose coefficients
+    1..n are -2i sum_j x_j sin(pi j k / (n + 1))."""
+    n = values.shape[axis]
+    x = np.moveaxis(values, axis, -1)
+    zero = np.zeros(x.shape[:-1] + (1,))
+    spectrum = np.fft.rfft(np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1))
+    return np.moveaxis(spectrum[..., 1:n + 1].imag * -np.sqrt(0.5 / (n + 1)), -1, axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,7 +278,7 @@ class NonlocalOperator:
         the kernel's share there, shape (m, d, 2)."""
         def build():
             shape = self.grid.shape
-            size = tuple(_fft().next_fast_len(2 * n - 1, real=True) for n in shape)
+            size = tuple(next_fast_len(2 * n - 1) for n in shape)
             axes = tuple(range(1, len(shape) + 1))
             flipped = self.scale * self.kernel[(slice(None),) + (slice(None, None, -1),) * len(shape)]
             padded = np.zeros((len(self.kernel), *size))
@@ -267,7 +286,7 @@ class NonlocalOperator:
             # offset -o at index o mod size
             padded = np.roll(padded, [1 - n for n in shape], axis=axes)
             rest = self.neighbors - self.scale * _at_axis_neighbors(self.kernel, shape)
-            return size, _fft().rfftn(padded, axes=axes), rest
+            return size, np.fft.rfftn(padded, axes=axes), rest
         return self.cached("fft", build)
 
     def _fft_forward(self, values: np.ndarray) -> np.ndarray:
@@ -276,8 +295,8 @@ class NonlocalOperator:
         size, spectrum, rest = self._fft_parts()
         axes = tuple(range(-d, 0))
         u = values.reshape(-1, *shape)
-        fft = _fft()
-        y = fft.irfftn(spectrum[:, None] * fft.rfftn(u, s=size, axes=axes), s=size, axes=axes)
+        y = np.fft.irfftn(spectrum[:, None] * np.fft.rfftn(u, s=size, axes=axes), s=size,
+                          axes=axes)
         y = np.ascontiguousarray(y[(..., *[slice(0, n) for n in shape])])
         for c, yc in enumerate(y):
             self._add_stencil(yc, u, c, rest[c])
@@ -290,9 +309,8 @@ class NonlocalOperator:
         size, spectrum, rest = self._fft_parts()
         axes = tuple(range(-d, 0))
         v = np.moveaxis(values, -1, 0).reshape(len(spectrum), -1, *shape)
-        fft = _fft()
-        acc = np.sum(np.conj(spectrum)[:, None] * fft.rfftn(v, s=size, axes=axes), axis=0)
-        y = fft.irfftn(acc, s=size, axes=axes)
+        acc = np.sum(np.conj(spectrum)[:, None] * np.fft.rfftn(v, s=size, axes=axes), axis=0)
+        y = np.fft.irfftn(acc, s=size, axes=axes)
         y = np.ascontiguousarray(y[(..., *[slice(0, n) for n in shape])])
         for c, vc in enumerate(v):
             # the transpose swaps the entries at +e_k and -e_k
@@ -692,11 +710,9 @@ def symbol_solve(op: NonlocalOperator, values: np.ndarray, shift: float) -> np.n
     Laplacian, in O(N log N) time and O(N) memory. values is (N,) or a
     block (N, k)."""
     shape = op.grid.shape
-    axes = tuple(range(len(shape)))
-    dstn = _fft().dstn
-    y = dstn(values.reshape(*shape, -1), type=1, norm="ortho", axes=axes)
+    y = reduce(_dst1, range(len(shape)), values.reshape(*shape, -1))
     y /= (op._symbol() + shift)[..., None]
-    return dstn(y, type=1, norm="ortho", axes=axes).reshape(values.shape)
+    return reduce(_dst1, range(len(shape)), y).reshape(values.shape)
 
 
 def composition_residual(grad_op: NonlocalOperator, lap_op: NonlocalOperator, u: Field) -> float:

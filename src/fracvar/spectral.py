@@ -3,32 +3,39 @@
 The smallest eigenvalue lambda1 and its eigenfunction phi1 drive most of
 the quantitative hypotheses: the slope thresholds gamma * lambda1 and the
 ray direction of the mountain-pass geometry.
-Only the bottom of the spectrum is needed. While the operator holds its
-table the solver is a plain inverse power iteration on the inverse of that
-table (fracops.cho_factor), made from the held table and dropped on return.
-Above the operator crossover it is LOBPCG (Knyazev 2001) preconditioned by
-the operator's DST-I symbol solve (fracops.symbol_solve), so no N x N
-matrix is made. Products with the table go through fracops.apply_laplacian
-either way, and both paths end with the same residual test. A dense
+Only the bottom of the spectrum is needed, so every grid takes one path:
+single-vector LOBPCG (Knyazev 2001) on the operator's applies
+(fracops.apply_laplacian: the held table, or FFT above the crossover),
+preconditioned by the operator's DST-I symbol solve (fracops.symbol_solve).
+No N x N matrix is made, except on the smallest tables, where the exact
+inverse (fracops.cho_factor) is cheaper than the extra iterations. A dense
 symmetric eigensolve serves as the test oracle, not as the implementation.
 
 The assembled table is an M-matrix (positive diagonal, nonpositive
 off-diagonal, strict diagonal dominance), so its inverse is entrywise
 nonnegative and the discrete ground state inherits the Perron property;
-the iteration asserts nonnegativity rather than assuming it.
+first_eigenpair asserts nonnegativity rather than assuming it.
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+# perfbench's traced runs wrap cho_factor and cho_solve by these module names
 from .fracops import (NonlocalOperator, _check_finite, apply_laplacian, cho_factor, cho_solve,
                       symbol_solve)
 from .grid import Field
+
+# Tables of up to this many nodes precondition by their exact inverse, larger
+# grids by the symbol solve. Ground state, inverse and LOBPCG against symbol
+# LOBPCG, ms at s = 0.3 / 0.5 / 0.7, one BLAS thread, 2-core VM: 1D 64 nodes
+# 1.1/1.0/1.0 against 2.9/1.8/2.0, 128 nodes 2.9/2.3/2.9 against
+# 2.8/2.3/2.8, 384 nodes 24 against 7 (s = 0.5); 2D 8x8 0.8/0.8/0.9 against
+# 1.4/1.2/1.2, 12x12 2.4/2.0/3.4 against 1.8/1.9/2.5.
+_EXACT_MAX_NODES = 64
 
 __all__ = ["EigenPair", "first_eigenpair", "rayleigh_quotient", "eigenpair_to_csv"]
 
@@ -48,67 +55,43 @@ def _l2(grid, v: np.ndarray) -> float:
     return float(np.sqrt(grid.weight * np.dot(v, v)))
 
 
-def _inverse_iteration(lap_op: NonlocalOperator, tol: float, max_iter: int):
-    """Inverse power iteration on the inverse of the held table (checked for
-    finite values once, when it is made): the L2-normalized iterate and the
-    iteration count. Each iterate is checked before its solve, so a
-    non-finite one raises instead of running to max_iter."""
+def _lobpcg(lap_op: NonlocalOperator, precondition, tol: float, max_iter: int):
+    """Single-vector LOBPCG (Knyazev 2001) from the constant vector: the
+    unit iterate and the iteration count. Each iteration is a Rayleigh-Ritz
+    step on the orthonormalized span of the iterate x, the preconditioned
+    residual and the previous step p. A x is applied afresh each iteration
+    (carried by recurrence it drifts and stalls the residual), and the
+    Euclidean residual of the unit x is the L2 residual of the
+    L2-normalized one, so the stopping test is first_eigenpair's."""
     grid = lap_op.grid
-    factor = cho_factor(lap_op.component(0))
-    x = np.ones(grid.n_nodes)
-    x /= _l2(grid, x)
-    for it in range(1, max_iter + 1):
-        x = cho_solve(factor, _check_finite(x))
-        x /= _l2(grid, x)
-        ax = apply_laplacian(lap_op, Field(grid, x)).values
-        lam = grid.weight * np.dot(x, ax)
-        res = _l2(grid, ax - lam * x)
-        if res <= tol * max(1.0, abs(lam)):
+
+    def apply(v):
+        return _check_finite(apply_laplacian(lap_op, Field(grid, v)).values)
+
+    x, p = np.full(grid.n_nodes, grid.n_nodes**-0.5), None
+    for it in range(max_iter + 1):
+        ax = apply(x)
+        lam = np.dot(x, ax)
+        r = ax - lam * x
+        if np.linalg.norm(r) <= tol * max(1.0, abs(lam)):
             return x, it
-    raise RuntimeError(
-        f"inverse power iteration did not reach residual {tol} in {max_iter} steps"
-    )
-
-
-def _lobpcg(lap_op: NonlocalOperator, tol: float, max_iter: int):
-    """LOBPCG from the constant vector, preconditioned by the symbol solve
-    with shift 0: the L2-normalized iterate and the iteration count.
-    lobpcg's residual is the Euclidean one of a unit vector, which equals
-    the L2 residual of the L2-normalized iterate, so it stops at tol, at or
-    below the bound tol * max(1, lambda) checked here."""
-    # imported here: scipy.sparse.linalg adds ~4 MB and ~0.05 s to every
-    # command's start, and only runs above the crossover
-    from scipy.sparse.linalg import lobpcg
-
-    grid = lap_op.grid
-    iterations = 0
-
-    def apply(block):
-        return _check_finite(np.stack([apply_laplacian(lap_op, Field(grid, col)).values
-                                 for col in block.T], axis=1))
-
-    def precondition(block):
-        nonlocal iterations
-        iterations += 1  # one preconditioned residual per iteration
-        return _check_finite(symbol_solve(lap_op, block, 0.0))
-
-    with warnings.catch_warnings():
-        # non-convergence is reported by the residual test below
-        warnings.simplefilter("ignore", UserWarning)
-        _, vecs = lobpcg(apply, np.ones((grid.n_nodes, 1)), M=precondition, tol=tol,
-                         maxiter=max_iter, largest=False)
-    x = _check_finite(vecs[:, 0]) / _l2(grid, vecs[:, 0])
-    ax = apply_laplacian(lap_op, Field(grid, x)).values
-    lam = grid.weight * np.dot(x, ax)
-    if _l2(grid, ax - lam * x) > tol * max(1.0, abs(lam)):
-        raise RuntimeError(f"LOBPCG did not reach residual {tol} in {max_iter} steps")
-    return x, iterations
+        if it == max_iter:
+            break
+        basis = [x, _check_finite(precondition(r))] + ([] if p is None else [p])
+        q, rq = np.linalg.qr(np.column_stack(basis))
+        # the first column of q is +-x, so its product is ax / rq[0, 0]
+        aq = np.column_stack([ax / rq[0, 0]] + [apply(col) for col in q.T[1:]])
+        h = q.T @ aq
+        c = np.linalg.eigh(h + h.T)[1][:, 0]
+        x, p = q @ c, q[:, 1:] @ c[1:]
+        x /= np.linalg.norm(x)
+    raise RuntimeError(f"LOBPCG did not reach residual {tol} in {max_iter} steps")
 
 
 def first_eigenpair(lap_op: NonlocalOperator, tol: float = 1e-10,
                     max_iter: int = 10_000) -> EigenPair:
-    """Ground state of the Laplacian table: inverse power iteration on a
-    held table, LOBPCG above the operator crossover.
+    """Ground state of the Laplacian table by LOBPCG, preconditioned by the
+    symbol solve, or by the exact inverse up to _EXACT_MAX_NODES nodes.
 
     Terminates when the eigen-residual drops below tol * max(1, lambda)
     (the roundoff floor of the residual scales with the table norm, which
@@ -121,8 +104,11 @@ def first_eigenpair(lap_op: NonlocalOperator, tol: float = 1e-10,
     if lap_op.kind != "laplacian":
         raise ValueError("first_eigenpair needs a laplacian operator")
     grid = lap_op.grid
-    solve = _lobpcg if lap_op.matrix_free else _inverse_iteration
-    x, it = solve(lap_op, tol, max_iter)
+    if lap_op.n_nodes <= _EXACT_MAX_NODES:
+        inverse = cho_factor(lap_op.table)
+        x, it = _lobpcg(lap_op, lambda r: cho_solve(inverse, r), tol, max_iter)
+    else:
+        x, it = _lobpcg(lap_op, lambda r: symbol_solve(lap_op, r, 0.0), tol, max_iter)
 
     if np.mean(x) < 0:
         x = -x

@@ -231,9 +231,8 @@ class TestMainEntry:
         return json.loads(proc.stdout.strip().splitlines()[-1])
 
     def test_import_loads_no_scipy(self):
-        # importing any part of scipy costs ~0.45 s; the CLI starts without
-        # it, and only the FFT path above the crossover and the verify
-        # command's quadrature load it
+        # importing any part of scipy costs ~0.4 s; the CLI starts without
+        # it, and only the verify command's quadrature loads it
         assert self._run_fresh() == [[], []]
 
     def test_held_table_commands_run_without_scipy(self, tmp_path):
@@ -246,12 +245,22 @@ class TestMainEntry:
         assert status == [0, 0]
         assert loaded == []
 
-    def test_matrix_free_eig_uses_scipy_fft(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", domain={"bounds": [[0.0, 1.0]], "nodes": [600]})
+    def test_matrix_free_commands_run_without_scipy(self, tmp_path):
+        # above the crossover: FFT applies, the symbol solve's DST-I, LOBPCG
+        # (eig) and the initial guess's CG (mpass, eigenfunction forcing)
+        line = write_config(tmp_path / "line.json",
+                            domain={"bounds": [[0.0, 1.0]], "nodes": [600]})
+        square = write_config(tmp_path / "square.json",
+                              domain={"bounds": [[0.0, 1.0], [0.0, 1.0]], "nodes": [24, 24]})
+        mpass = write_config(tmp_path / "mpass.json",
+                             domain={"bounds": [[0.0, 1.0]], "nodes": [600]},
+                             reaction={"family": "cubic_saturating", "params": {"kappa": 4.65}})
         status, loaded = self._run_fresh(
-            ["eig", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert status == [0]
-        assert "scipy.fft" in loaded
+            ["eig", "--config", str(line), "--out", str(tmp_path / "a")],
+            ["solve", "--config", str(square), "--out", str(tmp_path / "b")],
+            ["mpass", "--config", str(mpass), "--out", str(tmp_path / "c")])
+        assert status == [0, 0, 0]
+        assert loaded == []
 
 
 class TestCommandFamilyValidation:

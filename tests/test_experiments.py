@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from fracvar import (DomainSpec, Field, RegimeConfig, SolverOptions,
-                     appendix_convergence, find_nu_threshold, prepare,
+from fracvar import (DomainSpec, Field, RegimeConfig, SolverOptions, appendix_convergence,
+                     assemble_gradient, build_grid, find_nu_threshold, prepare,
                      run_linear_regime, run_sublinear_regime, verify_identities)
 from fracvar import experiments
 from fracvar.experiments import sign_pattern_checks
+from fracvar.fracops import composition_matrix
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +39,21 @@ def test_initial_guess_rejects_non_finite_forcing(prep_128, bad):
     h[7] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
         experiments.default_initial_guess(prep_128, Field(prep_128.grid, h))
+
+
+@pytest.mark.parametrize("nodes", [(600,), (24, 24)])
+@pytest.mark.parametrize("shift", [experiments._GUESS_SHIFT, 1.0])
+def test_composition_cg_matches_dense_solve(nodes, shift, rng):
+    # above the crossover: the symbol-preconditioned CG meets its relative
+    # residual on the dense system C + shift I (up to the roundoff between
+    # its recurrence residual, which stops it, and the true one)
+    grid = build_grid(DomainSpec(bounds=((0.0, 1.0),) * len(nodes), nodes=nodes))
+    op = assemble_gradient(grid, 0.5)
+    assert op.matrix_free
+    system = composition_matrix(op) + shift * np.eye(grid.n_nodes)
+    rhs = rng.standard_normal(grid.n_nodes)
+    sol = experiments._composition_cg(op, rhs, shift)
+    assert np.linalg.norm(system @ sol - rhs) <= 1.01 * experiments._GUESS_RTOL * np.linalg.norm(rhs)
 
 
 class TestSublinearRegime:

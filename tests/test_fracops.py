@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 from scipy.special import gamma as gamma_fn
 
@@ -250,6 +251,24 @@ class TestHeldInverse:
     def test_rejects_indefinite_matrix(self):
         with pytest.raises(np.linalg.LinAlgError):
             fracops.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+class TestNumpyTransforms:
+    """The numpy kernels behind the FFT path, against scipy.fft."""
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (47,), (48,), (768,), (13, 9), (48, 48)])
+    def test_dst1_matches_scipy(self, shape, rng):
+        values = rng.standard_normal((*shape, 3))
+        axes = tuple(range(len(shape)))
+        want = scipy.fft.dstn(values, type=1, norm="ortho", axes=axes)
+        got = values
+        for axis in axes:
+            got = fracops._dst1(got, axis)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_next_fast_len_matches_scipy(self):
+        for n in range(1, 10_001):
+            assert fracops.next_fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
 
 
 def _array_sizes(obj):

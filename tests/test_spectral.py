@@ -19,7 +19,7 @@ def lap_sym():
 
 @pytest.fixture(scope="module")
 def lap_fft():
-    """lap_sym's operator forced onto the FFT path (LOBPCG eigensolve)."""
+    """lap_sym's operator forced onto the FFT path."""
     grid = build_grid(DomainSpec(bounds=((-1.0, 1.0),), nodes=(256,)))
     with patch.object(fracops, "_DENSE_MAX_NODES", 0):
         return assemble_laplacian(grid, 0.5)
@@ -98,7 +98,7 @@ def test_rejects_wrong_kind(grad_128, eig_128):
 def test_iteration_cap_raises(lap_sym, lap_fft):
     for lap in (lap_sym, lap_fft):
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # lobpcg's own warning must not leak
+            warnings.simplefilter("error")  # no warning may leak
             with pytest.raises(RuntimeError, match="did not reach"):
                 first_eigenpair(lap, tol=1e-10, max_iter=1)
 
@@ -114,11 +114,11 @@ def test_csv_export(tmp_path, pair_sym):
 
 
 def test_non_finite_iterate_raises(lap_sym, lap_fft, monkeypatch):
-    # the factor is checked once; a solve (under LOBPCG, a preconditioner
-    # apply) that returns a non-finite iterate must still stop the
-    # iteration at the next solve, not run to max_iter
-    for lap, solve in ((lap_sym, "cho_solve"), (lap_fft, "symbol_solve")):
-        real = getattr(spectral, solve)
+    # a preconditioner apply that returns a non-finite vector must stop
+    # LOBPCG at once, not run it to max_iter; both grids precondition by
+    # the symbol solve
+    for lap in (lap_sym, lap_fft):
+        real = spectral.symbol_solve
         calls = []
 
         def first_solve_nan(*args, **kwargs):
@@ -127,7 +127,28 @@ def test_non_finite_iterate_raises(lap_sym, lap_fft, monkeypatch):
             return np.full_like(out, np.nan) if len(calls) == 1 else out
 
         with monkeypatch.context() as m:
-            m.setattr(spectral, solve, first_solve_nan)
+            m.setattr(spectral, "symbol_solve", first_solve_nan)
             with pytest.raises(ValueError, match="infs or NaNs"):
                 first_eigenpair(lap, max_iter=50)
         assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("nodes", [(48,), (600,), (24, 24)])
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_lobpcg_matches_dense_eigenvalue(nodes, s):
+    # 48 nodes precondition by the exact inverse, the others by the symbol
+    # solve on the FFT path
+    grid = build_grid(DomainSpec(bounds=((0.0, 1.0),) * len(nodes), nodes=nodes))
+    lap = assemble_laplacian(grid, s)
+    pair = first_eigenpair(lap)
+    assert pair.value == pytest.approx(np.linalg.eigvalsh(lap.to_dense())[0], rel=1e-10)
+
+
+def test_stops_at_the_scaled_residual_near_s_1():
+    # the residual's roundoff floor (~6.5e-10) lies between tol and
+    # tol * lambda (lambda ~ 8.67): the relative test stops in a few
+    # iterations where an absolute one iterated at the floor for hundreds
+    grid = build_grid(DomainSpec(bounds=((0.0, 1.0),), nodes=(2048,)))
+    pair = first_eigenpair(assemble_laplacian(grid, 0.95))
+    assert pair.iterations <= 40
+    assert pair.value == pytest.approx(8.6736, rel=1e-4)
