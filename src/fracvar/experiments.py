@@ -35,14 +35,14 @@ import numpy as np
 
 from . import coeffs as coeffs_mod
 from .coeffs import CoefficientModel, HypothesisReport, ReactionModel
-from .energy import EnergyModel, convexity_gap, energy, hs_norm, monotonicity_pairing, weighted_form
+from .energy import EnergyModel, convexity_gap, hs_norm, monotonicity_pairing, weighted_form
+# perfbench's traced runs wrap cho_factor and cho_solve by these module names
 from .fracops import (NonlocalOperator, _check_finite, apply_divergence, apply_gradient,
                       assemble_gradient, assemble_laplacian, cho_factor, cho_solve,
-                      composition_residual, normalizing_constants, symbol_solve)
+                      composition_residual, normalizing_constants)
 from .grid import DomainSpec, Field, Grid, VectorField, build_grid, field_from_function, l2_inner
-from .solvers import (TRIVIAL_L2, RaySearchResult, SolveReport, SolverOptions,
-                      minimize_cone, mountain_pass, project_cone, ray_search,
-                      shifted_system)
+from .solvers import (TRIVIAL_L2, RaySearchResult, SolveReport, SolverOptions, _pcg,
+                      _preconditioner, minimize_cone, mountain_pass, project_cone, ray_search)
 from .spectral import EigenPair, first_eigenpair
 
 __all__ = [
@@ -194,9 +194,9 @@ def build_forcing(prep: PreparedProblem, forcing: dict | None = None) -> Field:
     return Field(prep.grid, np.zeros(prep.grid.n_nodes))
 
 
-# the initial guess solves C + _GUESS_SHIFT I; above the crossover by CG to
-# this relative residual (a start within ~1e-10 of the factored solve, in
-# 25-55 iterations on 1D 1024-2048 and 2D 40x40-48x48 grids)
+# the initial guess solves C + _GUESS_SHIFT I by PCG to this relative
+# residual: within ~1e-10 of a dense solve, in 7-10 iterations below the
+# crossover and 22-68 above it (1D 128-2048, 2D 24x24-48x48, s 0.3-0.7)
 _GUESS_SHIFT = 1e-12
 _GUESS_RTOL = 1e-10
 
@@ -205,43 +205,24 @@ def default_initial_guess(prep: PreparedProblem, h: Field) -> Field:
     """Deterministic start: positive part of the linear solve against h,
     or a small multiple of phi1 for the homogeneous problem.
 
-    The system is -div_s grad_s + 1e-12 I. While the gradient operator
-    holds its table, the system's inverse (fracops.cho_factor) is made on
-    the first call with a nonzero h and kept with the operator; above the
-    crossover it is solved by CG on the operator's applies, preconditioned
-    by its symbol solve.
+    The system C + 1e-12 I, C = -div_s grad_s applied by the gradient
+    operator, is solved by the Newton-CG's own PCG (solvers._pcg) to
+    ||r|| <= _GUESS_RTOL ||h|| (or 10 N products), preconditioned by the
+    minimizer's (C + I)^{-1} (solvers._preconditioner): the operator's
+    cached dense inverse while it holds its table, the symbol solve above
+    the crossover. The guess makes no factor of its own.
     """
     if np.any(h.values):
         rhs, op = _check_finite(h.values), prep.grad_op
-        if op.matrix_free:
-            sol = _composition_cg(op, rhs, _GUESS_SHIFT)
-        else:
-            factor = op.cached("initial guess",
-                               lambda: cho_factor(shifted_system(op, _GUESS_SHIFT)))
-            sol = cho_solve(factor, rhs)
+
+        def system(p):
+            div_grad = apply_divergence(op, apply_gradient(op, Field(prep.grid, p))).values
+            return _GUESS_SHIFT * p - div_grad
+
+        sol, _ = _pcg(system, rhs, _preconditioner(op),
+                      _GUESS_RTOL * np.linalg.norm(rhs), 10 * op.n_nodes)
         return project_cone(Field(prep.grid, sol))
     return Field(prep.grid, 1e-3 * prep.eigenpair.function.values)
-
-
-def _composition_cg(op: NonlocalOperator, rhs: np.ndarray, shift: float) -> np.ndarray:
-    """(C + shift I)^{-1} rhs by preconditioned CG to ||r|| <= _GUESS_RTOL
-    ||rhs|| (or 10 N iterations), with C applied as -div_s grad_s and the
-    symbol solve of the same shift as the preconditioner."""
-    grid, bound = op.grid, _GUESS_RTOL * np.linalg.norm(rhs)
-    x, r = np.zeros_like(rhs), rhs.copy()
-    z = symbol_solve(op, r, shift)
-    p, rz = z, np.dot(r, z)
-    for _ in range(10 * op.n_nodes):
-        if np.linalg.norm(r) <= bound:
-            break
-        ap = shift * p - apply_divergence(op, apply_gradient(op, Field(grid, p))).values
-        alpha = rz / np.dot(p, ap)
-        x += alpha * p
-        r -= alpha * ap
-        z = symbol_solve(op, r, shift)
-        rz, rz_old = np.dot(r, z), rz
-        p = z + (rz / rz_old) * p
-    return x
 
 
 def _reaction_with(config: RegimeConfig, **overrides) -> ReactionModel:

@@ -166,7 +166,7 @@ class NonlocalOperator:
     Up to _DENSE_MAX_NODES nodes the operator holds the gathered table and
     applies it by matrix products; above, it applies by FFT and ``table``
     gathers a new copy on each access. Matrices derived from the table (the
-    solvers' composition matrix and the inverses cho_factor holds), the
+    solvers' composition matrix and the inverse cho_factor holds), the
     FFT spectrum and the DST-I symbol are kept with the operator by
     ``cached``.
     """

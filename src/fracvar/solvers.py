@@ -4,7 +4,7 @@ Solutions are sought in the nonnegative cone X = {u >= 0}. Two search
 modes cover the two existence mechanisms:
 
 * minimize_cone: projected Newton-CG for the local minimizer the direct
-  method produces; truncated CG is preconditioned by (C + I)^{-1},
+  method produces; truncated CG (_pcg) is preconditioned by (C + I)^{-1},
   C = -div_s grad_s the composition matrix, with the active entries
   zeroed. While the gradient operator holds its table, C and the inverse
   of C + I (fracops.cho_factor) are built on the first solve and kept
@@ -25,9 +25,10 @@ modes cover the two existence mechanisms:
   the closed-form first and second derivatives pins it. ray_search samples
   E(t d) the same way, from grad_s(t d) = t grad_s(d).
 
-Both solvers precondition by the same (C + I)^{-1} of the model's own
+Both solvers, and the experiments' initial guess (the same _pcg on
+C + 1e-12 I), precondition by the same (C + I)^{-1} of the model's own
 gradient operator: the cached dense inverse up to the operator crossover,
-the symbol solve above it. Both carry each iterate as an
+the symbol solve above it. Both solvers carry each iterate as an
 energy.PointState, which evaluates grad_s u, the energy, the derivative
 representer and the H^s norm once per point: an accepted line-search
 trial brings its gradient to the next iteration's derivative, KKT residual
@@ -162,18 +163,6 @@ def _kkt(point: PointState) -> float:
     return float(max(parts)) if parts else 0.0
 
 
-def shifted_system(op: NonlocalOperator, shift: float) -> np.ndarray:
-    """C + shift * I in a new array.
-
-    C is the composition matrix -div_s grad_s of a gradient operator (any
-    other kind raises ValueError), built once per operator and shared
-    read-only.
-    """
-    out = op.cached("composition", lambda: composition_matrix(op)).copy()
-    out[np.diag_indices_from(out)] += shift
-    return out
-
-
 def _solve(factor, rhs: np.ndarray) -> np.ndarray:
     """cho_solve against a factor that cho_factor checked for finite values
     when it was made; only the O(N) right-hand side is checked here."""
@@ -192,8 +181,13 @@ def _preconditioner(op: NonlocalOperator):
     """
     if op.matrix_free:
         return lambda vec: symbol_solve(op, _check_finite(vec), 1.0)
-    return partial(_solve, op.cached("preconditioner",
-                                     lambda: cho_factor(shifted_system(op, 1.0))))
+
+    def factor():
+        # C is built once per operator and shared read-only: shift a copy
+        system = op.cached("composition", lambda: composition_matrix(op)).copy()
+        system[np.diag_indices_from(system)] += 1.0
+        return cho_factor(system)
+    return partial(_solve, op.cached("preconditioner", factor))
 
 
 def _armijo_step(point, trial_at, counts, residual):
@@ -239,40 +233,51 @@ def _pg_norm(point: PointState) -> float:
     return float(np.linalg.norm(u - np.maximum(u - point.representer.values, 0.0)))
 
 
-def _newton_direction(point: PointState, free: np.ndarray, precond, counts) -> np.ndarray:
-    """Steihaug's truncated PCG for H_FF d = -g_F, zero off the free set.
+def _pcg(apply, rhs: np.ndarray, precond, stop: float, max_products: int):
+    """Steihaug's truncated preconditioned CG for A x = rhs from x = 0.
 
-    The preconditioner P_F (C + I)^{-1} P_F is the full inverse (the cached
-    factor or the symbol solve) with the other entries zeroed, so nothing
-    depends on the active set. CG
-    stops at the Eisenstat-Walker forcing term |r| <= min(0.5, sqrt|r_0|)
-    |r_0|, after _CG_MAX products, or on nonpositive curvature, returning
-    the iterate so far, or the preconditioned gradient at the first product.
+    apply is x -> A x and precond r -> M r, M symmetric positive definite.
+    CG stops once |r| <= stop, after max_products products, or on
+    nonpositive curvature; returns (x, curvature exit), x the iterate so
+    far, or the preconditioned right-hand side at the first product.
     """
-    r = np.where(free, -point.representer.values, 0.0)
-    d = np.zeros_like(r)
-    r0 = np.linalg.norm(r)
-    if r0 == 0.0:
-        return d
-    stop = min(0.5, np.sqrt(r0)) * r0
-    z = np.where(free, precond(r), 0.0)
+    x, r = np.zeros_like(rhs), rhs.copy()
+    z = precond(r)
     p, rz = z, np.dot(r, z)
-    for j in range(_CG_MAX):
-        hp = np.where(free, point.hessian_vec(p), 0.0)
-        counts["cg_iterations"] += 1
-        counts["hessian_products"] += 1
-        curvature = np.dot(p, hp)
+    for j in range(max_products):
+        ap = apply(p)
+        curvature = np.dot(p, ap)
         if curvature <= 0.0:
-            counts["negative_curvature_exits"] += 1
-            return p if j == 0 else d
+            return (p if j == 0 else x), True
         alpha = rz / curvature
-        d += alpha * p
-        r -= alpha * hp
+        x += alpha * p
+        r -= alpha * ap
         if np.linalg.norm(r) <= stop:
             break
-        z = np.where(free, precond(r), 0.0)
+        z = precond(r)
         rz, rz_old = np.dot(r, z), rz
         p = z + (rz / rz_old) * p
+    return x, False
+
+
+def _newton_direction(point: PointState, free: np.ndarray, precond, counts) -> np.ndarray:
+    """_pcg on H_FF d = -g_F, zero off the free set, to the Eisenstat-Walker
+    forcing term |r| <= min(0.5, sqrt|r_0|) |r_0| or _CG_MAX products. The
+    preconditioner P_F (C + I)^{-1} P_F is the full inverse (the cached
+    factor or the symbol solve) with the other entries zeroed, so nothing
+    depends on the active set."""
+    r = np.where(free, -point.representer.values, 0.0)
+    r0 = np.linalg.norm(r)
+    if r0 == 0.0:
+        return np.zeros_like(r)
+
+    def hessian(p):
+        counts["hessian_products"] += 1
+        return np.where(free, point.hessian_vec(p), 0.0)
+
+    d, curvature_exit = _pcg(hessian, r, lambda v: np.where(free, precond(v), 0.0),
+                             min(0.5, np.sqrt(r0)) * r0, _CG_MAX)
+    counts["negative_curvature_exits"] += int(curvature_exit)
     return d
 
 
@@ -282,8 +287,11 @@ def _hs_length(model: EnergyModel, dgrad: np.ndarray):
     return np.sqrt(model.grid.weight * np.sum(dgrad**2, axis=(-2, -1)))
 
 
-def _classify(u: Field, converged: bool) -> str:
-    l2 = float(np.sqrt(u.grid.weight * np.dot(u.values, u.values)))
+def _l2(u: Field) -> float:
+    return float(np.sqrt(u.grid.weight * np.dot(u.values, u.values)))
+
+
+def _classify(l2: float, converged: bool) -> str:
     if not converged:
         return "failed"
     return "trivial" if l2 <= TRIVIAL_L2 else "local-min"
@@ -305,7 +313,7 @@ def _first_order_done(kkt: float, u: Field, tol_g: float) -> bool:
     """
     if kkt > tol_g:
         return False
-    l2 = float(np.sqrt(u.grid.weight * np.dot(u.values, u.values)))
+    l2 = _l2(u)
     if l2 <= TRIVIAL_L2 or l2 > _DRAIN_BAND:
         return True
     return kkt <= tol_g * (l2 / _DRAIN_BAND)
@@ -322,11 +330,12 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field) -> SolveRe
     the iterates stay in the sublevel set of u0.
     Terminates when the KKT residual reaches opts.tol_g; non-convergence is
     reported (classification "failed"), not raised. diagnostics["counts"]
-    tallies the search and CG work.
+    tallies the line-search trials and backtracks, the Hessian products of
+    CG and its negative-curvature exits.
     """
     precond = _preconditioner(model.grad_op)
     point = PointState(model, project_cone(u0))
-    counts = dict.fromkeys(("trials", "backtracks", "cg_iterations", "hessian_products",
+    counts = dict.fromkeys(("trials", "backtracks", "hessian_products",
                             "negative_curvature_exits"), 0)
     kkt = _kkt(point)
     converged = _first_order_done(kkt, point.u, opts.tol_g)
@@ -352,11 +361,10 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field) -> SolveRe
         kkt = _kkt(point)
         converged = _first_order_done(kkt, point.u, opts.tol_g)
 
-    u = point.u
-    l2 = float(np.sqrt(u.grid.weight * np.dot(u.values, u.values)))
+    l2 = _l2(point.u)
     return SolveReport(
-        solution=u, energy=point.energy, kkt_residual=kkt, iterations=it,
-        classification=_classify(u, converged), hs_norm=point.hs_norm, l2_norm=l2,
+        solution=point.u, energy=point.energy, kkt_residual=kkt, iterations=it,
+        classification=_classify(l2, converged), hs_norm=point.hs_norm, l2_norm=l2,
         diagnostics={"energy_trace": energy_trace, "counts": counts},
     )
 
@@ -475,7 +483,6 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
 
     precond = _preconditioner(model.grad_op)
     grid = model.grid
-    w = grid.weight
     low = u_low.values
     grad_low = low_state.grad.values
 
@@ -519,7 +526,7 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
 
     final = point.u
     f_final = point.energy
-    l2_final = float(np.sqrt(w * np.dot(final.values, final.values)))
+    l2_final = _l2(final)
     # a mountain-pass point is a nontrivial critical point strictly above
     # both endpoint levels; a first-order point that drifted to the trivial
     # state or below the barrier means the geometry degenerated

@@ -6,11 +6,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from fracvar import (DomainSpec, EnergyModel, Field, SolverOptions, assemble_gradient,
-                     assemble_laplacian, build_grid, first_eigenpair, hs_norm,
-                     kkt_residual, make_coefficient, make_reaction,
+from fracvar import (DomainSpec, EnergyModel, Field, RegimeConfig, SolverOptions,
+                     assemble_gradient, assemble_laplacian, build_grid, first_eigenpair,
+                     hs_norm, kkt_residual, make_coefficient, make_reaction,
                      minimize_cone, mountain_pass, project_cone, ray_search)
-from fracvar import fracops
+from fracvar import experiments, fracops
 from fracvar.fracops import composition_matrix
 from fracvar.solvers import _preconditioner
 
@@ -344,10 +344,10 @@ class TestEvaluationBudget:
         counts = [minimize_cone(model, opts, u0).to_dict()["diagnostics"]["counts"]
                   for _ in range(2)]
         assert counts[0] == counts[1]
-        assert set(counts[0]) == {"trials", "backtracks", "cg_iterations",
-                                  "hessian_products", "negative_curvature_exits"}
+        assert set(counts[0]) == {"trials", "backtracks", "hessian_products",
+                                  "negative_curvature_exits"}
         assert all(type(v) is int for v in counts[0].values())
-        assert counts[0]["trials"] > 0 and counts[0]["cg_iterations"] > 0
+        assert counts[0]["trials"] > 0 and counts[0]["hessian_products"] > 0
         model, _, rep1, u_far = two_solution_setup
         counts = [mountain_pass(model, rep1.solution, u_far, opts).to_dict()["diagnostics"]["counts"]
                   for _ in range(2)]
@@ -376,6 +376,36 @@ class TestEvaluationBudget:
                    for _ in range(2)]
         assert len(built) == 1
         assert np.array_equal(reports[0].solution.values, reports[1].solution.values)
+
+    def test_forced_two_solution_run_factors_once(self, monkeypatch):
+        # below the crossover the initial guess runs the Newton-CG's PCG,
+        # preconditioned by the held (C + I)^{-1}: one N x N factor per
+        # gradient operator, and none of the guess's own
+        spec = DomainSpec(bounds=((0.0, 1.0),), nodes=(128,))
+        coeff = ("power", {"A": 1.0, "B": 2.0, "p": 1.5})
+        prep = experiments.prepare(RegimeConfig(domain=spec, coefficient=coeff))
+        assert not prep.grad_op.matrix_free and not prep.grad_op._derived
+        kappa = 2.0 * prep.coefficient.gamma_inf * prep.lambda1
+        cfg = RegimeConfig(domain=spec, coefficient=coeff,
+                           reaction=("cubic_saturating", {"kappa": kappa}),
+                           forcing={"kind": "eigenfunction", "scale": 0.01}, sweep=(0.01,))
+        guesses = []
+        real_guess = experiments.default_initial_guess
+
+        def recording(prep, h):
+            guesses.append((h.values, real_guess(prep, h).values))
+            return Field(prep.grid, guesses[-1][1])
+
+        monkeypatch.setattr(experiments, "default_initial_guess", recording)
+        factors = count_calls(monkeypatch, fracops.cho_factor)
+        run = experiments.run_linear_regime(cfg, prep).runs[0]
+        assert run.pass_report.classification == "mountain-pass" and run.distinct
+        assert len(factors) == 1
+        assert set(prep.grad_op._derived) == {"composition", "preconditioner"}
+        (h, guess), = guesses
+        system = composition_matrix(prep.grad_op) + experiments._GUESS_SHIFT * np.eye(128)
+        want = np.maximum(np.linalg.solve(system, h), 0.0)
+        assert np.linalg.norm(guess - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_factor_built_once_under_threads(self, monkeypatch, grid_1d_128):
         grad_op = assemble_gradient(grid_1d_128, 0.5)

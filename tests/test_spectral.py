@@ -152,3 +152,14 @@ def test_stops_at_the_scaled_residual_near_s_1():
     pair = first_eigenpair(assemble_laplacian(grid, 0.95))
     assert pair.iterations <= 40
     assert pair.value == pytest.approx(8.6736, rel=1e-4)
+
+
+@pytest.mark.parametrize("s,value", [(0.95, 8.6569), (0.99, 9.6679)])
+def test_converges_at_the_roundoff_floor_on_4096_nodes(s, value):
+    # the residual's roundoff floor, ~eps (pi / h)^{2s}, lies above
+    # tol * lambda here: LOBPCG stops at a multiple of eps times the largest
+    # symbol value instead of running to max_iter
+    grid = build_grid(DomainSpec(bounds=((0.0, 1.0),), nodes=(4096,)))
+    pair = first_eigenpair(assemble_laplacian(grid, s))
+    assert pair.iterations <= 40
+    assert pair.value == pytest.approx(value, rel=1e-4)
