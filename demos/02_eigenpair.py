@@ -9,7 +9,6 @@ import numpy as np
 
 from fracvar import (DomainSpec, Field, assemble_laplacian, build_grid,
                      first_eigenpair, rayleigh_quotient)
-from fracvar.spectral import eigenpair_to_csv
 
 grid = build_grid(DomainSpec(bounds=((-1.0, 1.0),), nodes=(256,)))
 lap = assemble_laplacian(grid, 0.5)
@@ -28,5 +27,6 @@ grid01 = build_grid(DomainSpec(bounds=((0.0, 1.0),), nodes=(512,)))
 pair99 = first_eigenpair(assemble_laplacian(grid01, 0.99))
 print(f"s = 0.99 on (0,1): lambda_1 = {pair99.value:.4f}, classical pi^2 = {np.pi**2:.4f}")
 
-eigenpair_to_csv(pair, "eigenpair.csv")
+np.savetxt("eigenpair.csv", np.column_stack([grid.nodes, pair.function.values]),
+           fmt="%.17g", delimiter=",", header="x,phi1", comments="")
 print("eigenfunction written to eigenpair.csv (node coordinate, value)")

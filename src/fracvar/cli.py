@@ -9,24 +9,28 @@ Commands: verify (operator identity suite), eig (first eigenpair), solve
 regime sweep plus threshold bisection when bracketed), appendix (scaling
 limit of the quasilinear form).
 
-The configuration is strict JSON: unknown keys are fatal (a silent typo in
-a hypothesis parameter would invalidate regime conclusions), ranges are
-validated with the offending key named, and the persisted snapshot has all
-defaults materialized. Every run directory receives a manifest listing the
-config snapshot, per-stage wall-clock timings (prepare_seconds: grid,
-operator assembly and first eigenpair, of which assemble_seconds and
-eigenpair_seconds are the last two; for sweep, sweep_seconds and
-threshold_seconds: the sweep solves and the bisection; for solve,
-minimize_seconds; for mpass, minimize_seconds, ray_seconds and
-mountain_pass_seconds summed over the sweep values; command_seconds: the
-whole command), and a sha256 inventory of the produced files; reruns
-with the same config and seed reproduce the inventory bit for bit (the manifest
-itself, which holds the timings, is not in it).
+The configuration is strict JSON: unknown keys are fatal (a silent typo
+in a hypothesis parameter would invalidate regime conclusions), ranges
+are validated with the offending key named, and the persisted snapshot
+has all defaults materialized. This module writes every file of a run
+directory: each command's data files (CSV with LF line endings, FVFD),
+then one report.json per run (a solve's entry is built by _solve_entry),
+then a manifest listing the config snapshot, per-stage wall-clock
+timings (prepare_seconds: grid, operator assembly and first eigenpair,
+of which assemble_seconds and eigenpair_seconds are the last two; for
+sweep, sweep_seconds and threshold_seconds: the sweep solves and the
+bisection; for solve, minimize_seconds; for mpass, minimize_seconds,
+ray_seconds and mountain_pass_seconds summed over the sweep values;
+command_seconds: the whole command), and a sha256 inventory of the
+produced files; reruns with the same config and seed reproduce the
+inventory bit for bit (the manifest itself, which holds the timings, is
+not in it).
 
 Field files use the FVFD binary format: magic "FVFD", little-endian u32
 dimension, little-endian u32 node count, then the nodal values as
 little-endian 8-byte floats. Exit codes: 0 success, 1 solver failure
-(classified in the report), 2 configuration error.
+(classified in the report), 2 configuration error, including a config
+whose numbers overflow floating-point range (ArithmeticError).
 """
 
 from __future__ import annotations
@@ -46,8 +50,7 @@ import numpy as np
 from . import experiments as ex
 from .coeffs import COEFFICIENT_FAMILIES, REACTION_FAMILIES, make_coefficient, make_reaction
 from .grid import DomainSpec, Field, Grid, build_grid
-from .solvers import SolverOptions
-from .spectral import eigenpair_to_csv
+from .solvers import SolveReport, SolverOptions
 
 __all__ = ["ConfigError", "parse_config", "run_command", "write_field", "read_field", "main"]
 
@@ -271,7 +274,7 @@ def read_field(path, grid: Grid) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# deterministic serialization helpers
+# run files: the one writer of a run directory
 # ---------------------------------------------------------------------------
 
 
@@ -292,7 +295,9 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
 
 def _write_json(path, obj) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=True)
+        # numpy scalars as their Python values (a float64 is a float already)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=True,
+                  default=lambda x: x.item())
         fh.write("\n")
 
 
@@ -304,20 +309,48 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _solution_csv_rows(grid: Grid, values: np.ndarray):
-    header = (["x"] if grid.dimension == 1 else ["x", "y"]) + ["u"]
-    rows = [[float(c) for c in node] + [float(v)] for node, v in zip(grid.nodes, values)]
+class _RunFiles:
+    """The files of one run directory: write() puts each one down through
+    its writer (_write_csv, _write_json, write_field) and records its name
+    for the manifest's inventory."""
+
+    def __init__(self, outdir: Path):
+        self.outdir, self.names = outdir, []
+
+    def write(self, name: str, writer, *args) -> None:
+        writer(self.outdir / name, *args)
+        self.names.append(name)
+
+    def inventory(self) -> dict:
+        return {name: _sha256(self.outdir / name) for name in sorted(self.names)}
+
+
+def _nodal_csv(fld: Field, column: str):
+    """Header and rows of a field's CSV: the node coordinates, then the value."""
+    grid = fld.grid
+    header = (["x"] if grid.dimension == 1 else ["x", "y"]) + [column]
+    rows = [[float(c) for c in node] + [float(v)] for node, v in zip(grid.nodes, fld.values)]
     return header, rows
 
 
-def _report_payload(report) -> dict:
-    data = report.to_dict()
-    data["solution_min"] = float(np.min(report.solution.values))
-    return data
+def _solve_entry(report: SolveReport) -> dict:
+    """The report.json entry of one solve: every SolveReport field but the
+    solution, whose minimum stands in for it, with the energy trace in the
+    diagnostics cut to its two ends, so that every solve reports the same
+    keys."""
+    entry = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+             if f.name != "solution"}
+    diag = entry["diagnostics"] = dict(report.diagnostics)
+    trace = diag.pop("energy_trace", None)
+    if trace is not None:
+        diag["energy_initial"], diag["energy_final"] = float(trace[0]), float(trace[-1])
+    entry["solution_min"] = float(np.min(report.solution.values))
+    return entry
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each writes its data files and returns (exit status, the
+# report.json payload)
 # ---------------------------------------------------------------------------
 
 
@@ -326,52 +359,36 @@ def _prepare(rcfg, timings: dict):
         return ex.prepare(rcfg, timings)
 
 
-def _cmd_verify(rcfg, outdir, files, timings):
+def _cmd_verify(rcfg, files, timings):
     report = ex.verify_identities(rcfg, prep=_prepare(rcfg, timings))
     rows = [[c.name, c.value, c.tolerance, int(c.passed)] for c in report.checks]
-    _write_csv(outdir / "identities.csv", ["check", "value", "tolerance", "passed"], rows)
-    files.append("identities.csv")
-    _write_json(outdir / "report.json", {
+    files.write("identities.csv", _write_csv, ["check", "value", "tolerance", "passed"], rows)
+    return (0 if report.all_passed else 1), {
         "all_passed": report.all_passed,
         "checks": [{"name": c.name, "value": c.value, "tolerance": c.tolerance,
                     "passed": c.passed} for c in report.checks],
-    })
-    files.append("report.json")
-    return 0 if report.all_passed else 1
+    }
 
 
-def _cmd_eig(rcfg, outdir, files, timings):
-    prep = _prepare(rcfg, timings)
-    eigenpair_to_csv(prep.eigenpair, outdir / "eigenpair.csv")
-    files.append("eigenpair.csv")
-    _write_json(outdir / "report.json", {
-        "lambda1": prep.eigenpair.value,
-        "residual": prep.eigenpair.residual,
-        "iterations": prep.eigenpair.iterations,
-    })
-    files.append("report.json")
-    return 0
+def _cmd_eig(rcfg, files, timings):
+    pair = _prepare(rcfg, timings).eigenpair
+    files.write("eigenpair.csv", _write_csv, *_nodal_csv(pair.function, "phi1"))
+    return 0, {"lambda1": pair.value, "residual": pair.residual, "iterations": pair.iterations}
 
 
-def _cmd_solve(rcfg, outdir, files, timings):
+def _cmd_solve(rcfg, files, timings):
     prep = _prepare(rcfg, timings)
     h = ex.build_forcing(prep)
     reaction = ex._reaction_with(rcfg)
     with ex.timed(timings, "minimize_seconds"):
         report = ex._solve_once(prep, reaction, h)
-    header, rows = _solution_csv_rows(prep.grid, report.solution.values)
-    _write_csv(outdir / "solution.csv", header, rows)
-    files.append("solution.csv")
-    write_field(outdir / "solution.fvfd", report.solution)
-    files.append("solution.fvfd")
-    _write_json(outdir / "report.json", {
-        "lambda1": prep.lambda1, "run": _report_payload(report),
-    })
-    files.append("report.json")
-    return 0 if report.classification != "failed" else 1
+    files.write("solution.csv", _write_csv, *_nodal_csv(report.solution, "u"))
+    files.write("solution.fvfd", write_field, report.solution)
+    status = 0 if report.classification != "failed" else 1
+    return status, {"lambda1": prep.lambda1, "run": _solve_entry(report)}
 
 
-def _cmd_mpass(rcfg, outdir, files, timings):
+def _cmd_mpass(rcfg, files, timings):
     if ex._reaction_with(rcfg).growth_class != "linear":
         raise ConfigError(
             f"mpass needs a linear-growth reaction family, got {rcfg.reaction[0]!r}")
@@ -386,41 +403,33 @@ def _cmd_mpass(rcfg, outdir, files, timings):
     report = ex.run_linear_regime(rcfg, _prepare(rcfg, timings), timings)
     payload = {"lambda1": report.lambda1,
                "audit": {"verdicts": report.audit.verdicts,
-                         "witnesses": _jsonable(report.audit.witnesses)},
+                         "witnesses": report.audit.witnesses},
                "runs": []}
     status = 0
     for run in report.runs:
         entry = {
             "h_scale": run.h_scale,
-            "minimizer": _report_payload(run.minimizer),
+            "minimizer": _solve_entry(run.minimizer),
             "geometry_ok": run.geometry_ok,
             "ray_t_star": run.ray.t_star,
         }
+        tag = f"{run.h_scale:g}".replace(".", "p").replace("-", "m")
+        files.write(f"minimizer_{tag}.csv", _write_csv, *_nodal_csv(run.minimizer.solution, "u"))
         if run.pass_report is not None:
-            entry["mountain_pass"] = _report_payload(run.pass_report)
+            entry["mountain_pass"] = _solve_entry(run.pass_report)
             entry["distance"] = run.distance
             entry["distinct"] = run.distinct
             if run.pass_report.classification == "failed":
                 status = 1
+            files.write(f"mountain_pass_{tag}.csv", _write_csv,
+                        *_nodal_csv(run.pass_report.solution, "u"))
         else:
             status = 1
         payload["runs"].append(entry)
-        tag = f"{run.h_scale:g}".replace(".", "p").replace("-", "m")
-        header, rows = _solution_csv_rows(run.minimizer.solution.grid,
-                                          run.minimizer.solution.values)
-        _write_csv(outdir / f"minimizer_{tag}.csv", header, rows)
-        files.append(f"minimizer_{tag}.csv")
-        if run.pass_report is not None:
-            header, rows = _solution_csv_rows(run.pass_report.solution.grid,
-                                              run.pass_report.solution.values)
-            _write_csv(outdir / f"mountain_pass_{tag}.csv", header, rows)
-            files.append(f"mountain_pass_{tag}.csv")
-    _write_json(outdir / "report.json", payload)
-    files.append("report.json")
-    return status
+    return status, payload
 
 
-def _cmd_sweep(rcfg, outdir, files, timings):
+def _cmd_sweep(rcfg, files, timings):
     if ex._reaction_with(rcfg).growth_class != "sublinear":
         raise ConfigError(
             f"sweep needs the sublinear reaction family, got {rcfg.reaction[0]!r}")
@@ -438,47 +447,30 @@ def _cmd_sweep(rcfg, outdir, files, timings):
                      rep.l2_norm, rep.hs_norm])
         if rep.classification == "failed":
             status = 1
-    _write_csv(outdir / "sweep.csv",
-               ["nu", "classification", "energy", "kkt_residual", "l2_norm",
-                "hs_norm"], rows)
-    files.append("sweep.csv")
+    files.write("sweep.csv", _write_csv,
+                ["nu", "classification", "energy", "kkt_residual", "l2_norm", "hs_norm"], rows)
     payload = {
         "lambda1": report.lambda1,
         "audit": {"verdicts": report.audit.verdicts,
-                  "witnesses": _jsonable(report.audit.witnesses)},
+                  "witnesses": report.audit.witnesses},
         "classifications": [r.report.classification for r in report.runs],
     }
     kinds = {r.report.classification == "trivial" for r in report.runs}
     if kinds == {True, False}:
         with ex.timed(timings, "threshold_seconds"):
             payload["nu_threshold"] = ex.find_nu_threshold(rcfg, prep, runs=report.runs)
-    _write_json(outdir / "report.json", payload)
-    files.append("report.json")
-    return status
+    return status, payload
 
 
-def _cmd_appendix(rcfg, outdir, files, timings):
+def _cmd_appendix(rcfg, files, timings):
     report = ex.appendix_convergence(rcfg, prep=_prepare(rcfg, timings))
     rows = [[t, v, e] for t, v, e in zip(report.scales, report.values, report.rel_errors)]
-    _write_csv(outdir / "appendix.csv", ["scale_t", "form_value", "rel_error"], rows)
-    files.append("appendix.csv")
-    _write_json(outdir / "report.json", {
+    files.write("appendix.csv", _write_csv, ["scale_t", "form_value", "rel_error"], rows)
+    return 0, {
         "limit": report.limit,
         "final_rel_error": report.final_rel_error,
         "nonincreasing_from_2": report.nonincreasing_from_2,
-    })
-    files.append("report.json")
-    return 0
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    return obj
+    }
 
 
 _DISPATCH = {
@@ -493,18 +485,19 @@ COMMANDS = tuple(_DISPATCH)
 
 
 def run_command(materialized: dict, command: str, out_dir=None) -> int:
-    """Execute one command; writes outputs plus the manifest, returns the
-    exit status (0 ok, 1 solver failure recorded in the report)."""
+    """Execute one command; writes its files, report.json and the manifest,
+    returns the exit status (0 ok, 1 solver failure recorded in the report)."""
     if command not in _DISPATCH:
         raise ConfigError(f"unknown command {command!r}; choose from {COMMANDS}")
     outdir = Path(out_dir if out_dir is not None else materialized["output_dir"])
     outdir.mkdir(parents=True, exist_ok=True)
     rcfg = regime_config_from(materialized)
 
-    files: list[str] = []
+    files = _RunFiles(outdir)
     timings: dict = {}
     t0 = time.perf_counter()
-    status = _DISPATCH[command](rcfg, outdir, files, timings)
+    status, payload = _DISPATCH[command](rcfg, files, timings)
+    files.write("report.json", _write_json, payload)
     timings["command_seconds"] = time.perf_counter() - t0
 
     manifest = {
@@ -512,7 +505,7 @@ def run_command(materialized: dict, command: str, out_dir=None) -> int:
         "command": command,
         "config": materialized,
         "timings": timings,
-        "files": {name: _sha256(outdir / name) for name in sorted(files)},
+        "files": files.inventory(),
     }
     _write_json(outdir / "manifest.json", manifest)
     return status
@@ -533,6 +526,11 @@ def main(argv=None) -> int:
         status = run_command(materialized, args.command, out_dir=args.out)
     except ConfigError as err:
         print(f"fracvar: config error: {err}", file=sys.stderr)
+        return 2
+    except ArithmeticError as err:
+        # numbers of the config that leave floating-point range on the way:
+        # a finite-value check's NonFiniteError, or Python's OverflowError
+        print(f"fracvar: config error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
     out = Path(args.out if args.out is not None else materialized["output_dir"])
     print(f"fracvar {args.command}: exit {status}, outputs in {out}")

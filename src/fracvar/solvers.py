@@ -6,10 +6,10 @@ modes cover the two existence mechanisms:
 * minimize_cone: projected Newton-CG for the local minimizer the direct
   method produces; truncated CG (_pcg) is preconditioned by (C + I)^{-1},
   C = -div_s grad_s the composition matrix, with the active entries
-  zeroed. While the gradient operator holds its table, C and the inverse
-  of C + I (fracops.cho_factor) are built on the first solve and kept
-  with it (NonlocalOperator.cached), so a sweep or a bisection factors
-  once; above the operator crossover the inverse is approximated by the
+  zeroed. While the gradient operator holds its table, the inverse of
+  C + I (fracops.cho_factor) is built on the first solve and kept with it
+  (NonlocalOperator.cached), so a sweep or a bisection factors once;
+  above the operator crossover the inverse is approximated by the
   operator's DST-I symbol solve (fracops.symbol_solve, shift 1), and no
   N x N matrix is made. The cone projection is the nodewise positive
   part.
@@ -106,26 +106,7 @@ class SolveReport:
     classification: str
     hs_norm: float
     l2_norm: float
-    level: float | None = None
     diagnostics: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        diag = {k: v for k, v in self.diagnostics.items()
-                if not isinstance(v, (list, tuple)) or len(v) <= 8}
-        trace = self.diagnostics.get("energy_trace")
-        if trace is not None:
-            diag["energy_initial"] = float(trace[0])
-            diag["energy_final"] = float(trace[-1])
-        return {
-            "energy": self.energy,
-            "kkt_residual": self.kkt_residual,
-            "iterations": self.iterations,
-            "classification": self.classification,
-            "hs_norm": self.hs_norm,
-            "l2_norm": self.l2_norm,
-            "level": self.level,
-            "diagnostics": diag,
-        }
 
 
 @dataclass(frozen=True)
@@ -177,14 +158,13 @@ def _preconditioner(op: NonlocalOperator):
     identity in the semilinear regime. The inverse is the operator's cached
     dense inverse (cho_factor) while the operator holds its table, and the
     DST-I symbol solve once it applies by FFT, so no N x N matrix is made
-    there.
+    there. Only the inverse is kept: C is shifted in place and dropped.
     """
     if op.matrix_free:
         return lambda vec: symbol_solve(op, _check_finite(vec), 1.0)
 
     def factor():
-        # C is built once per operator and shared read-only: shift a copy
-        system = op.cached("composition", lambda: composition_matrix(op)).copy()
+        system = composition_matrix(op)
         system[np.diag_indices_from(system)] += 1.0
         return cho_factor(system)
     return partial(_solve, op.cached("preconditioner", factor))
@@ -467,9 +447,9 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
     peak energy E(p(v')); alpha doubles after each accepted step, up to 1.
     The run stops when the peak's KKT residual reaches opts.tol_g, and
     fails when the direction toward u_far has no peak above E(u_low).
-    Returns the peak with its min-max level c. u_low is evaluated once:
-    its energy and gradient serve every ray. diagnostics["counts"] tallies
-    line-search trials and backtracks.
+    Returns the peak, whose energy is the min-max level c. u_low is
+    evaluated once: its energy and gradient serve every ray.
+    diagnostics["counts"] tallies line-search trials and backtracks.
     """
     low_state, far_state = PointState(model, u_low), PointState(model, u_far)
     f_low, f_far = low_state.energy, far_state.energy
@@ -536,10 +516,9 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
     return SolveReport(
         solution=final, energy=f_final, kkt_residual=kkt, iterations=it,
         classification="mountain-pass" if converged else "failed",
-        hs_norm=point.hs_norm, l2_norm=l2_final, level=f_final,
+        hs_norm=point.hs_norm, l2_norm=l2_final,
         diagnostics={
             "levels_head": [float(v) for v in levels[:5]],
-            "level_final": f_final,
             "barrier_min_gap": float(min(levels) - endpoint_level),
             "endpoint_level": float(endpoint_level),
             "counts": counts,

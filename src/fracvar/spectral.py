@@ -19,7 +19,6 @@ first_eigenpair asserts nonnegativity rather than assuming it.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,7 @@ _EXACT_MAX_NODES = 64
 # the residual's roundoff floor, in units of eps times the largest symbol value
 _ROUNDOFF_FLOOR = 4.0
 
-__all__ = ["EigenPair", "first_eigenpair", "rayleigh_quotient", "eigenpair_to_csv"]
+__all__ = ["EigenPair", "first_eigenpair", "rayleigh_quotient"]
 
 
 @dataclass(frozen=True)
@@ -140,13 +139,3 @@ def rayleigh_quotient(lap_op: NonlocalOperator, u: Field) -> float:
         raise ValueError("Rayleigh quotient of the zero field is undefined")
     return float(np.dot(u.values, apply_laplacian(lap_op, u).values) / nrm2)
 
-
-def eigenpair_to_csv(pair: EigenPair, path) -> None:
-    """Write (node coordinates, eigenfunction value) rows for plotting."""
-    grid = pair.function.grid
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["x"] if grid.dimension == 1 else ["x", "y"]
-        writer.writerow(header + ["phi1"])
-        for node, val in zip(grid.nodes, pair.function.values):
-            writer.writerow([repr(float(c)) for c in node] + [repr(float(val))])

@@ -11,7 +11,7 @@ import fracvar
 
 from fracvar import DomainSpec, Field, build_grid, experiments, fracops, mountain_pass
 from fracvar.cli import (ConfigError, main, parse_config, read_field,
-                         run_command, write_field)
+                         regime_config_from, run_command, write_field)
 
 
 def write_config(path, **overrides):
@@ -124,6 +124,34 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["lambda1"] > 0
 
+    def test_eigenpair_csv_holds_the_eigenfunction(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path / "cfg.json"))
+        out = tmp_path / "out"
+        run_command(cfg, "eig", out_dir=out)
+        phi1 = experiments.prepare(regime_config_from(cfg)).eigenpair.function
+        text = (out / "eigenpair.csv").read_bytes().decode()
+        assert "\r" not in text
+        header, *rows = text.splitlines()
+        assert header == "x,phi1"
+        assert [[float(v) for v in row.split(",")] for row in rows] == [
+            [*node, value] for node, value in zip(phi1.grid.nodes.tolist(), phi1.values.tolist())]
+
+    def test_solve_reports_the_same_keys_at_any_length(self, tmp_path):
+        # a 3-iteration solve and a 13-iteration one: the energy trace is
+        # reported by its ends whatever its length
+        runs = []
+        for name, overrides in (("short", {}), ("long", {
+                "reaction": {"family": "saturating", "params": {"nu": 50.0}},
+                "forcing": {"kind": "zero"}})):
+            cfg = parse_config(write_config(tmp_path / f"{name}.json", **overrides))
+            run_command(cfg, "solve", out_dir=tmp_path / name)
+            runs.append(json.loads((tmp_path / name / "report.json").read_text())["run"])
+        short, long = runs
+        assert short["iterations"] == 3 and long["iterations"] > 8
+        assert set(short) == set(long)
+        assert set(short["diagnostics"]) == set(long["diagnostics"]) == {
+            "counts", "energy_initial", "energy_final"}
+
     def test_solve_reports_solution(self, tmp_path):
         cfg = parse_config(write_config(tmp_path / "cfg.json"))
         out = tmp_path / "out"
@@ -193,7 +221,9 @@ class TestRunCommand:
             assert 0.0 <= timings["prepare_seconds"] <= timings["command_seconds"]
             assert 0.0 <= sum(timings[k] for k in parts) <= timings["prepare_seconds"]
             assert 0.0 <= sum(timings[k] for k in stages) <= timings["command_seconds"]
-            assert not set(manifest["files"]) & {"manifest.json"}
+        for name, manifest in zip(("out_a", "out_b"), manifests):
+            written = {path.name for path in (tmp_path / name).iterdir()}
+            assert set(manifest["files"]) == written - {"manifest.json"}
         assert manifests[0]["files"] == manifests[1]["files"]
 
 
@@ -471,3 +501,18 @@ def test_invalid_input_exits_2_naming_key(tmp_path, capsys, edit, key, command):
     status = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
     assert status == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"forcing": {"kind": "eigenfunction", "scale": 1e300}},
+    {"domain": {"bounds": [[0.0, 1e-300]], "nodes": [64]}},
+    {"domain": {"bounds": [[0.0, 1e300]], "nodes": [64]}},
+], ids=["huge-forcing", "tiny-domain", "huge-domain"])
+@pytest.mark.filterwarnings("ignore:.* encountered in:RuntimeWarning")
+def test_overflowing_config_exits_2(tmp_path, capsys, overrides):
+    # finite, valid numbers whose run leaves floating-point range: the
+    # initial guess's CG, the eigenpair's factor, the DST-I symbol
+    path = write_config(tmp_path / "cfg.json", **overrides)
+    assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fracvar: config error: ") and err.count("\n") == 1

@@ -341,15 +341,14 @@ class TestEvaluationBudget:
         nu = 50.0 * power_coeff.gamma_max * eig_128.value
         model = model_with(grad_128, power_coeff, make_reaction("saturating", {"nu": nu}), zero_h)
         u0 = Field(grid_1d_128, 0.1 * eig_128.function.values)
-        counts = [minimize_cone(model, opts, u0).to_dict()["diagnostics"]["counts"]
-                  for _ in range(2)]
+        counts = [minimize_cone(model, opts, u0).diagnostics["counts"] for _ in range(2)]
         assert counts[0] == counts[1]
         assert set(counts[0]) == {"trials", "backtracks", "hessian_products",
                                   "negative_curvature_exits"}
         assert all(type(v) is int for v in counts[0].values())
         assert counts[0]["trials"] > 0 and counts[0]["hessian_products"] > 0
         model, _, rep1, u_far = two_solution_setup
-        counts = [mountain_pass(model, rep1.solution, u_far, opts).to_dict()["diagnostics"]["counts"]
+        counts = [mountain_pass(model, rep1.solution, u_far, opts).diagnostics["counts"]
                   for _ in range(2)]
         assert counts[0] == counts[1]
         assert set(counts[0]) == {"trials", "backtracks"}
@@ -401,7 +400,7 @@ class TestEvaluationBudget:
         run = experiments.run_linear_regime(cfg, prep).runs[0]
         assert run.pass_report.classification == "mountain-pass" and run.distinct
         assert len(factors) == 1
-        assert set(prep.grad_op._derived) == {"composition", "preconditioner"}
+        assert set(prep.grad_op._derived) == {"preconditioner"}
         (h, guess), = guesses
         system = composition_matrix(prep.grad_op) + experiments._GUESS_SHIFT * np.eye(128)
         want = np.maximum(np.linalg.solve(system, h), 0.0)

@@ -1,4 +1,3 @@
-import csv
 import warnings
 from unittest.mock import patch
 
@@ -8,7 +7,6 @@ import pytest
 from fracvar import (DomainSpec, Field, assemble_laplacian, build_grid,
                      first_eigenpair, rayleigh_quotient)
 from fracvar import fracops, spectral
-from fracvar.spectral import eigenpair_to_csv
 
 
 @pytest.fixture(scope="module")
@@ -101,16 +99,6 @@ def test_iteration_cap_raises(lap_sym, lap_fft):
             warnings.simplefilter("error")  # no warning may leak
             with pytest.raises(RuntimeError, match="did not reach"):
                 first_eigenpair(lap, tol=1e-10, max_iter=1)
-
-
-def test_csv_export(tmp_path, pair_sym):
-    path = tmp_path / "pair.csv"
-    eigenpair_to_csv(pair_sym, path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["x", "phi1"]
-    assert len(rows) == 1 + pair_sym.function.grid.n_nodes
-    assert float(rows[1][1]) == pair_sym.function.values[0]
 
 
 def test_non_finite_iterate_raises(lap_sym, lap_fft, monkeypatch):
