@@ -26,11 +26,10 @@ produced files; reruns with the same config and seed reproduce the
 inventory bit for bit (the manifest itself, which holds the timings, is
 not in it).
 
-Field files use the FVFD binary format: magic "FVFD", little-endian u32
-dimension, little-endian u32 node count, then the nodal values as
-little-endian 8-byte floats. Exit codes: 0 success, 1 solver failure
-(classified in the report), 2 configuration error, including a config
-whose numbers overflow floating-point range (ArithmeticError).
+Field files use the FVFD binary format of grid.write_field and
+grid.read_field. Exit codes: 0 success, 1 solver failure (classified in
+the report), 2 configuration error, including a config whose numbers
+overflow floating-point range (ArithmeticError).
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import struct
 import sys
 import time
 import typing
@@ -49,7 +47,7 @@ import numpy as np
 
 from . import experiments as ex
 from .coeffs import COEFFICIENT_FAMILIES, REACTION_FAMILIES, make_coefficient, make_reaction
-from .grid import DomainSpec, Field, Grid, build_grid
+from .grid import DomainSpec, Field, build_grid, read_field, write_field
 from .solvers import SolveReport, SolverOptions
 
 __all__ = ["ConfigError", "parse_config", "run_command", "write_field", "read_field", "main"]
@@ -235,45 +233,6 @@ def regime_config_from(materialized: dict) -> ex.RegimeConfig:
 
 
 # ---------------------------------------------------------------------------
-# field binary format
-# ---------------------------------------------------------------------------
-
-_FVFD_MAGIC = b"FVFD"
-
-
-def write_field(path, fld: Field) -> None:
-    """Write the nodal values in the FVFD binary format."""
-    with open(path, "wb") as fh:
-        fh.write(_FVFD_MAGIC)
-        fh.write(struct.pack("<I", fld.grid.dimension))
-        fh.write(struct.pack("<I", fld.grid.n_nodes))
-        fh.write(fld.values.astype("<f8").tobytes())
-
-
-def read_field(path, grid: Grid) -> Field:
-    """Read an FVFD file back onto a grid; header mismatches and non-finite
-    values are fatal."""
-    with open(path, "rb") as fh:
-        header = fh.read(12)
-        payload = fh.read()
-    if header[:4] != _FVFD_MAGIC:
-        raise ValueError(f"bad field magic {header[:4]!r}, expected {_FVFD_MAGIC!r}")
-    if len(header) < 12:
-        raise ValueError(f"field header has {len(header)} bytes, expected 12")
-    d, n = struct.unpack("<II", header[4:])
-    if d != grid.dimension:
-        raise ValueError(f"field dimension {d} does not match grid dimension {grid.dimension}")
-    if n != grid.n_nodes:
-        raise ValueError(f"field has {n} nodes, grid has {grid.n_nodes}")
-    if len(payload) != 8 * n:
-        raise ValueError(f"field payload has {len(payload)} bytes, expected {8 * n}")
-    values = np.frombuffer(payload, dtype="<f8").copy()
-    if not np.all(np.isfinite(values)):
-        raise ValueError("field has non-finite values")
-    return Field(grid, values)
-
-
-# ---------------------------------------------------------------------------
 # run files: the one writer of a run directory
 # ---------------------------------------------------------------------------
 
@@ -336,14 +295,14 @@ def _nodal_csv(fld: Field, column: str):
 def _solve_entry(report: SolveReport) -> dict:
     """The report.json entry of one solve: every SolveReport field but the
     solution, whose minimum stands in for it, with the energy trace in the
-    diagnostics cut to its two ends, so that every solve reports the same
-    keys."""
+    diagnostics cut to its first value (its last is the energy), so that
+    every solve reports the same keys."""
     entry = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
              if f.name != "solution"}
     diag = entry["diagnostics"] = dict(report.diagnostics)
     trace = diag.pop("energy_trace", None)
     if trace is not None:
-        diag["energy_initial"], diag["energy_final"] = float(trace[0]), float(trace[-1])
+        diag["energy_initial"] = float(trace[0])
     entry["solution_min"] = float(np.min(report.solution.values))
     return entry
 
@@ -400,20 +359,25 @@ def _cmd_mpass(rcfg, files, timings):
                           f"nonnegative, got {list(rcfg.sweep)}")
     if not rcfg.sweep:
         rcfg = dataclasses.replace(rcfg, sweep=(rcfg.forcing.get("scale", 0.0),))
+    # each sweep value names its run's files; two values of one name would
+    # leave one run's files in place of the other's
+    tags = [f"{v:g}".replace(".", "p").replace("-", "m") for v in rcfg.sweep]
+    if len(set(tags)) < len(tags):
+        raise ConfigError(f'"sweep.values" must give each mpass run its own files, got '
+                          f"{list(rcfg.sweep)}, whose file tags are {tags}")
     report = ex.run_linear_regime(rcfg, _prepare(rcfg, timings), timings)
     payload = {"lambda1": report.lambda1,
                "audit": {"verdicts": report.audit.verdicts,
                          "witnesses": report.audit.witnesses},
                "runs": []}
     status = 0
-    for run in report.runs:
+    for run, tag in zip(report.runs, tags):
         entry = {
             "h_scale": run.h_scale,
             "minimizer": _solve_entry(run.minimizer),
             "geometry_ok": run.geometry_ok,
             "ray_t_star": run.ray.t_star,
         }
-        tag = f"{run.h_scale:g}".replace(".", "p").replace("-", "m")
         files.write(f"minimizer_{tag}.csv", _write_csv, *_nodal_csv(run.minimizer.solution, "u"))
         if run.pass_report is not None:
             entry["mountain_pass"] = _solve_entry(run.pass_report)
@@ -523,7 +487,10 @@ def main(argv=None) -> int:
 
     try:
         materialized = parse_config(args.config)
-        status = run_command(materialized, args.command, out_dir=args.out)
+        # a run that leaves floating-point range ends in the ArithmeticError
+        # below; numpy's warnings on the way would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            status = run_command(materialized, args.command, out_dir=args.out)
     except ConfigError as err:
         print(f"fracvar: config error: {err}", file=sys.stderr)
         return 2

@@ -45,18 +45,14 @@ _OPTIONAL_PARAMS = frozenset({"amplitude"})
 
 @dataclass(frozen=True)
 class CoefficientModel:
-    """Diffusivity family: primitive Gamma, derivative gamma, cached bounds.
-
-    analytic_bounds marks gamma_min/gamma_max/gamma_inf as closed-form
-    values of the family (vs sampled estimates).
-    """
+    """Diffusivity family: primitive Gamma, derivative gamma, and the
+    closed-form bounds gamma_min, gamma_max and gamma_inf."""
 
     family: str
     params: dict
     gamma_min: float
     gamma_max: float
     gamma_inf: float
-    analytic_bounds: bool
 
     def gamma(self, t):
         t = np.asarray(t, dtype=float)
@@ -131,12 +127,6 @@ class ReactionModel:
         t = np.asarray(t, dtype=float)
         return self.params["amplitude"] * t / (1.0 + np.abs(t))
 
-    def big_g(self, t):
-        if self.growth_class != "sublinear":
-            raise ValueError(f"family {self.family!r} has no sublinear factor G")
-        t = np.asarray(t, dtype=float)
-        return self.params["amplitude"] * (np.abs(t) - np.log1p(np.abs(t)))
-
     def to_dict(self) -> dict:
         return {"family": self.family, "params": dict(self.params)}
 
@@ -147,16 +137,14 @@ class HypothesisReport:
 
     Verdicts take values in {verified-analytic, verified-sampled, violated,
     inconclusive}; witnesses holds the sampled quantities the verdicts were
-    based on; lambda1 is the eigenvalue used in the slope thresholds.
+    based on.
     """
 
     verdicts: dict
     witnesses: dict
-    lambda1: float
 
-    def all_verified(self, keys=None) -> bool:
-        items = self.verdicts if keys is None else {k: self.verdicts[k] for k in keys}
-        return all(v.startswith("verified") for v in items.values())
+    def all_verified(self) -> bool:
+        return all(v.startswith("verified") for v in self.verdicts.values())
 
 
 def _family_params(kind: str, families: dict, family: str, params: dict | None) -> dict:
@@ -198,12 +186,12 @@ def make_coefficient(family: str, params: dict | None = None) -> CoefficientMode
             raise ValueError(f"p must lie in (1, 2) for the power family, got {p}")
         return CoefficientModel(
             family=family, params=params,
-            gamma_min=a, gamma_max=a + b * p / 2.0, gamma_inf=a, analytic_bounds=True,
+            gamma_min=a, gamma_max=a + b * p / 2.0, gamma_inf=a,
         )
     c = params["c"]
     return CoefficientModel(
         family=family, params=params,
-        gamma_min=c, gamma_max=c, gamma_inf=c, analytic_bounds=True,
+        gamma_min=c, gamma_max=c, gamma_inf=c,
     )
 
 
@@ -240,10 +228,8 @@ def _audit_coefficient(coeff: CoefficientModel, verdicts, witnesses):
     )
     positive = coeff.gamma_min > 0
     witnesses["gamma_range"] = (float(gam.min()), float(gam.max()))
-    if not (in_bounds and positive):
-        verdicts["gamma1"] = "violated"
-    else:
-        verdicts["gamma1"] = "verified-analytic" if coeff.analytic_bounds else "verified-sampled"
+    # both families carry their bounds in closed form
+    verdicts["gamma1"] = "verified-analytic" if in_bounds and positive else "violated"
 
     # midpoint convexity of m(t) = Gamma(t^2) on 1000 sampled triples
     rng = np.random.default_rng(1234)
@@ -328,4 +314,4 @@ def check_hypotheses(coeff: CoefficientModel, reaction: ReactionModel,
         else:
             crit_p = 2.0
         _audit_linear_reaction(reaction, coeff, lambda1, verdicts, witnesses, crit_p)
-    return HypothesisReport(verdicts=verdicts, witnesses=witnesses, lambda1=float(lambda1))
+    return HypothesisReport(verdicts=verdicts, witnesses=witnesses)

@@ -213,15 +213,6 @@ class NonlocalOperator:
             self._gather_into(w, c)
         return out if self.kind == "gradient" else out[0]
 
-    def component(self, c: int) -> np.ndarray:
-        """Component c of the table as an (N, N) array: the held one (read
-        only), or a new gather."""
-        if self._held is not None:
-            return self._held[c] if self.kind == "gradient" else self._held
-        out = np.empty((self.n_nodes, self.n_nodes))
-        self._gather_into(out, c)
-        return out
-
     def cached(self, key: str, build):
         """build() on the first request for key, the same object after.
 
@@ -364,17 +355,17 @@ def _kernel_values(points, q: float, kind: str):
     return np.stack([x / r * mag for x in points])
 
 
-def _kernel_by_offset(grid: Grid, s: float, near: int, kind: str) -> np.ndarray:
+def _kernel_by_offset(grid: Grid, s: float, kind: str) -> np.ndarray:
     """Kernel integral over the cell at each node offset.
 
     Indexed by offset + n_k - 1 along axis k, with a leading component axis
-    for the gradient. Cells within ``near`` spacings on every axis get the
+    for the gradient. Cells within NEAR_CELLS spacings on every axis get the
     near-cell rule, farther cells the midpoint value. The zero offset is
     left at 0: the principal-value rules handle it.
     """
     q = s if kind == "gradient" else 2.0 * s
     center = tuple(n - 1 for n in grid.shape)
-    reach = [min(near, c) for c in center]
+    reach = [min(NEAR_CELLS, c) for c in center]
     with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 at the zero offset
         mids = np.meshgrid(*[np.arange(-c, c + 1) * h for c, h in zip(center, grid.spacing)],
                            indexing="ij")
@@ -555,7 +546,7 @@ def assemble_gradient(grid: Grid, s: float) -> NonlocalOperator:
     """
     mu, _ = normalizing_constants(grid.dimension, s)
     ext = _exterior(grid, s, signed=True)
-    kernel = _kernel_by_offset(grid, s, NEAR_CELLS, "gradient")
+    kernel = _kernel_by_offset(grid, s, "gradient")
     # the first-difference self weight of axis k: over the excluded cell the
     # odd kernel cancels the constant part of u but pairs with the linear
     # part, int z_k (z . grad u) / |z|^{d+s+1} dz = I_k d_k u
@@ -600,7 +591,7 @@ def assemble_laplacian(grid: Grid, s: float) -> NonlocalOperator:
     """
     _, c_lap = normalizing_constants(grid.dimension, s)
     ext = _exterior(grid, 2.0 * s, signed=False)
-    kernel = _kernel_by_offset(grid, s, NEAR_CELLS, "laplacian")[None]
+    kernel = _kernel_by_offset(grid, s, "laplacian")[None]
     # second-difference self weight of axis k: the kernel integrated against
     # the quadratic interpolant through the axis neighbors over the excluded
     # cell, multiplying -(u_{i+e_k} - 2 u_i + u_{i-e_k})
@@ -665,14 +656,15 @@ def composition_matrix(grad_op: NonlocalOperator) -> np.ndarray:
 
     This is sum_c W_c^T W_c, symmetric positive semidefinite; it is the
     operator whose quadratic form the energy functional actually
-    integrates. numpy runs each W_c^T W_c (W_c held, or gathered for its
-    own product) as BLAS syrk, whose result is exactly symmetric.
+    integrates. numpy runs each W_c^T W_c (of the held table, or of one
+    gathered for this call) as BLAS syrk, whose result is exactly symmetric.
     """
     if grad_op.kind != "gradient":
         raise ValueError("composition_matrix needs a gradient operator")
-    out = _gram(grad_op.component(0))
-    for c in range(1, grad_op.grid.dimension):
-        out += _gram(grad_op.component(c))
+    table = grad_op.table
+    out = _gram(table[0])
+    for w in table[1:]:
+        out += _gram(w)
     return out
 
 

@@ -10,12 +10,17 @@ d-vector per node.
 Cell-centered uniform spacing is deliberate: the singular-kernel quadrature
 weights of the nonlocal operators become translation invariant, so a whole
 dense operator table can be built from O(N) unique kernel integrals.
+
+Field files use the FVFD binary format: magic "FVFD", little-endian u32
+dimension, little-endian u32 node count, then the nodal values as
+little-endian 8-byte floats.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +32,8 @@ __all__ = [
     "build_grid",
     "field_from_function",
     "l2_inner",
+    "write_field",
+    "read_field",
 ]
 
 
@@ -66,10 +73,6 @@ class DomainSpec:
     @property
     def spacing(self) -> tuple[float, ...]:
         return tuple((b - a) / n for (a, b), n in zip(self.bounds, self.nodes))
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod([b - a for a, b in self.bounds]))
 
     def to_dict(self) -> dict:
         return {
@@ -114,14 +117,6 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return self.spec.nodes
 
-    def contains(self, point: Sequence[float]) -> bool:
-        """True if the point lies strictly inside Omega."""
-        return all(a < x < b for x, (a, b) in zip(point, self.spec.bounds))
-
-    def node_index(self, multi_index: Sequence[int]) -> int:
-        """Flat index of a per-axis cell index."""
-        return int(np.ravel_multi_index(tuple(multi_index), self.shape))
-
 
 def build_grid(spec: DomainSpec) -> Grid:
     """Build the cell-centered grid for a domain spec.
@@ -157,17 +152,6 @@ class Field:
                 f"field needs {self.grid.n_nodes} nodal values, got shape {values.shape}"
             )
         object.__setattr__(self, "values", values)
-
-    def __call__(self, point: Sequence[float]) -> float:
-        """Value at an arbitrary point: nearest node inside Omega, 0 outside."""
-        point = np.atleast_1d(np.asarray(point, dtype=float))
-        if not self.grid.contains(point):
-            return 0.0
-        idx = []
-        for x, (a, b), n in zip(point, self.grid.spec.bounds, self.grid.shape):
-            h = (b - a) / n
-            idx.append(min(n - 1, max(0, int((x - a) / h))))
-        return float(self.values[self.grid.node_index(idx)])
 
 
 @dataclass(frozen=True)
@@ -210,3 +194,38 @@ def l2_inner(f1: Field, f2: Field) -> float:
     """Discrete L2(Omega) pairing sum_i w_i f1_i f2_i."""
     _check_same_grid(f1, f2)
     return float(f1.grid.weight * np.dot(f1.values, f2.values))
+
+
+_FVFD_MAGIC = b"FVFD"
+
+
+def write_field(path, fld: Field) -> None:
+    """Write the nodal values in the FVFD binary format."""
+    with open(path, "wb") as fh:
+        fh.write(_FVFD_MAGIC)
+        fh.write(struct.pack("<I", fld.grid.dimension))
+        fh.write(struct.pack("<I", fld.grid.n_nodes))
+        fh.write(fld.values.astype("<f8").tobytes())
+
+
+def read_field(path, grid: Grid) -> Field:
+    """Read an FVFD file back onto a grid; header mismatches and non-finite
+    values are fatal."""
+    with open(path, "rb") as fh:
+        header = fh.read(12)
+        payload = fh.read()
+    if header[:4] != _FVFD_MAGIC:
+        raise ValueError(f"bad field magic {header[:4]!r}, expected {_FVFD_MAGIC!r}")
+    if len(header) < 12:
+        raise ValueError(f"field header has {len(header)} bytes, expected 12")
+    d, n = struct.unpack("<II", header[4:])
+    if d != grid.dimension:
+        raise ValueError(f"field dimension {d} does not match grid dimension {grid.dimension}")
+    if n != grid.n_nodes:
+        raise ValueError(f"field has {n} nodes, grid has {grid.n_nodes}")
+    if len(payload) != 8 * n:
+        raise ValueError(f"field payload has {len(payload)} bytes, expected {8 * n}")
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field has non-finite values")
+    return Field(grid, values)

@@ -116,7 +116,6 @@ class RaySearchResult:
     t_star: float | None
     t_values: np.ndarray
     energies: np.ndarray
-    margin: float
 
     @property
     def found(self) -> bool:
@@ -373,8 +372,7 @@ def ray_search(model: EnergyModel, direction: Field, t_max: float = 1e3,
     zero, energies = curve[0], curve[1:]
     below = np.flatnonzero(energies < zero - margin)
     t_star = float(ts[below[0]]) if below.size else None
-    return RaySearchResult(t_star=t_star, t_values=ts, energies=energies,
-                           margin=margin)
+    return RaySearchResult(t_star=t_star, t_values=ts, energies=energies)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,22 @@ def test_composition_cg_matches_dense_solve(nodes, shift, rng):
                                10 * grid.n_nodes)
     assert not curvature_exit
     assert np.linalg.norm(system @ sol - rhs) <= 1.01 * bound
+
+
+@pytest.mark.parametrize("name,change", [
+    ("domain", DomainSpec(bounds=((0.0, 2.0),), nodes=(32,))),
+    ("s", 0.3),
+    ("coefficient", ("constant", None)),
+], ids=["domain", "s", "coefficient"])
+@pytest.mark.parametrize("pipeline", [run_sublinear_regime, find_nu_threshold,
+                                      run_linear_regime, verify_identities,
+                                      appendix_convergence])
+def test_prep_of_another_problem_rejected(prep_128, pipeline, name, change):
+    # a prep solves on its own grid, order and coefficient, whatever the
+    # config states: one that does not match is refused, naming the field
+    config = dataclasses.replace(prep_128.config, **{name: change})
+    with pytest.raises(ValueError, match=f"^{name}: the prepared problem has"):
+        pipeline(config, prep=prep_128)
 
 
 class TestSublinearRegime:

@@ -21,7 +21,7 @@ from fracvar import (DomainSpec, Field, VectorField,
                      apply_divergence, apply_gradient, apply_laplacian, assemble_gradient, assemble_laplacian,
                      build_grid, l2_inner, normalizing_constants)
 from fracvar import fracops
-from fracvar.fracops import (NEAR_CELLS, N_THETA, NYQUIST_STABILIZATION, _axis_stencils,
+from fracvar.fracops import (N_THETA, NYQUIST_STABILIZATION, _axis_stencils,
                              _directions, _exterior, _kernel_by_offset, _ray_exit_distance,
                              _row_sums, _self_cell_moments)
 
@@ -107,7 +107,7 @@ def _reference_tables(grid, s):
         mat[lower, lower - stride] -= coeff
 
     ext = _exterior_reference(grid, s, signed=True)
-    kernel = _kernel_by_offset(grid, s, NEAR_CELLS, "gradient")
+    kernel = _kernel_by_offset(grid, s, "gradient")
     moments = _self_cell_moments(grid, 1.0 - s)
     grad = np.empty((grid.dimension, n, n))
     for c, stencil in enumerate(_axis_stencils(grid)):
@@ -123,7 +123,7 @@ def _reference_tables(grid, s):
         w *= mu
         second_difference(w, stencil, NYQUIST_STABILIZATION * (np.pi / grid.spacing[c]) ** s)
 
-    lap = _gather(_kernel_by_offset(grid, s, NEAR_CELLS, "laplacian"), grid)
+    lap = _gather(_kernel_by_offset(grid, s, "laplacian"), grid)
     row_mass = lap.sum(axis=1) + _exterior_reference(grid, 2.0 * s, signed=False)
     np.negative(lap, out=lap)
     lap[diag, diag] = row_mass
@@ -144,7 +144,7 @@ def _diagonal_scale(grid, s):
     out = []
     for kind, q, const in (("gradient", s, mu), ("laplacian", 2.0 * s, c_lap)):
         mass = _exterior_reference(grid, q, signed=False)
-        kernel = np.abs(_kernel_by_offset(grid, s, NEAR_CELLS, kind)).reshape(
+        kernel = np.abs(_kernel_by_offset(grid, s, kind)).reshape(
             -1, *[2 * n - 1 for n in grid.shape])
         out += [const * (_gather(k, grid).sum(axis=1) + mass) for k in kernel]
     return np.array(out)
@@ -172,7 +172,7 @@ def test_gather_is_the_direct_dense_assembly(problem, matrix_free):
     assert np.array_equal(grad.to_dense(), want[:-1])
     assert np.array_equal(lap.to_dense(), want[-1])
     assert np.array_equal(grad.table, want[:-1])
-    assert np.array_equal(lap.component(0), want[-1])
+    assert np.array_equal(lap.table, want[-1])
 
 
 @st.composite
@@ -208,7 +208,7 @@ def test_sector_and_box_sums_match_the_brute_force_sums(grid, s, n_theta):
         err = np.abs(got - want).reshape(grid.n_nodes, -1)
         assert np.all(err <= 1e-13 * mass[:, None])
     for kind in ("gradient", "laplacian"):
-        kernel = _kernel_by_offset(grid, s, NEAR_CELLS, kind)
+        kernel = _kernel_by_offset(grid, s, kind)
         for k in kernel.reshape(-1, *[2 * n - 1 for n in grid.shape]):
             gathered = _gather(k, grid)
             err = np.abs(_row_sums(k, grid) - gathered.sum(axis=1))

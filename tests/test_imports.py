@@ -4,7 +4,8 @@ Importing any part of scipy costs ~0.4 s at start-up, more than a 48 x 48
 solve's own set-up, so every command runs on numpy alone except the verify
 command's divergence oracle, whose adaptive quadrature needs scipy.integrate.
 The files of a run directory are written by the CLI alone, so no other
-module needs the csv module.
+module needs the csv module. The library never imports the CLI: the CLI
+is built on it, not the other way round.
 """
 
 import ast
@@ -15,7 +16,8 @@ import fracvar
 
 class _Imports(ast.NodeVisitor):
     """(module, enclosing function or None, imported name) per import of
-    the package watched, and the names of dynamic import calls."""
+    the package watched, and the names of dynamic import calls. A relative
+    import is recorded by its absolute name (from .cli as fracvar.cli)."""
 
     def __init__(self, module: str, watched: str):
         self.module, self.watched = module, watched
@@ -39,6 +41,11 @@ class _Imports(ast.NodeVisitor):
     def visit_ImportFrom(self, node):
         if node.level == 0:
             self._record(node.module)
+        elif node.module is not None:
+            self._record(f"{fracvar.__name__}.{node.module}")
+        else:
+            for alias in node.names:
+                self._record(f"{fracvar.__name__}.{alias.name}")
 
     def visit_Call(self, node):
         name = getattr(node.func, "id", getattr(node.func, "attr", None))
@@ -68,3 +75,9 @@ def test_only_the_divergence_oracle_imports_scipy():
 def test_only_the_cli_imports_csv():
     found, _ = _package_imports("csv")
     assert [entry for entry in found if entry[0] != "cli"] == []
+
+
+def test_no_module_imports_the_cli():
+    found, _ = _package_imports("fracvar")
+    assert ("cli", None, "fracvar.grid") in found  # relative imports are seen
+    assert [entry for entry in found if entry[2].split(".")[:2] == ["fracvar", "cli"]] == []
