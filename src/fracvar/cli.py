@@ -195,9 +195,9 @@ def parse_config(path) -> dict:
     seed = _typed("seed", int, raw.get("seed", ex.RegimeConfig.seed))
     if seed < 0:
         raise ConfigError(f'"seed" must be nonnegative, got {seed}')
-    threads = _typed("threads", int, raw.get("threads", ex.RegimeConfig.threads))
-    if threads < 1:
-        raise ConfigError(f'"threads" must be at least 1, got {threads}')
+    # sweeps run serially; "threads" stays accepted as 1, the value existing configs set
+    if _typed("threads", int, raw.get("threads", 1)) != 1:
+        raise ConfigError(f'"threads" must be 1 (sweeps run serially), got {raw["threads"]!r}')
     output_dir = raw.get("output_dir", "fracvar-out")
     if not isinstance(output_dir, str):
         raise ConfigError(f'"output_dir" must be a string, got {output_dir!r}')
@@ -212,7 +212,6 @@ def parse_config(path) -> dict:
         "sweep": {"values": [_typed(f"sweep.values[{k}]", float, v) for k, v in enumerate(values)]},
         "output_dir": output_dir,
         "seed": seed,
-        "threads": threads,
     }
 
 
@@ -228,7 +227,6 @@ def regime_config_from(materialized: dict) -> ex.RegimeConfig:
         solver=SolverOptions(**materialized["solver"]),
         sweep=tuple(materialized["sweep"]["values"]),
         seed=materialized["seed"],
-        threads=materialized["threads"],
     )
 
 

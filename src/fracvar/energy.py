@@ -26,6 +26,7 @@ not just up to quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -137,23 +138,6 @@ def _energies(model: EnergyModel, values: np.ndarray, q: np.ndarray):
     return out
 
 
-class _once:
-    """functools.cached_property without its lock: before Python 3.12 that
-    lock is shared by all instances, so threads evaluating different states
-    (a threaded sweep) would wait for each other. A state belongs to one
-    solve, hence to one thread. A method that raises stores nothing."""
-
-    def __init__(self, method):
-        self.method = method
-        self.__doc__ = method.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.method.__name__] = self.method(obj)
-        return value
-
-
 class PointState:
     """One point u with the quantities evaluated at it, each on first use.
 
@@ -177,41 +161,41 @@ class PointState:
         if grad is not None:
             self.grad = grad
 
-    @_once
+    @cached_property
     def grad(self) -> VectorField:
         return apply_gradient(self.model.grad_op, self.u)
 
-    @_once
+    @cached_property
     def q(self) -> np.ndarray:
         with np.errstate(over="ignore"):
             return np.sum(self.grad.values**2, axis=1)
 
-    @_once
+    @cached_property
     def energy(self) -> float:
         """Value of the functional (finite, or EnergyOverflowError)."""
         return float(_energies(self.model, self.u.values, self.q))
 
-    @_once
+    @cached_property
     def diffusivity(self) -> np.ndarray:
         """gamma(|grad_s u|^2/2) per node."""
         return _checked("gamma", self.model.coeff.gamma(0.5 * self.q))
 
-    @_once
+    @cached_property
     def diffusivity_slope(self) -> np.ndarray:
         """gamma'(|grad_s u|^2/2) per node, for Hessian products."""
         return _checked("gamma'", self.model.coeff.gamma_prime(0.5 * self.q))
 
-    @_once
+    @cached_property
     def reaction_slope(self) -> np.ndarray:
         """f'(u) per node, for Hessian products."""
         return _checked("f'", self.model.f_prime(self.u.values))
 
-    @_once
+    @cached_property
     def flux(self) -> np.ndarray:
         """The vector field gamma(|grad_s u|^2/2) grad_s u, shape (N, d)."""
         return self.diffusivity[:, None] * self.grad.values
 
-    @_once
+    @cached_property
     def representer(self) -> Field:
         """Nodal representer of E'(u): the flux through the transposed
         gradient table (minus the discrete divergence), then the reaction
@@ -222,7 +206,7 @@ class PointState:
         rep -= model.forcing.values
         return Field(model.grid, rep)
 
-    @_once
+    @cached_property
     def hs_norm(self) -> float:
         return _hs(self.model.grid, self.grad)
 

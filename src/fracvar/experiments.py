@@ -26,7 +26,6 @@ violated; negative controls are expected to fail their geometry checks.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Real
@@ -101,7 +100,6 @@ class RegimeConfig:
     solver: SolverOptions = field(default_factory=SolverOptions)
     sweep: tuple[float, ...] = ()
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "coefficient", (
@@ -110,8 +108,6 @@ class RegimeConfig:
             self.reaction[0], coeffs_mod.make_reaction(*self.reaction).params))
         object.__setattr__(self, "forcing", forcing_spec(self.forcing))
         object.__setattr__(self, "sweep", tuple(float(v) for v in self.sweep))
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,15 +254,8 @@ def run_sublinear_regime(config: RegimeConfig,
     audit = coeffs_mod.check_hypotheses(prep.coefficient, base, prep.lambda1,
                                         dimension=prep.grid.dimension, s=config.s)
     h = build_forcing(prep, config.forcing)
-
-    def one(nu: float) -> SublinearRun:
-        return SublinearRun(nu=nu, report=_solve_once(prep, _reaction_with(config, nu=nu), h))
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            runs = tuple(pool.map(one, config.sweep))
-    else:
-        runs = tuple(one(nu) for nu in config.sweep)
+    runs = tuple(SublinearRun(nu=nu, report=_solve_once(prep, _reaction_with(config, nu=nu), h))
+                 for nu in config.sweep)
     return RegimeReport(runs=runs, audit=audit, lambda1=prep.lambda1)
 
 
@@ -394,9 +383,13 @@ class IdentityReport:
 # normalized bump sharpness of the composition test, per dimension: the 1D
 # refinement study needs the sharp bump that keeps the exterior-truncation
 # share of the residual subdominant, while the 2D smoke bound runs at a
-# resolvable width on coarse grids
+# resolvable width
 COMPOSITION_BUMP_SHARPNESS = {1: 640.0, 2: 10.0}
 COMPOSITION_DOMAIN = ((-1.0, 1.0),)
+# the 2D smoke bound's own grid: the residual falls with h, and on the
+# unit square at s = 0.5 it is 0.28 on 8 x 8 cells, 0.16 on 12 x 12 and
+# 0.03 on 32 x 32, so a config's coarse grid would fail the 10% bound
+COMPOSITION_GRID_2D = DomainSpec(bounds=((0.0, 1.0), (0.0, 1.0)), nodes=(32, 32))
 
 
 def _composition_bump(grid: Grid) -> Field:
@@ -526,11 +519,11 @@ def verify_identities(config: RegimeConfig,
                       prep: PreparedProblem | None = None) -> IdentityReport:
     """Run the operator identity suite and the energy property checks.
 
-    In 1D this covers duality, the continuum divergence oracle, the
-    composition refinement study over s_values, the sign-pattern
-    computation, and the convexity/monotonicity properties. In 2D the
-    suite reduces to duality, a single-resolution composition smoke bound
-    (10%), and the energy properties.
+    Duality and the convexity/monotonicity properties run on the config's
+    grid. In 1D the suite adds the continuum divergence oracle, the
+    composition refinement study over s_values and the sign-pattern
+    computation. In 2D it adds a composition smoke bound (10%) at each of
+    s_values on its own grid, COMPOSITION_GRID_2D.
     """
     prep = _prepared(config, prep)
     rng = np.random.default_rng(config.seed)
@@ -541,9 +534,11 @@ def verify_identities(config: RegimeConfig,
             checks.append(_divergence_oracle_check(s))
         checks.extend(sign_pattern_checks())
     else:
-        u = _composition_bump(prep.grid)
-        res = composition_residual(prep.grad_op, prep.lap_op, u)
-        checks.append(IdentityCheck("composition_2d", res, 0.10, res <= 0.10))
+        grid = build_grid(COMPOSITION_GRID_2D)
+        u = _composition_bump(grid)
+        for s in s_values:
+            res = composition_residual(assemble_gradient(grid, s), assemble_laplacian(grid, s), u)
+            checks.append(IdentityCheck(f"composition_2d_s{s}", res, 0.10, res <= 0.10))
     checks.extend(_energy_property_checks(prep, rng))
     return IdentityReport(checks=tuple(checks))
 

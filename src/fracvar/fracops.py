@@ -72,7 +72,6 @@ axis of the odd extension (_dst1).
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -180,7 +179,6 @@ class NonlocalOperator:
     neighbors: np.ndarray
     _held: np.ndarray | None = field(default=None, init=False, repr=False)
     _derived: dict = field(default_factory=dict, init=False, repr=False)
-    _lock: threading.RLock = field(default_factory=threading.RLock, init=False, repr=False)
 
     def __post_init__(self):
         if self.n_nodes <= _DENSE_MAX_NODES:
@@ -214,15 +212,11 @@ class NonlocalOperator:
         return out if self.kind == "gradient" else out[0]
 
     def cached(self, key: str, build):
-        """build() on the first request for key, the same object after.
-
-        Safe under threads: concurrent first requests build once. The lock
-        is reentrant, so build may itself ask for another key.
-        """
-        with self._lock:
-            if key not in self._derived:
-                self._derived[key] = build()
-            return self._derived[key]
+        """build() on the first request for key, the same object after;
+        build may itself ask for another key."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
     def _gather_into(self, out: np.ndarray, c: int) -> None:
         for rows, block in _offset_rows(self.kernel[c], self.grid):

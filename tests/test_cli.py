@@ -388,12 +388,22 @@ class TestCommandFamilyValidation:
         assert lines[0] == "check,value,tolerance,passed"
         assert len(lines) > 10
 
-    def test_sweep_threads_from_config(self, tmp_path):
+    def test_verify_passes_on_a_coarse_2d_grid(self, tmp_path):
+        # the 2D composition bound runs on its own 32 x 32 grid; on the
+        # config's 8 x 8 grid it read 0.28 against its 10% tolerance
+        path = write_config(tmp_path / "cfg.json",
+                            domain={"bounds": [[0.0, 1.0], [0.0, 1.0]], "nodes": [8, 8]})
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+    def test_sweep_threads_from_config(self, tmp_path, capsys):
+        # sweeps run serially: "threads" accepts only 1
         path = write_config(tmp_path / "cfg.json",
                             forcing={"kind": "zero"},
                             sweep={"values": [0.5, 5.0]}, threads=2)
         status = main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert status == 0
+        assert status == 2
+        assert "threads" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_mpass_negative_control_exit_1(self, tmp_path):
         # weak reaction: geometry check fails, no second solution claimed
@@ -487,6 +497,7 @@ INVALID_INPUTS = [
     ("string-sweep", _set("sweep", "values", [0.5, "x"]), "sweep.values"),
     ("string-seed", _set(None, "seed", "abc"), "seed"),
     ("zero-threads", _set(None, "threads", 0), "threads"),
+    ("two-threads", _set(None, "threads", 2), "threads"),
     ("unused-forcing-key", _set(None, "forcing", {"kind": "zero", "scale": 1.0}),
      "forcing.scale"),
     # forcing files

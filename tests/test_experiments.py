@@ -109,20 +109,6 @@ class TestSublinearRegime:
         with pytest.raises(ValueError, match="sublinear"):
             run_sublinear_regime(cfg)
 
-    def test_threaded_sweep_matches_serial(self, base_domain, prep_128):
-        sweep = (0.5, 2.0, 8.0)
-        serial = run_sublinear_regime(sublinear_cfg(base_domain, sweep), prep_128)
-        threaded_cfg = RegimeConfig(
-            domain=base_domain, s=0.5,
-            coefficient=("power", {"A": 1.0, "B": 2.0, "p": 1.5}),
-            reaction=("saturating", {"nu": 1.0}), forcing={"kind": "zero"},
-            solver=SolverOptions(max_iter=8000), sweep=sweep, threads=3)
-        threaded = run_sublinear_regime(threaded_cfg, prep_128)
-        for a, b in zip(serial.runs, threaded.runs):
-            assert a.nu == b.nu
-            assert a.report.energy == b.report.energy
-            assert np.array_equal(a.report.solution.values, b.report.solution.values)
-
 
 class TestThreshold:
     def test_bisection_brackets_transition(self, base_domain, prep_128):
@@ -254,7 +240,7 @@ class TestIdentitySuite:
         report = verify_identities(cfg)
         assert report.all_passed
         names = {c.name for c in report.checks}
-        assert "composition_2d" in names
+        assert {"composition_2d_s0.3", "composition_2d_s0.5", "composition_2d_s0.7"} <= names
 
     @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
     def test_sign_pattern_across_orders(self, s):

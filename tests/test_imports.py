@@ -5,7 +5,8 @@ solve's own set-up, so every command runs on numpy alone except the verify
 command's divergence oracle, whose adaptive quadrature needs scipy.integrate.
 The files of a run directory are written by the CLI alone, so no other
 module needs the csv module. The library never imports the CLI: the CLI
-is built on it, not the other way round.
+is built on it, not the other way round. Sweeps run serially, so no module
+imports threading or concurrent.futures.
 """
 
 import ast
@@ -81,3 +82,9 @@ def test_no_module_imports_the_cli():
     found, _ = _package_imports("fracvar")
     assert ("cli", None, "fracvar.grid") in found  # relative imports are seen
     assert [entry for entry in found if entry[2].split(".")[:2] == ["fracvar", "cli"]] == []
+
+
+def test_no_module_imports_threads():
+    for watched in ("threading", "concurrent"):
+        found, _ = _package_imports(watched)
+        assert found == [], watched

@@ -1,7 +1,6 @@
 import dataclasses
 import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -405,20 +404,6 @@ class TestEvaluationBudget:
         system = composition_matrix(prep.grad_op) + experiments._GUESS_SHIFT * np.eye(128)
         want = np.maximum(np.linalg.solve(system, h), 0.0)
         assert np.linalg.norm(guess - want) <= 1e-10 * np.linalg.norm(want)
-
-    def test_factor_built_once_under_threads(self, monkeypatch, grid_1d_128):
-        grad_op = assemble_gradient(grid_1d_128, 0.5)
-        built = count_calls(monkeypatch, fracops.composition_matrix)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, to expose a racy first build
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                factors = list(pool.map(lambda _: _preconditioner(grad_op).args[0],
-                                        range(8), timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(built) == 1
-        assert all(f is factors[0] for f in factors)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
