@@ -175,6 +175,11 @@ def parse_config(path) -> dict:
         raise
     except (TypeError, ValueError) as err:
         raise ConfigError(f"domain: {err}") from None
+    # the 2D near-cell rule loses accuracy on long cells (worst cell-integral
+    # error 4.9e-3 at aspect 2, 2.4e-2 at 4, 0.21 at 8)
+    if max(spec.spacing) > 2.0 * min(spec.spacing):
+        raise ConfigError(f'"domain.nodes" must give cells whose spacings differ by at most a '
+                          f'factor 2 across axes, got spacings {spec.spacing}')
 
     op = _section(raw, "operator")
     _reject_unknown("operator", op, {"s"})

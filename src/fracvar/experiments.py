@@ -36,7 +36,7 @@ from . import coeffs as coeffs_mod
 from .coeffs import CoefficientModel, HypothesisReport, ReactionModel
 from .energy import EnergyModel, convexity_gap, hs_norm, monotonicity_pairing, weighted_form
 # perfbench's traced runs wrap cho_factor and cho_solve by these module names
-from .fracops import (NonlocalOperator, _check_finite, apply_divergence, apply_gradient,
+from .fracops import (NonlocalOperator, apply_divergence, apply_gradient,
                       assemble_gradient, assemble_laplacian, cho_factor, cho_solve,
                       composition_residual, normalizing_constants)
 from .grid import (DomainSpec, Field, Grid, VectorField, build_grid, field_from_function,
@@ -220,7 +220,7 @@ def default_initial_guess(prep: PreparedProblem, h: Field) -> Field:
     the crossover. The guess makes no factor of its own.
     """
     if np.any(h.values):
-        rhs, op = _check_finite(h.values), prep.grad_op
+        rhs, op = h.values, prep.grad_op
 
         def system(p):
             div_grad = apply_divergence(op, apply_gradient(op, Field(prep.grid, p))).values

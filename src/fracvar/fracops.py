@@ -51,8 +51,9 @@ plus O(N) work for the diagonal and the stencil: O(N log N) time and O(N)
 memory. The divergence uses the conjugate spectrum and the transposed
 stencil. On small grids a dense matrix-vector product is faster; there the
 operator gathers its parts into the dense float64 table once (to_dense, the
-same arithmetic as a direct assembly, bit for bit) and applies that. Either
-way an apply is exactly linear in the field.
+same arithmetic as a direct assembly, bit for bit) and applies that. One
+pair of methods, the forward and the transposed apply, makes that choice.
+Either way an apply is exactly linear in the field.
 
 Solves with an operator's SPD matrix (C = -div_s grad_s for the gradient,
 the table for the Laplacian) get an approximate inverse that needs no
@@ -61,7 +62,8 @@ Laplacian, scaled to the trace of that matrix, built in O(N) and applied
 by two orthonormal DST-I transforms (symbol_solve; a tau-type
 fast-transform preconditioner, Chan & Ng 1996). The solvers use it above
 the crossover; below it they solve with the inverse of the dense matrix
-that cho_factor holds (cho_factor / cho_solve).
+that cho_factor holds (cho_factor / cho_solve). Each solve checks its own
+right-hand side and raises NonFiniteError on an inf or a NaN.
 
 All of it runs on numpy alone, so no command but verify's quadrature loads
 scipy (~0.4 s at start-up). The FFT applies use numpy.fft.rfftn / irfftn
@@ -100,8 +102,6 @@ __all__ = [
 # N=512 0.073 / 0.055, N=768 0.21 / 0.061; 2D 20x20 0.10 / 0.11-0.17,
 # 24x24 0.24-0.32 / 0.13-0.22, 48x48 5.4-6.9 / 0.26-0.41.
 _DENSE_MAX_NODES = 512
-# entries of one row block when a table is gathered
-_BLOCK_ENTRIES = 1 << 20
 
 # The quadrature of the principal-value and exterior integrals.
 #
@@ -163,11 +163,11 @@ class NonlocalOperator:
     normalization (mu or C).
 
     Up to _DENSE_MAX_NODES nodes the operator holds the gathered table and
-    applies it by matrix products; above, it applies by FFT and ``table``
-    gathers a new copy on each access. Matrices derived from the table (the
-    solvers' composition matrix and the inverse cho_factor holds), the
-    FFT spectrum and the DST-I symbol are kept with the operator by
-    ``cached``.
+    applies it by one product with the table viewed as (m N, N); above, it
+    applies by FFT (_forward, _transpose) and ``table`` gathers a new copy
+    on each access. Matrices derived from the table (the solvers'
+    composition matrix and the inverse cho_factor holds), the FFT spectrum
+    and the DST-I symbol are kept with the operator by ``cached``.
     """
 
     kind: str
@@ -205,10 +205,22 @@ class NonlocalOperator:
         return self.to_dense() if self._held is None else self._held
 
     def to_dense(self) -> np.ndarray:
-        """Gather the parts into a new dense table (shaped as ``table``)."""
-        out = np.empty((len(self.kernel), self.n_nodes, self.n_nodes))
+        """Gather the parts into a new dense table (shaped as ``table``).
+        Window [i..., j...] of the reversed starts is the kernel at offset
+        j - i, so the off-stencil entries are one strided copy."""
+        shape, n = self.grid.shape, self.n_nodes
+        axes = tuple(range(1, len(shape) + 1))
+        windows = sliding_window_view(self.kernel, shape, axis=axes)[
+            (slice(None), *(slice(None, None, -1),) * len(shape))]
+        out = np.empty((len(self.kernel), n, n))
+        np.multiply(windows, self.scale, out=out.reshape(windows.shape))
+        diag = np.arange(n)
         for c, w in enumerate(out):
-            self._gather_into(w, c)
+            w[diag, diag] = self.diagonal[c]
+            for (stride, upper, lower, _, _), (up, down) in zip(_axis_stencils(self.grid),
+                                                                self.neighbors[c]):
+                w[upper, upper + stride] = up
+                w[lower, lower - stride] = down
         return out if self.kind == "gradient" else out[0]
 
     def cached(self, key: str, build):
@@ -217,16 +229,6 @@ class NonlocalOperator:
         if key not in self._derived:
             self._derived[key] = build()
         return self._derived[key]
-
-    def _gather_into(self, out: np.ndarray, c: int) -> None:
-        for rows, block in _offset_rows(self.kernel[c], self.grid):
-            np.multiply(block, self.scale, out=out[rows])
-        diag = np.arange(self.n_nodes)
-        out[diag, diag] = self.diagonal[c]
-        for (stride, upper, lower, _, _), (up, down) in zip(_axis_stencils(self.grid),
-                                                            self.neighbors[c]):
-            out[upper, upper + stride] = up
-            out[lower, lower - stride] = down
 
     def _symbol(self) -> np.ndarray:
         """The grid-shaped DST-I symbol sigma_j = (sum_k 4/h_k^2
@@ -254,7 +256,7 @@ class NonlocalOperator:
             return sigma * (trace / np.sum(sigma))
         return self.cached("symbol", build)
 
-    # -- FFT application ---------------------------------------------------
+    # -- application: the only code that chooses the held table or FFT --
 
     def _fft_parts(self):
         """Padded transform size, the rfftn of the flipped scaled kernel per
@@ -274,42 +276,46 @@ class NonlocalOperator:
             return size, np.fft.rfftn(padded, axes=axes), rest
         return self.cached("fft", build)
 
-    def _fft_forward(self, values: np.ndarray) -> np.ndarray:
-        """Each row of values (P, N) times every component: shape (P, N, m)."""
-        shape, d = self.grid.shape, self.grid.dimension
+    def _forward(self, u: np.ndarray) -> np.ndarray:
+        """Every component of the table times u (N,): shape (N, m)."""
+        n = self.n_nodes
+        if self._held is not None:
+            return np.ascontiguousarray((self._held.reshape(-1, n) @ u).reshape(-1, n).T)
+        shape = self.grid.shape
         size, spectrum, rest = self._fft_parts()
-        axes = tuple(range(-d, 0))
-        u = values.reshape(-1, *shape)
-        y = np.fft.irfftn(spectrum[:, None] * np.fft.rfftn(u, s=size, axes=axes), s=size,
-                          axes=axes)
-        y = np.ascontiguousarray(y[(..., *[slice(0, n) for n in shape])])
+        axes = tuple(range(1, len(shape) + 1))
+        x = u.reshape(shape)
+        y = np.fft.irfftn(spectrum * np.fft.rfftn(x[None], s=size, axes=axes), s=size, axes=axes)
+        y = np.ascontiguousarray(y[(slice(None), *[slice(0, k) for k in shape])])
         for c, yc in enumerate(y):
-            self._add_stencil(yc, u, c, rest[c])
-        return np.ascontiguousarray(np.moveaxis(y.reshape(len(y), -1, self.n_nodes), 0, -1))
+            self._add_stencil(yc, x, c, rest[c])
+        return np.ascontiguousarray(y.reshape(-1, n).T)
 
-    def _fft_transpose(self, values: np.ndarray) -> np.ndarray:
-        """sum_c W_c^T v_c for each row of stacked components values
-        (P, N, m): shape (P, N)."""
-        shape, d = self.grid.shape, self.grid.dimension
+    def _transpose(self, v: np.ndarray) -> np.ndarray:
+        """sum_c W_c^T v[:, c] for stacked components v (N, m): shape (N,)."""
+        n = self.n_nodes
+        if self._held is not None:
+            return self._held.reshape(-1, n).T @ v.T.ravel()
+        shape = self.grid.shape
         size, spectrum, rest = self._fft_parts()
-        axes = tuple(range(-d, 0))
-        v = np.moveaxis(values, -1, 0).reshape(len(spectrum), -1, *shape)
-        acc = np.sum(np.conj(spectrum)[:, None] * np.fft.rfftn(v, s=size, axes=axes), axis=0)
+        axes = tuple(range(1, len(shape) + 1))
+        vs = v.T.reshape(-1, *shape)
+        acc = np.sum(np.conj(spectrum) * np.fft.rfftn(vs, s=size, axes=axes), axis=0, keepdims=True)
         y = np.fft.irfftn(acc, s=size, axes=axes)
-        y = np.ascontiguousarray(y[(..., *[slice(0, n) for n in shape])])
-        for c, vc in enumerate(v):
+        y = np.ascontiguousarray(y[(0, *[slice(0, k) for k in shape])])
+        for c, vc in enumerate(vs):
             # the transpose swaps the entries at +e_k and -e_k
             self._add_stencil(y, vc, c, rest[c, :, ::-1])
-        return y.reshape(-1, self.n_nodes)
+        return y.ravel()
 
     def _add_stencil(self, out, u, c: int, rest) -> None:
         """out += (diagonal[c] and the stencil rest, entries at +e_k and -e_k
-        per axis k) times u, on grid-shaped stacks (P, *shape)."""
+        per axis k) times u, on grid-shaped arrays."""
         shape, d = self.grid.shape, self.grid.dimension
         out += self.diagonal[c].reshape(shape) * u
         for k, (up, down) in enumerate(rest):
-            lo = (..., *[slice(None, -1) if a == k else slice(None) for a in range(d)])
-            hi = (..., *[slice(1, None) if a == k else slice(None) for a in range(d)])
+            lo = tuple(slice(None, -1) if a == k else slice(None) for a in range(d))
+            hi = tuple(slice(1, None) if a == k else slice(None) for a in range(d))
             if up:
                 out[lo] += up * u[hi]
             if down:
@@ -387,21 +393,6 @@ def _near_cell_integrals(grid: Grid, q: float, reach, kind: str) -> np.ndarray:
     ww = 0.25 * h1 * h2 * np.outer(wts, wts)
     vals = _kernel_values([x[:, None, :, None], y[None, :, None, :]], q, kind)
     return np.sum(ww * vals, axis=(-2, -1))
-
-
-def _offset_rows(kernel: np.ndarray, grid: Grid):
-    """Row blocks of the (N, N) matrix whose entry [i, j] is the kernel at
-    the node offset j - i (kernel laid out as _kernel_by_offset returns
-    it): yields (slice of rows, C-ordered block of those rows), about
-    _BLOCK_ENTRIES entries at a time."""
-    n = grid.n_nodes
-    # window [i..., j...] of the reversed starts = kernel at offset j - i
-    windows = sliding_window_view(kernel, grid.shape)[(slice(None, None, -1),) * grid.dimension]
-    per = n // grid.shape[0]  # rows per index along the first axis
-    step = max(1, _BLOCK_ENTRIES // (per * n))
-    for a in range(0, grid.shape[0], step):
-        b = min(a + step, grid.shape[0])
-        yield slice(a * per, b * per), windows[a:b].reshape(-1, n)
 
 
 def _row_sums(kernel: np.ndarray, grid: Grid) -> np.ndarray:
@@ -615,10 +606,7 @@ def _check_op_field(op: NonlocalOperator, fld, kind: str):
 def apply_gradient(op: NonlocalOperator, u: Field) -> VectorField:
     """grad_s u as a nodal vector field."""
     _check_op_field(op, u, "gradient")
-    if op.matrix_free:
-        return VectorField(grid=u.grid, values=op._fft_forward(u.values[None])[0])
-    comps = [op.table[c] @ u.values for c in range(op.grid.dimension)]
-    return VectorField(grid=u.grid, values=np.stack(comps, axis=-1))
+    return VectorField(grid=u.grid, values=op._forward(u.values))
 
 
 def apply_divergence(op: NonlocalOperator, phi: VectorField) -> Field:
@@ -629,40 +617,27 @@ def apply_divergence(op: NonlocalOperator, phi: VectorField) -> Field:
     to roundoff by FFT.
     """
     _check_op_field(op, phi, "gradient")
-    if op.matrix_free:
-        return Field(grid=phi.grid, values=-op._fft_transpose(phi.values[None])[0])
-    out = np.zeros(op.n_nodes)
-    for c in range(op.grid.dimension):
-        out -= op.table[c].T @ phi.values[:, c]
-    return Field(grid=phi.grid, values=out)
+    return Field(grid=phi.grid, values=-op._transpose(phi.values))
 
 
 def apply_laplacian(op: NonlocalOperator, u: Field) -> Field:
     """(-Lap)^s u."""
     _check_op_field(op, u, "laplacian")
-    if op.matrix_free:
-        return Field(grid=u.grid, values=op._fft_forward(u.values[None])[0, :, 0])
-    return Field(grid=u.grid, values=op.table @ u.values)
+    return Field(grid=u.grid, values=op._forward(u.values)[:, 0])
 
 
 def composition_matrix(grad_op: NonlocalOperator) -> np.ndarray:
     """Dense matrix of -div_s grad_s built from the gradient table.
 
-    This is sum_c W_c^T W_c, symmetric positive semidefinite; it is the
-    operator whose quadratic form the energy functional actually
-    integrates. numpy runs each W_c^T W_c (of the held table, or of one
-    gathered for this call) as BLAS syrk, whose result is exactly symmetric.
+    This is sum_c W_c^T W_c = W^T W with W the table viewed as (d N, N),
+    symmetric positive semidefinite; it is the operator whose quadratic
+    form the energy functional actually integrates. numpy runs W^T W (of
+    the held table, or of one gathered for this call) as one BLAS syrk,
+    whose result is exactly symmetric.
     """
     if grad_op.kind != "gradient":
         raise ValueError("composition_matrix needs a gradient operator")
-    table = grad_op.table
-    out = _gram(table[0])
-    for w in table[1:]:
-        out += _gram(w)
-    return out
-
-
-def _gram(w: np.ndarray) -> np.ndarray:
+    w = grad_op.table.reshape(-1, grad_op.n_nodes)
     return w.T @ w
 
 
@@ -686,24 +661,26 @@ def cho_factor(a: np.ndarray) -> np.ndarray:
     Raises NonFiniteError when a holds a non-finite entry and
     numpy.linalg.LinAlgError when it is not positive definite.
     """
-    return _gram(np.linalg.inv(np.linalg.cholesky(_check_finite(a))))
+    inv = np.linalg.inv(np.linalg.cholesky(_check_finite(a)))
+    return inv.T @ inv
 
 
 def cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^{-1} b for factor = cho_factor(a); b is (N,) or a block (N, k)."""
-    return factor @ b
+    """a^{-1} b for factor = cho_factor(a); b is (N,) or a block (N, k).
+    Raises NonFiniteError when b holds a non-finite entry."""
+    return factor @ _check_finite(b)
 
 
 def symbol_solve(op: NonlocalOperator, values: np.ndarray, shift: float) -> np.ndarray:
     """S diag(1 / (sigma + shift)) S values, with S the orthonormal DST-I on
     the grid and sigma the operator's trace-scaled symbol: an approximate
     (M + shift I)^{-1} values, M = C for the gradient and the table for the
-    Laplacian, in O(N log N) time and O(N) memory. values is (N,) or a
-    block (N, k)."""
+    Laplacian, in O(N log N) time and O(N) memory. values is (N,); raises
+    NonFiniteError when it holds a non-finite entry."""
     shape = op.grid.shape
-    y = reduce(_dst1, range(len(shape)), values.reshape(*shape, -1))
-    y /= (op._symbol() + shift)[..., None]
-    return reduce(_dst1, range(len(shape)), y).reshape(values.shape)
+    y = reduce(_dst1, range(len(shape)), _check_finite(values).reshape(shape))
+    y /= op._symbol() + shift
+    return reduce(_dst1, range(len(shape)), y).ravel()
 
 
 def composition_residual(grad_op: NonlocalOperator, lap_op: NonlocalOperator, u: Field) -> float:

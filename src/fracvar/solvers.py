@@ -33,7 +33,8 @@ energy.PointState, which evaluates grad_s u, the energy, the derivative
 representer and the H^s norm once per point: an accepted line-search
 trial brings its gradient to the next iteration's derivative, KKT residual
 and norm trace. Factors are checked for finite values once, when they
-are made; each solve then checks only its right-hand side.
+are made; each solve (fracops.cho_solve, fracops.symbol_solve) checks its
+own right-hand side and raises NonFiniteError on an inf or a NaN.
 
 First-order optimality over the cone is measured by the KKT residual:
 |g_i| on nodes with u_i > 0 and max(0, -g_i) on active nodes, g being the
@@ -43,13 +44,12 @@ nodal representer of the energy derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .energy import EnergyModel, EnergyOverflowError, PointState, path_energies
-from .fracops import (NonlocalOperator, _check_finite, apply_gradient, cho_factor,
-                      cho_solve, composition_matrix, symbol_solve)
+from .fracops import (NonlocalOperator, apply_gradient, cho_factor, cho_solve,
+                      composition_matrix, symbol_solve)
 from .grid import Field, VectorField
 
 __all__ = [
@@ -143,12 +143,6 @@ def _kkt(point: PointState) -> float:
     return float(max(parts)) if parts else 0.0
 
 
-def _solve(factor, rhs: np.ndarray) -> np.ndarray:
-    """cho_solve against a factor that cho_factor checked for finite values
-    when it was made; only the O(N) right-hand side is checked here."""
-    return cho_solve(factor, _check_finite(rhs))
-
-
 def _preconditioner(op: NonlocalOperator):
     """The solve vec -> (C + I)^{-1} vec of a gradient operator.
 
@@ -160,13 +154,14 @@ def _preconditioner(op: NonlocalOperator):
     there. Only the inverse is kept: C is shifted in place and dropped.
     """
     if op.matrix_free:
-        return lambda vec: symbol_solve(op, _check_finite(vec), 1.0)
+        return lambda vec: symbol_solve(op, vec, 1.0)
 
     def factor():
         system = composition_matrix(op)
         system[np.diag_indices_from(system)] += 1.0
         return cho_factor(system)
-    return partial(_solve, op.cached("preconditioner", factor))
+    inverse = op.cached("preconditioner", factor)
+    return lambda vec: cho_solve(inverse, vec)
 
 
 def _armijo_step(point, trial_at, counts, residual):

@@ -46,6 +46,13 @@ class TestParseConfig:
         assert cfg["seed"] == 0
         assert cfg["sweep"] == {"values": []}
 
+    def test_cells_of_aspect_two_are_accepted(self, tmp_path):
+        # 16 x 8 nodes on the unit square: spacings 1/16 and 1/8, the
+        # largest aspect parse_config accepts
+        domain = {"bounds": [[0.0, 1.0], [0.0, 1.0]], "nodes": [16, 8]}
+        cfg = parse_config(write_config(tmp_path / "cfg.json", domain=domain))
+        assert cfg["domain"] == domain
+
     def test_out_of_range_order_names_key(self, tmp_path):
         path = write_config(tmp_path / "cfg.json", operator={"s": 1.5})
         with pytest.raises(ConfigError, match=r"operator\.s"):
@@ -471,6 +478,9 @@ INVALID_INPUTS = [
     ("nan-c", _set_param("coefficient", "constant", "c", float("nan")),
      "coefficient.params.c"),
     ("negative-max_iter", _set("solver", "max_iter", -1), "solver.max_iter"),
+    # cells four times as long as they are wide
+    ("long-cells", _set(None, "domain", {"bounds": [[0.0, 1.0], [0.0, 0.25]], "nodes": [16, 16]}),
+     "domain.nodes"),
     # options the solvers no longer have, and the quadrature settings that
     # are now constants of the scheme (set here to their old defaults)
     ("removed-ball_radius", _set("solver", "ball_radius", 1.0),

@@ -8,6 +8,7 @@ format reads back bit for bit.
 """
 
 import dataclasses
+import importlib
 import json
 import math
 import re
@@ -121,6 +122,19 @@ def _readme_row(label: str):
                     defaults[key] = value
             return keys, defaults
     raise AssertionError(f"README has no config table row {label!r}")
+
+
+# a quoted module constant: `fracops.NEAR_CELLS` = 8
+_README_CONSTANT = re.compile(r"`(\w+)\.([A-Z_][A-Z0-9_]*)`\s*=\s*(-?\d+(?:\.\d+)?(?:e-?\d+)?)")
+
+
+def test_readme_quoted_constants_match_the_code():
+    quotes = _README_CONSTANT.findall(README.read_text())
+    assert {f"{module}.{name}" for module, name, _ in quotes} >= {
+        "fracops.NEAR_CELLS", "fracops.SELF_CELL", "fracops.N_THETA",
+        "fracops.NYQUIST_STABILIZATION", "fracops._DENSE_MAX_NODES", "spectral._EXACT_MAX_NODES"}
+    for module, name, value in quotes:
+        assert getattr(importlib.import_module(f"fracvar.{module}"), name) == float(value), name
 
 
 def test_readme_config_table_matches_the_parser():

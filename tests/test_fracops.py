@@ -242,6 +242,19 @@ class TestHeldInverse:
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("nodes", [(64,), (8, 8)])
+    def test_solves_reject_non_finite_right_hand_sides(self, nodes, bad):
+        grid = build_grid(DomainSpec(bounds=tuple((0.0, 1.0) for _ in nodes), nodes=nodes))
+        grad = assemble_gradient(grid, 0.5)
+        factor = fracops.cho_factor(composition_matrix(grad) + np.eye(grid.n_nodes))
+        rhs = np.ones(grid.n_nodes)
+        rhs[3] = bad
+        with pytest.raises(fracops.NonFiniteError):
+            symbol_solve(grad, rhs, 1.0)
+        with pytest.raises(fracops.NonFiniteError):
+            fracops.cho_solve(factor, rhs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_input(self, bad):
         a = np.eye(4)
         a[1, 2] = a[2, 1] = bad
@@ -332,6 +345,19 @@ class TestMatrixFree:
         v = mode.ravel()
         want = v / (grad._symbol()[tuple(jk - 1 for jk in j)] + 1.0)
         assert np.max(np.abs(symbol_solve(grad, v, 1.0) - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_gather_allocates_no_row_blocks(self):
+        # the table is one strided copy of the kernel's sliding windows, so
+        # the gather needs no temporary block of rows (16 MB at this size)
+        grid = build_grid(DomainSpec(bounds=((0.0, 1.0), (0.0, 1.0)), nodes=(48, 48)))
+        op = assemble_gradient(grid, 0.5)
+        tracemalloc.start()
+        try:
+            table = op.to_dense()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.nbytes + 1e6
 
     @pytest.mark.parametrize("n", [96, 128])
     def test_assembly_allocates_o_n(self, n):
