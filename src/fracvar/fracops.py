@@ -653,15 +653,39 @@ def _check_finite(x: np.ndarray) -> np.ndarray:
     return x
 
 
+# below this many rows _tril_inv hands a block to numpy.linalg.inv
+_TRIL_INV_BLOCK = 64
+
+
+def _tril_inv(low: np.ndarray) -> np.ndarray:
+    """The inverse of a nonsingular lower-triangular matrix by 2 x 2 block
+    recursion: [[A, 0], [B, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} B A^{-1},
+    D^{-1}]], with numpy.linalg.inv on blocks of at most _TRIL_INV_BLOCK
+    rows: ~2 N^3 / 3 flops in matrix-matrix products, against the ~2 N^3
+    of numpy.linalg.inv's LU inverse."""
+    n = low.shape[0]
+    if n <= _TRIL_INV_BLOCK:
+        return np.linalg.inv(low)
+    k = n // 2
+    a_inv, d_inv = _tril_inv(low[:k, :k]), _tril_inv(low[k:, k:])
+    inv = np.zeros_like(low)
+    inv[:k, :k] = a_inv
+    inv[k:, k:] = d_inv
+    inv[k:, :k] = -(d_inv @ low[k:, :k]) @ a_inv
+    return inv
+
+
 def cho_factor(a: np.ndarray) -> np.ndarray:
     """The inverse L^{-T} L^{-1} of a symmetric positive definite matrix
     a = L L^T, exactly symmetric, for cho_solve: a solve is then one
     matrix-vector product (1D 384 nodes, one BLAS thread: ~35 us against
-    ~190 us for scipy's cho_solve, for a ~23 ms factor against ~2 ms).
+    ~190 us for scipy's cho_solve). L^{-1} comes from a block recursion on
+    the triangle (_tril_inv): a factor of C + I takes ~7 ms at 384 nodes
+    and ~16 ms at 512, against 16-22 and 35 ms with numpy.linalg.inv of L.
     Raises NonFiniteError when a holds a non-finite entry and
     numpy.linalg.LinAlgError when it is not positive definite.
     """
-    inv = np.linalg.inv(np.linalg.cholesky(_check_finite(a)))
+    inv = _tril_inv(np.linalg.cholesky(_check_finite(a)))
     return inv.T @ inv
 
 

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fracvar
 from fracvar import check_hypotheses, make_coefficient, make_reaction
 
 
@@ -137,6 +143,27 @@ class TestHypothesisAudit:
                                  {"kappa": 0.5 * power_coeff.gamma_min * lam1})
         rep = check_hypotheses(power_coeff, reaction, lam1)
         assert rep.verdicts["f3"] == "violated"
+
+    def test_audit_does_not_import_numpy_random(self):
+        # importing numpy.random costs ~12 ms and resident memory in every
+        # CLI child; the audit's convexity pairs come from a log grid
+        src = str(Path(fracvar.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+        def loaded(code):
+            code += "\nimport sys\nprint('numpy.random' in sys.modules)"
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120, check=True)
+            return proc.stdout.strip().splitlines()[-1] == "True"
+
+        if loaded("import numpy"):
+            pytest.skip("import numpy loads numpy.random in this numpy")
+        assert not loaded(
+            "from fracvar import check_hypotheses, make_coefficient, make_reaction\n"
+            "coeff = make_coefficient('power', None)\n"
+            "for family in ('saturating', 'cubic_saturating'):\n"
+            "    check_hypotheses(coeff, make_reaction(family, None), 2.3)")
 
     def test_requires_positive_lambda(self, power_coeff):
         reaction = make_reaction("saturating", {"nu": 1.0})

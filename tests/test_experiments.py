@@ -9,7 +9,7 @@ from fracvar import (DomainSpec, Field, RegimeConfig, SolverOptions, appendix_co
 from fracvar import experiments
 from fracvar.experiments import sign_pattern_checks
 from fracvar.fracops import composition_matrix
-from fracvar.solvers import _pcg, _preconditioner
+from fracvar.solvers import TRIVIAL_L2, _pcg, _preconditioner
 
 
 @pytest.fixture(scope="module")
@@ -137,9 +137,9 @@ class TestThreshold:
         expected = find_nu_threshold(cfg, prep_128)
         solve_once, probed = experiments._solve_once, []
 
-        def counted(prep, reaction, h):
+        def counted(prep, reaction, h, u0=None):
             probed.append(reaction.params["nu"])
-            return solve_once(prep, reaction, h)
+            return solve_once(prep, reaction, h, u0)
 
         monkeypatch.setattr(experiments, "_solve_once", counted)
         assert find_nu_threshold(cfg, prep_128, runs=runs) == expected
@@ -151,8 +151,8 @@ class TestThreshold:
         # slows first-order descent in proportion to 1/gap; Newton-CG is not
         solve_once, probes = experiments._solve_once, []
 
-        def recorded(prep, reaction, h):
-            rep = solve_once(prep, reaction, h)
+        def recorded(prep, reaction, h, u0=None):
+            rep = solve_once(prep, reaction, h, u0)
             probes.append((reaction.params["nu"], rep))
             return rep
 
@@ -165,10 +165,51 @@ class TestThreshold:
         assert all(rep.iterations <= 50 for _, rep in near), [
             (nu, rep.iterations) for nu, rep in near]
 
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    def test_warm_bisection_matches_the_cold_one(self, base_domain, s, monkeypatch):
+        # each probe starts from the bracket's nontrivial solution instead
+        # of default_initial_guess: the same threshold, bit for bit, from
+        # fewer Newton-CG iterations
+        cfg = dataclasses.replace(sublinear_cfg(base_domain, sweep=(0.05, 400.0)), s=s)
+        prep = prepare(cfg)
+        cold_star, cold_iterations = cold_bisection(cfg, prep)
+        solve_once, calls = experiments._solve_once, []
+
+        def recorded(prep, reaction, h, u0=None):
+            rep = solve_once(prep, reaction, h, u0)
+            calls.append((reaction.params["nu"], u0, rep.iterations))
+            return rep
+
+        monkeypatch.setattr(experiments, "_solve_once", recorded)
+        assert find_nu_threshold(cfg, prep) == cold_star
+        sweep, probes = calls[:2], calls[2:]
+        assert [(nu, u0) for nu, u0, _ in sweep] == [(0.05, None), (400.0, None)]
+        assert probes and all(u0 is not None for _, u0, _ in probes)
+        warm_iterations = sum(it for _, _, it in probes)
+        assert warm_iterations <= 0.75 * cold_iterations, (warm_iterations, cold_iterations)
+
     def test_no_bracket_raises(self, base_domain, prep_128):
         cfg = sublinear_cfg(base_domain, sweep=(100.0, 200.0))
         with pytest.raises(ValueError, match="bracket"):
             find_nu_threshold(cfg, prep_128)
+
+
+def cold_bisection(cfg, prep, rel_width=1e-2):
+    """The bisection with every probe started from default_initial_guess,
+    between the sweep's two values: (threshold, Newton-CG iterations of
+    the probes)."""
+    h = experiments.build_forcing(prep)
+    lo, hi = cfg.sweep
+    iterations = 0
+    while (hi - lo) > rel_width * 0.5 * (hi + lo):
+        mid = 0.5 * (lo + hi)
+        rep = experiments._solve_once(prep, experiments._reaction_with(cfg, nu=mid), h)
+        iterations += rep.iterations
+        if rep.l2_norm > TRIVIAL_L2:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), iterations
 
 
 @pytest.fixture(scope="module")

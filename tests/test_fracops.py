@@ -265,6 +265,22 @@ class TestHeldInverse:
         with pytest.raises(np.linalg.LinAlgError):
             fracops.cho_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 127, 384, 513])
+    def test_block_inverse_matches_the_dense_inverse(self, n, rng):
+        # sizes on both sides of the recursion's dense block and odd splits
+        b = rng.standard_normal((n, n))
+        a = b @ b.T / n + np.eye(n)
+        factor = fracops.cho_factor(a)
+        want = np.linalg.inv(a)
+        assert np.linalg.norm(factor - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.array_equal(factor, factor.T)
+        a[n // 2, n // 2] = np.nan
+        with pytest.raises(fracops.NonFiniteError):
+            fracops.cho_factor(a)
+        a[n // 2, n // 2] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            fracops.cho_factor(a)
+
 
 class TestNumpyTransforms:
     """The numpy kernels behind the FFT path, against scipy.fft."""
