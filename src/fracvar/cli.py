@@ -241,6 +241,8 @@ def regime_config_from(materialized: dict) -> ex.RegimeConfig:
 
 
 def _fmt(x) -> str:
+    if type(x) is float:
+        return repr(x)
     if isinstance(x, (np.floating, np.integer, np.bool_)):
         x = x.item()
     if isinstance(x, float):
@@ -250,9 +252,7 @@ def _fmt(x) -> str:
 
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines([",".join(header) + "\n"] + [",".join(map(_fmt, row)) + "\n" for row in rows])
 
 
 def _write_json(path, obj) -> None:

@@ -44,16 +44,20 @@ Each table is built from three parts, by one code path for d = 1 and 2:
   outer neighbor lies outside Omega) and the gradient's even Nyquist
   stabilization (NYQUIST_STABILIZATION).
 
-An operator keeps these parts, not the dense table. Off the diagonal and
-the axis stencil the table is a Toeplitz (1D) or block-Toeplitz (2D)
-matrix, so an apply is a zero-padded real-FFT convolution with the kernel
-plus O(N) work for the diagonal and the stencil: O(N log N) time and O(N)
-memory. The divergence uses the conjugate spectrum and the transposed
-stencil. On small grids a dense matrix-vector product is faster; there the
-operator gathers its parts into the dense float64 table once (to_dense, the
-same arithmetic as a direct assembly, bit for bit) and applies that. One
-pair of methods, the forward and the transposed apply, makes that choice.
-Either way an apply is exactly linear in the field.
+An operator keeps these parts, not the dense table. Off the diagonal the
+table is a Toeplitz (1D) or block-Toeplitz (2D) matrix: the axis stencil
+is the same at every node, so it is written into the kernel at the
+offsets +-e_k, and the kernel's spectrum carries it. An apply is then a
+zero-padded real-FFT convolution plus the diagonal times the field:
+O(N log N) time and O(N) memory. The inverse transform is pruned: each
+complex pass keeps only the grid's rows before the next, and the last
+axis's irfft is cut to the grid. The divergence is the conjugate spectrum
+plus the diagonal. On small grids a dense matrix-vector product is
+faster; there the operator gathers its parts into the dense float64
+table once (to_dense, the same arithmetic as a direct assembly, bit for
+bit) and applies that. One pair of methods, the forward and the
+transposed apply, makes that choice. Either way an apply is exactly
+linear in the field.
 
 Solves with an operator's SPD matrix (C = -div_s grad_s for the gradient,
 the table for the Laplacian) get an approximate inverse that needs no
@@ -66,9 +70,10 @@ that cho_factor holds (cho_factor / cho_solve). Each solve checks its own
 right-hand side and raises NonFiniteError on an inf or a NaN.
 
 All of it runs on numpy alone, so no command but verify's quadrature loads
-scipy (~0.4 s at start-up). The FFT applies use numpy.fft.rfftn / irfftn
-at 5-smooth padded sizes (next_fast_len), and each DST-I is one rfft per
-axis of the odd extension (_dst1).
+scipy (~0.4 s at start-up). The FFT applies use numpy.fft at 5-smooth
+padded sizes (next_fast_len). The DST-I forks by dimension
+(NonlocalOperator._dst, which says why): one rfft of the odd extension in
+1D (_dst1), a product with per-axis sine matrices in 2D.
 """
 
 from __future__ import annotations
@@ -98,9 +103,14 @@ __all__ = [
 # Operators on more nodes than this apply by FFT; up to it they hold the
 # dense table, which also gives the solvers their exact dense
 # preconditioner. Median forward gradient apply with numpy.fft, one BLAS
-# thread, 2-core VM, three runs (dense / FFT, ms): 1D N=384 0.031 / 0.051,
-# N=512 0.073 / 0.055, N=768 0.21 / 0.061; 2D 20x20 0.10 / 0.11-0.17,
-# 24x24 0.24-0.32 / 0.13-0.22, 48x48 5.4-6.9 / 0.26-0.41.
+# thread, 2-core VM, three runs (dense / FFT, ms): 1D N=384 0.023-0.024 /
+# 0.026-0.027, N=512 0.053 / 0.029, N=768 0.18-0.19 / 0.035-0.036; 2D
+# 20x20 0.079 / 0.058-0.088, 24x24 0.20-0.21 / 0.067-0.069, 48x48
+# 5.3-5.4 / 0.16. The FFT apply is the faster one from about 400 nodes,
+# but the limit stays at 512: the held dense inverse keeps the solvers'
+# iteration counts low, and the symbol preconditioner does not (seed-0 1D
+# mountain pass at 384 nodes: 16 iterations with it, 53-55 with the
+# symbol solve).
 _DENSE_MAX_NODES = 512
 
 # The quadrature of the principal-value and exterior integrals.
@@ -165,9 +175,13 @@ class NonlocalOperator:
     Up to _DENSE_MAX_NODES nodes the operator holds the gathered table and
     applies it by one product with the table viewed as (m N, N); above, it
     applies by FFT (_forward, _transpose) and ``table`` gathers a new copy
-    on each access. Matrices derived from the table (the solvers'
-    composition matrix and the inverse cho_factor holds), the FFT spectrum
-    and the DST-I symbol are kept with the operator by ``cached``.
+    on each access. The FFT spectrum is that of the kernel with the axis
+    stencil written in, so the forward apply adds only diagonal * u to the
+    convolution, and the transposed one the conjugate spectrum's
+    convolution plus sum_c diagonal[c] * v[:, c]. Matrices derived from the
+    table (the inverse cho_factor holds), the FFT spectrum, the DST-I
+    symbol and, in 2D, the per-axis sine matrices of symbol_solve are kept
+    with the operator by ``cached``.
     """
 
     kind: str
@@ -259,22 +273,35 @@ class NonlocalOperator:
     # -- application: the only code that chooses the held table or FFT --
 
     def _fft_parts(self):
-        """Padded transform size, the rfftn of the flipped scaled kernel per
-        component (zero-padded to at least 2 n_k - 1 per axis, so that the
-        circular product is the Toeplitz one), and the stencil entries less
-        the kernel's share there, shape (m, d, 2)."""
+        """Padded transform size and the rfftn, per component, of the
+        flipped Toeplitz part of the table: the scaled kernel with the axis
+        stencil written in at the offsets +-e_k (the same at every node, so
+        Toeplitz too), zero-padded to at least 2 n_k - 1 per axis, so that
+        the circular product is the Toeplitz one."""
         def build():
             shape = self.grid.shape
             size = tuple(next_fast_len(2 * n - 1) for n in shape)
             axes = tuple(range(1, len(shape) + 1))
-            flipped = self.scale * self.kernel[(slice(None),) + (slice(None, None, -1),) * len(shape)]
+            toeplitz = self.scale * self.kernel
+            for k, j, at in _axis_offsets(shape):
+                toeplitz[at] = self.neighbors[:, k, j]
             padded = np.zeros((len(self.kernel), *size))
-            padded[(slice(None), *[slice(0, 2 * n - 1) for n in shape])] = flipped
+            padded[(slice(None), *[slice(0, 2 * n - 1) for n in shape])] = \
+                toeplitz[(slice(None),) + (slice(None, None, -1),) * len(shape)]
             # offset -o at index o mod size
             padded = np.roll(padded, [1 - n for n in shape], axis=axes)
-            rest = self.neighbors - self.scale * _at_axis_neighbors(self.kernel, shape)
-            return size, np.fft.rfftn(padded, axes=axes), rest
+            return size, np.fft.rfftn(padded, axes=axes)
         return self.cached("fft", build)
+
+    def _irfftn_grid(self, spectrum: np.ndarray, size) -> np.ndarray:
+        """The grid-shaped corner of irfftn(spectrum, s=size) over the
+        trailing axes: each complex inverse pass keeps the grid's n_k rows
+        before the next, and the last axis's irfft is cut to the grid."""
+        shape = self.grid.shape
+        lead = spectrum.ndim - len(shape)
+        for k, n in enumerate(shape[:-1]):
+            spectrum = np.fft.ifft(spectrum, axis=lead + k)[(slice(None),) * (lead + k) + (slice(0, n),)]
+        return np.fft.irfft(spectrum, n=size[-1], axis=-1)[..., :shape[-1]]
 
     def _forward(self, u: np.ndarray) -> np.ndarray:
         """Every component of the table times u (N,): shape (N, m)."""
@@ -282,14 +309,12 @@ class NonlocalOperator:
         if self._held is not None:
             return np.ascontiguousarray((self._held.reshape(-1, n) @ u).reshape(-1, n).T)
         shape = self.grid.shape
-        size, spectrum, rest = self._fft_parts()
+        size, spectrum = self._fft_parts()
         axes = tuple(range(1, len(shape) + 1))
-        x = u.reshape(shape)
-        y = np.fft.irfftn(spectrum * np.fft.rfftn(x[None], s=size, axes=axes), s=size, axes=axes)
-        y = np.ascontiguousarray(y[(slice(None), *[slice(0, k) for k in shape])])
-        for c, yc in enumerate(y):
-            self._add_stencil(yc, x, c, rest[c])
-        return np.ascontiguousarray(y.reshape(-1, n).T)
+        y = self._irfftn_grid(spectrum * np.fft.rfftn(u.reshape(1, *shape), s=size, axes=axes), size)
+        out = np.multiply(self.diagonal.T, u[:, None], order="C")
+        out += y.reshape(-1, n).T
+        return out
 
     def _transpose(self, v: np.ndarray) -> np.ndarray:
         """sum_c W_c^T v[:, c] for stacked components v (N, m): shape (N,)."""
@@ -297,29 +322,34 @@ class NonlocalOperator:
         if self._held is not None:
             return self._held.reshape(-1, n).T @ v.T.ravel()
         shape = self.grid.shape
-        size, spectrum, rest = self._fft_parts()
+        size, spectrum = self._fft_parts()
         axes = tuple(range(1, len(shape) + 1))
-        vs = v.T.reshape(-1, *shape)
-        acc = np.sum(np.conj(spectrum) * np.fft.rfftn(vs, s=size, axes=axes), axis=0, keepdims=True)
-        y = np.fft.irfftn(acc, s=size, axes=axes)
-        y = np.ascontiguousarray(y[(0, *[slice(0, k) for k in shape])])
-        for c, vc in enumerate(vs):
-            # the transpose swaps the entries at +e_k and -e_k
-            self._add_stencil(y, vc, c, rest[c, :, ::-1])
-        return y.ravel()
+        acc = np.sum(np.conj(spectrum) * np.fft.rfftn(v.T.reshape(-1, *shape), s=size, axes=axes),
+                     axis=0)
+        return self._irfftn_grid(acc, size).ravel() + np.sum(self.diagonal * v.T, axis=0)
 
-    def _add_stencil(self, out, u, c: int, rest) -> None:
-        """out += (diagonal[c] and the stencil rest, entries at +e_k and -e_k
-        per axis k) times u, on grid-shaped arrays."""
-        shape, d = self.grid.shape, self.grid.dimension
-        out += self.diagonal[c].reshape(shape) * u
-        for k, (up, down) in enumerate(rest):
-            lo = tuple(slice(None, -1) if a == k else slice(None) for a in range(d))
-            hi = tuple(slice(1, None) if a == k else slice(None) for a in range(d))
-            if up:
-                out[lo] += up * u[hi]
-            if down:
-                out[hi] += down * u[lo]
+    def _dst(self, y: np.ndarray) -> np.ndarray:
+        """The orthonormal DST-I (its own inverse) of a grid-shaped y. In
+        2D it is S_0 y S_1 with the per-axis sine matrices sqrt(2 / (n_k +
+        1)) sin(pi i j / (n_k + 1)), kept by ``cached``: n_k^2 entries
+        each, O(N) on a square grid, and faster than _dst1 at every size
+        from 24^2 to 256^2, most where n_k + 1 has a large prime factor. In
+        1D a sine matrix would hold N^2 entries (and lost to _dst1 at
+        N = 1024), so 1D keeps _dst1."""
+        if y.ndim == 1:
+            return _dst1(y, 0)
+
+        def build():
+            out = []
+            for n in self.grid.shape:
+                j = np.arange(1, n + 1)
+                # i j reduced mod 2 (n + 1), so that the sine's argument is
+                # below 2 pi and exact to a rounding
+                phase = np.multiply.outer(j, j) % (2 * (n + 1))
+                out.append(np.sqrt(2.0 / (n + 1)) * np.sin(np.pi / (n + 1) * phase))
+            return out
+        s0, s1 = self.cached("sines", build)
+        return s0 @ y @ s1
 
 
 def normalizing_constants(d: int, s: float) -> tuple[float, float]:
@@ -411,14 +441,21 @@ def _row_sums(kernel: np.ndarray, grid: Grid) -> np.ndarray:
     return sums.ravel()
 
 
-def _at_axis_neighbors(kernel: np.ndarray, shape) -> np.ndarray:
-    """Kernels (m, 2 n_1 - 1, ...) at the offsets +e_k and -e_k: (m, d, 2)."""
-    out = np.empty((len(kernel), len(shape), 2))
+def _axis_offsets(shape):
+    """Per axis k and j = 0, 1, the index of the offset +e_k (j = 0) or
+    -e_k (j = 1) in a kernel (m, 2 n_1 - 1, ...)."""
     for k in range(len(shape)):
         for j, step in enumerate((1, -1)):
             idx = [n - 1 for n in shape]
             idx[k] += step
-            out[:, k, j] = kernel[(slice(None), *idx)]
+            yield k, j, (slice(None), *idx)
+
+
+def _at_axis_neighbors(kernel: np.ndarray, shape) -> np.ndarray:
+    """Kernels (m, 2 n_1 - 1, ...) at the offsets +e_k and -e_k: (m, d, 2)."""
+    out = np.empty((len(kernel), len(shape), 2))
+    for k, j, at in _axis_offsets(shape):
+        out[:, k, j] = kernel[at]
     return out
 
 
@@ -699,12 +736,12 @@ def symbol_solve(op: NonlocalOperator, values: np.ndarray, shift: float) -> np.n
     """S diag(1 / (sigma + shift)) S values, with S the orthonormal DST-I on
     the grid and sigma the operator's trace-scaled symbol: an approximate
     (M + shift I)^{-1} values, M = C for the gradient and the table for the
-    Laplacian, in O(N log N) time and O(N) memory. values is (N,); raises
-    NonFiniteError when it holds a non-finite entry."""
-    shape = op.grid.shape
-    y = reduce(_dst1, range(len(shape)), _check_finite(values).reshape(shape))
+    Laplacian, in O(N) memory (S by NonlocalOperator._dst: one rfft in 1D,
+    sine matrices in 2D). values is (N,); raises NonFiniteError when it
+    holds a non-finite entry."""
+    y = op._dst(_check_finite(values).reshape(op.grid.shape))
     y /= op._symbol() + shift
-    return reduce(_dst1, range(len(shape)), y).ravel()
+    return op._dst(y).ravel()
 
 
 def composition_residual(grad_op: NonlocalOperator, lap_op: NonlocalOperator, u: Field) -> float:

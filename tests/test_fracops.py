@@ -295,6 +295,17 @@ class TestNumpyTransforms:
             got = fracops._dst1(got, axis)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("nodes", [(13, 9), (12, 16), (48, 48)])
+    def test_2d_symbol_solve_matches_scipy(self, nodes, rng):
+        # by the per-axis sine matrices; n_k + 1 = 13 and 17 are prime
+        grid = build_grid(DomainSpec(bounds=((0.0, 1.0), (0.0, 1.5)), nodes=nodes))
+        op = assemble_laplacian(grid, 0.4)
+        values = rng.standard_normal(nodes)
+        want = scipy.fft.dstn(scipy.fft.dstn(values, type=1, norm="ortho") / (op._symbol() + 0.5),
+                              type=1, norm="ortho").ravel()
+        got = symbol_solve(op, values.ravel(), 0.5)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_next_fast_len_matches_scipy(self):
         for n in range(1, 10_001):
             assert fracops.next_fast_len(n) == scipy.fft.next_fast_len(n, real=True), n
@@ -447,6 +458,8 @@ class TestMatrixFree:
         assert eig_peak < bound
         assert solve_peak < bound
         assert rep.classification == "local-min"
-        # nothing dense was cached with the operator: only the FFT spectrum
-        # and the symbol
-        assert set(prep.grad_op._derived) == {"fft", "symbol"}
+        # nothing dense was cached with the operator: every cached array
+        # (the FFT spectrum, the symbol, the per-axis sine matrices) holds
+        # O(N) entries
+        sizes = _array_sizes(prep.grad_op._derived)
+        assert sizes and max(sizes) <= 16 * n

@@ -217,6 +217,11 @@ def test_sector_and_box_sums_match_the_brute_force_sums(grid, s, n_theta):
 
 @SETTINGS
 @given(problem=problems(), seed=st.integers(0, 2**32 - 1))
+# fixed grids, the 1D one above the crossover: a stencil entry folded in at
+# the wrong offset, or an inverse pass cut a row off, fails them
+@example(problem=(build_grid(DomainSpec(bounds=((0.0, 1.0), (0.0, 2.0)), nodes=(13, 9))), 0.4),
+         seed=7)
+@example(problem=(build_grid(DomainSpec(bounds=((-1.0, 1.0),), nodes=(601,))), 0.4), seed=7)
 def test_fft_applies_match_the_gathered_table(problem, seed):
     grid, s = problem
     rng = np.random.default_rng(seed)
