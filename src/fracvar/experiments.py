@@ -343,7 +343,7 @@ def run_linear_regime(config: RegimeConfig,
             rep1 = minimize_cone(model, config.solver, u0)
         margin = abs(rep1.energy) * (1.0 + 1e-3) + 1e-12
         with timed(timings, "ray_seconds"):
-            ray = ray_search(model, prep.eigenpair.function, t_max=1e3, margin=margin)
+            ray = ray_search(model, prep.eigenpair.function, margin=margin)
         if not ray.found:
             runs.append(LinearRun(h_scale=delta, minimizer=rep1, ray=ray,
                                   geometry_ok=False, pass_report=None,

@@ -15,13 +15,18 @@ chosen so that -div_s grad_s = (-Lap)^s in the continuum (both sides have
 Fourier symbol |xi|^{2s}); the discrete composition residual is the
 operational check of that calibration.
 
-Each table is built from three parts, by one code path for d = 1 and 2:
+Each table is two arrays, a kernel (normalization and stencil written in
+at assembly) and a diagonal, built by one code path for d = 1 and 2:
 
 * kernel by offset: on the uniform grid the kernel integral over the cell
   of node j, seen from node i, depends only on the offset j - i. Cells
   within NEAR_CELLS spacings get the exact radial antiderivative (1D) or a
   tensor Gauss-Legendre rule (2D), farther cells the midpoint value; entry
-  [i, j] of the table is gathered from offset j - i.
+  [i, j] of the table is gathered from offset j - i. The kernel is stored
+  times its normalization (mu, or -C for the Laplacian), with the axis
+  stencil written in at the offsets +-e_k: the self-cell couplings to the
+  two axis neighbors and the gradient's even Nyquist stabilization
+  (NYQUIST_STABILIZATION), the same at every node.
 * diagonal: the row sum of the kernel (the u(x_i) part of the difference
   u(y) - u(x_i)), plus the kernel mass of the exterior of Omega, where
   fields vanish, integrated radially exactly to infinity, plus the self
@@ -30,34 +35,29 @@ Each table is built from three parts, by one code path for d = 1 and 2:
   against a local interpolant through the axis neighbors, a central first
   difference for the gradient (the odd kernel annihilates the constant
   term but not the linear one) and a second difference for the Laplacian.
-  The exterior and the self-cell moments use one angular rule: the exact
-  pair of directions +-e_1 in 1D, N_THETA midpoint angles in 2D, with the
-  radial integral exact along each. Both sums over a row cost O(1) per
-  node: the row sum is a box sum of the kernel (a cumulative sum and a lag
-  difference per axis), and the 2D exterior is, per wall, the wall's
-  distance to the power -q times a difference of angular prefix sums
-  between two of the node's corner angles (between them every ray exits
-  through that wall). Assembly costs O(N + N_THETA) besides the kernel's
-  near-cell rules.
-* axis stencils: per axis, the self-cell couplings to the two neighbors
-  (for the gradient with an anchoring diagonal term at wall rows, whose
-  outer neighbor lies outside Omega) and the gradient's even Nyquist
-  stabilization (NYQUIST_STABILIZATION).
+  The gradient's wall rows, whose outer neighbor lies outside Omega, get
+  an anchoring term here. The exterior and the self-cell moments use one
+  angular rule: the exact pair of directions +-e_1 in 1D, N_THETA
+  midpoint angles in 2D, with the radial integral exact along each. Both
+  sums over a row cost O(1) per node: the row sum is a box sum of the
+  kernel (a cumulative sum and a lag difference per axis), and the 2D
+  exterior is, per wall, the wall's distance to the power -q times a
+  difference of angular prefix sums between two of the node's corner
+  angles (between them every ray exits through that wall). Assembly costs
+  O(N + N_THETA) besides the kernel's near-cell rules.
 
-An operator keeps these parts, not the dense table. Off the diagonal the
-table is a Toeplitz (1D) or block-Toeplitz (2D) matrix: the axis stencil
-is the same at every node, so it is written into the kernel at the
-offsets +-e_k, and the kernel's spectrum carries it. An apply is then a
-zero-padded real-FFT convolution plus the diagonal times the field:
-O(N log N) time and O(N) memory. The inverse transform is pruned: each
-complex pass keeps only the grid's rows before the next, and the last
-axis's irfft is cut to the grid. The divergence is the conjugate spectrum
-plus the diagonal. On small grids a dense matrix-vector product is
-faster; there the operator gathers its parts into the dense float64
-table once (to_dense, the same arithmetic as a direct assembly, bit for
-bit) and applies that. One pair of methods, the forward and the
-transposed apply, makes that choice. Either way an apply is exactly
-linear in the field.
+An operator keeps these two arrays, not the dense table. Off the diagonal
+the table is a Toeplitz (1D) or block-Toeplitz (2D) matrix, the kernel
+gathered by offset. An apply is then a zero-padded real-FFT convolution
+with the kernel plus the diagonal times the field: O(N log N) time and
+O(N) memory. The inverse transform is pruned: each complex pass keeps only
+the grid's rows before the next, and the last axis's irfft is cut to the
+grid. The divergence is the conjugate spectrum plus the diagonal. On small
+grids a dense matrix-vector product is faster; there the operator gathers
+the kernel into the dense float64 table once (to_dense, the same
+arithmetic as a direct assembly, bit for bit) and applies that. One pair
+of methods, the forward and the transposed apply, makes that choice.
+Either way an apply is exactly linear in the field.
 
 Solves with an operator's SPD matrix (C = -div_s grad_s for the gradient,
 the table for the Laplacian) get an approximate inverse that needs no
@@ -163,34 +163,31 @@ def _dst1(values: np.ndarray, axis: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class NonlocalOperator:
-    """grad_s or (-Lap)^s on one grid, kept as the parts of its table.
+    """grad_s or (-Lap)^s on one grid, kept as a kernel and a diagonal.
 
     Component c of the table (the axis-c gradient, or the one Laplacian
-    component) is scale * kernel[c] gathered by node offset, with the
-    diagonal replaced by diagonal[c] and the entries at the offsets +e_k
-    and -e_k by neighbors[c, k]. kernel has shape (m, 2 n_1 - 1, ...) with
-    m = d for the gradient and 1 for the Laplacian; constant is the
-    normalization (mu or C).
+    component) is kernel[c] gathered by node offset, with the diagonal
+    diagonal[c]. kernel has shape (m, 2 n_1 - 1, ...) with m = d for the
+    gradient and 1 for the Laplacian; the normalization and the axis
+    stencil are written into it at assembly, and it is 0 at the zero
+    offset.
 
     Up to _DENSE_MAX_NODES nodes the operator holds the gathered table and
     applies it by one product with the table viewed as (m N, N); above, it
     applies by FFT (_forward, _transpose) and ``table`` gathers a new copy
-    on each access. The FFT spectrum is that of the kernel with the axis
-    stencil written in, so the forward apply adds only diagonal * u to the
-    convolution, and the transposed one the conjugate spectrum's
-    convolution plus sum_c diagonal[c] * v[:, c]. Matrices derived from the
-    table (the inverse cho_factor holds), the FFT spectrum, the DST-I
-    symbol and, in 2D, the per-axis sine matrices of symbol_solve are kept
-    with the operator by ``cached``.
+    on each access. The forward apply adds diagonal * u to the kernel's
+    convolution, and the transposed one sum_c diagonal[c] * v[:, c] to the
+    conjugate spectrum's convolution. Matrices derived from the table (the
+    inverse cho_factor holds), the FFT spectrum, the DST-I symbol and, in
+    2D, the per-axis sine matrices of symbol_solve are kept with the
+    operator by ``cached``.
     """
 
     kind: str
     s: float
     grid: Grid
-    constant: float
     kernel: np.ndarray
     diagonal: np.ndarray
-    neighbors: np.ndarray
     _held: np.ndarray | None = field(default=None, init=False, repr=False)
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -201,11 +198,6 @@ class NonlocalOperator:
     @property
     def n_nodes(self) -> int:
         return self.grid.n_nodes
-
-    @property
-    def scale(self) -> float:
-        """The kernel's factor off the stencil: mu, or -C for the Laplacian."""
-        return self.constant if self.kind == "gradient" else -self.constant
 
     @property
     def matrix_free(self) -> bool:
@@ -219,22 +211,18 @@ class NonlocalOperator:
         return self.to_dense() if self._held is None else self._held
 
     def to_dense(self) -> np.ndarray:
-        """Gather the parts into a new dense table (shaped as ``table``).
-        Window [i..., j...] of the reversed starts is the kernel at offset
-        j - i, so the off-stencil entries are one strided copy."""
+        """Gather the kernel and the diagonal into a new dense table (shaped
+        as ``table``). Window [i..., j...] of the reversed starts is the
+        kernel at offset j - i, so the off-diagonal entries are one strided
+        copy."""
         shape, n = self.grid.shape, self.n_nodes
         axes = tuple(range(1, len(shape) + 1))
         windows = sliding_window_view(self.kernel, shape, axis=axes)[
             (slice(None), *(slice(None, None, -1),) * len(shape))]
         out = np.empty((len(self.kernel), n, n))
-        np.multiply(windows, self.scale, out=out.reshape(windows.shape))
+        out.reshape(windows.shape)[...] = windows
         diag = np.arange(n)
-        for c, w in enumerate(out):
-            w[diag, diag] = self.diagonal[c]
-            for (stride, upper, lower, _, _), (up, down) in zip(_axis_stencils(self.grid),
-                                                                self.neighbors[c]):
-                w[upper, upper + stride] = up
-                w[lower, lower - stride] = down
+        out[:, diag, diag] = self.diagonal
         return out if self.kind == "gradient" else out[0]
 
     def cached(self, key: str, build):
@@ -249,7 +237,7 @@ class NonlocalOperator:
         sin^2(pi j_k / (2 (n_k + 1))))^s, scaled so that its sum is the
         trace of the operator's SPD matrix: sum_c ||W_c||_F^2 = tr C for
         the gradient, the diagonal's sum for the Laplacian. Built in O(N)
-        from the parts, without a table."""
+        from the kernel and the diagonal, without a table."""
         def build():
             shape = self.grid.shape
             per_axis = [4.0 / h**2 * np.sin(np.pi * np.arange(1, n + 1) / (2 * (n + 1))) ** 2
@@ -259,14 +247,9 @@ class NonlocalOperator:
                 trace = np.sum(self.diagonal)
             else:
                 # the kernel's squares times the entries per offset o,
-                # prod_k (n_k - |o_k|), with the diagonal and the axis
-                # stencil ((n_k - 1) N / n_k entries at each of +-e_k)
-                # swapped in
+                # prod_k (n_k - |o_k|), and the diagonal's
                 counts = reduce(np.multiply.outer, [n - np.abs(np.arange(1 - n, n)) for n in shape])
-                at_axis = self.n_nodes - self.n_nodes // np.array(shape)
-                kernel_there = self.scale * _at_axis_neighbors(self.kernel, shape)
-                trace = (self.scale**2 * np.sum(self.kernel**2 * counts) + np.sum(self.diagonal**2)
-                         + np.sum(at_axis[:, None] * (self.neighbors**2 - kernel_there**2)))
+                trace = np.sum(self.kernel**2 * counts) + np.sum(self.diagonal**2)
             return sigma * (trace / np.sum(sigma))
         return self.cached("symbol", build)
 
@@ -274,20 +257,16 @@ class NonlocalOperator:
 
     def _fft_parts(self):
         """Padded transform size and the rfftn, per component, of the
-        flipped Toeplitz part of the table: the scaled kernel with the axis
-        stencil written in at the offsets +-e_k (the same at every node, so
-        Toeplitz too), zero-padded to at least 2 n_k - 1 per axis, so that
-        the circular product is the Toeplitz one."""
+        flipped kernel (the Toeplitz part of the table), zero-padded to at
+        least 2 n_k - 1 per axis, so that the circular product is the
+        Toeplitz one."""
         def build():
             shape = self.grid.shape
             size = tuple(next_fast_len(2 * n - 1) for n in shape)
             axes = tuple(range(1, len(shape) + 1))
-            toeplitz = self.scale * self.kernel
-            for k, j, at in _axis_offsets(shape):
-                toeplitz[at] = self.neighbors[:, k, j]
             padded = np.zeros((len(self.kernel), *size))
             padded[(slice(None), *[slice(0, 2 * n - 1) for n in shape])] = \
-                toeplitz[(slice(None),) + (slice(None, None, -1),) * len(shape)]
+                self.kernel[(slice(None),) + (slice(None, None, -1),) * len(shape)]
             # offset -o at index o mod size
             padded = np.roll(padded, [1 - n for n in shape], axis=axes)
             return size, np.fft.rfftn(padded, axes=axes)
@@ -370,7 +349,7 @@ def normalizing_constants(d: int, s: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# the three parts of a table: kernel by offset, diagonal, axis stencils
+# the two arrays of a table: kernel by offset and diagonal
 # ---------------------------------------------------------------------------
 
 
@@ -441,22 +420,10 @@ def _row_sums(kernel: np.ndarray, grid: Grid) -> np.ndarray:
     return sums.ravel()
 
 
-def _axis_offsets(shape):
-    """Per axis k and j = 0, 1, the index of the offset +e_k (j = 0) or
-    -e_k (j = 1) in a kernel (m, 2 n_1 - 1, ...)."""
-    for k in range(len(shape)):
-        for j, step in enumerate((1, -1)):
-            idx = [n - 1 for n in shape]
-            idx[k] += step
-            yield k, j, (slice(None), *idx)
-
-
-def _at_axis_neighbors(kernel: np.ndarray, shape) -> np.ndarray:
-    """Kernels (m, 2 n_1 - 1, ...) at the offsets +e_k and -e_k: (m, d, 2)."""
-    out = np.empty((len(kernel), len(shape), 2))
-    for k, j, at in _axis_offsets(shape):
-        out[:, k, j] = kernel[at]
-    return out
+def _axis_offsets(shape, k: int):
+    """The indices of the offsets +e_k and -e_k in a kernel component
+    (2 n_1 - 1, ...)."""
+    return [tuple(n - 1 + step * (axis == k) for axis, n in enumerate(shape)) for step in (1, -1)]
 
 
 def _directions(d: int, n_theta: int = N_THETA):
@@ -548,16 +515,12 @@ def _self_cell_moments(grid: Grid, p: float) -> np.ndarray:
     return np.array([weight * np.sum(dirs[:, k] ** 2 * radial) for k in range(grid.dimension)])
 
 
-def _axis_stencils(grid: Grid):
-    """Per axis: the flat stride of the axis neighbor, the rows that have
-    an upper / a lower neighbor, and the wall rows that lack one (that
-    neighbor lies outside Omega, where fields vanish)."""
-    rows = np.arange(grid.n_nodes)
-    multi = np.unravel_index(rows, grid.shape)
+def _wall_rows(grid: Grid):
+    """Per axis k: the rows without an upper and without a lower axis-k
+    neighbor (that neighbor lies outside Omega, where fields vanish)."""
+    multi = np.unravel_index(np.arange(grid.n_nodes), grid.shape)
     for k, n in enumerate(grid.shape):
-        upper, lower = multi[k] < n - 1, multi[k] > 0
-        stride = int(np.prod(grid.shape[k + 1:]))
-        yield stride, rows[upper], rows[lower], rows[~upper], rows[~lower]
+        yield np.flatnonzero(multi[k] == n - 1), np.flatnonzero(multi[k] == 0)
 
 
 def assemble_gradient(grid: Grid, s: float) -> NonlocalOperator:
@@ -573,10 +536,8 @@ def assemble_gradient(grid: Grid, s: float) -> NonlocalOperator:
     # odd kernel cancels the constant part of u but pairs with the linear
     # part, int z_k (z . grad u) / |z|^{d+s+1} dz = I_k d_k u
     moments = _self_cell_moments(grid, 1.0 - s)
-    at_neighbors = _at_axis_neighbors(kernel, grid.shape)
-    neighbors = at_neighbors * mu
     diagonal = np.empty((grid.dimension, grid.n_nodes))
-    for c, (_, _, _, upper_wall, lower_wall) in enumerate(_axis_stencils(grid)):
+    for c, (upper_wall, lower_wall) in enumerate(_wall_rows(grid)):
         # Self-cell couplings: interior nodes see the central difference of
         # the axis neighbors; at wall-adjacent nodes the wall-side half-cell
         # slope is 2 u_i / h (the interpolant is pinned to zero at the domain
@@ -589,18 +550,20 @@ def assemble_gradient(grid: Grid, s: float) -> NonlocalOperator:
         dg[upper_wall] -= coeff
         dg[lower_wall] += coeff
         dg *= mu
-        up, down = at_neighbors[c, c]
-        neighbors[c, c] = ((up + coeff) * mu, (down - coeff) * mu)
         # even-symbol stabilization (see NYQUIST_STABILIZATION), a second
         # difference; missing neighbors are the zero extension, so wall
         # rows keep only its diagonal part
         delta = NYQUIST_STABILIZATION * (np.pi / grid.spacing[c]) ** s
         dg += 2.0 * delta
-        neighbors[c, c] -= delta
         diagonal[c] = dg
+        # normalize the kernel and write the couplings to the axis-c
+        # neighbors (self cell and stabilization) in at +-e_c
+        up, down = _axis_offsets(grid.shape, c)
+        stencil = (kernel[c][up] + coeff) * mu - delta, (kernel[c][down] - coeff) * mu - delta
+        kernel[c] *= mu
+        kernel[c][up], kernel[c][down] = stencil
 
-    return NonlocalOperator(kind="gradient", s=float(s), grid=grid, constant=mu,
-                            kernel=kernel, diagonal=diagonal, neighbors=neighbors)
+    return NonlocalOperator(kind="gradient", s=float(s), grid=grid, kernel=kernel, diagonal=diagonal)
 
 
 def assemble_laplacian(grid: Grid, s: float) -> NonlocalOperator:
@@ -613,19 +576,21 @@ def assemble_laplacian(grid: Grid, s: float) -> NonlocalOperator:
     """
     _, c_lap = normalizing_constants(grid.dimension, s)
     ext = _exterior(grid, 2.0 * s, signed=False)
-    kernel = _kernel_by_offset(grid, s, "laplacian")[None]
+    kernel = _kernel_by_offset(grid, s, "laplacian")
     # second-difference self weight of axis k: the kernel integrated against
     # the quadratic interpolant through the axis neighbors over the excluded
     # cell, multiplying -(u_{i+e_k} - 2 u_i + u_{i-e_k})
     slf = c_lap * (0.5 * _self_cell_moments(grid, 2.0 - 2.0 * s)
                    / np.asarray(grid.spacing) ** 2)
-    diagonal = (_row_sums(kernel[0], grid) + ext) * c_lap
-    for coeff in slf:
+    diagonal = (_row_sums(kernel, grid) + ext) * c_lap
+    kernel *= -c_lap
+    for k, coeff in enumerate(slf):
         diagonal += 2.0 * coeff
-    neighbors = _at_axis_neighbors(kernel, grid.shape) * -c_lap - slf[:, None]
+        for at in _axis_offsets(grid.shape, k):
+            kernel[at] -= coeff
 
-    return NonlocalOperator(kind="laplacian", s=float(s), grid=grid, constant=c_lap,
-                            kernel=kernel, diagonal=diagonal[None], neighbors=neighbors)
+    return NonlocalOperator(kind="laplacian", s=float(s), grid=grid, kernel=kernel[None],
+                            diagonal=diagonal[None])
 
 
 # ---------------------------------------------------------------------------

@@ -472,7 +472,6 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
         return PointState(model, Field(grid, low + t * v),
                           VectorField(grid, grad_low + t * grad_v))
 
-    endpoint_level = max(f_low, f_far)
     counts = dict.fromkeys(("trials", "backtracks"), 0)
     point = peak_on(np.maximum(u_far.values - low, 0.0))
     budget = opts.max_iter
@@ -501,10 +500,11 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
     f_final = point.energy
     l2_final = _l2(final)
     # a mountain-pass point is a nontrivial critical point strictly above
-    # both endpoint levels; a first-order point that drifted to the trivial
-    # state or below the barrier means the geometry degenerated
+    # both endpoint levels (E(u_low) is the higher); a first-order point
+    # that drifted to the trivial state or below the barrier means the
+    # geometry degenerated
     converged = (kkt <= opts.tol_g and l2_final > TRIVIAL_L2
-                 and f_final > endpoint_level)
+                 and f_final > f_low)
 
     return SolveReport(
         solution=final, energy=f_final, kkt_residual=kkt, iterations=it,
@@ -512,8 +512,8 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
         hs_norm=point.hs_norm, l2_norm=l2_final,
         diagnostics={
             "levels_head": [float(v) for v in levels[:5]],
-            "barrier_min_gap": float(min(levels) - endpoint_level),
-            "endpoint_level": float(endpoint_level),
+            "barrier_min_gap": float(min(levels) - f_low),
+            "endpoint_level": float(f_low),
             "counts": counts,
         },
     )

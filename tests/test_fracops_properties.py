@@ -21,9 +21,8 @@ from fracvar import (DomainSpec, Field, VectorField,
                      apply_divergence, apply_gradient, apply_laplacian, assemble_gradient, assemble_laplacian,
                      build_grid, l2_inner, normalizing_constants)
 from fracvar import fracops
-from fracvar.fracops import (N_THETA, NYQUIST_STABILIZATION, _axis_stencils,
-                             _directions, _exterior, _kernel_by_offset, _ray_exit_distance,
-                             _row_sums, _self_cell_moments)
+from fracvar.fracops import (N_THETA, NYQUIST_STABILIZATION, _directions, _exterior,
+                             _kernel_by_offset, _ray_exit_distance, _row_sums, _self_cell_moments)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -90,6 +89,18 @@ def _gather(kernel, grid):
     pos = np.ravel_multi_index(multi, kernel.shape)
     center = np.ravel_multi_index(tuple(m - 1 for m in grid.shape), kernel.shape)
     return kernel.ravel()[pos[None, :] - pos[:, None] + center]
+
+
+def _axis_stencils(grid):
+    """Per axis: the flat stride of the axis neighbor, the rows that have
+    an upper / a lower neighbor, and the wall rows that lack one (that
+    neighbor lies outside Omega, where fields vanish)."""
+    rows = np.arange(grid.n_nodes)
+    multi = np.unravel_index(rows, grid.shape)
+    for k, n in enumerate(grid.shape):
+        upper, lower = multi[k] < n - 1, multi[k] > 0
+        stride = int(np.prod(grid.shape[k + 1:]))
+        yield stride, rows[upper], rows[lower], rows[~upper], rows[~lower]
 
 
 def _reference_tables(grid, s):

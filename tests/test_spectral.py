@@ -132,6 +132,17 @@ def test_lobpcg_matches_dense_eigenvalue(nodes, s):
     assert pair.value == pytest.approx(np.linalg.eigvalsh(lap.to_dense())[0], rel=1e-10)
 
 
+@pytest.mark.parametrize("nodes", [(4,), (8,), (31,), (64,), (4, 4), (5, 7), (8, 8)])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+def test_small_grids_match_the_dense_eigenvalue(nodes, s):
+    # LOBPCG preconditions these grids by the exact inverse
+    grid = build_grid(DomainSpec(bounds=((0.0, 1.0),) * len(nodes), nodes=nodes))
+    assert grid.n_nodes <= spectral._EXACT_MAX_NODES
+    lap = assemble_laplacian(grid, s)
+    pair = first_eigenpair(lap)
+    assert pair.value == pytest.approx(np.linalg.eigvalsh(lap.table)[0], rel=1e-10)
+
+
 def test_stops_at_the_scaled_residual_near_s_1():
     # the residual's roundoff floor (~6.5e-10) lies between tol and
     # tol * lambda (lambda ~ 8.67): the relative test stops in a few
