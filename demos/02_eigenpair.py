@@ -15,7 +15,7 @@ lap = assemble_laplacian(grid, 0.5)
 pair = first_eigenpair(lap)
 print(f"lambda_1 on (-1,1) at s = 0.5: {pair.value:.6f} "
       f"(residual {pair.residual:.1e}, {pair.iterations} iterations)")
-print(f"dense eigensolve cross-check : {np.linalg.eigvalsh(lap.table)[0]:.6f}")
+print(f"dense eigensolve cross-check : {np.linalg.eigvalsh(lap.to_dense())[0]:.6f}")
 print("published value for the restricted fractional Laplacian: ~1.157774")
 
 rng = np.random.default_rng(1)

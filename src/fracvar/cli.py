@@ -90,14 +90,9 @@ def _section(raw: dict, name: str) -> dict:
 _EXPECTED = {int: "an integer", float: "a finite number"}
 
 
-def _typed(key: str, hint, value):
-    """Check one JSON value against a numeric field type: an integral number
-    for int, a finite number for float (a JSON bool is neither), and null
-    only where the type admits None."""
-    options = typing.get_args(hint) or (hint,)
-    if value is None and type(None) in options:
-        return None
-    kind = options[0]
+def _typed(key: str, kind, value):
+    """Check one JSON value against a numeric type: an integral number for
+    int, a finite number for float (a JSON bool is neither)."""
     ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
           and abs(value) <= sys.float_info.max and (kind is float or value == int(value)))
     if not ok:

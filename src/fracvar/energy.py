@@ -11,8 +11,8 @@ the solvers. Its Frechet derivative is
     E'(u)[phi] = int gamma(|grad_s u|^2/2) <grad_s u, grad_s phi>
                  - int f(u) phi - int h phi,
 
-and the nodal representer of E'(u) produced here is exactly the discrete
-quasilinear operator -div_s(gamma(.)grad_s u) - f(u) - h, because the
+and the nodal representer of E'(u) produced here is, up to roundoff, the
+discrete quasilinear operator -div_s(gamma(.)grad_s u) - f(u) - h, because the
 divergence is the transpose of the same gradient table the energy
 integrates. That transpose-chain structure is what makes the central
 finite-difference checks close to 1e-5 relative error.

@@ -52,12 +52,13 @@ gathered by offset. An apply is then a zero-padded real-FFT convolution
 with the kernel plus the diagonal times the field: O(N log N) time and
 O(N) memory. The inverse transform is pruned: each complex pass keeps only
 the grid's rows before the next, and the last axis's irfft is cut to the
-grid. The divergence is the conjugate spectrum plus the diagonal. On small
-grids a dense matrix-vector product is faster; there the operator gathers
-the kernel into the dense float64 table once (to_dense, the same
-arithmetic as a direct assembly, bit for bit) and applies that. One pair
-of methods, the forward and the transposed apply, makes that choice.
-Either way an apply is exactly linear in the field.
+grid. The divergence is the conjugate spectrum plus the diagonal. Every
+grid, small or large, applies this way, through one pair of methods (the
+forward and the transposed apply). The dense float64 table is gathered
+(to_dense, the same arithmetic as a direct assembly, bit for bit) only
+where a dense matrix is the algorithm: the solvers' exact preconditioner
+on small grids, spectral's exact inverse on the smallest, and
+composition_matrix, the dense test oracle.
 
 Solves with an operator's SPD matrix (C = -div_s grad_s for the gradient,
 the table for the Laplacian) get an approximate inverse that needs no
@@ -65,9 +66,10 @@ table: the DST-I symbol (-Lap_h)^s of the grid's second-difference
 Laplacian, scaled to the trace of that matrix, built in O(N) and applied
 by two orthonormal DST-I transforms (symbol_solve; a tau-type
 fast-transform preconditioner, Chan & Ng 1996). The solvers use it above
-the crossover; below it they solve with the inverse of the dense matrix
-that cho_factor holds (cho_factor / cho_solve). Each solve checks its own
-right-hand side and raises NonFiniteError on an inf or a NaN.
+solvers._DENSE_MAX_NODES nodes; up to it they solve with the inverse of
+the dense matrix that cho_factor holds (cho_factor / cho_solve). Each
+solve checks its own right-hand side and raises NonFiniteError on an inf
+or a NaN.
 
 All of it runs on numpy alone, so no command but verify's quadrature loads
 scipy (~0.4 s at start-up). The FFT applies use numpy.fft at 5-smooth
@@ -99,19 +101,6 @@ __all__ = [
     "composition_residual",
     "symbol_solve",
 ]
-
-# Operators on more nodes than this apply by FFT; up to it they hold the
-# dense table, which also gives the solvers their exact dense
-# preconditioner. Median forward gradient apply with numpy.fft, one BLAS
-# thread, 2-core VM, three runs (dense / FFT, ms): 1D N=384 0.023-0.024 /
-# 0.026-0.027, N=512 0.053 / 0.029, N=768 0.18-0.19 / 0.035-0.036; 2D
-# 20x20 0.079 / 0.058-0.088, 24x24 0.20-0.21 / 0.067-0.069, 48x48
-# 5.3-5.4 / 0.16. The FFT apply is the faster one from about 400 nodes,
-# but the limit stays at 512: the held dense inverse keeps the solvers'
-# iteration counts low, and the symbol preconditioner does not (seed-0 1D
-# mountain pass at 384 nodes: 16 iterations with it, 53-55 with the
-# symbol solve).
-_DENSE_MAX_NODES = 512
 
 # The quadrature of the principal-value and exterior integrals.
 #
@@ -172,15 +161,13 @@ class NonlocalOperator:
     stencil are written into it at assembly, and it is 0 at the zero
     offset.
 
-    Up to _DENSE_MAX_NODES nodes the operator holds the gathered table and
-    applies it by one product with the table viewed as (m N, N); above, it
-    applies by FFT (_forward, _transpose) and ``table`` gathers a new copy
-    on each access. The forward apply adds diagonal * u to the kernel's
-    convolution, and the transposed one sum_c diagonal[c] * v[:, c] to the
-    conjugate spectrum's convolution. Matrices derived from the table (the
-    inverse cho_factor holds), the FFT spectrum, the DST-I symbol and, in
-    2D, the per-axis sine matrices of symbol_solve are kept with the
-    operator by ``cached``.
+    It applies by FFT (_forward, _transpose) at every size and holds no
+    table; to_dense gathers a new one on each call. The forward apply adds
+    diagonal * u to the kernel's convolution, and the transposed one
+    sum_c diagonal[c] * v[:, c] to the conjugate spectrum's convolution.
+    What is derived from the operator (the FFT spectrum, the DST-I symbol,
+    in 2D the per-axis sine matrices of symbol_solve, and the solvers'
+    dense preconditioner) is kept with it by ``cached``.
     """
 
     kind: str
@@ -188,33 +175,17 @@ class NonlocalOperator:
     grid: Grid
     kernel: np.ndarray
     diagonal: np.ndarray
-    _held: np.ndarray | None = field(default=None, init=False, repr=False)
     _derived: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.n_nodes <= _DENSE_MAX_NODES:
-            object.__setattr__(self, "_held", self.to_dense())
 
     @property
     def n_nodes(self) -> int:
         return self.grid.n_nodes
 
-    @property
-    def matrix_free(self) -> bool:
-        """True when applies run by FFT rather than on a held table."""
-        return self._held is None
-
-    @property
-    def table(self) -> np.ndarray:
-        """The dense table, (d, N, N) for the gradient (component-major) and
-        (N, N) for the Laplacian: the held one, or a new gather."""
-        return self.to_dense() if self._held is None else self._held
-
     def to_dense(self) -> np.ndarray:
-        """Gather the kernel and the diagonal into a new dense table (shaped
-        as ``table``). Window [i..., j...] of the reversed starts is the
-        kernel at offset j - i, so the off-diagonal entries are one strided
-        copy."""
+        """Gather the kernel and the diagonal into a new dense table, (d, N,
+        N) for the gradient (component-major) and (N, N) for the Laplacian.
+        Window [i..., j...] of the reversed starts is the kernel at offset
+        j - i, so the off-diagonal entries are one strided copy."""
         shape, n = self.grid.shape, self.n_nodes
         axes = tuple(range(1, len(shape) + 1))
         windows = sliding_window_view(self.kernel, shape, axis=axes)[
@@ -253,7 +224,7 @@ class NonlocalOperator:
             return sigma * (trace / np.sum(sigma))
         return self.cached("symbol", build)
 
-    # -- application: the only code that chooses the held table or FFT --
+    # -- application: a pruned real-FFT convolution plus the diagonal --
 
     def _fft_parts(self):
         """Padded transform size and the rfftn, per component, of the
@@ -284,22 +255,16 @@ class NonlocalOperator:
 
     def _forward(self, u: np.ndarray) -> np.ndarray:
         """Every component of the table times u (N,): shape (N, m)."""
-        n = self.n_nodes
-        if self._held is not None:
-            return np.ascontiguousarray((self._held.reshape(-1, n) @ u).reshape(-1, n).T)
         shape = self.grid.shape
         size, spectrum = self._fft_parts()
         axes = tuple(range(1, len(shape) + 1))
         y = self._irfftn_grid(spectrum * np.fft.rfftn(u.reshape(1, *shape), s=size, axes=axes), size)
         out = np.multiply(self.diagonal.T, u[:, None], order="C")
-        out += y.reshape(-1, n).T
+        out += y.reshape(-1, self.n_nodes).T
         return out
 
     def _transpose(self, v: np.ndarray) -> np.ndarray:
         """sum_c W_c^T v[:, c] for stacked components v (N, m): shape (N,)."""
-        n = self.n_nodes
-        if self._held is not None:
-            return self._held.reshape(-1, n).T @ v.T.ravel()
         shape = self.grid.shape
         size, spectrum = self._fft_parts()
         axes = tuple(range(1, len(shape) + 1))
@@ -615,8 +580,7 @@ def apply_divergence(op: NonlocalOperator, phi: VectorField) -> Field:
     """div_s phi, the negative transpose of the gradient.
 
     By construction l2_inner(u, div_s phi) = -sum_i w_i <phi_i, grad_s u_i>
-    holds for every pair (u, phi) on the grid, exactly on a held table and
-    to roundoff by FFT.
+    holds for every pair (u, phi) on the grid, to roundoff.
     """
     _check_op_field(op, phi, "gradient")
     return Field(grid=phi.grid, values=-op._transpose(phi.values))
@@ -634,12 +598,13 @@ def composition_matrix(grad_op: NonlocalOperator) -> np.ndarray:
     This is sum_c W_c^T W_c = W^T W with W the table viewed as (d N, N),
     symmetric positive semidefinite; it is the operator whose quadratic
     form the energy functional actually integrates. numpy runs W^T W (of
-    the held table, or of one gathered for this call) as one BLAS syrk,
-    whose result is exactly symmetric.
+    a table gathered for this call) as one BLAS syrk, whose result is
+    exactly symmetric. It is the dense test oracle and the matrix of the
+    solvers' exact preconditioner; no apply uses it.
     """
     if grad_op.kind != "gradient":
         raise ValueError("composition_matrix needs a gradient operator")
-    w = grad_op.table.reshape(-1, grad_op.n_nodes)
+    w = grad_op.to_dense().reshape(-1, grad_op.n_nodes)
     return w.T @ w
 
 

@@ -6,13 +6,12 @@ modes cover the two existence mechanisms:
 * minimize_cone: projected Newton-CG for the local minimizer the direct
   method produces; truncated CG (_pcg) is preconditioned by (C + I)^{-1},
   C = -div_s grad_s the composition matrix, with the active entries
-  zeroed. While the gradient operator holds its table, the inverse of
-  C + I (fracops.cho_factor) is built on the first solve and kept with it
-  (NonlocalOperator.cached), so a sweep or a bisection factors once;
-  above the operator crossover the inverse is approximated by the
-  operator's DST-I symbol solve (fracops.symbol_solve, shift 1), and no
-  N x N matrix is made. The cone projection is the nodewise positive
-  part.
+  zeroed. Up to _DENSE_MAX_NODES nodes the inverse of C + I
+  (fracops.cho_factor) is built on the first solve and kept with the
+  gradient operator (NonlocalOperator.cached), so a sweep or a bisection
+  factors once; above that the inverse is approximated by the operator's
+  DST-I symbol solve (fracops.symbol_solve, shift 1), and no N x N matrix
+  is made. The cone projection is the nodewise positive part.
 
 * mountain_pass: the local minimax method (Li & Zhou 2001) in the cone,
   from a low point u_low toward a point u_far below it. A direction v >= 0
@@ -27,8 +26,8 @@ modes cover the two existence mechanisms:
 
 Both solvers, and the experiments' initial guess (the same _pcg on
 C + 1e-12 I), precondition by the same (C + I)^{-1} of the model's own
-gradient operator: the cached dense inverse up to the operator crossover,
-the symbol solve above it. Both solvers carry each iterate as an
+gradient operator: the cached dense inverse up to _DENSE_MAX_NODES nodes,
+the symbol solve above. Both solvers carry each iterate as an
 energy.PointState, which evaluates grad_s u, the energy, the derivative
 representer and the H^s norm once per point: an accepted line-search
 trial brings its gradient to the next iteration's derivative, KKT residual
@@ -143,17 +142,26 @@ def _kkt(point: PointState) -> float:
     return float(max(parts)) if parts else 0.0
 
 
+# Gradient operators on up to this many nodes precondition by the exact
+# (C + I)^{-1}, larger ones by the symbol solve. The dense inverse keeps the
+# iteration counts low where the symbol solve does not (seed-0 1D mountain
+# pass at 384 nodes: 16 iterations with it, 53-55 with the symbol solve),
+# and its factor costs about 7 ms at 384 nodes and 16 ms at 512 (one BLAS
+# thread, 2-core VM); its N^2 entries and N^3 flops bound it above.
+_DENSE_MAX_NODES = 512
+
+
 def _preconditioner(op: NonlocalOperator):
     """The solve vec -> (C + I)^{-1} vec of a gradient operator.
 
     Its composition matrix C = -div_s grad_s is the Laplacian the energy
     actually induces, which makes the preconditioned Hessian close to the
     identity in the semilinear regime. The inverse is the operator's cached
-    dense inverse (cho_factor) while the operator holds its table, and the
-    DST-I symbol solve once it applies by FFT, so no N x N matrix is made
-    there. Only the inverse is kept: C is shifted in place and dropped.
+    dense inverse (cho_factor) up to _DENSE_MAX_NODES nodes and the DST-I
+    symbol solve above, where no N x N matrix is made. Only the inverse is
+    kept: C is shifted in place and dropped.
     """
-    if op.matrix_free:
+    if op.n_nodes > _DENSE_MAX_NODES:
         return lambda vec: symbol_solve(op, vec, 1.0)
 
     def factor():

@@ -5,7 +5,7 @@ the quantitative hypotheses: the slope thresholds gamma * lambda1 and the
 ray direction of the mountain-pass geometry.
 Only the bottom of the spectrum is needed, so every grid takes one path:
 single-vector LOBPCG (Knyazev 2001) on the operator's applies
-(fracops.apply_laplacian: the held table, or FFT above the crossover),
+(fracops.apply_laplacian, a pruned FFT convolution),
 preconditioned by the operator's DST-I symbol solve (fracops.symbol_solve).
 No N x N matrix is made, except on the smallest tables, where the exact
 inverse (fracops.cho_factor) is cheaper than the extra iterations. A dense
@@ -109,7 +109,7 @@ def first_eigenpair(lap_op: NonlocalOperator, tol: float = 1e-10,
         raise ValueError("first_eigenpair needs a laplacian operator")
     grid = lap_op.grid
     if lap_op.n_nodes <= _EXACT_MAX_NODES:
-        inverse = cho_factor(lap_op.table)
+        inverse = cho_factor(lap_op.to_dense())
         x, it = _lobpcg(lap_op, lambda r: cho_solve(inverse, r), tol, max_iter)
     else:
         x, it = _lobpcg(lap_op, lambda r: symbol_solve(lap_op, r, 0.0), tol, max_iter)

@@ -10,7 +10,7 @@ import pytest
 
 import fracvar
 
-from fracvar import DomainSpec, Field, build_grid, experiments, fracops, mountain_pass
+from fracvar import DomainSpec, Field, build_grid, experiments, mountain_pass, solvers
 from fracvar.cli import (ConfigError, main, parse_config, read_field,
                          regime_config_from, run_command, write_field)
 
@@ -273,7 +273,7 @@ class TestMainEntry:
         # it, and only the verify command's quadrature loads it
         assert self._run_fresh() == [[], []]
 
-    def test_held_table_commands_run_without_scipy(self, tmp_path):
+    def test_dense_preconditioner_commands_run_without_scipy(self, tmp_path):
         solve = write_config(tmp_path / "solve.json")
         sweep = write_config(tmp_path / "sweep.json", forcing={"kind": "zero"},
                              sweep={"values": [0.02, 200.0]})
@@ -283,9 +283,10 @@ class TestMainEntry:
         assert status == [0, 0]
         assert loaded == []
 
-    def test_matrix_free_commands_run_without_scipy(self, tmp_path):
-        # above the crossover: FFT applies, the symbol solve's DST-I, LOBPCG
-        # (eig) and the initial guess's CG (mpass, eigenfunction forcing)
+    def test_symbol_preconditioner_commands_run_without_scipy(self, tmp_path):
+        # above the preconditioner crossover: the symbol solve's DST-I,
+        # LOBPCG (eig) and the initial guess's CG (mpass, eigenfunction
+        # forcing)
         line = write_config(tmp_path / "line.json",
                             domain={"bounds": [[0.0, 1.0]], "nodes": [600]})
         square = write_config(tmp_path / "square.json",
@@ -327,9 +328,10 @@ class TestCommandFamilyValidation:
         assert run["distinct"] is True
 
     def test_mpass_above_the_crossover_uses_the_symbol_solve(self, tmp_path, monkeypatch):
-        # forced onto the FFT path both solvers precondition by the symbol
-        # solve, no dense matrix is kept with the gradient operator, and the
-        # mountain pass finds the held-table run's critical point
+        # with the preconditioner crossover patched to 0 both solvers
+        # precondition by the symbol solve, no dense matrix is kept with the
+        # gradient operator, and the mountain pass finds the dense-
+        # preconditioned run's critical point
         cfg = parse_config(write_config(
             tmp_path / "cfg.json",
             reaction={"family": "cubic_saturating", "params": {"kappa": 4.65}}))
@@ -341,8 +343,8 @@ class TestCommandFamilyValidation:
 
         monkeypatch.setattr(experiments, "mountain_pass", recording)
         runs = []
-        for limit in (fracops._DENSE_MAX_NODES, 0):
-            monkeypatch.setattr(fracops, "_DENSE_MAX_NODES", limit)
+        for limit in (solvers._DENSE_MAX_NODES, 0):
+            monkeypatch.setattr(solvers, "_DENSE_MAX_NODES", limit)
             out = tmp_path / f"out_{limit}"
             assert run_command(cfg, "mpass", out_dir=out) == 0
             runs.append(json.loads((out / "report.json").read_text())["runs"][0])
@@ -351,7 +353,7 @@ class TestCommandFamilyValidation:
         assert fft["mountain_pass"]["energy"] == pytest.approx(
             dense["mountain_pass"]["energy"], rel=1e-9)
         assert fft["distinct"] is True
-        assert grad_ops[-1].matrix_free
+        assert set(grad_ops[0]._derived) == {"fft", "preconditioner"}
         assert set(grad_ops[-1]._derived) == {"fft", "symbol"}
 
     @pytest.mark.parametrize("command,reaction,values", [

@@ -132,7 +132,7 @@ def test_readme_quoted_constants_match_the_code():
     quotes = _README_CONSTANT.findall(README.read_text())
     assert {f"{module}.{name}" for module, name, _ in quotes} >= {
         "fracops.NEAR_CELLS", "fracops.SELF_CELL", "fracops.N_THETA",
-        "fracops.NYQUIST_STABILIZATION", "fracops._DENSE_MAX_NODES", "spectral._EXACT_MAX_NODES"}
+        "fracops.NYQUIST_STABILIZATION", "solvers._DENSE_MAX_NODES", "spectral._EXACT_MAX_NODES"}
     for module, name, value in quotes:
         assert getattr(importlib.import_module(f"fracvar.{module}"), name) == float(value), name
 

@@ -40,7 +40,7 @@ def test_quadratic_case_matches_laplacian_form(grid_1d_128, grad_128, lap_128, r
         cen = rng.uniform(0.35, 0.65)
         u = field_from_function(grid_1d_128, lambda x: np.exp(-sharp * (x - cen) ** 2))
         e = energy(model, u)
-        lap_quad = 0.5 * w * np.dot(u.values, lap_128.table @ u.values) \
+        lap_quad = 0.5 * w * np.dot(u.values, lap_128.to_dense() @ u.values) \
             - w * np.dot(h.values, u.values)
         grad_quad = e + w * np.dot(h.values, u.values)
         comp = composition_residual(grad_128, lap_128, u)

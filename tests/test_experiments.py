@@ -44,17 +44,16 @@ def test_initial_guess_rejects_non_finite_forcing(prep_128, bad):
         experiments.default_initial_guess(prep_128, Field(prep_128.grid, h))
 
 
-@pytest.mark.parametrize("nodes", [(600,), (24, 24), (128,), (384,)])
+@pytest.mark.parametrize("nodes", [(600,), (24, 24), (128,), (384,), (512,), (513,)])
 @pytest.mark.parametrize("shift", [experiments._GUESS_SHIFT, 1.0])
 def test_composition_cg_matches_dense_solve(nodes, shift, rng):
     # the initial guess's solve: the Newton-CG's PCG with its preconditioner,
-    # the held (C + I)^{-1} below the crossover and the symbol solve above
-    # it, meets its relative residual on the dense system C + shift I (up to
+    # the dense (C + I)^{-1} up to 512 nodes and the symbol solve above,
+    # meets its relative residual on the dense system C + shift I (up to
     # the roundoff between its recurrence residual, which stops it, and the
     # true one)
     grid = build_grid(DomainSpec(bounds=((0.0, 1.0),) * len(nodes), nodes=nodes))
     op = assemble_gradient(grid, 0.5)
-    assert op.matrix_free == (grid.n_nodes > 512)
     system = composition_matrix(op) + shift * np.eye(grid.n_nodes)
     rhs = rng.standard_normal(grid.n_nodes)
     bound = experiments._GUESS_RTOL * np.linalg.norm(rhs)
@@ -62,6 +61,8 @@ def test_composition_cg_matches_dense_solve(nodes, shift, rng):
                                10 * grid.n_nodes)
     assert not curvature_exit
     assert np.linalg.norm(system @ sol - rhs) <= 1.01 * bound
+    dense = grid.n_nodes <= 512
+    assert ("preconditioner" in op._derived) == dense and ("symbol" in op._derived) != dense
 
 
 @pytest.mark.parametrize("name,change", [

@@ -10,7 +10,7 @@ from fracvar import (DomainSpec, Field, RegimeConfig, SolverOptions,
                      VectorField, apply_divergence, apply_gradient, apply_laplacian, assemble_gradient, assemble_laplacian,
                      build_grid, composition_residual, field_from_function,
                      first_eigenpair, l2_inner, normalizing_constants, prepare)
-from fracvar import EnergyModel, experiments, fracops, minimize_cone, solvers
+from fracvar import experiments, fracops, solvers
 from fracvar.fracops import _directions, _ray_exit_distance, composition_matrix, symbol_solve
 
 
@@ -52,7 +52,7 @@ class TestNormalizingConstants:
         errs = {}
         for s in (0.95, 0.99):
             assert np.isfinite(normalizing_constants(1, s)[1])
-            lap = assemble_laplacian(grid, s).table @ u.values
+            lap = assemble_laplacian(grid, s).to_dense() @ u.values
             errs[s] = np.linalg.norm(lap[mid] + upp[mid]) / np.linalg.norm(upp[mid])
         assert errs[0.99] < 0.10
         assert errs[0.99] < errs[0.95]
@@ -177,14 +177,14 @@ class TestLaplacian:
 
     def test_symmetric_positive_definite_n64(self):
         grid = build_grid(DomainSpec(bounds=((0.0, 1.0),), nodes=(64,)))
-        a = assemble_laplacian(grid, 0.5).table
+        a = assemble_laplacian(grid, 0.5).to_dense()
         assert np.max(np.abs(a - a.T)) <= 1e-12
         evals = np.linalg.eigvalsh(a)  # dense symmetric eigensolve oracle
         assert evals[0] > 0.0
 
     def test_rayleigh_lower_bound(self, rng):
         grid = build_grid(DomainSpec(bounds=((0.0, 1.0),), nodes=(64,)))
-        a = assemble_laplacian(grid, 0.5).table
+        a = assemble_laplacian(grid, 0.5).to_dense()
         evals, vecs = np.linalg.eigh(a)
         lam, phi = evals[0], vecs[:, 0]
         w = grid.weight
@@ -323,14 +323,10 @@ def _array_sizes(obj):
 
 
 class TestMatrixFree:
-    """Operators above the crossover apply by FFT and hold no table."""
+    """Operators apply by FFT at every size and hold no table."""
 
-    @pytest.fixture()
-    def fft_only(self, monkeypatch):
-        monkeypatch.setattr(fracops, "_DENSE_MAX_NODES", 0)
-
-    @pytest.mark.parametrize("nodes", [(600,), (24, 24)])
-    def test_holds_only_o_n_arrays(self, fft_only, nodes, rng):
+    @pytest.mark.parametrize("nodes", [(600,), (24, 24), (64,), (384,), (8, 8)])
+    def test_holds_only_o_n_arrays(self, nodes, rng):
         grid = build_grid(DomainSpec(bounds=tuple((0.0, 1.0) for _ in nodes), nodes=nodes))
         n, d = grid.n_nodes, grid.dimension
         grad, lap = assemble_gradient(grid, 0.5), assemble_laplacian(grid, 0.5)
@@ -340,12 +336,10 @@ class TestMatrixFree:
         apply_laplacian(lap, u)
         first_eigenpair(lap)
         for op in (grad, lap):
-            assert op.matrix_free
             sizes = _array_sizes(vars(op))
             assert sizes and max(sizes) <= 16 * n
-            assert op.table is not op.table  # gathered anew, never kept
 
-    def test_composition_matrix_is_the_sum_of_gathered_products(self, fft_only):
+    def test_composition_matrix_is_the_sum_of_gathered_products(self):
         grid = build_grid(DomainSpec(bounds=((0.0, 1.0), (0.0, 2.0)), nodes=(13, 9)))
         op = assemble_gradient(grid, 0.4)
         w = op.to_dense()
@@ -357,7 +351,7 @@ class TestMatrixFree:
     @pytest.mark.parametrize("nodes,bounds", [((600,), ((0.0, 1.0),)),
                                               ((24, 24), ((0.0, 1.0), (0.0, 1.0))),
                                               ((13, 9), ((0.0, 1.0), (0.0, 2.0)))])
-    def test_symbol_carries_the_trace_and_inverts_on_sine_modes(self, fft_only, nodes, bounds):
+    def test_symbol_carries_the_trace_and_inverts_on_sine_modes(self, nodes, bounds):
         grid = build_grid(DomainSpec(bounds=bounds, nodes=nodes))
         grad, lap = assemble_gradient(grid, 0.4), assemble_laplacian(grid, 0.4)
         assert np.sum(grad._symbol()) == pytest.approx(np.sum(grad.to_dense() ** 2), rel=1e-14)
@@ -401,39 +395,27 @@ class TestMatrixFree:
         assert peak <= 64 * grid.n_nodes * 8
 
     def test_2d_solve_on_both_sides_of_the_crossover(self, monkeypatch):
+        # the same 16 x 16 problem preconditioned by the dense (C + I)^{-1}
+        # and, with the preconditioner crossover patched to 0, by the symbol
+        # solve: the same local minimizer
         spec = DomainSpec(bounds=((0.0, 1.0), (0.0, 1.0)), nodes=(16, 16))
-        coeff = ("power", {"A": 1.0, "B": 2.0, "p": 1.5})
-        preps = []
-        for limit in (fracops._DENSE_MAX_NODES, 0):
-            monkeypatch.setattr(fracops, "_DENSE_MAX_NODES", limit)
-            cfg = RegimeConfig(domain=spec, coefficient=coeff,
-                               reaction=("saturating", {"nu": 450.0}),
-                               forcing={"kind": "zero"}, solver=SolverOptions(tol_g=1e-4))
+        cfg = RegimeConfig(domain=spec, coefficient=("power", {"A": 1.0, "B": 2.0, "p": 1.5}),
+                           reaction=("saturating", {"nu": 450.0}),
+                           forcing={"kind": "zero"}, solver=SolverOptions(tol_g=1e-4))
+        reports = []
+        for limit, used, unused in ((solvers._DENSE_MAX_NODES, "preconditioner", "symbol"),
+                                    (0, "symbol", "preconditioner")):
+            monkeypatch.setattr(solvers, "_DENSE_MAX_NODES", limit)
             prep = prepare(cfg)
-            assert prep.grad_op.matrix_free == (limit == 0)
-            preps.append(prep)
-        dense_prep, fft_prep = preps
-        reaction = experiments._reaction_with(cfg)
-        dense = experiments._solve_once(dense_prep, reaction, experiments.build_forcing(dense_prep))
-        # the FFT applies with the dense factor as preconditioner, from the
-        # dense start: the same Newton-CG run as on the held tables
-        model = EnergyModel(grad_op=fft_prep.grad_op, coeff=fft_prep.coefficient,
-                            reaction=reaction, forcing=experiments.build_forcing(fft_prep))
-        u0 = experiments.default_initial_guess(dense_prep, experiments.build_forcing(dense_prep))
-        held = solvers._preconditioner(dense_prep.grad_op)
-        with monkeypatch.context() as m:
-            m.setattr(solvers, "_preconditioner", lambda op: held)
-            fft = minimize_cone(model, cfg.solver, Field(fft_prep.grid, u0.values))
-        # the matrix-free solve: LOBPCG eigenpair, symbol-preconditioned CG
-        symbol = experiments._solve_once(fft_prep, reaction, experiments.build_forcing(fft_prep))
-        assert fft_prep.lambda1 == pytest.approx(dense_prep.lambda1, rel=1e-12)
-        assert dense.classification == fft.classification == symbol.classification == "local-min"
-        assert fft.iterations == dense.iterations
-        assert fft.energy == pytest.approx(dense.energy, rel=1e-12)
+            reports.append(experiments._solve_once(prep, experiments._reaction_with(cfg),
+                                                   experiments.build_forcing(prep)))
+            assert used in prep.grad_op._derived and unused not in prep.grad_op._derived
+        dense, symbol = reports
+        assert dense.classification == symbol.classification == "local-min"
         assert symbol.energy == pytest.approx(dense.energy, rel=1e-12)
 
     def test_2d_solve_above_the_crossover_makes_no_n_by_n_matrix(self):
-        # 1,600 nodes apply by FFT unpatched; the eigenfunction forcing makes
+        # 1,600 nodes precondition by the symbol solve; the eigenfunction forcing makes
         # the initial guess a linear solve. Each stage must stay below one
         # eighth of a dense N x N float64 matrix.
         spec = DomainSpec(bounds=((0.0, 1.0), (0.0, 1.0)), nodes=(40, 40))
@@ -443,7 +425,6 @@ class TestMatrixFree:
                            solver=SolverOptions(tol_g=1e-4))
         prep = prepare(cfg)
         n = prep.grid.n_nodes
-        assert prep.grad_op.matrix_free and prep.lap_op.matrix_free
         bound = n * n * 8 / 8
         h = experiments.build_forcing(prep)
         tracemalloc.start()
@@ -458,6 +439,7 @@ class TestMatrixFree:
         assert eig_peak < bound
         assert solve_peak < bound
         assert rep.classification == "local-min"
+        assert "preconditioner" not in prep.grad_op._derived
         # nothing dense was cached with the operator: every cached array
         # (the FFT spectrum, the symbol, the per-axis sine matrices) holds
         # O(N) entries

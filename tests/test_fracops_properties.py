@@ -11,8 +11,6 @@ taken by box and angular-sector sums instead of entry by entry (the
 brute-force sums are kept here as the oracle).
 """
 
-from unittest.mock import patch
-
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -20,7 +18,6 @@ from hypothesis import strategies as st
 from fracvar import (DomainSpec, Field, VectorField,
                      apply_divergence, apply_gradient, apply_laplacian, assemble_gradient, assemble_laplacian,
                      build_grid, l2_inner, normalizing_constants)
-from fracvar import fracops
 from fracvar.fracops import (N_THETA, NYQUIST_STABILIZATION, _directions, _exterior,
                              _kernel_by_offset, _ray_exit_distance, _row_sums, _self_cell_moments)
 
@@ -61,18 +58,8 @@ def test_tables_depend_only_on_offset_off_the_stencil(problem):
     grid, s = problem
     grad = assemble_gradient(grid, s)
     for c in range(grid.dimension):
-        assert _offset_spread(grad.table[c], grid) == 0.0
-    assert _offset_spread(assemble_laplacian(grid, s).table, grid) == 0.0
-
-
-def _operators(grid, s, matrix_free):
-    """Both operators; matrix_free forces the FFT path whatever the grid size
-    (the hypothesis grids all lie below the crossover)."""
-    limit = -1 if matrix_free else fracops._DENSE_MAX_NODES
-    with patch.object(fracops, "_DENSE_MAX_NODES", limit):
-        grad, lap = assemble_gradient(grid, s), assemble_laplacian(grid, s)
-    assert grad.matrix_free == lap.matrix_free == matrix_free
-    return grad, lap
+        assert _offset_spread(grad.to_dense()[c], grid) == 0.0
+    assert _offset_spread(assemble_laplacian(grid, s).to_dense(), grid) == 0.0
 
 
 def _exterior_reference(grid, q, signed, n_theta=N_THETA):
@@ -166,10 +153,10 @@ def _rel(got, want):
 
 
 @SETTINGS
-@given(problem=problems(), matrix_free=st.booleans())
-def test_gather_is_the_direct_dense_assembly(problem, matrix_free):
+@given(problem=problems())
+def test_gather_is_the_direct_dense_assembly(problem):
     grid, s = problem
-    grad, lap = _operators(grid, s, matrix_free)
+    grad, lap = assemble_gradient(grid, s), assemble_laplacian(grid, s)
     want_grad, want_lap = _reference_tables(grid, s)
     want = np.concatenate([want_grad, want_lap[None]])
     diag = np.arange(grid.n_nodes)
@@ -182,8 +169,6 @@ def test_gather_is_the_direct_dense_assembly(problem, matrix_free):
     want[:, diag, diag] = got_diag
     assert np.array_equal(grad.to_dense(), want[:-1])
     assert np.array_equal(lap.to_dense(), want[-1])
-    assert np.array_equal(grad.table, want[:-1])
-    assert np.array_equal(lap.table, want[-1])
 
 
 @st.composite
@@ -228,8 +213,8 @@ def test_sector_and_box_sums_match_the_brute_force_sums(grid, s, n_theta):
 
 @SETTINGS
 @given(problem=problems(), seed=st.integers(0, 2**32 - 1))
-# fixed grids, the 1D one above the crossover: a stencil entry folded in at
-# the wrong offset, or an inverse pass cut a row off, fails them
+# fixed grids, the 1D one larger than the drawn ones: a stencil entry folded
+# in at the wrong offset, or an inverse pass cut a row off, fails them
 @example(problem=(build_grid(DomainSpec(bounds=((0.0, 1.0), (0.0, 2.0)), nodes=(13, 9))), 0.4),
          seed=7)
 @example(problem=(build_grid(DomainSpec(bounds=((-1.0, 1.0),), nodes=(601,))), 0.4), seed=7)
@@ -237,7 +222,7 @@ def test_fft_applies_match_the_gathered_table(problem, seed):
     grid, s = problem
     rng = np.random.default_rng(seed)
     n, d = grid.n_nodes, grid.dimension
-    grad, lap = _operators(grid, s, matrix_free=True)
+    grad, lap = assemble_gradient(grid, s), assemble_laplacian(grid, s)
     w, a = grad.to_dense(), lap.to_dense()
     u = Field(grid, rng.standard_normal(n))
     phi = VectorField(grid, rng.standard_normal((n, d)))
@@ -259,12 +244,11 @@ def test_duality_pairings(problem, seed):
     v = Field(grid, rng.standard_normal(n))
     phi = VectorField(grid, rng.standard_normal((n, d)))
 
-    for matrix_free in (False, True):
-        grad, lap = _operators(grid, s, matrix_free)
-        lhs = l2_inner(u, apply_divergence(grad, phi))
-        rhs = -grid.weight * np.sum(phi.values * apply_gradient(grad, u).values)
-        assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
+    grad, lap = assemble_gradient(grid, s), assemble_laplacian(grid, s)
+    lhs = l2_inner(u, apply_divergence(grad, phi))
+    rhs = -grid.weight * np.sum(phi.values * apply_gradient(grad, u).values)
+    assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
-        lhs = l2_inner(u, apply_laplacian(lap, v))
-        rhs = l2_inner(apply_laplacian(lap, u), v)
-        assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
+    lhs = l2_inner(u, apply_laplacian(lap, v))
+    rhs = l2_inner(apply_laplacian(lap, u), v)
+    assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))

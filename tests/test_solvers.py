@@ -216,11 +216,10 @@ class TestMountainPass:
             assert rep.energy == pytest.approx(reference.energy, rel=1e-9)
 
     def test_above_the_crossover_makes_no_n_by_n_matrix(self, power_coeff):
-        # 2048 nodes apply by FFT; the preconditioner is the symbol solve, so
+        # on 2048 nodes the preconditioner is the symbol solve, so
         # the run stays far below one dense N x N float64 matrix
         grid = build_grid(DomainSpec(bounds=((0.0, 1.0),), nodes=(2048,)))
         grad_op = assemble_gradient(grid, 0.5)
-        assert grad_op.matrix_free
         eig = first_eigenpair(assemble_laplacian(grid, 0.5))
         reaction = make_reaction("cubic_saturating",
                                  {"kappa": 2.0 * power_coeff.gamma_inf * eig.value})
@@ -357,12 +356,12 @@ class TestEvaluationBudget:
     def test_preconditions_by_the_models_own_operator(self, grid_1d_128, power_coeff,
                                                       eig_128, opts):
         grad_op = assemble_gradient(grid_1d_128, 0.5)
-        assert not grad_op.matrix_free and "preconditioner" not in grad_op._derived
+        assert not grad_op._derived
         h = Field(grid_1d_128, 0.01 * eig_128.function.values)
         model = model_with(grad_op, power_coeff, make_reaction("saturating", {"nu": 1.0}), h)
         rep = minimize_cone(model, opts, Field(grid_1d_128, np.zeros(128)))
         assert rep.classification == "local-min"
-        assert "preconditioner" in grad_op._derived
+        assert set(grad_op._derived) == {"fft", "preconditioner"}
 
     def test_one_composition_matrix_per_operator(self, monkeypatch, grid_1d_128,
                                                  power_coeff, eig_128, opts):
@@ -376,13 +375,13 @@ class TestEvaluationBudget:
         assert np.array_equal(reports[0].solution.values, reports[1].solution.values)
 
     def test_forced_two_solution_run_factors_once(self, monkeypatch):
-        # below the crossover the initial guess runs the Newton-CG's PCG,
-        # preconditioned by the held (C + I)^{-1}: one N x N factor per
+        # on 128 nodes the initial guess runs the Newton-CG's PCG,
+        # preconditioned by the dense (C + I)^{-1}: one N x N factor per
         # gradient operator, and none of the guess's own
         spec = DomainSpec(bounds=((0.0, 1.0),), nodes=(128,))
         coeff = ("power", {"A": 1.0, "B": 2.0, "p": 1.5})
         prep = experiments.prepare(RegimeConfig(domain=spec, coefficient=coeff))
-        assert not prep.grad_op.matrix_free and not prep.grad_op._derived
+        assert not prep.grad_op._derived
         kappa = 2.0 * prep.coefficient.gamma_inf * prep.lambda1
         cfg = RegimeConfig(domain=spec, coefficient=coeff,
                            reaction=("cubic_saturating", {"kappa": kappa}),
@@ -399,7 +398,7 @@ class TestEvaluationBudget:
         run = experiments.run_linear_regime(cfg, prep).runs[0]
         assert run.pass_report.classification == "mountain-pass" and run.distinct
         assert len(factors) == 1
-        assert set(prep.grad_op._derived) == {"preconditioner"}
+        assert set(prep.grad_op._derived) == {"fft", "preconditioner"}
         (h, guess), = guesses
         system = composition_matrix(prep.grad_op) + experiments._GUESS_SHIFT * np.eye(128)
         want = np.maximum(np.linalg.solve(system, h), 0.0)

@@ -1,12 +1,11 @@
 import warnings
-from unittest.mock import patch
 
 import numpy as np
 import pytest
 
 from fracvar import (DomainSpec, Field, assemble_laplacian, build_grid,
                      first_eigenpair, rayleigh_quotient)
-from fracvar import fracops, spectral
+from fracvar import spectral
 
 
 @pytest.fixture(scope="module")
@@ -16,20 +15,12 @@ def lap_sym():
 
 
 @pytest.fixture(scope="module")
-def lap_fft():
-    """lap_sym's operator forced onto the FFT path."""
-    grid = build_grid(DomainSpec(bounds=((-1.0, 1.0),), nodes=(256,)))
-    with patch.object(fracops, "_DENSE_MAX_NODES", 0):
-        return assemble_laplacian(grid, 0.5)
-
-
-@pytest.fixture(scope="module")
 def pair_sym(lap_sym):
     return first_eigenpair(lap_sym)
 
 
 def test_matches_dense_eigensolve(lap_sym, pair_sym):
-    oracle = np.linalg.eigvalsh(lap_sym.table)[0]
+    oracle = np.linalg.eigvalsh(lap_sym.to_dense())[0]
     assert abs(pair_sym.value - oracle) <= 1e-8
     # cross-check of the oracle against published numerics for the
     # restricted fractional Laplacian on (-1,1) at order 1/2 (~1.157774)
@@ -66,7 +57,7 @@ def test_rayleigh_lower_bound_50_random(lap_sym, pair_sym, rng):
 
 
 def test_mixed_mode_between_first_two(lap_sym, pair_sym):
-    evals, vecs = np.linalg.eigh(lap_sym.table)
+    evals, vecs = np.linalg.eigh(lap_sym.to_dense())
     lam2 = evals[1]
     mixed = Field(lap_sym.grid, pair_sym.function.values + 0.1 * vecs[:, 1])
     q = rayleigh_quotient(lap_sym, mixed)
@@ -93,32 +84,29 @@ def test_rejects_wrong_kind(grad_128, eig_128):
         rayleigh_quotient(grad_128, eig_128.function)
 
 
-def test_iteration_cap_raises(lap_sym, lap_fft):
-    for lap in (lap_sym, lap_fft):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no warning may leak
-            with pytest.raises(RuntimeError, match="did not reach"):
-                first_eigenpair(lap, tol=1e-10, max_iter=1)
+def test_iteration_cap_raises(lap_sym):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no warning may leak
+        with pytest.raises(RuntimeError, match="did not reach"):
+            first_eigenpair(lap_sym, tol=1e-10, max_iter=1)
 
 
-def test_non_finite_iterate_raises(lap_sym, lap_fft, monkeypatch):
+def test_non_finite_iterate_raises(lap_sym, monkeypatch):
     # a preconditioner apply that returns a non-finite vector must stop
-    # LOBPCG at once, not run it to max_iter; both grids precondition by
-    # the symbol solve
-    for lap in (lap_sym, lap_fft):
-        real = spectral.symbol_solve
-        calls = []
+    # LOBPCG at once, not run it to max_iter; the grid preconditions by the
+    # symbol solve
+    real = spectral.symbol_solve
+    calls = []
 
-        def first_solve_nan(*args, **kwargs):
-            calls.append(1)
-            out = real(*args, **kwargs)
-            return np.full_like(out, np.nan) if len(calls) == 1 else out
+    def first_solve_nan(*args, **kwargs):
+        calls.append(1)
+        out = real(*args, **kwargs)
+        return np.full_like(out, np.nan) if len(calls) == 1 else out
 
-        with monkeypatch.context() as m:
-            m.setattr(spectral, "symbol_solve", first_solve_nan)
-            with pytest.raises(ValueError, match="infs or NaNs"):
-                first_eigenpair(lap, max_iter=50)
-        assert len(calls) <= 2
+    monkeypatch.setattr(spectral, "symbol_solve", first_solve_nan)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        first_eigenpair(lap_sym, max_iter=50)
+    assert len(calls) <= 2
 
 
 @pytest.mark.parametrize("nodes", [(48,), (600,), (24, 24)])
@@ -140,7 +128,7 @@ def test_small_grids_match_the_dense_eigenvalue(nodes, s):
     assert grid.n_nodes <= spectral._EXACT_MAX_NODES
     lap = assemble_laplacian(grid, s)
     pair = first_eigenpair(lap)
-    assert pair.value == pytest.approx(np.linalg.eigvalsh(lap.table)[0], rel=1e-10)
+    assert pair.value == pytest.approx(np.linalg.eigvalsh(lap.to_dense())[0], rel=1e-10)
 
 
 def test_stops_at_the_scaled_residual_near_s_1():
