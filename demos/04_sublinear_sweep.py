@@ -2,17 +2,16 @@
 
 With f = nu * g for the saturating g, the cone minimizer is trivial for
 small nu and a genuine negative-energy state for large nu; any nonzero
-forcing makes it nontrivial for every nu. The bisection locates the
-transition, which matches the linear stability threshold of the zero
-state, gamma(0) times the smallest eigenvalue of the induced quadratic
-form.
+forcing makes it nontrivial for every nu. The transition sits at the
+linear stability threshold of the zero state, gamma(0) times the smallest
+eigenvalue of the induced quadratic form C = -div_s grad_s (here g'(0) = 1);
+find_nu_threshold probes just above and below it and bisects only what
+the two probes leave open.
 """
-
-import numpy as np
 
 from fracvar import (DomainSpec, RegimeConfig, SolverOptions,
                      find_nu_threshold, prepare, run_sublinear_regime)
-from fracvar.fracops import composition_matrix
+from fracvar.spectral import composition_ground_state
 
 domain = DomainSpec(bounds=((0.0, 1.0),), nodes=(128,))
 base = RegimeConfig(domain=domain, s=0.5,
@@ -45,7 +44,7 @@ nu_star = find_nu_threshold(
     RegimeConfig(domain=domain, s=0.5, coefficient=base.coefficient,
                  reaction=base.reaction, forcing={"kind": "zero"},
                  solver=base.solver, sweep=(0.05, 400.0)), prep)
-lam_min = np.linalg.eigvalsh(composition_matrix(prep.grad_op))[0]
-print(f"bisection threshold nu* = {nu_star:.4f}; "
+lam_min = composition_ground_state(prep.grad_op).value
+print(f"threshold nu* = {nu_star:.4f}; "
       f"linear stability prediction gamma(0) * lambda_min = "
-      f"{prep.coefficient.gamma_max * lam_min:.4f}")
+      f"{float(prep.coefficient.gamma(0.0)) * lam_min:.4f}")

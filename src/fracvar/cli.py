@@ -6,8 +6,8 @@ Usage:
 
 Commands: verify (operator identity suite), eig (first eigenpair), solve
 (cone minimization), mpass (two-solution pipeline), sweep (sublinear
-regime sweep plus threshold bisection when bracketed), appendix (scaling
-limit of the quasilinear form).
+regime sweep plus, when bracketed, the threshold and its linear-stability
+prediction), appendix (scaling limit of the quasilinear form).
 
 The configuration is strict JSON: unknown keys are fatal (a silent typo
 in a hypothesis parameter would invalidate regime conclusions), ranges
@@ -18,9 +18,10 @@ then one report.json per run (a solve's entry is built by _solve_entry),
 then a manifest listing the config snapshot, per-stage wall-clock
 timings (prepare_seconds: grid, operator assembly and first eigenpair,
 of which assemble_seconds and eigenpair_seconds are the last two; for
-sweep, sweep_seconds and threshold_seconds: the sweep solves and the
-bisection; for solve, minimize_seconds; for mpass, minimize_seconds,
-ray_seconds and mountain_pass_seconds summed over the sweep values;
+sweep, sweep_seconds and threshold_seconds: the sweep solves, and the
+spectral prediction, certifying probes and bisection; for solve,
+minimize_seconds; for mpass, minimize_seconds, ray_seconds and
+mountain_pass_seconds summed over the sweep values;
 command_seconds: the whole command), and a sha256 inventory of the
 produced files; reruns with the same config and seed reproduce the
 inventory bit for bit (the manifest itself, which holds the timings, is
@@ -421,6 +422,8 @@ def _cmd_sweep(rcfg, files, timings):
     if kinds == {True, False}:
         with ex.timed(timings, "threshold_seconds"):
             payload["nu_threshold"] = ex.find_nu_threshold(rcfg, prep, runs=report.runs)
+            payload["nu_linear"], ground = ex.linear_threshold(rcfg, prep)
+        payload["lambda_min_composition"] = ground.value
     return status, payload
 
 

@@ -1,15 +1,21 @@
-"""First Dirichlet eigenpair of the assembled fractional Laplacian.
+"""Ground states: the first Dirichlet eigenpair of the assembled fractional
+Laplacian, and the bottom of the composition C = -div_s grad_s.
 
 The smallest eigenvalue lambda1 and its eigenfunction phi1 drive most of
 the quantitative hypotheses: the slope thresholds gamma * lambda1 and the
-ray direction of the mountain-pass geometry.
-Only the bottom of the spectrum is needed, so every grid takes one path:
-single-vector LOBPCG (Knyazev 2001) on the operator's applies
-(fracops.apply_laplacian, a pruned FFT convolution),
-preconditioned by the operator's DST-I symbol solve (fracops.symbol_solve).
-No N x N matrix is made, except on the smallest tables, where the exact
-inverse (fracops.cho_factor) is cheaper than the extra iterations. A dense
-symmetric eigensolve serves as the test oracle, not as the implementation.
+ray direction of the mountain-pass geometry. lambda_min(C) is the bottom
+of the quadratic form the energy induces; gamma(0) lambda_min(C) / g'(0)
+predicts the sublinear threshold (experiments.linear_threshold), and
+C's ground state starts the probe that certifies it.
+Only the bottom of the spectrum is needed, so both take one path:
+single-vector LOBPCG (Knyazev 2001) on an apply callable built from the
+operator's applies (pruned FFT convolutions). The Laplacian is
+preconditioned by its DST-I symbol solve (fracops.symbol_solve), or on
+the smallest tables by the exact inverse (fracops.cho_factor), which is
+cheaper than the extra iterations there; C by the minimizer's own
+(C + I)^{-1} (solvers._preconditioner), so it makes no factor of its own.
+A dense symmetric eigensolve serves as the test oracle, not as the
+implementation.
 
 The assembled table is an M-matrix (positive diagonal, nonpositive
 off-diagonal, strict diagonal dominance), so its inverse is entrywise
@@ -24,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 # perfbench's traced runs wrap cho_factor and cho_solve by these module names
-from .fracops import (NonlocalOperator, _check_finite, apply_laplacian, cho_factor, cho_solve,
-                      symbol_solve)
+from .fracops import (NonlocalOperator, _check_finite, apply_divergence, apply_gradient,
+                      apply_laplacian, cho_factor, cho_solve, symbol_solve)
 from .grid import Field
+from .solvers import _preconditioner
 
 # Tables of up to this many nodes precondition by their exact inverse, larger
 # grids by the symbol solve. Ground state, inverse and LOBPCG against symbol
@@ -39,7 +46,7 @@ _EXACT_MAX_NODES = 64
 # the residual's roundoff floor, in units of eps times the largest symbol value
 _ROUNDOFF_FLOOR = 4.0
 
-__all__ = ["EigenPair", "first_eigenpair", "rayleigh_quotient"]
+__all__ = ["EigenPair", "first_eigenpair", "composition_ground_state", "rayleigh_quotient"]
 
 
 @dataclass(frozen=True)
@@ -57,21 +64,17 @@ def _l2(grid, v: np.ndarray) -> float:
     return float(np.sqrt(grid.weight * np.dot(v, v)))
 
 
-def _lobpcg(lap_op: NonlocalOperator, precondition, tol: float, max_iter: int):
-    """Single-vector LOBPCG (Knyazev 2001) from the constant vector: the
-    unit iterate and the iteration count. Each iteration is a Rayleigh-Ritz
-    step on the orthonormalized span of the iterate x, the preconditioned
-    residual and the previous step p. A x is applied afresh each iteration
-    (carried by recurrence it drifts and stalls the residual), and the
-    Euclidean residual of the unit x is the L2 residual of the
-    L2-normalized one, so the stopping test is first_eigenpair's."""
-    grid = lap_op.grid
-    floor = _ROUNDOFF_FLOOR * np.finfo(float).eps * float(np.max(lap_op._symbol()))
-
-    def apply(v):
-        return _check_finite(apply_laplacian(lap_op, Field(grid, v)).values)
-
-    x, p = np.full(grid.n_nodes, grid.n_nodes**-0.5), None
+def _lobpcg(apply, precondition, floor: float, n: int, tol: float, max_iter: int):
+    """Single-vector LOBPCG (Knyazev 2001) for the smallest eigenpair of the
+    SPD map apply (v -> A v on R^n, checked finite), from the constant
+    vector: the unit iterate and the iteration count. Each iteration is a
+    Rayleigh-Ritz step on the orthonormalized span of the iterate x, the
+    preconditioned residual and the previous step p. A x is applied afresh
+    each iteration (carried by recurrence it drifts and stalls the
+    residual), and the Euclidean residual of the unit x is the L2 residual
+    of the L2-normalized one; the run stops once it is at most
+    tol * max(1, lambda) or floor, the residual's roundoff floor."""
+    x, p = np.full(n, n**-0.5), None
     for it in range(max_iter + 1):
         ax = apply(x)
         lam = np.dot(x, ax)
@@ -89,6 +92,11 @@ def _lobpcg(lap_op: NonlocalOperator, precondition, tol: float, max_iter: int):
         x, p = q @ c, q[:, 1:] @ c[1:]
         x /= np.linalg.norm(x)
     raise RuntimeError(f"LOBPCG did not reach residual {tol} in {max_iter} steps")
+
+
+def _roundoff_floor(op: NonlocalOperator) -> float:
+    """_ROUNDOFF_FLOOR eps times the operator's largest symbol value."""
+    return _ROUNDOFF_FLOOR * np.finfo(float).eps * float(np.max(op._symbol()))
 
 
 def first_eigenpair(lap_op: NonlocalOperator, tol: float = 1e-10,
@@ -110,9 +118,11 @@ def first_eigenpair(lap_op: NonlocalOperator, tol: float = 1e-10,
     grid = lap_op.grid
     if lap_op.n_nodes <= _EXACT_MAX_NODES:
         inverse = cho_factor(lap_op.to_dense())
-        x, it = _lobpcg(lap_op, lambda r: cho_solve(inverse, r), tol, max_iter)
+        precondition = lambda r: cho_solve(inverse, r)
     else:
-        x, it = _lobpcg(lap_op, lambda r: symbol_solve(lap_op, r, 0.0), tol, max_iter)
+        precondition = lambda r: symbol_solve(lap_op, r, 0.0)
+    x, it = _lobpcg(lambda v: _check_finite(apply_laplacian(lap_op, Field(grid, v)).values),
+                    precondition, _roundoff_floor(lap_op), grid.n_nodes, tol, max_iter)
 
     if np.mean(x) < 0:
         x = -x
@@ -128,6 +138,37 @@ def first_eigenpair(lap_op: NonlocalOperator, tol: float = 1e-10,
     lam = float(grid.weight * np.dot(x, ax))
     res = _l2(grid, ax - lam * x)
     return EigenPair(value=lam, function=Field(grid, x), residual=float(res), iterations=it)
+
+
+def composition_ground_state(grad_op: NonlocalOperator) -> EigenPair:
+    """lambda_min(C) and its eigenfunction, C = -div_s grad_s the quadratic
+    form the energy induces, by LOBPCG to first_eigenpair's tolerance.
+
+    C is applied by the gradient operator's two FFT applies and
+    preconditioned by the minimizer's (C + I)^{-1} (solvers._preconditioner:
+    the operator's cached dense inverse up to solvers._DENSE_MAX_NODES
+    nodes, the symbol solve above), so no factor of its own is made. C need
+    not be an M-matrix, so the eigenfunction is only sign-fixed to
+    nonnegative mean and L2-normalized, not clamped. The pair is kept with
+    the operator (NonlocalOperator.cached) and computed once.
+    """
+    if grad_op.kind != "gradient":
+        raise ValueError("composition_ground_state needs a gradient operator")
+    grid = grad_op.grid
+
+    def apply(v):
+        grad = apply_gradient(grad_op, Field(grid, v))
+        return -_check_finite(apply_divergence(grad_op, grad).values)
+
+    def build():
+        x, it = _lobpcg(apply, _preconditioner(grad_op), _roundoff_floor(grad_op),
+                        grid.n_nodes, 1e-10, 10_000)
+        x = (x if np.mean(x) >= 0 else -x) / _l2(grid, x)
+        ax = apply(x)
+        lam = float(grid.weight * np.dot(x, ax))
+        return EigenPair(value=lam, function=Field(grid, x),
+                         residual=_l2(grid, ax - lam * x), iterations=it)
+    return grad_op.cached("ground_state", build)
 
 
 def rayleigh_quotient(lap_op: NonlocalOperator, u: Field) -> float:

@@ -10,7 +10,9 @@ import pytest
 
 import fracvar
 
-from fracvar import DomainSpec, Field, build_grid, experiments, mountain_pass, solvers
+from fracvar import (DomainSpec, Field, assemble_gradient, build_grid, experiments,
+                     mountain_pass, solvers)
+from fracvar.fracops import composition_matrix
 from fracvar.cli import (ConfigError, main, parse_config, read_field,
                          regime_config_from, run_command, write_field)
 
@@ -185,6 +187,20 @@ class TestRunCommand:
         assert 0.02 < report["nu_threshold"] < 200.0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + two rows
+
+    def test_sweep_reports_the_linear_prediction(self, tmp_path):
+        # nu_linear = gamma(0) lambda_min(C) / amplitude, with gamma(0) = A + B p / 2
+        cfg = parse_config(write_config(
+            tmp_path / "cfg.json", forcing={"kind": "zero"}, sweep={"values": [0.02, 200.0]},
+            reaction={"family": "saturating", "params": {"nu": 1.0, "amplitude": 2.0}}))
+        out = tmp_path / "out"
+        assert run_command(cfg, "sweep", out_dir=out) == 0
+        report = json.loads((out / "report.json").read_text())
+        grad = assemble_gradient(build_grid(DomainSpec(bounds=((0.0, 1.0),), nodes=(64,))), 0.5)
+        lam = np.linalg.eigvalsh(composition_matrix(grad))[0]
+        assert report["lambda_min_composition"] == pytest.approx(lam, rel=1e-9)
+        assert report["nu_linear"] == pytest.approx(2.5 * lam / 2.0, rel=1e-9)
+        assert report["nu_threshold"] == pytest.approx(report["nu_linear"], rel=5e-3)
 
     def test_appendix_command(self, tmp_path):
         cfg = parse_config(write_config(tmp_path / "cfg.json"))

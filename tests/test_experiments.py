@@ -146,48 +146,90 @@ class TestThreshold:
         assert find_nu_threshold(cfg, prep_128, runs=runs) == expected
         assert probed and not set(probed) & set(cfg.sweep)
 
-    def test_near_threshold_probes_take_tens_of_iterations(self, base_domain, prep_128,
-                                                             monkeypatch):
-        # the Hessian at 0 is nearly singular next to the threshold, which
-        # slows first-order descent in proportion to 1/gap; Newton-CG is not
-        solve_once, probes = experiments._solve_once, []
-
-        def recorded(prep, reaction, h, u0=None):
-            rep = solve_once(prep, reaction, h, u0)
-            probes.append((reaction.params["nu"], rep))
-            return rep
-
-        monkeypatch.setattr(experiments, "_solve_once", recorded)
-        nu_star = find_nu_threshold(sublinear_cfg(base_domain, sweep=(0.05, 400.0)), prep_128)
-        assert nu_star == 1.2064716339111325
-        near = [(nu, rep) for nu, rep in probes if abs(nu / nu_star - 1.0) <= 0.02]
-        assert [rep.classification for _, rep in near] == [
-            "local-min", "trivial", "local-min", "trivial"]
-        assert all(rep.iterations <= 50 for _, rep in near), [
-            (nu, rep.iterations) for nu, rep in near]
-
-    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
-    def test_warm_bisection_matches_the_cold_one(self, base_domain, s, monkeypatch):
-        # each probe starts from the bracket's nontrivial solution instead
-        # of default_initial_guess: the same threshold, bit for bit, from
-        # fewer Newton-CG iterations
-        cfg = dataclasses.replace(sublinear_cfg(base_domain, sweep=(0.05, 400.0)), s=s)
-        prep = prepare(cfg)
-        cold_star, cold_iterations = cold_bisection(cfg, prep)
-        solve_once, calls = experiments._solve_once, []
-
-        def recorded(prep, reaction, h, u0=None):
-            rep = solve_once(prep, reaction, h, u0)
-            calls.append((reaction.params["nu"], u0, rep.iterations))
-            return rep
-
-        monkeypatch.setattr(experiments, "_solve_once", recorded)
-        assert find_nu_threshold(cfg, prep) == cold_star
+    def test_certifies_with_two_solves_beyond_the_sweep(self, base_domain, prep_128,
+                                                        monkeypatch):
+        # the probes at nu_lin (1 +- 0.4 rel_width) narrow the bracket below
+        # rel_width, so the bisection solves nothing; each starts next to its
+        # solution (the ray point, then the upper probe's solution)
+        cfg = sublinear_cfg(base_domain, sweep=(0.05, 400.0))
+        nu_star, calls = recorded_threshold(cfg, prep_128, monkeypatch)
         sweep, probes = calls[:2], calls[2:]
         assert [(nu, u0) for nu, u0, _ in sweep] == [(0.05, None), (400.0, None)]
-        assert probes and all(u0 is not None for _, u0, _ in probes)
-        warm_iterations = sum(it for _, _, it in probes)
-        assert warm_iterations <= 0.75 * cold_iterations, (warm_iterations, cold_iterations)
+        assert len(probes) <= 2 and all(u0 is not None for _, u0, _ in probes)
+        assert sum(rep.iterations for _, _, rep in probes) <= 10
+        nu_lin, _ = experiments.linear_threshold(cfg, prep_128)
+        assert nu_star == pytest.approx(nu_lin, rel=5e-3)
+
+    @pytest.mark.parametrize("rel_width", [1e-2, 1e-3])
+    def test_final_bracket_is_certified_by_its_probes(self, base_domain, prep_128,
+                                                      monkeypatch, rel_width):
+        cfg = sublinear_cfg(base_domain, sweep=(0.05, 400.0))
+        nu_star, calls = recorded_threshold(cfg, prep_128, monkeypatch, rel_width)
+        lo, hi = probe_bracket(calls)
+        assert hi - lo <= rel_width * 0.5 * (hi + lo)
+        assert lo < nu_star < hi
+
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    def test_bracket_overlaps_the_cold_bisection(self, base_domain, s, monkeypatch):
+        # every probe of the cold bisection starts from default_initial_guess;
+        # both brackets hold the threshold, so they overlap
+        cfg = dataclasses.replace(sublinear_cfg(base_domain, sweep=(0.05, 400.0)), s=s)
+        prep = prepare(cfg)
+        cold_lo, cold_hi = cold_bisection(cfg, prep)
+        lo, hi = probe_bracket(recorded_threshold(cfg, prep, monkeypatch)[1])
+        assert max(lo, cold_lo) < min(hi, cold_hi), (lo, hi, cold_lo, cold_hi)
+
+    @pytest.mark.parametrize("factor", [1.5, 1.0 / 1.5])
+    def test_displaced_prediction_still_certifies(self, base_domain, prep_128, monkeypatch,
+                                                  factor):
+        # a prediction off by a factor leaves a wide bracket, which the
+        # bisection narrows to the same threshold
+        cfg = sublinear_cfg(base_domain, sweep=(0.05, 400.0))
+        cold_lo, cold_hi = cold_bisection(cfg, prep_128)
+        predict = experiments.linear_threshold
+
+        def displaced(config, prep=None):
+            nu_lin, ground = predict(config, prep)
+            return factor * nu_lin, ground
+
+        monkeypatch.setattr(experiments, "linear_threshold", displaced)
+        nu_star, calls = recorded_threshold(cfg, prep_128, monkeypatch)
+        lo, hi = probe_bracket(calls)
+        assert hi - lo <= 1e-2 * 0.5 * (hi + lo) and lo < nu_star < hi
+        assert max(lo, cold_lo) < min(hi, cold_hi), (lo, hi, cold_lo, cold_hi)
+
+    def test_nonzero_forcing_makes_no_spectral_probe(self, base_domain, prep_128,
+                                                     monkeypatch):
+        # a forcing of 5e-9 phi1 leaves small-nu solutions below TRIVIAL_L2,
+        # so the sweep brackets a transition; u = 0 is no solution, and
+        # nothing predicts it from the spectrum
+        cfg = sublinear_cfg(base_domain, sweep=(0.05, 400.0),
+                            forcing={"kind": "eigenfunction", "scale": 5e-9})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectral prediction used with nonzero forcing")
+
+        monkeypatch.setattr(experiments, "linear_threshold", refuse)
+        monkeypatch.setattr(experiments, "composition_ground_state", refuse)
+        monkeypatch.setattr(experiments, "ray_search", refuse)
+        nu_star, calls = recorded_threshold(cfg, prep_128, monkeypatch)
+        lo, hi = probe_bracket(calls)
+        assert hi - lo <= 1e-2 * 0.5 * (hi + lo) and lo < nu_star < hi
+        # bisection from (0.05, 400) halves the bracket once per solve
+        assert len(calls) - 2 >= 10
+
+    @pytest.mark.parametrize("rel_width", [0.0, -1e-2, np.nan, 1.0])
+    def test_rejects_a_width_outside_the_unit_interval(self, base_domain, prep_128,
+                                                       monkeypatch, rel_width):
+        # a width <= 0 never ended the bisection and a NaN one returned the
+        # sweep bracket; both are refused before any solve
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved with an invalid rel_width")
+
+        monkeypatch.setattr(experiments, "_solve_once", refuse)
+        cfg = sublinear_cfg(base_domain, sweep=(0.05, 400.0))
+        with pytest.raises(ValueError, match="rel_width"):
+            find_nu_threshold(cfg, prep_128, rel_width=rel_width)
 
     def test_no_bracket_raises(self, base_domain, prep_128):
         cfg = sublinear_cfg(base_domain, sweep=(100.0, 200.0))
@@ -195,22 +237,39 @@ class TestThreshold:
             find_nu_threshold(cfg, prep_128)
 
 
+def recorded_threshold(cfg, prep, monkeypatch, rel_width=1e-2):
+    """find_nu_threshold with every solve recorded: (threshold, [(nu, u0,
+    report)] in solve order, the sweep values first)."""
+    solve_once, calls = experiments._solve_once, []
+
+    def recorded(prep, reaction, h, u0=None):
+        rep = solve_once(prep, reaction, h, u0)
+        calls.append((reaction.params["nu"], u0, rep))
+        return rep
+
+    monkeypatch.setattr(experiments, "_solve_once", recorded)
+    return find_nu_threshold(cfg, prep, rel_width=rel_width), calls
+
+
+def probe_bracket(calls):
+    """The highest trivial and the lowest nontrivial nu among the solves."""
+    return (max(nu for nu, _, rep in calls if rep.l2_norm <= TRIVIAL_L2),
+            min(nu for nu, _, rep in calls if rep.l2_norm > TRIVIAL_L2))
+
+
 def cold_bisection(cfg, prep, rel_width=1e-2):
-    """The bisection with every probe started from default_initial_guess,
-    between the sweep's two values: (threshold, Newton-CG iterations of
-    the probes)."""
+    """The final bracket (lo, hi) of the bisection with every probe started
+    from default_initial_guess, between the sweep's two values."""
     h = experiments.build_forcing(prep)
     lo, hi = cfg.sweep
-    iterations = 0
     while (hi - lo) > rel_width * 0.5 * (hi + lo):
         mid = 0.5 * (lo + hi)
         rep = experiments._solve_once(prep, experiments._reaction_with(cfg, nu=mid), h)
-        iterations += rep.iterations
         if rep.l2_norm > TRIVIAL_L2:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi), iterations
+    return lo, hi
 
 
 @pytest.fixture(scope="module")

@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from fracvar import (DomainSpec, Field, assemble_laplacian, build_grid,
+from fracvar import (DomainSpec, Field, assemble_gradient, assemble_laplacian, build_grid,
                      first_eigenpair, rayleigh_quotient)
 from fracvar import spectral
+from fracvar.fracops import composition_matrix
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +151,40 @@ def test_converges_at_the_roundoff_floor_on_4096_nodes(s, value):
     pair = first_eigenpair(assemble_laplacian(grid, s))
     assert pair.iterations <= 40
     assert pair.value == pytest.approx(value, rel=1e-4)
+
+
+@pytest.mark.parametrize("nodes,value,iterations", [
+    ((256,), 1.1597727641667028, 14),  # lap_sym's grid, on (-1, 1)
+    ((48,), 2.3283561407910214, 9),
+    ((600,), 2.317573761689472, 15),
+    ((24, 24), 3.6993515747070247, 12),
+])
+def test_first_eigenpair_keeps_its_value_and_iterations(nodes, value, iterations):
+    # LOBPCG takes its operator as an apply callable; the Laplacian's
+    # ground state keeps the eigenvalue and the iteration count it had
+    # when LOBPCG took the operator itself (s = 0.5)
+    bounds = ((-1.0, 1.0),) if nodes == (256,) else ((0.0, 1.0),) * len(nodes)
+    pair = first_eigenpair(assemble_laplacian(build_grid(DomainSpec(bounds=bounds, nodes=nodes)),
+                                              0.5))
+    assert pair.value == pytest.approx(value, rel=1e-12)
+    assert pair.iterations == iterations
+
+
+@pytest.mark.parametrize("nodes", [(64,), (384,), (600,), (12, 12)])
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_composition_ground_state_matches_dense_eigenvalue(nodes, s):
+    # 64, 384 and 12 x 12 nodes precondition by the cached dense
+    # (C + I)^{-1}, 600 nodes by the symbol solve
+    grid = build_grid(DomainSpec(bounds=((0.0, 1.0),) * len(nodes), nodes=nodes))
+    grad = assemble_gradient(grid, s)
+    pair = spectral.composition_ground_state(grad)
+    assert pair.value == pytest.approx(np.linalg.eigvalsh(composition_matrix(grad))[0], rel=1e-9)
+    phi = pair.function.values
+    assert np.sqrt(grid.weight * np.dot(phi, phi)) == pytest.approx(1.0, rel=1e-12)
+    assert np.mean(phi) >= 0.0 and pair.residual <= 1e-9
+    assert spectral.composition_ground_state(grad) is pair
+
+
+def test_composition_ground_state_rejects_a_laplacian(lap_sym):
+    with pytest.raises(ValueError, match="gradient operator"):
+        spectral.composition_ground_state(lap_sym)
