@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
 import time
@@ -50,6 +49,16 @@ from . import experiments as ex
 from .coeffs import COEFFICIENT_FAMILIES, REACTION_FAMILIES, make_coefficient, make_reaction
 from .grid import DomainSpec, Field, build_grid, read_field, write_field
 from .solvers import SolveReport, SolverOptions
+
+# CPython's built-in SHA-256: hashlib would load OpenSSL (~3.6 MB resident)
+# for the few digests of a run's inventory
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = ["ConfigError", "parse_config", "run_command", "write_field", "read_field", "main"]
 
@@ -260,7 +269,7 @@ def _write_json(path, obj) -> None:
 
 
 def _sha256(path) -> str:
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)

@@ -72,10 +72,12 @@ solve checks its own right-hand side and raises NonFiniteError on an inf
 or a NaN.
 
 All of it runs on numpy alone, so no command but verify's quadrature loads
-scipy (~0.4 s at start-up). The FFT applies use numpy.fft at 5-smooth
-padded sizes (next_fast_len). The DST-I forks by dimension
-(NonlocalOperator._dst, which says why): one rfft of the odd extension in
-1D (_dst1), a product with per-axis sine matrices in 2D.
+scipy (~0.4 s at start-up), and numpy.polynomial is not loaded either
+(7-11 ms at start-up): the 2D near-cell rule's Gauss-Legendre nodes come
+from a Golub-Welsch eigenproblem (_gauss_legendre). The FFT applies use
+numpy.fft at 5-smooth padded sizes (next_fast_len). The DST-I forks by
+dimension (NonlocalOperator._dst, which says why): one rfft of the odd
+extension in 1D (_dst1), a product with per-axis sine matrices in 2D.
 """
 
 from __future__ import annotations
@@ -360,13 +362,26 @@ def _near_cell_integrals(grid: Grid, q: float, reach, kind: str) -> np.ndarray:
         k = np.abs(offsets[0])
         vals = (((k - 0.5) * h) ** (-q) - ((k + 0.5) * h) ** (-q)) / q
         return vals if kind == "laplacian" else np.sign(offsets[0]) * vals
-    pts, wts = np.polynomial.legendre.leggauss(8)
+    pts, wts = _gauss_legendre(8)
     (h1, h2), (o1, o2) = grid.spacing, offsets
     x = (o1 * h1)[:, None] + 0.5 * h1 * pts
     y = (o2 * h2)[:, None] + 0.5 * h2 * pts
     ww = 0.25 * h1 * h2 * np.outer(wts, wts)
     vals = _kernel_values([x[:, None, :, None], y[None, :, None, :]], q, kind)
     return np.sum(ww * vals, axis=(-2, -1))
+
+
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1] by
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
+    the Legendre polynomials (zero diagonal, off-diagonals k / sqrt(4 k^2
+    - 1)), the weights 2 v_0^2 from the first components of its unit
+    eigenvectors; both are symmetrized about 0, as the rule is. For n = 8
+    they match numpy.polynomial.legendre.leggauss to 1e-15."""
+    k = np.arange(1.0, n)
+    pts, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    wts = 2.0 * vecs[0] ** 2
+    return 0.5 * (pts - pts[::-1]), 0.5 * (wts + wts[::-1])
 
 
 def _row_sums(kernel: np.ndarray, grid: Grid) -> np.ndarray:
@@ -625,21 +640,23 @@ _TRIL_INV_BLOCK = 64
 
 
 def _tril_inv(low: np.ndarray) -> np.ndarray:
-    """The inverse of a nonsingular lower-triangular matrix by 2 x 2 block
-    recursion: [[A, 0], [B, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} B A^{-1},
-    D^{-1}]], with numpy.linalg.inv on blocks of at most _TRIL_INV_BLOCK
-    rows: ~2 N^3 / 3 flops in matrix-matrix products, against the ~2 N^3
-    of numpy.linalg.inv's LU inverse."""
+    """The inverse of a nonsingular lower-triangular matrix, written over
+    low and returned, by 2 x 2 block recursion: [[A, 0], [B, D]]^{-1} =
+    [[A^{-1}, 0], [-D^{-1} B A^{-1}, D^{-1}]]. The two diagonal blocks are
+    inverted in place first, then B is overwritten by -(D^{-1} B) A^{-1}
+    through one half-block temporary, D^{-1} B negated in its own storage;
+    numpy.linalg.inv takes blocks of at most _TRIL_INV_BLOCK rows. ~2 N^3 /
+    3 flops in matrix-matrix products, against the ~2 N^3 of
+    numpy.linalg.inv's LU inverse."""
     n = low.shape[0]
     if n <= _TRIL_INV_BLOCK:
-        return np.linalg.inv(low)
+        low[...] = np.linalg.inv(low)
+        return low
     k = n // 2
     a_inv, d_inv = _tril_inv(low[:k, :k]), _tril_inv(low[k:, k:])
-    inv = np.zeros_like(low)
-    inv[:k, :k] = a_inv
-    inv[k:, k:] = d_inv
-    inv[k:, :k] = -(d_inv @ low[k:, :k]) @ a_inv
-    return inv
+    t = d_inv @ low[k:, :k]
+    np.matmul(np.negative(t, out=t), a_inv, out=low[k:, :k])
+    return low
 
 
 def cho_factor(a: np.ndarray) -> np.ndarray:
@@ -647,8 +664,10 @@ def cho_factor(a: np.ndarray) -> np.ndarray:
     a = L L^T, exactly symmetric, for cho_solve: a solve is then one
     matrix-vector product (1D 384 nodes, one BLAS thread: ~35 us against
     ~190 us for scipy's cho_solve). L^{-1} comes from a block recursion on
-    the triangle (_tril_inv): a factor of C + I takes ~7 ms at 384 nodes
-    and ~16 ms at 512, against 16-22 and 35 ms with numpy.linalg.inv of L.
+    the triangle (_tril_inv), in L's own storage, so the factor holds one
+    N x N array beyond a and the result (and a is not modified): a factor
+    of C + I takes ~7 ms at 384 nodes and ~16 ms at 512, against 16-22
+    and 35 ms with numpy.linalg.inv of L.
     Raises NonFiniteError when a holds a non-finite entry and
     numpy.linalg.LinAlgError when it is not positive definite.
     """

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -218,6 +219,19 @@ class TestRunCommand:
             outs.append(json.loads((tmp_path / name / "manifest.json").read_text()))
         assert outs[0]["files"] == outs[1]["files"]
         assert outs[0]["config"] == outs[1]["config"]
+
+    @pytest.mark.parametrize("nodes", [[64], [8, 8]])
+    def test_inventory_digests_are_sha256(self, tmp_path, nodes):
+        # the CLI hashes with CPython's built-in SHA-256; hashlib is the oracle
+        domain = {"bounds": [[0.0, 1.0]] * len(nodes), "nodes": nodes}
+        cfg = parse_config(write_config(tmp_path / "cfg.json", domain=domain,
+                                        solver={"tol_g": 1e-4}))
+        out = tmp_path / "out"
+        assert run_command(cfg, "solve", out_dir=out) == 0
+        files = json.loads((out / "manifest.json").read_text())["files"]
+        assert set(files) == {"report.json", "solution.csv", "solution.fvfd"}
+        for name, digest in files.items():
+            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
 
     @pytest.mark.parametrize("command", ["verify", "eig", "solve", "sweep", "mpass", "appendix",
                                          "solve-16x16"])

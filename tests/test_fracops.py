@@ -270,7 +270,9 @@ class TestHeldInverse:
         # sizes on both sides of the recursion's dense block and odd splits
         b = rng.standard_normal((n, n))
         a = b @ b.T / n + np.eye(n)
+        held = a.copy()
         factor = fracops.cho_factor(a)
+        assert np.array_equal(a, held)  # the inverse is built in the factor's storage, not a's
         want = np.linalg.inv(a)
         assert np.linalg.norm(factor - want) <= 1e-13 * np.linalg.norm(want)
         assert np.array_equal(factor, factor.T)
@@ -283,7 +285,19 @@ class TestHeldInverse:
 
 
 class TestNumpyTransforms:
-    """The numpy kernels behind the FFT path, against scipy.fft."""
+    """The numpy kernels behind the FFT path, against scipy.fft, and the
+    Gauss-Legendre rule of 2D assembly, against numpy.polynomial."""
+
+    def test_gauss_legendre_matches_leggauss(self):
+        from numpy.polynomial.legendre import leggauss
+        pts, wts = fracops._gauss_legendre(8)
+        want_pts, want_wts = leggauss(8)
+        assert np.max(np.abs(pts - want_pts)) <= 1e-15
+        assert np.max(np.abs(wts - want_wts)) <= 1e-15
+        for degree in range(16):
+            exact = (1.0 + (-1.0) ** degree) / (degree + 1)
+            assert wts @ pts**degree == pytest.approx(exact, abs=1e-14), degree
+        assert wts @ pts**16 != pytest.approx(2.0 / 17, abs=1e-6)  # 8 points: exact to degree 15
 
     @pytest.mark.parametrize("shape", [(1,), (2,), (47,), (48,), (768,), (13, 9), (48, 48)])
     def test_dst1_matches_scipy(self, shape, rng):

@@ -7,9 +7,21 @@ The files of a run directory are written by the CLI alone, so no other
 module needs the csv module. The library never imports the CLI: the CLI
 is built on it, not the other way round. Sweeps run serially, so no module
 imports threading or concurrent.futures.
+
+Each command is a process of its own, so every module it loads is start-up
+time and resident memory it pays for. hashlib would load OpenSSL (~3.6 MB
+resident) for the sha256 inventory of a run directory, which CPython's
+built-in SHA-256 computes alone, and numpy.polynomial (7-11 ms to import)
+would serve only the eight Gauss-Legendre nodes of 2D assembly, which
+fracops computes itself. A small 1D sweep and a 2D solve, run in a fresh
+interpreter, load neither.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fracvar
@@ -88,3 +100,30 @@ def test_no_module_imports_threads():
     for watched in ("threading", "concurrent"):
         found, _ = _package_imports(watched)
         assert found == [], watched
+
+
+def _config(path, domain, **sections):
+    cfg = {"domain": domain, "operator": {"s": 0.5},
+           "coefficient": {"family": "power", "params": {"A": 1.0, "B": 2.0, "p": 1.5}},
+           "reaction": {"family": "saturating", "params": {"nu": 1.0}}, **sections}
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_commands_load_neither_openssl_nor_numpy_polynomial(tmp_path):
+    sweep = _config(tmp_path / "sweep.json", {"bounds": [[0.0, 1.0]], "nodes": [64]},
+                    sweep={"values": [0.02, 200.0]})
+    solve = _config(tmp_path / "solve.json",
+                    {"bounds": [[0.0, 1.0], [0.0, 1.0]], "nodes": [8, 8]},
+                    forcing={"kind": "eigenfunction", "scale": 0.01}, solver={"tol_g": 1e-4})
+    commands = [["sweep", "--config", sweep, "--out", str(tmp_path / "a")],
+                ["solve", "--config", solve, "--out", str(tmp_path / "b")]]
+    src = str(Path(fracvar.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import json, sys\nfrom fracvar.cli import main\n"
+            f"status = [main(argv) for argv in {commands!r}]\n"
+            "print(json.dumps([status, sorted({'_hashlib', 'numpy.polynomial'} & set(sys.modules))]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[0, 0], []]
