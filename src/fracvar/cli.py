@@ -296,8 +296,7 @@ def _nodal_csv(fld: Field, column: str):
     """Header and rows of a field's CSV: the node coordinates, then the value."""
     grid = fld.grid
     header = (["x"] if grid.dimension == 1 else ["x", "y"]) + [column]
-    rows = [[float(c) for c in node] + [float(v)] for node, v in zip(grid.nodes, fld.values)]
-    return header, rows
+    return header, np.column_stack((grid.nodes, fld.values)).tolist()
 
 
 def _solve_entry(report: SolveReport) -> dict:

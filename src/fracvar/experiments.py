@@ -203,8 +203,9 @@ def build_forcing(prep: PreparedProblem, forcing: dict | None = None) -> Field:
 
 
 # the initial guess solves C + _GUESS_SHIFT I by PCG to this relative
-# residual: within ~1e-10 of a dense solve, in 7-10 iterations with the
-# dense preconditioner and 22-68 with the symbol solve (1D 128-2048, 2D 24x24-48x48, s 0.3-0.7)
+# residual: within ~1e-10 of a dense solve, in 7-14 iterations with the
+# dense preconditioner and 21-35 with the diagonal-scaled symbol solve
+# (22-50 unscaled; 1D 128-2048, 2D 24x24-48x48, s 0.3-0.7, forcing 0.01 phi1)
 _GUESS_SHIFT = 1e-12
 _GUESS_RTOL = 1e-10
 
@@ -217,8 +218,9 @@ def default_initial_guess(prep: PreparedProblem, h: Field) -> Field:
     operator, is solved by the Newton-CG's own PCG (solvers._pcg) to
     ||r|| <= _GUESS_RTOL ||h|| (or 10 N products), preconditioned by the
     minimizer's (C + I)^{-1} (solvers._preconditioner): the operator's
-    cached dense inverse up to solvers._DENSE_MAX_NODES nodes, the symbol
-    solve above. The guess makes no factor of its own.
+    cached dense inverse up to solvers._DENSE_MAX_NODES nodes, the
+    diagonal-scaled symbol solve above. The guess makes no factor of its
+    own.
     """
     if np.any(h.values):
         rhs, op = h.values, prep.grad_op

@@ -66,7 +66,9 @@ table: the DST-I symbol (-Lap_h)^s of the grid's second-difference
 Laplacian, scaled to the trace of that matrix, built in O(N) and applied
 by two orthonormal DST-I transforms (symbol_solve; a tau-type
 fast-transform preconditioner, Chan & Ng 1996). The solvers use it above
-solvers._DENSE_MAX_NODES nodes; up to it they solve with the inverse of
+solvers._DENSE_MAX_NODES nodes, scaled to the true diagonal of C + I:
+composition_diagonal and symbol_diagonal give the two diagonals in O(N)
+memory, with no table. Up to the crossover they solve with the inverse of
 the dense matrix that cho_factor holds (cho_factor / cho_solve). Each
 solve checks its own right-hand side and raises NonFiniteError on an inf
 or a NaN.
@@ -100,8 +102,10 @@ __all__ = [
     "apply_divergence",
     "apply_laplacian",
     "composition_matrix",
+    "composition_diagonal",
     "composition_residual",
     "symbol_solve",
+    "symbol_diagonal",
 ]
 
 # The quadrature of the principal-value and exterior integrals.
@@ -169,7 +173,8 @@ class NonlocalOperator:
     sum_c diagonal[c] * v[:, c] to the conjugate spectrum's convolution.
     What is derived from the operator (the FFT spectrum, the DST-I symbol,
     in 2D the per-axis sine matrices of symbol_solve, and the solvers'
-    dense preconditioner) is kept with it by ``cached``.
+    dense preconditioner or symbol-solve scaling) is kept with it by
+    ``cached``.
     """
 
     kind: str
@@ -623,6 +628,18 @@ def composition_matrix(grad_op: NonlocalOperator) -> np.ndarray:
     return w.T @ w
 
 
+def composition_diagonal(grad_op: NonlocalOperator) -> np.ndarray:
+    """The diagonal of composition_matrix in O(N), without a table: column j
+    of W_c holds diagonal[c, j] and the kernel at the offsets j - i, so its
+    squared norm is diagonal[c, j]^2 plus a column box sum of kernel[c]^2,
+    the row sum (_row_sums) of the kernel reversed on every axis."""
+    if grad_op.kind != "gradient":
+        raise ValueError("composition_diagonal needs a gradient operator")
+    flip = (slice(None, None, -1),) * grad_op.grid.dimension
+    return (sum(_row_sums(k[flip] ** 2, grad_op.grid) for k in grad_op.kernel)
+            + np.sum(grad_op.diagonal**2, axis=0))
+
+
 class NonFiniteError(ValueError, ArithmeticError):
     """An array that should be finite holds an inf or a NaN: an input out
     of range, or arithmetic that overflowed on the way."""
@@ -691,6 +708,23 @@ def symbol_solve(op: NonlocalOperator, values: np.ndarray, shift: float) -> np.n
     y = op._dst(_check_finite(values).reshape(op.grid.shape))
     y /= op._symbol() + shift
     return op._dst(y).ravel()
+
+
+def symbol_diagonal(op: NonlocalOperator, shift: float) -> np.ndarray:
+    """The diagonal of S diag(sigma + shift) S, the matrix whose inverse
+    symbol_solve applies, in O(N log N) and O(N) memory. S is a Kronecker
+    product of per-axis DST-I matrices, so the diagonal is (sigma + shift)
+    times Q_k = S_k o S_k on each axis, with (Q_k)_ij = (1 - cos(2 pi i j /
+    (n_k + 1))) / (n_k + 1): a sum minus the real part of one FFT of length
+    n_k + 1 per axis, the same for d = 1 and 2."""
+    out = op._symbol() + shift
+    for axis, n in enumerate(op.grid.shape):
+        x = np.moveaxis(out, axis, -1)
+        # sum_j x_j cos(2 pi i j / (n + 1)), j = 1..n: the FFT of (0, x)
+        padded = np.concatenate([np.zeros(x.shape[:-1] + (1,)), x], axis=-1)
+        cosines = np.fft.fft(padded, axis=-1).real[..., 1:]
+        out = np.moveaxis((np.sum(x, axis=-1, keepdims=True) - cosines) / (n + 1), -1, axis)
+    return out.ravel()
 
 
 def composition_residual(grad_op: NonlocalOperator, lap_op: NonlocalOperator, u: Field) -> float:

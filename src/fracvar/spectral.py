@@ -147,10 +147,12 @@ def composition_ground_state(grad_op: NonlocalOperator) -> EigenPair:
     C is applied by the gradient operator's two FFT applies and
     preconditioned by the minimizer's (C + I)^{-1} (solvers._preconditioner:
     the operator's cached dense inverse up to solvers._DENSE_MAX_NODES
-    nodes, the symbol solve above), so no factor of its own is made. C need
-    not be an M-matrix, so the eigenfunction is only sign-fixed to
-    nonnegative mean and L2-normalized, not clamped. The pair is kept with
-    the operator (NonlocalOperator.cached) and computed once.
+    nodes, the diagonal-scaled symbol solve above), so no factor of its own
+    is made. The scaling cuts the 2D iterations at s = 0.5 from 69 / 88 /
+    96 to 43 / 61 / 68 at 48^2 / 96^2 / 128^2; at 1D 1024 nodes they rise
+    from 25 to 29. C need not be an M-matrix, so the eigenfunction is only
+    sign-fixed to nonnegative mean and L2-normalized, not clamped. The pair
+    is kept with the operator (NonlocalOperator.cached) and computed once.
     """
     if grad_op.kind != "gradient":
         raise ValueError("composition_ground_state needs a gradient operator")

@@ -11,7 +11,7 @@ import pytest
 
 import fracvar
 
-from fracvar import (DomainSpec, Field, assemble_gradient, build_grid, experiments,
+from fracvar import (DomainSpec, Field, assemble_gradient, build_grid, cli, experiments,
                      mountain_pass, solvers)
 from fracvar.fracops import composition_matrix
 from fracvar.cli import (ConfigError, main, parse_config, read_field,
@@ -123,6 +123,24 @@ class TestFieldFormat:
         with pytest.raises(ValueError, match="dimension"):
             read_field(path, g2)
 
+    @pytest.mark.parametrize("bounds, nodes", [(((-0.3, 0.7),), (97,)),
+                                               (((0.1, 1.3), (-0.2, 0.8)), (12, 10))])
+    def test_nodal_csv_is_byte_identical_to_a_per_node_writer(self, tmp_path, rng, bounds,
+                                                              nodes):
+        # the rows come from one column_stack(...).tolist(); the file must be
+        # the one a per-node float() writer puts down, so the digest holds
+        grid = build_grid(DomainSpec(bounds=bounds, nodes=nodes))
+        values = rng.standard_normal(grid.n_nodes) * np.logspace(-300, 300, grid.n_nodes)
+        values[:3] = 0.0, -0.0, 1.0
+        path = tmp_path / "u.csv"
+        cli._write_csv(path, *cli._nodal_csv(Field(grid, values), "u"))
+        header = ["x"] if len(nodes) == 1 else ["x", "y"]
+        want = "".join([",".join(header + ["u"]) + "\n"] + [
+            ",".join(repr(float(c)) for c in (*node, v)) + "\n"
+            for node, v in zip(grid.nodes, values)])
+        assert path.read_bytes() == want.encode()
+        assert cli._sha256(path) == hashlib.sha256(want.encode()).hexdigest()
+
 
 class TestRunCommand:
     def test_eig_writes_artifacts(self, tmp_path):
@@ -148,11 +166,11 @@ class TestRunCommand:
             [*node, value] for node, value in zip(phi1.grid.nodes.tolist(), phi1.values.tolist())]
 
     def test_solve_reports_the_same_keys_at_any_length(self, tmp_path):
-        # a 3-iteration solve and a 13-iteration one: the energy trace is
+        # a 3-iteration solve and an 11-iteration one: the energy trace is
         # reported by its first value whatever its length
         runs = []
         for name, overrides in (("short", {}), ("long", {
-                "reaction": {"family": "saturating", "params": {"nu": 50.0}},
+                "reaction": {"family": "saturating", "params": {"nu": 5.0}},
                 "forcing": {"kind": "zero"}})):
             cfg = parse_config(write_config(tmp_path / f"{name}.json", **overrides))
             run_command(cfg, "solve", out_dir=tmp_path / name)
@@ -384,7 +402,7 @@ class TestCommandFamilyValidation:
             dense["mountain_pass"]["energy"], rel=1e-9)
         assert fft["distinct"] is True
         assert set(grad_ops[0]._derived) == {"fft", "preconditioner"}
-        assert set(grad_ops[-1]._derived) == {"fft", "symbol"}
+        assert set(grad_ops[-1]._derived) == {"fft", "symbol", "symbol_scaling"}
 
     @pytest.mark.parametrize("command,reaction,values", [
         ("sweep", {"family": "saturating", "params": {"nu": 1.0}}, [0.5, -1.0]),

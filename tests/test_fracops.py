@@ -11,7 +11,8 @@ from fracvar import (DomainSpec, Field, RegimeConfig, SolverOptions,
                      build_grid, composition_residual, field_from_function,
                      first_eigenpair, l2_inner, normalizing_constants, prepare)
 from fracvar import experiments, fracops, solvers
-from fracvar.fracops import _directions, _ray_exit_distance, composition_matrix, symbol_solve
+from fracvar.fracops import (_directions, _ray_exit_distance, composition_diagonal,
+                             composition_matrix, symbol_diagonal, symbol_solve)
 
 
 def gaussian_bump(grid, sharp=40.0):
@@ -381,6 +382,22 @@ class TestMatrixFree:
         want = v / (grad._symbol()[tuple(jk - 1 for jk in j)] + 1.0)
         assert np.max(np.abs(symbol_solve(grad, v, 1.0) - want)) <= 1e-14 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("nodes", [(97,), (128,), (12, 10)])
+    def test_diagonals_match_the_dense_matrices(self, nodes, s):
+        # diag(C) from the kernel and the diagonal, and the diagonal of the
+        # symbol solve's matrix S diag(sigma + 1) S by per-axis FFTs, against
+        # composition_matrix and a dense S from scipy's DST-I
+        grid = build_grid(DomainSpec(bounds=tuple((0.0, 1.0) for _ in nodes), nodes=nodes))
+        grad = assemble_gradient(grid, s)
+        want = np.diag(composition_matrix(grad))
+        assert np.max(np.abs(composition_diagonal(grad) - want)) <= 1e-13 * np.max(want)
+        n, axes = grid.n_nodes, tuple(range(1, len(nodes) + 1))
+        dst = scipy.fft.dstn(np.eye(n).reshape(n, *nodes), type=1, norm="ortho",
+                             axes=axes).reshape(n, n)
+        want = np.diag(dst @ ((grad._symbol().ravel() + 1.0)[:, None] * dst))
+        assert np.max(np.abs(symbol_diagonal(grad, 1.0) - want)) <= 1e-13 * np.max(want)
+
     def test_gather_allocates_no_row_blocks(self):
         # the table is one strided copy of the kernel's sliding windows, so
         # the gather needs no temporary block of rows (16 MB at this size)
@@ -426,6 +443,28 @@ class TestMatrixFree:
             assert used in prep.grad_op._derived and unused not in prep.grad_op._derived
         dense, symbol = reports
         assert dense.classification == symbol.classification == "local-min"
+        assert symbol.energy == pytest.approx(dense.energy, rel=1e-12)
+
+    def test_2d_newton_cg_above_the_crossover(self, monkeypatch):
+        # the problem above on 24 x 24 = 576 nodes, above the crossover: the
+        # diagonal-scaled symbol solve and the Eisenstat-Walker forcing take
+        # at most 10 iterations and 65 Hessian products (8 and 56; the plain
+        # symbol solve with the forcing min(0.5, sqrt|r_0|) took 23 and 92),
+        # and reach the dense-preconditioned minimizer
+        spec = DomainSpec(bounds=((0.0, 1.0), (0.0, 1.0)), nodes=(24, 24))
+        cfg = RegimeConfig(domain=spec, coefficient=("power", {"A": 1.0, "B": 2.0, "p": 1.5}),
+                           reaction=("saturating", {"nu": 450.0}),
+                           forcing={"kind": "zero"}, solver=SolverOptions(tol_g=1e-4))
+        reports = []
+        for limit in (solvers._DENSE_MAX_NODES, spec.nodes[0] * spec.nodes[1]):
+            monkeypatch.setattr(solvers, "_DENSE_MAX_NODES", limit)
+            prep = prepare(cfg)
+            reports.append(experiments._solve_once(prep, experiments._reaction_with(cfg),
+                                                   experiments.build_forcing(prep)))
+        symbol, dense = reports
+        assert symbol.classification == dense.classification == "local-min"
+        assert symbol.iterations <= 10
+        assert symbol.diagnostics["counts"]["hessian_products"] <= 65
         assert symbol.energy == pytest.approx(dense.energy, rel=1e-12)
 
     def test_2d_solve_above_the_crossover_makes_no_n_by_n_matrix(self):

@@ -9,7 +9,7 @@ from fracvar import (DomainSpec, EnergyModel, Field, RegimeConfig, SolverOptions
                      assemble_gradient, assemble_laplacian, build_grid, first_eigenpair,
                      hs_norm, kkt_residual, make_coefficient, make_reaction,
                      minimize_cone, mountain_pass, project_cone, ray_search)
-from fracvar import experiments, fracops
+from fracvar import experiments, fracops, solvers
 from fracvar.fracops import composition_matrix
 from fracvar.solvers import _preconditioner
 
@@ -256,6 +256,42 @@ class TestMountainPass:
         u_far = Field(grid_1d_128, ray.t_star * eig_128.function.values)
         rep = mountain_pass(model, Field(grid_1d_128, np.zeros(128)), u_far, opts)
         assert rep.classification == "failed"
+
+
+def test_newton_cg_above_the_crossover_makes_no_n_by_n_matrix(power_coeff):
+    # on 2048 nodes the Newton-CG preconditions by the diagonal-scaled symbol
+    # solve: both diagonals are built in O(N) and kept with the operator
+    grid = build_grid(DomainSpec(bounds=((0.0, 1.0),), nodes=(2048,)))
+    grad_op = assemble_gradient(grid, 0.5)
+    eig = first_eigenpair(assemble_laplacian(grid, 0.5))
+    reaction = make_reaction("saturating", {"nu": 50.0 * power_coeff.gamma_max * eig.value})
+    model = model_with(grad_op, power_coeff, reaction, Field(grid, np.zeros(2048)))
+    tracemalloc.start()
+    try:
+        rep = minimize_cone(model, SolverOptions(), Field(grid, 0.1 * eig.function.values))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.classification == "local-min"
+    assert peak < 2048**2 * 8 / 8
+    assert set(grad_op._derived) == {"fft", "symbol", "symbol_scaling"}
+    assert grad_op._derived["symbol_scaling"].shape == (2048,)
+
+
+@pytest.mark.parametrize("c", [1e-9, 1e-3, 7.0, 1e6])
+@pytest.mark.parametrize("r, r_prev, eta_prev, want", [
+    (1.0, None, 0.5, 0.5),            # the first iteration: eta_max
+    (1.0, 0.0, 0.2, 0.5),             # no previous residual to compare with
+    (0.5, 1.0, 0.3, 0.225),           # gamma (r / r_prev)^2
+    (0.3, 1.0, 0.45, 0.9 * 0.45**2),  # the safeguard gamma eta_prev^2 > 0.1
+    (0.01, 1.0, 0.2, 9e-5),           # no safeguard at gamma eta_prev^2 <= 0.1
+    (2.0, 1.0, 0.1, 0.5),             # capped at eta_max
+])
+def test_forcing_is_unchanged_when_the_residuals_are_scaled(c, r, r_prev, eta_prev, want):
+    # Eisenstat-Walker choice 2 reads a ratio of residual norms only
+    assert solvers._forcing(r, r_prev, eta_prev) == pytest.approx(want, rel=1e-14)
+    scaled = solvers._forcing(c * r, None if r_prev is None else c * r_prev, eta_prev)
+    assert scaled == pytest.approx(want, rel=1e-14)
 
 
 def test_solver_options_validation():
