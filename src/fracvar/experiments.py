@@ -41,8 +41,8 @@ from .fracops import (NonlocalOperator, apply_divergence, apply_gradient,
                       composition_residual, normalizing_constants)
 from .grid import (DomainSpec, Field, Grid, VectorField, build_grid, field_from_function,
                    l2_inner, read_field)
-from .solvers import (TRIVIAL_L2, RaySearchResult, SolveReport, SolverOptions, _pcg,
-                      _preconditioner, minimize_cone, mountain_pass, project_cone, ray_search)
+from .solvers import (TRIVIAL_L2, RaySearchResult, SolveReport, SolverOptions, minimize_cone,
+                      mountain_pass, project_cone, ray_search)
 from .spectral import EigenPair, composition_ground_state, first_eigenpair
 
 __all__ = [
@@ -202,36 +202,12 @@ def build_forcing(prep: PreparedProblem, forcing: dict | None = None) -> Field:
     return Field(prep.grid, np.zeros(prep.grid.n_nodes))
 
 
-# the initial guess solves C + _GUESS_SHIFT I by PCG to this relative
-# residual: within ~1e-10 of a dense solve, in 7-14 iterations with the
-# dense preconditioner and 21-35 with the diagonal-scaled symbol solve
-# (22-50 unscaled; 1D 128-2048, 2D 24x24-48x48, s 0.3-0.7, forcing 0.01 phi1)
-_GUESS_SHIFT = 1e-12
-_GUESS_RTOL = 1e-10
+def default_initial_guess(prep: PreparedProblem) -> Field:
+    """Deterministic start of every solve, forced or not: 1e-3 phi1.
 
-
-def default_initial_guess(prep: PreparedProblem, h: Field) -> Field:
-    """Deterministic start: positive part of the linear solve against h,
-    or a small multiple of phi1 for the homogeneous problem.
-
-    The system C + 1e-12 I, C = -div_s grad_s applied by the gradient
-    operator, is solved by the Newton-CG's own PCG (solvers._pcg) to
-    ||r|| <= _GUESS_RTOL ||h|| (or 10 N products), preconditioned by the
-    minimizer's (C + I)^{-1} (solvers._preconditioner): the operator's
-    cached dense inverse up to solvers._DENSE_MAX_NODES nodes, the
-    diagonal-scaled symbol solve above. The guess makes no factor of its
-    own.
-    """
-    if np.any(h.values):
-        rhs, op = h.values, prep.grad_op
-
-        def system(p):
-            div_grad = apply_divergence(op, apply_gradient(op, Field(prep.grid, p))).values
-            return _GUESS_SHIFT * p - div_grad
-
-        sol, _ = _pcg(system, rhs, _preconditioner(op),
-                      _GUESS_RTOL * np.linalg.norm(rhs), 10 * op.n_nodes)
-        return project_cone(Field(prep.grid, sol))
+    The first Newton-CG step from it solves the energy's own quadratic
+    model there, with the minimizer's (C + I)^{-1}, so a forcing needs no
+    start of its own."""
     return Field(prep.grid, 1e-3 * prep.eigenpair.function.values)
 
 
@@ -245,7 +221,7 @@ def _solve_once(prep: PreparedProblem, reaction: ReactionModel, h: Field,
     """minimize_cone from u0, or from default_initial_guess when it is None."""
     model = EnergyModel(grad_op=prep.grad_op, coeff=prep.coefficient,
                         reaction=reaction, forcing=h)
-    u0 = default_initial_guess(prep, h) if u0 is None else u0
+    u0 = default_initial_guess(prep) if u0 is None else u0
     return minimize_cone(model, prep.config.solver, u0)
 
 
@@ -390,7 +366,7 @@ def run_linear_regime(config: RegimeConfig,
         model = EnergyModel(grad_op=prep.grad_op, coeff=prep.coefficient,
                             reaction=base, forcing=h)
         with timed(timings, "minimize_seconds"):
-            u0 = default_initial_guess(prep, h)
+            u0 = default_initial_guess(prep)
             rep1 = minimize_cone(model, config.solver, u0)
         margin = abs(rep1.energy) * (1.0 + 1e-3) + 1e-12
         with timed(timings, "ray_seconds"):

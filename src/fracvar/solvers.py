@@ -28,8 +28,7 @@ modes cover the two existence mechanisms:
   the closed-form first and second derivatives pins it. ray_search samples
   E(t d) the same way, from grad_s(t d) = t grad_s(d).
 
-Both solvers, the experiments' initial guess (the same _pcg on
-C + 1e-12 I) and C's ground state (spectral.composition_ground_state)
+Both solvers and C's ground state (spectral.composition_ground_state)
 precondition by the same (C + I)^{-1} of the model's own gradient
 operator: the cached dense inverse up to _DENSE_MAX_NODES nodes, the
 symbol solve above, diagonal-scaled everywhere but in the mountain pass
@@ -305,12 +304,6 @@ def _newton_direction(point: PointState, free: np.ndarray, precond, counts,
     return d, r0, eta
 
 
-def _hs_length(model: EnergyModel, dgrad: np.ndarray):
-    """H^s norm of a difference of points from the difference of their
-    gradients dgrad (N, d)."""
-    return np.sqrt(model.grid.weight * np.sum(dgrad**2, axis=(-2, -1)))
-
-
 def _l2(u: Field) -> float:
     return float(np.sqrt(u.grid.weight * np.dot(u.values, u.values)))
 
@@ -513,11 +506,11 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
 
     def peak_on(ray: np.ndarray) -> PointState | None:
         """The peak on the ray u_low + t ray/|ray|, searched around t = |ray|."""
-        grad_ray = apply_gradient(model.grad_op, Field(grid, ray)).values
-        t0 = float(_hs_length(model, grad_ray))
+        ray_state = PointState(model, Field(grid, ray))
+        t0 = ray_state.hs_norm
         if t0 == 0.0:
             return None
-        v, grad_v = ray / t0, grad_ray / t0
+        v, grad_v = ray / t0, ray_state.grad.values / t0
         t = _ray_peak(model, low, grad_low, v, grad_v, t0, f_low)
         if t is None:
             return None

@@ -166,7 +166,7 @@ class TestRunCommand:
             [*node, value] for node, value in zip(phi1.grid.nodes.tolist(), phi1.values.tolist())]
 
     def test_solve_reports_the_same_keys_at_any_length(self, tmp_path):
-        # a 3-iteration solve and an 11-iteration one: the energy trace is
+        # a 5-iteration solve and an 11-iteration one: the energy trace is
         # reported by its first value whatever its length
         runs = []
         for name, overrides in (("short", {}), ("long", {
@@ -176,7 +176,7 @@ class TestRunCommand:
             run_command(cfg, "solve", out_dir=tmp_path / name)
             runs.append(json.loads((tmp_path / name / "report.json").read_text())["run"])
         short, long = runs
-        assert short["iterations"] == 3 and long["iterations"] > 8
+        assert short["iterations"] == 5 and long["iterations"] > 8
         assert set(short) == set(long)
         assert set(short["diagnostics"]) == set(long["diagnostics"]) == {
             "counts", "energy_initial"}
@@ -333,7 +333,7 @@ class TestMainEntry:
 
     def test_symbol_preconditioner_commands_run_without_scipy(self, tmp_path):
         # above the preconditioner crossover: the symbol solve's DST-I,
-        # LOBPCG (eig) and the initial guess's CG (mpass, eigenfunction
+        # LOBPCG (eig) and the Newton-CG's CG (mpass, eigenfunction
         # forcing)
         line = write_config(tmp_path / "line.json",
                             domain={"bounds": [[0.0, 1.0]], "nodes": [600]})
@@ -593,7 +593,7 @@ def test_invalid_input_exits_2_naming_key(tmp_path, capsys, edit, key, command):
 ], ids=["huge-forcing", "tiny-domain", "huge-domain"])
 def test_overflowing_config_exits_2(tmp_path, capsys, overrides):
     # finite, valid numbers whose run leaves floating-point range: the
-    # initial guess's CG, the eigenpair's factor, the DST-I symbol. The
+    # Newton-CG's CG, the eigenpair's factor, the DST-I symbol. The
     # error is one line of stderr: a numpy warning on the way would print
     # two more outside pytest, so none may be issued
     path = write_config(tmp_path / "cfg.json", **overrides)

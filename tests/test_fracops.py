@@ -468,9 +468,9 @@ class TestMatrixFree:
         assert symbol.energy == pytest.approx(dense.energy, rel=1e-12)
 
     def test_2d_solve_above_the_crossover_makes_no_n_by_n_matrix(self):
-        # 1,600 nodes precondition by the symbol solve; the eigenfunction forcing makes
-        # the initial guess a linear solve. Each stage must stay below one
-        # eighth of a dense N x N float64 matrix.
+        # 1,600 nodes precondition by the symbol solve, here on a forced
+        # solve. Each stage must stay below one eighth of a dense N x N
+        # float64 matrix.
         spec = DomainSpec(bounds=((0.0, 1.0), (0.0, 1.0)), nodes=(40, 40))
         cfg = RegimeConfig(domain=spec, coefficient=("power", {"A": 1.0, "B": 2.0, "p": 1.5}),
                            reaction=("saturating", {"nu": 50.0}),

@@ -8,6 +8,10 @@ module needs the csv module. The library never imports the CLI: the CLI
 is built on it, not the other way round. Sweeps run serially, so no module
 imports threading or concurrent.futures.
 
+The benchmark's tracer (perfbench/tracing.py) wraps the module-level
+cho_factor and cho_solve names of solvers, experiments and spectral, and
+fails in every traced run if one of those modules stops binding them.
+
 Each command is a process of its own, so every module it loads is start-up
 time and resident memory it pays for. hashlib would load OpenSSL (~3.6 MB
 resident) for the sha256 inventory of a run directory, which CPython's
@@ -18,6 +22,7 @@ interpreter, load neither.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -25,6 +30,7 @@ import sys
 from pathlib import Path
 
 import fracvar
+from fracvar import fracops
 
 
 class _Imports(ast.NodeVisitor):
@@ -100,6 +106,13 @@ def test_no_module_imports_threads():
     for watched in ("threading", "concurrent"):
         found, _ = _package_imports(watched)
         assert found == [], watched
+
+
+def test_traced_modules_bind_the_dense_solves():
+    for name in ("solvers", "experiments", "spectral"):
+        module = importlib.import_module(f"fracvar.{name}")
+        assert module.cho_factor is fracops.cho_factor, name
+        assert module.cho_solve is fracops.cho_solve, name
 
 
 def _config(path, domain, **sections):
