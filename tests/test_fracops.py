@@ -170,6 +170,20 @@ class TestDivergence:
                 phi.values * apply_gradient(grad_2d_16, u).values)
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
+    @pytest.mark.parametrize("nodes", [(128,), (16, 16), (12, 10)])
+    def test_gradient_fields_are_component_major(self, nodes, rng):
+        # the forward apply returns the (N, d) view of a C-ordered (d, N)
+        # array, which the transposed apply reads without a copy; a
+        # C-ordered copy of the same field gives the same bits
+        grid = build_grid(DomainSpec(bounds=tuple((0.0, 1.0) for _ in nodes), nodes=nodes))
+        grad = assemble_gradient(grid, 0.5)
+        phi = apply_gradient(grad, Field(grid, rng.standard_normal(grid.n_nodes)))
+        assert phi.values.T.flags.c_contiguous
+        copy = VectorField(grid, np.ascontiguousarray(phi.values))
+        assert copy.values.flags.c_contiguous
+        assert np.array_equal(apply_divergence(grad, phi).values,
+                              apply_divergence(grad, copy).values)
+
 
 class TestLaplacian:
     def test_zero(self, grid_1d_128, lap_128):
@@ -465,6 +479,28 @@ class TestMatrixFree:
         assert symbol.classification == dense.classification == "local-min"
         assert symbol.iterations <= 10
         assert symbol.diagnostics["counts"]["hessian_products"] <= 65
+        assert symbol.energy == pytest.approx(dense.energy, rel=1e-12)
+
+    def test_2d_newton_cg_stops_at_the_solve_tolerance(self, monkeypatch):
+        # the same 24 x 24 problem: each CG stops at half the KKT tolerance
+        # at the latest, so the last Newton step does not solve its system
+        # far below the residual the solve stops at (45 Hessian products;
+        # 56 when the last CG ran to its forcing alone), and the minimizer
+        # is the dense-preconditioned one
+        spec = DomainSpec(bounds=((0.0, 1.0), (0.0, 1.0)), nodes=(24, 24))
+        cfg = RegimeConfig(domain=spec, coefficient=("power", {"A": 1.0, "B": 2.0, "p": 1.5}),
+                           reaction=("saturating", {"nu": 450.0}),
+                           forcing={"kind": "zero"}, solver=SolverOptions(tol_g=1e-4))
+        reports = []
+        for limit in (solvers._DENSE_MAX_NODES, spec.nodes[0] * spec.nodes[1]):
+            monkeypatch.setattr(solvers, "_DENSE_MAX_NODES", limit)
+            prep = prepare(cfg)
+            reports.append(experiments._solve_once(prep, experiments._reaction_with(cfg),
+                                                   experiments.build_forcing(prep)))
+        symbol, dense = reports
+        assert symbol.classification == dense.classification == "local-min"
+        assert symbol.diagnostics["counts"]["hessian_products"] <= 50
+        assert symbol.kkt_residual <= cfg.solver.tol_g
         assert symbol.energy == pytest.approx(dense.energy, rel=1e-12)
 
     def test_2d_solve_above_the_crossover_makes_no_n_by_n_matrix(self):

@@ -294,6 +294,43 @@ def test_forcing_is_unchanged_when_the_residuals_are_scaled(c, r, r_prev, eta_pr
     assert scaled == pytest.approx(want, rel=1e-14)
 
 
+def test_2d_48x48_solve_keeps_its_newton_and_cg_counts():
+    # the 2D 48 x 48 solve of the saturating reaction at nu = 50 gamma(0)
+    # lambda_1 (tol_g 1e-4): at most 9 Newton iterations and 66 Hessian
+    # products (9 and 65 with the CG floor at half the KKT tolerance, 9 and
+    # 74 without), to the energy the solve has always reached. Counts, so
+    # that the guard does not depend on the host's speed.
+    spec = DomainSpec(bounds=((0.0, 1.0), (0.0, 1.0)), nodes=(48, 48))
+    cfg = RegimeConfig(domain=spec, coefficient=("power", {"A": 1.0, "B": 2.0, "p": 1.5}),
+                       reaction=("saturating", {"nu": 461.3673052425522, "amplitude": 1.0}),
+                       forcing={"kind": "zero"}, solver=SolverOptions(max_iter=20000, tol_g=1e-4))
+    prep = experiments.prepare(cfg)
+    rep = experiments._solve_once(prep, experiments._reaction_with(cfg),
+                                  experiments.build_forcing(prep))
+    assert rep.classification == "local-min"
+    assert rep.iterations <= 9
+    assert rep.diagnostics["counts"]["hessian_products"] <= 66
+    assert rep.kkt_residual <= cfg.solver.tol_g
+    assert rep.energy == pytest.approx(-78842.24360576471, rel=1e-12)
+
+
+@pytest.mark.parametrize("l2, want", [
+    (0.0, 1e-4),                 # the trivial state
+    (solvers.TRIVIAL_L2, 1e-4),  # the classification cut, outside the band
+    (1e-6, 1e-6),                # inside: tol_g l2 / _DRAIN_BAND
+    (solvers._DRAIN_BAND, 1e-4),  # the band's top, where the scaling reaches 1
+    (0.5, 1e-4),                 # a nontrivial iterate
+])
+def test_kkt_tolerance_tightens_inside_the_drain_band(l2, want):
+    # the one tolerance that both the stop and the Newton-CG floor read
+    assert solvers._kkt_tolerance(l2, 1e-4) == pytest.approx(want, rel=1e-14)
+    # one node at 2 l2 on four cells of width 1/4: an L2 norm of l2
+    u = Field(build_grid(DomainSpec(bounds=((0.0, 1.0),), nodes=(4,))), [2.0 * l2, 0.0, 0.0, 0.0])
+    assert solvers._l2(u) == l2
+    assert solvers._first_order_done(want, u, 1e-4)
+    assert not solvers._first_order_done(want * (1.0 + 1e-9), u, 1e-4)
+
+
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(tol_g=0.0)
