@@ -179,10 +179,10 @@ class NonlocalOperator:
     sum_c diagonal[c] * v[:, c] to the conjugate spectrum's convolution.
     Fields of m components are (N, m) views of component-major (m, N)
     memory, which _forward returns and _transpose reads without a copy.
-    What is derived from the operator (the FFT spectrum, the DST-I symbol,
-    in 2D the per-axis sine matrices of symbol_solve, and the solvers'
-    dense preconditioner or symbol-solve scaling) is kept with it by
-    ``cached``.
+    What is derived from the operator (the FFT spectrum and its conjugate,
+    the DST-I symbol, in 2D the per-axis sine matrices of symbol_solve,
+    and the solvers' dense preconditioner or symbol-solve scaling) is kept
+    with it by ``cached``.
     """
 
     kind: str
@@ -242,10 +242,10 @@ class NonlocalOperator:
     # -- application: a pruned real-FFT convolution plus the diagonal --
 
     def _fft_parts(self):
-        """Padded transform size and the rfftn, per component, of the
-        flipped kernel (the Toeplitz part of the table), zero-padded to at
-        least 2 n_k - 1 per axis, so that the circular product is the
-        Toeplitz one."""
+        """Padded transform size, the rfftn, per component, of the flipped
+        kernel (the Toeplitz part of the table), zero-padded to at least 2
+        n_k - 1 per axis, so that the circular product is the Toeplitz
+        one, and its conjugate, the transposed apply's spectrum."""
         def build():
             shape = self.grid.shape
             size = tuple(next_fast_len(2 * n - 1) for n in shape)
@@ -255,7 +255,8 @@ class NonlocalOperator:
                 self.kernel[(slice(None),) + (slice(None, None, -1),) * len(shape)]
             # offset -o at index o mod size
             padded = np.roll(padded, [1 - n for n in shape], axis=axes)
-            return size, np.fft.rfftn(padded, axes=axes)
+            spectrum = np.fft.rfftn(padded, axes=axes)
+            return size, spectrum, np.conj(spectrum)
         return self.cached("fft", build)
 
     def _irfftn_grid(self, spectrum: np.ndarray, size) -> np.ndarray:
@@ -274,7 +275,7 @@ class NonlocalOperator:
         component is one contiguous row. The convolution, cut to the grid
         on the way out of the inverse FFT, is added into diagonal * u."""
         shape = self.grid.shape
-        size, spectrum = self._fft_parts()
+        size, spectrum, _ = self._fft_parts()
         axes = tuple(range(1, len(shape) + 1))
         y = self._irfftn_grid(spectrum * np.fft.rfftn(u.reshape(1, *shape), s=size, axes=axes), size)
         out = self.diagonal * u
@@ -284,13 +285,17 @@ class NonlocalOperator:
     def _transpose(self, v: np.ndarray) -> np.ndarray:
         """sum_c W_c^T v[:, c] for stacked components v (N, m): shape (N,).
         v.T is reshaped to the grid without a copy when v is the (N, m)
-        view of component-major memory, as _forward returns it."""
+        view of component-major memory, as _forward returns it. The
+        components' spectra are multiplied in place and summed before the
+        one inverse FFT, whose grid corner is added into the diagonal part."""
         shape = self.grid.shape
-        size, spectrum = self._fft_parts()
+        size, _, conj = self._fft_parts()
         axes = tuple(range(1, len(shape) + 1))
-        acc = np.sum(np.conj(spectrum) * np.fft.rfftn(v.T.reshape(-1, *shape), s=size, axes=axes),
-                     axis=0)
-        return self._irfftn_grid(acc, size).ravel() + np.sum(self.diagonal * v.T, axis=0)
+        spectra = np.fft.rfftn(v.T.reshape(-1, *shape), s=size, axes=axes)
+        np.multiply(conj, spectra, out=spectra)
+        out = np.einsum("cn,cn->n", self.diagonal, v.T)
+        out.reshape(shape)[...] += self._irfftn_grid(reduce(np.add, spectra), size)
+        return out
 
     def _dst(self, y: np.ndarray) -> np.ndarray:
         """The orthonormal DST-I (its own inverse) of a grid-shaped y. In
