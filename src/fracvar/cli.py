@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
+import math
 import sys
 import time
 import typing
@@ -248,6 +250,8 @@ def regime_config_from(materialized: dict) -> ex.RegimeConfig:
 def _fmt(x) -> str:
     if type(x) is float:
         return repr(x)
+    if type(x) is str:
+        return x
     if isinstance(x, (np.floating, np.integer, np.bool_)):
         x = x.item()
     if isinstance(x, float):
@@ -293,10 +297,17 @@ class _RunFiles:
 
 
 def _nodal_csv(fld: Field, column: str):
-    """Header and rows of a field's CSV: the node coordinates, then the value."""
-    grid = fld.grid
+    """Header and rows of a field's CSV: the node coordinates, then the value.
+    Node (i, j) sits at (x_i, y_j) in row-major order, so each axis
+    coordinate is formatted once (n_0 + n_1 reprs in 2D, not 2 n_0 n_1) and
+    a row carries its node's joined coordinate text."""
+    grid, shape = fld.grid, fld.grid.shape
     header = (["x"] if grid.dimension == 1 else ["x", "y"]) + [column]
-    return header, np.column_stack((grid.nodes, fld.values)).tolist()
+    # axis k's coordinates: every prod(n_{k+1}, ...)-th node, first n_k
+    axes = [map(_fmt, grid.nodes[::math.prod(shape[k + 1:]), k][:n].tolist())
+            for k, n in enumerate(shape)]
+    coords = map(",".join, itertools.product(*axes))
+    return header, [[c, v] for c, v in zip(coords, fld.values.tolist())]
 
 
 def _solve_entry(report: SolveReport) -> dict:
