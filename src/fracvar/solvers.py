@@ -337,16 +337,11 @@ def _kkt_tolerance(l2: float, tol_g: float) -> float:
     tolerance tightens proportionally, which lets trivial-bound runs drain
     below the cut while genuine small-amplitude minimizers still terminate
     (their residual vanishes exactly at the minimizer, not merely
-    linearly). The Newton-CG floor reads the same tolerance.
+    linearly). minimize_cone's stop and its Newton-CG floor both read it.
     """
     if l2 <= TRIVIAL_L2 or l2 > _DRAIN_BAND:
         return tol_g
     return tol_g * (l2 / _DRAIN_BAND)
-
-
-def _first_order_done(kkt: float, u: Field, tol_g: float) -> bool:
-    """Scale-aware termination: kkt within the tolerance in force at u."""
-    return kkt <= _kkt_tolerance(_l2(u), tol_g)
 
 
 def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field) -> SolveReport:
@@ -367,8 +362,8 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field) -> SolveRe
     point = PointState(model, project_cone(u0))
     counts = dict.fromkeys(("trials", "backtracks", "hessian_products",
                             "negative_curvature_exits"), 0)
-    kkt = _kkt(point)
-    converged = _first_order_done(kkt, point.u, opts.tol_g)
+    kkt, tol = _kkt(point), _kkt_tolerance(_l2(point.u), opts.tol_g)
+    converged = kkt <= tol
     it = 0
     energy_trace = [point.energy]
     r_prev, eta = None, _ETA_MAX
@@ -379,8 +374,7 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field) -> SolveRe
         pg_norm = _pg_norm(point)
         eps = max(min(_ACTIVE_SCALE * np.max(u), pg_norm), _TOL_ACTIVE)
         free = (u > eps) | (g <= 0.0)
-        newton, r_prev, eta = _newton_direction(point, free, precond, counts, r_prev, eta,
-                                                _kkt_tolerance(_l2(point.u), opts.tol_g))
+        newton, r_prev, eta = _newton_direction(point, free, precond, counts, r_prev, eta, tol)
         direction = np.where(free, newton, -g)
 
         def trial_at(step):
@@ -391,8 +385,8 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field) -> SolveRe
             break
         point = res[0]
         energy_trace.append(point.energy)
-        kkt = _kkt(point)
-        converged = _first_order_done(kkt, point.u, opts.tol_g)
+        kkt, tol = _kkt(point), _kkt_tolerance(_l2(point.u), opts.tol_g)
+        converged = kkt <= tol
 
     l2 = _l2(point.u)
     return SolveReport(
