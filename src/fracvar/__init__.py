@@ -9,10 +9,9 @@ numerical mountain-pass method.
 
 from .coeffs import (CoefficientModel, HypothesisReport, ReactionModel,
                      check_hypotheses, make_coefficient, make_reaction)
-from .energy import (EnergyGradient, EnergyModel, EnergyOverflowError,
-                     convexity_gap, energy, energy_gradient, hs_norm,
-                     monotonicity_pairing, path_energies, quasilinear_part,
-                     weighted_form)
+from .energy import (EnergyModel, EnergyOverflowError, PointState,
+                     convexity_gap, hs_norm, monotonicity_pairing,
+                     path_energies, weighted_form)
 from .experiments import (ConvergenceReport, IdentityReport, LinearRun,
                           PreparedProblem, RegimeConfig, RegimeReport,
                           SublinearRun, appendix_convergence, find_nu_threshold,

@@ -21,13 +21,16 @@ The nodewise quantity Gamma(|z|^2/2) is convex in z whenever t ->
 Gamma(t^2) is convex, so the discrete convexity gap of the quasilinear
 part is a sum of pointwise nonnegative terms: nonnegativity holds exactly,
 not just up to quadrature.
+
+A point is evaluated through PointState, the one public way to read E(u),
+E'(u) and the H^s norm at u, each computed once and kept. path_energies,
+hs_norm and the structural checks below compute what one state does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -37,12 +40,9 @@ from .grid import Field, Grid, VectorField
 
 __all__ = [
     "EnergyModel",
-    "EnergyGradient",
     "EnergyOverflowError",
-    "energy",
+    "PointState",
     "path_energies",
-    "energy_gradient",
-    "quasilinear_part",
     "convexity_gap",
     "weighted_form",
     "monotonicity_pairing",
@@ -95,23 +95,6 @@ class EnergyModel:
         return self.reaction.f_prime(t) if self.reaction is not None else np.zeros_like(t)
 
 
-@dataclass(frozen=True)
-class EnergyGradient:
-    """Derivative of the energy at a point.
-
-    representer holds g with E'(u)[phi] = sum_i w_i g_i phi_i; directional
-    is the raw quadrature of the derivative formula, kept as an independent
-    evaluation path for consistency checks.
-    """
-
-    representer: Field
-    directional: Callable[[Field], float]
-
-    def pairing(self, phi: Field) -> float:
-        return float(self.representer.grid.weight
-                     * np.dot(self.representer.values, phi.values))
-
-
 def _checked(name: str, arr: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise EnergyOverflowError(f"{name} evaluation produced non-finite values")
@@ -149,10 +132,10 @@ class PointState:
     slopes it needs are kept like the diffusivity). A caller that already
     holds grad_s u (by linearity, say) passes it as grad. u.values must not
     change while the state is in use. A failed evaluation
-    (EnergyOverflowError) is not kept: asking again raises again. energy,
-    energy_gradient and quasilinear_part below are thin wrappers over a
-    fresh state; hs_norm shares the norm's formula, path_energies the
-    energy's.
+    (EnergyOverflowError) is not kept: asking again raises again. This is
+    the public way to evaluate a point: E'(u)[phi] is w <representer, phi>,
+    and solvers.kkt_residual reads the representer. hs_norm below shares
+    the norm's formula, path_energies the energy's.
     """
 
     def __init__(self, model: EnergyModel, u: Field, grad: VectorField | None = None):
@@ -227,11 +210,6 @@ class PointState:
         return out
 
 
-def energy(model: EnergyModel, u: Field) -> float:
-    """Value of the functional at u (finite, or EnergyOverflowError)."""
-    return PointState(model, u).energy
-
-
 def path_energies(model: EnergyModel, values: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Energies of the points values[p] (stack (P, N)) in one vectorized pass.
 
@@ -243,34 +221,6 @@ def path_energies(model: EnergyModel, values: np.ndarray, grads: np.ndarray) -> 
     with np.errstate(over="ignore"):
         q = np.sum(grads**2, axis=-1)
     return _energies(model, values, q)
-
-
-def energy_gradient(model: EnergyModel, u: Field) -> EnergyGradient:
-    """Derivative representer via the transposed gradient table.
-
-    The weighted vector field gamma(|grad u|^2/2) grad u is pushed through
-    the transpose of the gradient table (the negative discrete divergence),
-    then the reaction and forcing terms are subtracted nodewise.
-    """
-    point = PointState(model, u)
-    representer = point.representer
-    w = model.grid.weight
-
-    def directional(phi: Field) -> float:
-        gphi = apply_gradient(model.grad_op, phi)
-        return float(w * (
-            np.sum(point.flux * gphi.values)
-            - np.dot(model.f(u.values), phi.values)
-            - np.dot(model.forcing.values, phi.values)
-        ))
-
-    return EnergyGradient(representer=representer, directional=directional)
-
-
-def quasilinear_part(model: EnergyModel, u: Field) -> float:
-    """The diffusion term alone: int Gamma(|grad_s u|^2 / 2)."""
-    q = PointState(model, u).q
-    return float(model.grid.weight * np.sum(_checked("Gamma", model.coeff.big_gamma(0.5 * q))))
 
 
 def convexity_gap(model: EnergyModel, u1: Field, u2: Field) -> float:

@@ -139,12 +139,8 @@ def project_cone(u: Field) -> Field:
     return Field(u.grid, np.maximum(u.values, 0.0))
 
 
-def kkt_residual(model: EnergyModel, u: Field) -> float:
-    """First-order residual of minimization over the cone at u >= 0."""
-    return _kkt(PointState(model, u))
-
-
-def _kkt(point: PointState) -> float:
+def kkt_residual(point: PointState) -> float:
+    """First-order residual of minimization over the cone at point.u >= 0."""
     g = point.representer.values
     active = point.u.values > _TOL_ACTIVE
     parts = []
@@ -362,7 +358,7 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field) -> SolveRe
     point = PointState(model, project_cone(u0))
     counts = dict.fromkeys(("trials", "backtracks", "hessian_products",
                             "negative_curvature_exits"), 0)
-    kkt, tol = _kkt(point), _kkt_tolerance(_l2(point.u), opts.tol_g)
+    kkt, tol = kkt_residual(point), _kkt_tolerance(_l2(point.u), opts.tol_g)
     converged = kkt <= tol
     it = 0
     energy_trace = [point.energy]
@@ -385,7 +381,7 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field) -> SolveRe
             break
         point = res[0]
         energy_trace.append(point.energy)
-        kkt, tol = _kkt(point), _kkt_tolerance(_l2(point.u), opts.tol_g)
+        kkt, tol = kkt_residual(point), _kkt_tolerance(_l2(point.u), opts.tol_g)
         converged = kkt <= tol
 
     l2 = _l2(point.u)
@@ -533,7 +529,7 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
         # the run fails at u_far, below the endpoint level
         point, budget = far_state, 0
     levels = [point.energy]
-    kkt = _kkt(point)
+    kkt = kkt_residual(point)
     it = 0
     alpha = 1.0
     while kkt > opts.tol_g and it < budget:
@@ -541,13 +537,13 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
         # t* v - alpha M g: the current ray, moved against the gradient
         ray, move = point.u.values - low, -alpha * precond(point.representer.values)
         res = _armijo_step(point, lambda step: peak_on(np.maximum(ray + step * move, 0.0)),
-                           counts, _kkt)
+                           counts, kkt_residual)
         if res is None:
             break
         point, step = res
         alpha = min(2.0 * alpha * step, 1.0)
         levels.append(point.energy)
-        kkt = _kkt(point)
+        kkt = kkt_residual(point)
 
     final = point.u
     f_final = point.energy

@@ -45,6 +45,9 @@ _EXACT_MAX_NODES = 64
 
 # the residual's roundoff floor, in units of eps times the largest symbol value
 _ROUNDOFF_FLOOR = 4.0
+# LOBPCG's relative residual tolerance and iteration cap, for both ground states
+_TOL = 1e-10
+_MAX_ITER = 10_000
 
 __all__ = ["EigenPair", "first_eigenpair", "composition_ground_state", "rayleigh_quotient"]
 
@@ -99,8 +102,8 @@ def _roundoff_floor(op: NonlocalOperator) -> float:
     return _ROUNDOFF_FLOOR * np.finfo(float).eps * float(np.max(op._symbol()))
 
 
-def first_eigenpair(lap_op: NonlocalOperator, tol: float = 1e-10,
-                    max_iter: int = 10_000) -> EigenPair:
+def first_eigenpair(lap_op: NonlocalOperator, tol: float = _TOL,
+                    max_iter: int = _MAX_ITER) -> EigenPair:
     """Ground state of the Laplacian table by LOBPCG, preconditioned by the
     symbol solve, or by the exact inverse up to _EXACT_MAX_NODES nodes.
 
@@ -164,7 +167,7 @@ def composition_ground_state(grad_op: NonlocalOperator) -> EigenPair:
 
     def build():
         x, it = _lobpcg(apply, _preconditioner(grad_op), _roundoff_floor(grad_op),
-                        grid.n_nodes, 1e-10, 10_000)
+                        grid.n_nodes, _TOL, _MAX_ITER)
         x = (x if np.mean(x) >= 0 else -x) / _l2(grid, x)
         ax = apply(x)
         lam = float(grid.weight * np.dot(x, ax))

@@ -1,5 +1,7 @@
 """Shared fixtures: assembled operators are expensive enough to cache per session."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -56,3 +58,25 @@ def lap_2d_16(grid_2d_16):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def count_calls(monkeypatch):
+    """count(fn) replaces every module-level binding of fn in the fracvar
+    package by a counting wrapper (so calls through `from .fracops import
+    ...` names are seen too) and returns the list that gets one entry per
+    call; the bindings are restored after the test."""
+    def count(fn) -> list:
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "fracvar" or name.startswith("fracvar."):
+                for key, val in list(vars(mod).items()):
+                    if val is fn:
+                        monkeypatch.setattr(mod, key, counted)
+        return calls
+    return count

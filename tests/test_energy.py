@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from fracvar import (DomainSpec, EnergyModel, Field, apply_gradient, assemble_gradient,
-                     build_grid, composition_residual, convexity_gap, energy,
-                     energy_gradient, field_from_function, hs_norm, make_coefficient,
-                     make_reaction, monotonicity_pairing, path_energies, quasilinear_part,
-                     weighted_form)
+from fracvar import (DomainSpec, EnergyModel, Field, PointState, apply_gradient,
+                     assemble_gradient, build_grid, composition_residual, convexity_gap,
+                     field_from_function, fracops, hs_norm, kkt_residual, make_coefficient,
+                     make_reaction, monotonicity_pairing, path_energies, weighted_form)
 from fracvar.coeffs import COEFFICIENT_FAMILIES, REACTION_FAMILIES
-from fracvar.energy import EnergyOverflowError, PointState
+from fracvar.energy import EnergyOverflowError
 
 
 @pytest.fixture(scope="module")
@@ -22,9 +21,27 @@ def quasilinear_model(grad_128, power_coeff, zero_h):
                        forcing=zero_h)
 
 
+def pairing(point, phi):
+    """E'(u)[phi] from the representer: w <representer, phi>."""
+    return float(point.u.grid.weight * np.dot(point.representer.values, phi.values))
+
+
+def directional(point, phi):
+    """E'(u)[phi] by the raw quadrature of the derivative formula,
+    w [sum flux . grad_s phi - f(u) phi - h phi]: forward applies only, an
+    evaluation path independent of the representer's transposed apply."""
+    model = point.model
+    gphi = apply_gradient(model.grad_op, phi)
+    return float(model.grid.weight * (
+        np.sum(point.flux * gphi.values)
+        - np.dot(model.f(point.u.values), phi.values)
+        - np.dot(model.forcing.values, phi.values)
+    ))
+
+
 def test_zero_field_zero_energy(quasilinear_model, grid_1d_128):
     z = Field(grid_1d_128, np.zeros(128))
-    assert energy(quasilinear_model, z) == 0.0
+    assert PointState(quasilinear_model, z).energy == 0.0
 
 
 def test_quadratic_case_matches_laplacian_form(grid_1d_128, grad_128, lap_128, rng):
@@ -39,7 +56,7 @@ def test_quadratic_case_matches_laplacian_form(grid_1d_128, grad_128, lap_128, r
         sharp = rng.uniform(20, 60)
         cen = rng.uniform(0.35, 0.65)
         u = field_from_function(grid_1d_128, lambda x: np.exp(-sharp * (x - cen) ** 2))
-        e = energy(model, u)
+        e = PointState(model, u).energy
         lap_quad = 0.5 * w * np.dot(u.values, lap_128.to_dense() @ u.values) \
             - w * np.dot(h.values, u.values)
         grad_quad = e + w * np.dot(h.values, u.values)
@@ -52,35 +69,56 @@ def test_small_amplitude_scaling_quadratic(quasilinear_model, grid_1d_128):
     # of t -> E(t u) at small t is 2
     u = field_from_function(grid_1d_128, lambda x: np.exp(-30 * (x - 0.5) ** 2))
     ts = np.array([1e-3, 3e-3, 1e-2, 3e-2, 1e-1])
-    es = np.array([energy(quasilinear_model, Field(grid_1d_128, t * u.values)) for t in ts])
+    es = np.array([PointState(quasilinear_model, Field(grid_1d_128, t * u.values)).energy
+                   for t in ts])
     slope = np.polyfit(np.log(ts), np.log(np.abs(es)), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.05)
 
 
 def test_gradient_zero_at_origin(quasilinear_model, grid_1d_128):
     z = Field(grid_1d_128, np.zeros(128))
-    g = energy_gradient(quasilinear_model, z)
-    assert np.all(g.representer.values == 0.0)
+    assert np.all(PointState(quasilinear_model, z).representer.values == 0.0)
 
 
 def test_gradient_matches_central_differences(quasilinear_model, grid_1d_128, rng):
     for _ in range(20):
         u = Field(grid_1d_128, rng.standard_normal(128))
         phi = Field(grid_1d_128, rng.standard_normal(128))
-        drv = energy_gradient(quasilinear_model, u).pairing(phi)
+        drv = pairing(PointState(quasilinear_model, u), phi)
         eps = 1e-5 * np.linalg.norm(u.values) / np.linalg.norm(phi.values)
-        fplus = energy(quasilinear_model, Field(grid_1d_128, u.values + eps * phi.values))
-        fminus = energy(quasilinear_model, Field(grid_1d_128, u.values - eps * phi.values))
-        fd = (fplus - fminus) / (2 * eps)
+        plus = PointState(quasilinear_model, Field(grid_1d_128, u.values + eps * phi.values))
+        minus = PointState(quasilinear_model, Field(grid_1d_128, u.values - eps * phi.values))
+        fd = (plus.energy - minus.energy) / (2 * eps)
         assert abs(drv - fd) <= 1e-5 * max(1.0, abs(fd))
 
 
 def test_representer_reproduces_directional(quasilinear_model, grid_1d_128, rng):
     u = Field(grid_1d_128, rng.standard_normal(128))
-    g = energy_gradient(quasilinear_model, u)
+    point = PointState(quasilinear_model, u)
     for _ in range(10):
         phi = Field(grid_1d_128, rng.standard_normal(128))
-        assert abs(g.pairing(phi) - g.directional(phi)) <= 1e-12 * (1 + abs(g.pairing(phi)))
+        drv = pairing(point, phi)
+        assert abs(drv - directional(point, phi)) <= 1e-12 * (1 + abs(drv))
+
+
+@pytest.mark.parametrize("grid_name, op_name", [("grid_1d_128", "grad_128"),
+                                                 ("grid_2d_16", "grad_2d_16")], ids=["1d", "2d"])
+def test_point_state_applies_the_table_once_each_way(request, count_calls, power_coeff, rng,
+                                                     grid_name, op_name):
+    # the energy, the representer, the norm and the KKT residual, each read
+    # twice, cost one forward and one transposed apply of the gradient table
+    grid, grad_op = request.getfixturevalue(grid_name), request.getfixturevalue(op_name)
+    n = grid.n_nodes
+    model = EnergyModel(grad_op=grad_op, coeff=power_coeff,
+                        reaction=make_reaction("cubic_saturating"),
+                        forcing=Field(grid, np.abs(rng.standard_normal(n))))
+    forward = count_calls(fracops.apply_gradient)
+    transposed = count_calls(fracops.apply_divergence)
+    point = PointState(model, Field(grid, np.maximum(rng.standard_normal(n), 0.0)))
+    reads = [(point.energy, point.representer, point.hs_norm, kkt_residual(point))
+             for _ in range(2)]
+    assert (len(forward), len(transposed)) == (1, 1)
+    assert reads[0][1] is reads[1][1]
 
 
 def test_convexity_gap_zero_at_equal(quasilinear_model, grid_1d_128, rng):
@@ -114,7 +152,8 @@ def test_quasilinear_part_constant_gamma(grid_1d_128, grad_128, zero_h, rng):
     coeff = make_coefficient("constant", {"c": 2.0})
     model = EnergyModel(grad_op=grad_128, coeff=coeff, reaction=None, forcing=zero_h)
     u = Field(grid_1d_128, rng.standard_normal(128))
-    assert quasilinear_part(model, u) == pytest.approx(hs_norm(grad_128, u) ** 2, rel=1e-12)
+    # f == 0 and h == 0: the energy is the quasilinear part int Gamma(q / 2)
+    assert PointState(model, u).energy == pytest.approx(hs_norm(grad_128, u) ** 2, rel=1e-12)
 
 
 class TestWeightedForm:
@@ -198,7 +237,7 @@ class TestMonotonicityPairing:
 def test_overflow_reported_not_clamped(quasilinear_model, grid_1d_128):
     huge = Field(grid_1d_128, np.full(128, 1e160))
     with pytest.raises(EnergyOverflowError):
-        energy(quasilinear_model, huge)
+        PointState(quasilinear_model, huge).energy
 
 
 def test_nonneg_forcing_enforced(grad_128, power_coeff, grid_1d_128):
@@ -227,7 +266,8 @@ class TestPathEnergies:
         vals = np.abs(rng.standard_normal((9, 128))) * np.logspace(-3, 2, 9)[:, None]
         vals[0] = 0.0
         batched = path_energies(quasilinear_model, vals, gradients(grad_128, vals))
-        single = np.array([energy(quasilinear_model, Field(grid_1d_128, v)) for v in vals])
+        single = np.array([PointState(quasilinear_model, Field(grid_1d_128, v)).energy
+                           for v in vals])
         assert np.allclose(batched, single, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("scale,overflows", [(1.0, False), (1e70, False), (1e160, True)])
@@ -238,11 +278,11 @@ class TestPathEnergies:
         grads = gradients(grad_128, vals)
         if overflows:
             with pytest.raises(EnergyOverflowError):
-                energy(quasilinear_model, Field(grid_1d_128, row))
+                PointState(quasilinear_model, Field(grid_1d_128, row)).energy
             with pytest.raises(EnergyOverflowError):
                 path_energies(quasilinear_model, vals, grads)
         else:
-            assert np.isfinite(energy(quasilinear_model, Field(grid_1d_128, row)))
+            assert np.isfinite(PointState(quasilinear_model, Field(grid_1d_128, row)).energy)
             assert np.all(np.isfinite(path_energies(quasilinear_model, vals, grads)))
 
 

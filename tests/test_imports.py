@@ -10,7 +10,11 @@ imports threading or concurrent.futures.
 
 The benchmark's tracer (perfbench/tracing.py) wraps the module-level
 cho_factor and cho_solve names of solvers, experiments and spectral, and
-fails in every traced run if one of those modules stops binding them.
+fails in every traced run if one of those modules stops binding them. It
+wraps only the functions a layer defines and lists in its __all__, so the
+spans it records with tracing off (set-up time, and the classification of
+every solve the benchmark's checks read) vanish silently if one of those
+functions is renamed or un-exported.
 
 Each command is a process of its own, so every module it loads is start-up
 time and resident memory it pays for. hashlib would load OpenSSL (~3.6 MB
@@ -23,6 +27,8 @@ interpreter, load neither.
 
 import ast
 import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -113,6 +119,21 @@ def test_traced_modules_bind_the_dense_solves():
         module = importlib.import_module(f"fracvar.{name}")
         assert module.cho_factor is fracops.cho_factor, name
         assert module.cho_solve is fracops.cho_solve, name
+
+
+def test_the_tracers_span_names_are_exported_functions():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = set(tracing.UNTRACED_SPANS) | set(tracing.RESULT_ATTRS)
+    assert names
+    for name in sorted(names):
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"fracvar.{layer}")
+        assert attr in module.__all__, name
+        fn = getattr(module, attr)
+        assert inspect.isfunction(fn) and fn.__module__ == module.__name__, name
 
 
 def _config(path, domain, **sections):

@@ -1,14 +1,13 @@
 import dataclasses
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fracvar import (DomainSpec, EnergyModel, Field, RegimeConfig, SolverOptions,
-                     assemble_gradient, assemble_laplacian, build_grid, first_eigenpair,
-                     hs_norm, kkt_residual, make_coefficient, make_reaction,
-                     minimize_cone, mountain_pass, project_cone, ray_search)
+from fracvar import (DomainSpec, EnergyModel, Field, PointState, RegimeConfig,
+                     SolverOptions, assemble_gradient, assemble_laplacian, build_grid,
+                     first_eigenpair, hs_norm, kkt_residual, make_coefficient,
+                     make_reaction, minimize_cone, mountain_pass, project_cone, ray_search)
 from fracvar import experiments, fracops, solvers
 from fracvar.fracops import composition_matrix
 from fracvar.solvers import _preconditioner
@@ -51,14 +50,15 @@ class TestKKT:
         reaction = make_reaction("cubic_saturating", {"kappa": 3.0})
         model = model_with(grad_128, power_coeff, reaction, zero_h)
         z = Field(grid_1d_128, np.zeros(128))
-        assert kkt_residual(model, z) == 0.0
+        assert kkt_residual(PointState(model, z)) == 0.0
 
     def test_origin_not_stationary_with_forcing(self, grad_128, power_coeff,
                                                 grid_1d_128, eig_128):
         h = Field(grid_1d_128, 0.01 * eig_128.function.values)
         model = model_with(grad_128, power_coeff, None, h)
         z = Field(grid_1d_128, np.zeros(128))
-        assert kkt_residual(model, z) == pytest.approx(0.01 * np.max(eig_128.function.values))
+        assert (kkt_residual(PointState(model, z))
+                == pytest.approx(0.01 * np.max(eig_128.function.values)))
 
 
 class TestMinimizeCone:
@@ -131,7 +131,7 @@ class TestMinimizeCone:
         rep = minimize_cone(model, opts, Field(grid_1d_128, np.zeros(128)))
         assert rep.classification == "local-min"
         assert rep.kkt_residual <= opts.tol_g
-        assert kkt_residual(model, rep.solution) <= opts.tol_g
+        assert kkt_residual(PointState(model, rep.solution)) <= opts.tol_g
 
 
 class TestRaySearch:
@@ -346,24 +346,6 @@ def test_newton_iterations_flat_in_n(power_coeff, s):
     assert max(iterations) <= 2 * min(iterations), iterations
 
 
-def count_calls(monkeypatch, fn) -> list:
-    """Replace every module-level binding of fn in the fracvar package by a
-    counting wrapper (so calls through `from .fracops import ...` names are
-    seen too); returns the list that gets one entry per call."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fn(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if name == "fracvar" or name.startswith("fracvar."):
-            for key, val in list(vars(mod).items()):
-                if val is fn:
-                    monkeypatch.setattr(mod, key, counted)
-    return calls
-
-
 class TestEvaluationBudget:
     """Each iterate is evaluated once: one forward apply of the gradient
     table per line-search trial, one transposed apply per accepted point,
@@ -371,7 +353,7 @@ class TestEvaluationBudget:
 
     @pytest.mark.parametrize("case, budget", [("large_nu", 143), ("forced", 162)],
                              ids=["large_nu", "forced"])
-    def test_table_applies_per_solve(self, monkeypatch, grid_1d_128, grad_128,
+    def test_table_applies_per_solve(self, count_calls, grid_1d_128, grad_128,
                                      power_coeff, eig_128, zero_h, opts, case, budget):
         # budgets: the totals that projected first-order descent needs here
         nu, h, u0 = {
@@ -381,8 +363,8 @@ class TestEvaluationBudget:
                        np.zeros(128)),
         }[case]
         model = model_with(grad_128, power_coeff, make_reaction("saturating", {"nu": nu}), h)
-        forward = count_calls(monkeypatch, fracops.apply_gradient)
-        transposed = count_calls(monkeypatch, fracops.apply_divergence)
+        forward = count_calls(fracops.apply_gradient)
+        transposed = count_calls(fracops.apply_divergence)
         rep = minimize_cone(model, opts, Field(grid_1d_128, u0))
         assert rep.classification != "failed"
         assert rep.iterations > 0
@@ -391,10 +373,10 @@ class TestEvaluationBudget:
         # forward: the initial point, each line-search trial, each Hessian product
         assert len(forward) == 1 + counts["trials"] + counts["hessian_products"]
 
-    def test_mountain_pass_table_applies_per_iteration(self, monkeypatch, two_solution_setup):
+    def test_mountain_pass_table_applies_per_iteration(self, count_calls, two_solution_setup):
         model, opts, rep1, u_far = two_solution_setup
-        forward = count_calls(monkeypatch, fracops.apply_gradient)
-        transposed = count_calls(monkeypatch, fracops.apply_divergence)
+        forward = count_calls(fracops.apply_gradient)
+        transposed = count_calls(fracops.apply_divergence)
         rep = mountain_pass(model, rep1.solution, u_far, opts)
         assert rep.classification == "mountain-pass"
         assert (len(forward) + len(transposed)) / rep.iterations <= 10.0
@@ -431,18 +413,18 @@ class TestEvaluationBudget:
         assert rep.classification == "local-min"
         assert set(grad_op._derived) == {"fft", "preconditioner"}
 
-    def test_one_composition_matrix_per_operator(self, monkeypatch, grid_1d_128,
+    def test_one_composition_matrix_per_operator(self, count_calls, grid_1d_128,
                                                  power_coeff, eig_128, opts):
         grad_op = assemble_gradient(grid_1d_128, 0.5)
         h = Field(grid_1d_128, 0.01 * eig_128.function.values)
         model = model_with(grad_op, power_coeff, make_reaction("saturating", {"nu": 1.0}), h)
-        built = count_calls(monkeypatch, fracops.composition_matrix)
+        built = count_calls(fracops.composition_matrix)
         reports = [minimize_cone(model, opts, Field(grid_1d_128, np.zeros(128)))
                    for _ in range(2)]
         assert len(built) == 1
         assert np.array_equal(reports[0].solution.values, reports[1].solution.values)
 
-    def test_forced_two_solution_run_factors_once(self, monkeypatch):
+    def test_forced_two_solution_run_factors_once(self, count_calls):
         # on 128 nodes the minimizer and the mountain pass share the dense
         # (C + I)^{-1}: one N x N factor per gradient operator
         spec = DomainSpec(bounds=((0.0, 1.0),), nodes=(128,))
@@ -453,7 +435,7 @@ class TestEvaluationBudget:
         cfg = RegimeConfig(domain=spec, coefficient=coeff,
                            reaction=("cubic_saturating", {"kappa": kappa}),
                            forcing={"kind": "eigenfunction", "scale": 0.01}, sweep=(0.01,))
-        factors = count_calls(monkeypatch, fracops.cho_factor)
+        factors = count_calls(fracops.cho_factor)
         run = experiments.run_linear_regime(cfg, prep).runs[0]
         assert run.pass_report.classification == "mountain-pass" and run.distinct
         assert len(factors) == 1
