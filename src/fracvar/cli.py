@@ -28,9 +28,9 @@ inventory bit for bit (the manifest itself, which holds the timings, is
 not in it).
 
 Field files use the FVFD binary format of grid.write_field and
-grid.read_field. Exit codes: 0 success, 1 solver failure (classified in
-the report), 2 configuration error, including a config whose numbers
-overflow floating-point range (ArithmeticError).
+grid.read_field. Exit codes: 0 success, 1 a failed solve or no
+mountain-pass geometry (in the report), 2 configuration error, including
+a config whose numbers overflow floating-point range (ArithmeticError).
 """
 
 from __future__ import annotations
@@ -331,6 +331,11 @@ def _solve_entry(report: SolveReport) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _status(reports, geometry_ok: bool = True) -> int:
+    """Exit status 1 when a solve failed or mpass found no geometry, else 0."""
+    return int(not geometry_ok or any(r.classification == "failed" for r in reports))
+
+
 def _prepare(rcfg, timings: dict):
     with ex.timed(timings, "prepare_seconds"):
         return ex.prepare(rcfg, timings)
@@ -361,8 +366,7 @@ def _cmd_solve(rcfg, files, timings):
         report = ex._solve_once(prep, reaction, h)
     files.write("solution.csv", _write_csv, *_nodal_csv(report.solution, "u"))
     files.write("solution.fvfd", write_field, report.solution)
-    status = 0 if report.classification != "failed" else 1
-    return status, {"lambda1": prep.lambda1, "run": _solve_entry(report)}
+    return _status([report]), {"lambda1": prep.lambda1, "run": _solve_entry(report)}
 
 
 def _cmd_mpass(rcfg, files, timings):
@@ -388,7 +392,6 @@ def _cmd_mpass(rcfg, files, timings):
                "audit": {"verdicts": report.audit.verdicts,
                          "witnesses": report.audit.witnesses},
                "runs": []}
-    status = 0
     for run, tag in zip(report.runs, tags):
         entry = {
             "h_scale": run.h_scale,
@@ -401,14 +404,11 @@ def _cmd_mpass(rcfg, files, timings):
             entry["mountain_pass"] = _solve_entry(run.pass_report)
             entry["distance"] = run.distance
             entry["distinct"] = run.distinct
-            if run.pass_report.classification == "failed":
-                status = 1
             files.write(f"mountain_pass_{tag}.csv", _write_csv,
                         *_nodal_csv(run.pass_report.solution, "u"))
-        else:
-            status = 1
         payload["runs"].append(entry)
-    return status, payload
+    solves = [rep for run in report.runs for rep in (run.minimizer, run.pass_report) if rep]
+    return _status(solves, all(run.geometry_ok for run in report.runs)), payload
 
 
 def _cmd_sweep(rcfg, files, timings):
@@ -421,29 +421,25 @@ def _cmd_sweep(rcfg, files, timings):
     prep = _prepare(rcfg, timings)
     with ex.timed(timings, "sweep_seconds"):
         report = ex.run_sublinear_regime(rcfg, prep)
-    rows = []
-    status = 0
-    for run in report.runs:
-        rep = run.report
-        rows.append([run.nu, rep.classification, rep.energy, rep.kkt_residual,
-                     rep.l2_norm, rep.hs_norm])
-        if rep.classification == "failed":
-            status = 1
+    solves = [run.report for run in report.runs]
+    rows = [[run.nu, rep.classification, rep.energy, rep.kkt_residual, rep.l2_norm, rep.hs_norm]
+            for run, rep in zip(report.runs, solves)]
     files.write("sweep.csv", _write_csv,
                 ["nu", "classification", "energy", "kkt_residual", "l2_norm", "hs_norm"], rows)
+    verdicts = [rep.classification for rep in solves]
     payload = {
         "lambda1": report.lambda1,
         "audit": {"verdicts": report.audit.verdicts,
                   "witnesses": report.audit.witnesses},
-        "classifications": [r.report.classification for r in report.runs],
+        "classifications": verdicts,
     }
-    kinds = {r.report.classification == "trivial" for r in report.runs}
-    if kinds == {True, False}:
+    # the threshold rests on certified verdicts only
+    if set(verdicts) == {"trivial", "local-min"}:
         with ex.timed(timings, "threshold_seconds"):
             payload["nu_threshold"] = ex.find_nu_threshold(rcfg, prep, runs=report.runs)
             payload["nu_linear"], ground = ex.linear_threshold(rcfg, prep)
         payload["lambda_min_composition"] = ground.value
-    return status, payload
+    return _status(solves), payload
 
 
 def _cmd_appendix(rcfg, files, timings):

@@ -2,8 +2,8 @@
 
 Three experiment families mirror the structure of the existence theory:
 
-* sublinear regime: sweep the reaction strength nu, classify each cone
-  minimizer as trivial / nontrivial, and locate the transition threshold
+* sublinear regime: sweep the reaction strength nu, read each cone
+  minimizer's verdict (trivial / local-min), and locate the threshold
   by bisection. Small nu admits only the trivial solution; large nu
   produces a negative-energy nontrivial minimizer; any nonzero forcing
   makes the minimizer nontrivial for every nu.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from numbers import Real
 
 import numpy as np
@@ -41,8 +41,8 @@ from .fracops import (NonlocalOperator, apply_divergence, apply_gradient,
                       composition_residual, normalizing_constants)
 from .grid import (DomainSpec, Field, Grid, VectorField, build_grid, field_from_function,
                    l2_inner, read_field)
-from .solvers import (TRIVIAL_L2, RaySearchResult, SolveReport, SolverOptions, minimize_cone,
-                      mountain_pass, project_cone, ray_search)
+from .solvers import (RaySearchResult, SolveReport, SolverOptions, minimize_cone, mountain_pass,
+                      project_cone, ray_search)
 from .spectral import EigenPair, composition_ground_state, first_eigenpair
 
 __all__ = [
@@ -180,16 +180,16 @@ def prepare(config: RegimeConfig, timings: dict | None = None) -> PreparedProble
 
 
 def _prepared(config: RegimeConfig, prep: PreparedProblem | None) -> PreparedProblem:
-    """prep, or prepare(config) when it is None. A prep of another domain,
-    order s or coefficient would solve a different problem than config
-    states: ValueError, naming the field."""
+    """prep with config in place of its own (the operators are shared), or
+    prepare(config) when it is None. A prep of another domain, order s or
+    coefficient would solve a different problem: ValueError, naming the field."""
     if prep is None:
         return prepare(config)
     for name in ("domain", "s", "coefficient"):
         have, want = getattr(prep.config, name), getattr(config, name)
         if have != want:
             raise ValueError(f"{name}: the prepared problem has {have!r}, the config {want!r}")
-    return prep
+    return replace(prep, config=config)
 
 
 def build_forcing(prep: PreparedProblem, forcing: dict | None = None) -> Field:
@@ -227,7 +227,7 @@ def _solve_once(prep: PreparedProblem, reaction: ReactionModel, h: Field,
 
 def run_sublinear_regime(config: RegimeConfig,
                          prep: PreparedProblem | None = None) -> RegimeReport:
-    """Sweep nu for a sublinear reaction and classify each minimizer."""
+    """Sweep nu for a sublinear reaction, one cone minimization per value."""
     prep = _prepared(config, prep)
     base = _reaction_with(config)
     if base.growth_class != "sublinear":
@@ -258,14 +258,16 @@ def find_nu_threshold(config: RegimeConfig,
                       prep: PreparedProblem | None = None,
                       rel_width: float = 1e-2,
                       runs: tuple[SublinearRun, ...] = ()) -> float:
-    """The nu between a trivial and a nontrivial outcome, to a relative
+    """The nu between a trivial and a local-min verdict, to a relative
     bracket width rel_width (1e-12 <= rel_width < 1, else ValueError).
 
-    The sweep must bracket the transition; the bracket keeps the
-    invariant "trivial below, nontrivial above", which also asserts the
-    monotonicity of the classification along the probe sequence. runs are
+    The bracket rests on the solves' classification alone: sorted by nu,
+    the sweep's verdicts must read trivial ... trivial, local-min ...
+    local-min (a failed one is no evidence), else ValueError listing them,
+    and a probe that ends failed raises ValueError naming its nu instead
+    of moving the bracket "trivial below, local-min above". runs are
     sweep solves of this config already done (run_sublinear_regime's);
-    their nu values are classified from them instead of being solved again.
+    their nu values take their verdicts instead of being solved again.
     The sweep values are solved from default_initial_guess.
 
     For zero forcing two probes placed from the spectrum come first
@@ -292,17 +294,12 @@ def find_nu_threshold(config: RegimeConfig,
 
     solved = {run.nu: run.report for run in runs}
     reports = {nu: solved[nu] if nu in solved else solve(nu) for nu in sorted(config.sweep)}
-    flags = [(nu, rep.l2_norm > TRIVIAL_L2) for nu, rep in reports.items()]
-    lo = max((nu for nu, f in flags if not f), default=None)
-    hi = min((nu for nu, f in flags if f), default=None)
-    if lo is None or hi is None or not lo < hi:
-        raise ValueError(
-            "sweep does not bracket a trivial -> nontrivial transition: "
-            + ", ".join(f"nu={nu:g}:{'non' if f else ''}trivial" for nu, f in flags)
-        )
-    for nu, f in flags:
-        if (nu <= lo and f) or (nu >= hi and not f):
-            raise ValueError("classification is not monotone across the sweep")
+    verdicts = [rep.classification for rep in reports.values()]
+    k, n = verdicts.count("trivial"), len(verdicts)
+    if not 0 < k < n or verdicts != ["trivial"] * k + ["local-min"] * (n - k):
+        raise ValueError("sweep does not bracket a trivial -> local-min transition: "
+                         + ", ".join(f"nu={nu:g}:{v}" for nu, v in zip(reports, verdicts)))
+    lo, hi = list(reports)[k - 1:k + 1]
     u_hi = reports[hi].solution
 
     def probe(nu: float, u0: Field) -> None:
@@ -310,7 +307,9 @@ def find_nu_threshold(config: RegimeConfig,
         if not lo < nu < hi:
             return
         rep = solve(nu, u0)
-        if rep.l2_norm > TRIVIAL_L2:
+        if rep.classification == "failed":
+            raise ValueError(f"the probe at nu={nu:g} failed after {rep.iterations} iterations")
+        if rep.classification == "local-min":
             hi, u_hi = nu, rep.solution
         else:
             lo = nu
@@ -377,15 +376,17 @@ def run_linear_regime(config: RegimeConfig,
                                   distance=None, distinct=None))
             continue
         u_far = Field(prep.grid, ray.t_star * prep.eigenpair.function.values)
-        low = rep1.solution if rep1.l2_norm > TRIVIAL_L2 else Field(prep.grid, np.zeros(prep.grid.n_nodes))
+        low = (rep1.solution if rep1.classification == "local-min"
+               else Field(prep.grid, np.zeros(prep.grid.n_nodes)))
         with timed(timings, "mountain_pass_seconds"):
             rep2 = mountain_pass(model, low, u_far, config.solver)
         dist = hs_norm(prep.grad_op, Field(prep.grid,
                                            rep1.solution.values - rep2.solution.values))
-        distinct = dist >= 0.1 * max(rep1.hs_norm, rep2.hs_norm, 0.1)
+        distinct = (None if "failed" in (rep1.classification, rep2.classification)
+                    else bool(dist >= 0.1 * max(rep1.hs_norm, rep2.hs_norm, 0.1)))
         runs.append(LinearRun(h_scale=delta, minimizer=rep1, ray=ray,
                               geometry_ok=True, pass_report=rep2,
-                              distance=dist, distinct=bool(distinct)))
+                              distance=dist, distinct=distinct))
     return RegimeReport(runs=tuple(runs), audit=audit, lambda1=prep.lambda1)
 
 

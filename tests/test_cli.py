@@ -474,6 +474,58 @@ class TestCommandFamilyValidation:
         assert report["runs"][0]["geometry_ok"] is False
 
 
+# the seed-0 sweep and mpass configs of the benchmark (perfbench/workloads.py)
+# with their solver budget cut, so that solves end failed
+SEED0_DOMAIN = {"bounds": [[0.0, 1.0]], "nodes": [384]}
+SEED0_SWEEP = {"reaction": {"family": "saturating", "params": {"nu": 1.0, "amplitude": 1.0}},
+               "forcing": {"kind": "zero"}, "sweep": {"values": [0.05, 400.0]}}
+SEED0_MPASS = {"reaction": {"family": "cubic_saturating",
+                            "params": {"kappa": 2.0 * 2.318452568959003}},
+               "forcing": {"kind": "eigenfunction", "scale": 0.01},
+               "sweep": {"values": [0.01, 0.0]}}
+
+
+class TestFailedVerdicts:
+    def test_sweep_with_a_failed_value_reports_no_threshold(self, tmp_path):
+        # at max_iter 4 the nu = 400 solve ends failed: the sweep is no
+        # bracket, so no threshold is computed from it and the run exits 1
+        cfg = parse_config(write_config(tmp_path / "cfg.json", domain=SEED0_DOMAIN,
+                                        solver={"max_iter": 4}, **SEED0_SWEEP))
+        out = tmp_path / "out"
+        assert run_command(cfg, "sweep", out_dir=out) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["classifications"] == ["trivial", "failed"]
+        assert "nu_threshold" not in report and "nu_linear" not in report
+
+    def test_mpass_with_failed_solves_claims_no_distinctness(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path / "cfg.json", domain=SEED0_DOMAIN,
+                                        solver={"max_iter": 1}, **SEED0_MPASS))
+        out = tmp_path / "out"
+        assert run_command(cfg, "mpass", out_dir=out) == 1
+        runs = json.loads((out / "report.json").read_text())["runs"]
+        assert [(r["minimizer"]["classification"], r["mountain_pass"]["classification"],
+                 r["distinct"]) for r in runs] == [("failed", "failed", None)] * 2
+
+    def test_mpass_with_a_failed_minimizer_exits_1(self, tmp_path, monkeypatch):
+        # a failed minimizer alone fails the run, whatever its mountain pass gives
+        minimize_cone = experiments.minimize_cone
+
+        def failing(*args):
+            rep = minimize_cone(*args)
+            rep.classification = "failed"
+            return rep
+
+        monkeypatch.setattr(experiments, "minimize_cone", failing)
+        cfg = parse_config(write_config(
+            tmp_path / "cfg.json",
+            reaction={"family": "cubic_saturating", "params": {"kappa": 4.65}}))
+        out = tmp_path / "out"
+        assert run_command(cfg, "mpass", out_dir=out) == 1
+        run = json.loads((out / "report.json").read_text())["runs"][0]
+        assert run["mountain_pass"]["classification"] == "mountain-pass"
+        assert run["distinct"] is None
+
+
 def _set(section, key, value):
     """Config edit: put value at section.key (section None: the root)."""
     def edit(cfg, tmp_path):

@@ -9,7 +9,7 @@ from fracvar import (DomainSpec, RegimeConfig, SolverOptions, appendix_convergen
 from fracvar import experiments
 from fracvar.experiments import sign_pattern_checks
 from fracvar.fracops import composition_matrix
-from fracvar.solvers import TRIVIAL_L2, _pcg, _preconditioner
+from fracvar.solvers import _pcg, _preconditioner
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,13 @@ class TestSublinearRegime:
         assert small.report.classification == "trivial"
         assert large.report.classification == "local-min"
         assert large.report.energy < 0.0
+
+    def test_one_prep_solves_with_each_configs_solver_options(self, base_domain, prep_128):
+        # prep_128 was built at the default max_iter; each run keeps its own
+        runs = [run_sublinear_regime(sublinear_cfg(base_domain, sweep=(400.0,),
+                                                   solver=SolverOptions(max_iter=n)),
+                                     prep_128).runs[0].report for n in (3, 20000)]
+        assert [(r.classification, r.iterations) for r in runs] == [("failed", 3), ("local-min", 8)]
 
     def test_tiny_forcing_finds_the_large_nu_minimizer(self, base_domain, prep_128):
         # a forcing of 1e-12 phi1 leaves u = 0 a saddle at nu = 400; the
@@ -247,6 +254,36 @@ class TestThreshold:
         with pytest.raises(ValueError, match="bracket"):
             find_nu_threshold(cfg, prep_128)
 
+    def test_a_failed_sweep_value_is_no_bracket(self, base_domain, prep_128):
+        # at max_iter 4 the nu = 400 solve stops short of its minimizer
+        cfg = sublinear_cfg(base_domain, sweep=(0.05, 400.0), solver=SolverOptions(max_iter=4))
+        with pytest.raises(ValueError, match="bracket.*nu=0.05:trivial, nu=400:failed"):
+            find_nu_threshold(cfg, prep_128)
+
+    def test_verdicts_out_of_order_are_no_bracket(self, base_domain, prep_128, monkeypatch):
+        cfg = sublinear_cfg(base_domain, sweep=(0.05, 400.0))
+        low, high = run_sublinear_regime(cfg, prep_128).runs
+        swapped = (dataclasses.replace(low, report=high.report),
+                   dataclasses.replace(high, report=low.report))
+        with pytest.raises(ValueError, match="nu=0.05:local-min, nu=400:trivial"):
+            find_nu_threshold(cfg, prep_128, runs=swapped)
+
+    def test_a_failed_probe_raises_naming_its_nu(self):
+        # the benchmark's seed-0 sweep at max_iter 4, its sweep values
+        # taken from a converged run: the lower certifying probe ends
+        # failed at an L2 norm of 2.4e-8, which is no trivial verdict and
+        # no local-min one, so it must not move the bracket (counted as
+        # nontrivial, it gave 1.2583, 0.77 % below the converged 1.2681)
+        cfg = sublinear_cfg(DomainSpec(bounds=((0.0, 1.0),), nodes=(384,)), sweep=(0.05, 400.0),
+                            solver=SolverOptions(max_iter=20000),
+                            reaction_params={"nu": 1.0, "amplitude": 1.0})
+        prep = prepare(cfg)
+        runs = run_sublinear_regime(cfg, prep).runs
+        assert find_nu_threshold(cfg, prep, runs=runs) == pytest.approx(1.2681, rel=1e-4)
+        short = dataclasses.replace(cfg, solver=SolverOptions(max_iter=4))
+        with pytest.raises(ValueError, match=r"probe at nu=1\.2630"):
+            find_nu_threshold(short, prep, runs=runs)
+
 
 def recorded_threshold(cfg, prep, monkeypatch, rel_width=1e-2):
     """find_nu_threshold with every solve recorded: (threshold, [(nu, u0,
@@ -263,9 +300,9 @@ def recorded_threshold(cfg, prep, monkeypatch, rel_width=1e-2):
 
 
 def probe_bracket(calls):
-    """The highest trivial and the lowest nontrivial nu among the solves."""
-    return (max(nu for nu, _, rep in calls if rep.l2_norm <= TRIVIAL_L2),
-            min(nu for nu, _, rep in calls if rep.l2_norm > TRIVIAL_L2))
+    """The highest trivial and the lowest local-min nu among the solves."""
+    return (max(nu for nu, _, rep in calls if rep.classification == "trivial"),
+            min(nu for nu, _, rep in calls if rep.classification == "local-min"))
 
 
 def cold_bisection(cfg, prep, rel_width=1e-2):
@@ -276,7 +313,7 @@ def cold_bisection(cfg, prep, rel_width=1e-2):
     while (hi - lo) > rel_width * 0.5 * (hi + lo):
         mid = 0.5 * (lo + hi)
         rep = experiments._solve_once(prep, experiments._reaction_with(cfg, nu=mid), h)
-        if rep.l2_norm > TRIVIAL_L2:
+        if rep.classification == "local-min":
             hi = mid
         else:
             lo = mid

@@ -6,7 +6,10 @@ command's divergence oracle, whose adaptive quadrature needs scipy.integrate.
 The files of a run directory are written by the CLI alone, so no other
 module needs the csv module. The library never imports the CLI: the CLI
 is built on it, not the other way round. Sweeps run serially, so no module
-imports threading or concurrent.futures.
+imports threading or concurrent.futures. A solve's verdict (trivial,
+local-min, mountain-pass or failed) is SolveReport.classification, set in
+solvers alone: no other module names the trivial cut TRIVIAL_L2 to decide
+one again.
 
 The benchmark's tracer (perfbench/tracing.py) wraps the module-level
 cho_factor and cho_solve names of solvers, experiments and spectral, and
@@ -112,6 +115,17 @@ def test_no_module_imports_threads():
     for watched in ("threading", "concurrent"):
         found, _ = _package_imports(watched)
         assert found == [], watched
+
+
+def test_only_the_solvers_name_the_trivial_cut():
+    naming = set()
+    for path in sorted(Path(fracvar.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None))
+            if "TRIVIAL_L2" in names:
+                naming.add(path.stem)
+    assert naming == {"solvers"}
 
 
 def test_traced_modules_bind_the_dense_solves():
