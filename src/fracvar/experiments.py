@@ -192,9 +192,9 @@ def _prepared(config: RegimeConfig, prep: PreparedProblem | None) -> PreparedPro
     return replace(prep, config=config)
 
 
-def build_forcing(prep: PreparedProblem, forcing: dict | None = None) -> Field:
-    """Realize the forcing spec: zero, a multiple of phi1, or a file field."""
-    spec = forcing_spec(forcing if forcing is not None else prep.config.forcing)
+def build_forcing(prep: PreparedProblem) -> Field:
+    """Realize the config's forcing spec: zero, a multiple of phi1, or a file field."""
+    spec = prep.config.forcing
     if spec["kind"] == "eigenfunction":
         return Field(prep.grid, spec["scale"] * prep.eigenpair.function.values)
     if spec["kind"] == "file":
@@ -234,7 +234,7 @@ def run_sublinear_regime(config: RegimeConfig,
         raise ValueError(f"sublinear regime needs a sublinear family, got {base.family!r}")
     audit = coeffs_mod.check_hypotheses(prep.coefficient, base, prep.lambda1,
                                         dimension=prep.grid.dimension, s=config.s)
-    h = build_forcing(prep, config.forcing)
+    h = build_forcing(prep)
     runs = tuple(SublinearRun(nu=nu, report=_solve_once(prep, _reaction_with(config, nu=nu), h))
                  for nu in config.sweep)
     return RegimeReport(runs=runs, audit=audit, lambda1=prep.lambda1)
@@ -254,12 +254,15 @@ def linear_threshold(config: RegimeConfig,
     return float(prep.coefficient.gamma(0.0)) * pair.value / slope, pair
 
 
+# find_nu_threshold's final relative bracket width
+REL_WIDTH = 1e-2
+
+
 def find_nu_threshold(config: RegimeConfig,
                       prep: PreparedProblem | None = None,
-                      rel_width: float = 1e-2,
                       runs: tuple[SublinearRun, ...] = ()) -> float:
     """The nu between a trivial and a local-min verdict, to a relative
-    bracket width rel_width (1e-12 <= rel_width < 1, else ValueError).
+    bracket width REL_WIDTH.
 
     The bracket rests on the solves' classification alone: sorted by nu,
     the sweep's verdicts must read trivial ... trivial, local-min ...
@@ -271,23 +274,21 @@ def find_nu_threshold(config: RegimeConfig,
     The sweep values are solved from default_initial_guess.
 
     For zero forcing two probes placed from the spectrum come first
-    (linear_threshold; w = 0.4 rel_width). The upper one, at
+    (linear_threshold; w = 0.4 REL_WIDTH). The upper one, at
     nu_lin (1 + w) R(phi_C+) / lambda_min(C) (phi_C the ground state of C,
     R the Rayleigh quotient of C; the factor is 1 when phi_C >= 0), starts
     from t* phi_C+, t* the minimizer of E on ray_search's log grid, and
     runs only when E(t* phi_C+) < E(0): the solver never raises the energy,
     so the probe cannot drain to u = 0. The lower one, at nu_lin (1 - w),
     starts from the upper one's solution. When both certify, the bracket
-    is 0.8 rel_width wide and no bisection step is solved; when the
+    is 0.8 REL_WIDTH wide and no bisection step is solved; when the
     prediction is off (a fold, a displaced spectrum) the bracket left is
     bisected, as it is for nonzero forcing. Each bisection probe starts
     from the solution at the bracket's nontrivial end (natural-parameter
     continuation, Keller 1977). A probe outside the bracket is skipped.
     """
-    if not 1e-12 <= rel_width < 1.0:
-        raise ValueError(f"rel_width must lie in [1e-12, 1), got {rel_width!r}")
     prep = _prepared(config, prep)
-    h = build_forcing(prep, config.forcing)
+    h = build_forcing(prep)
 
     def solve(nu: float, u0: Field | None = None) -> SolveReport:
         return _solve_once(prep, _reaction_with(config, nu=nu), h, u0)
@@ -316,7 +317,7 @@ def find_nu_threshold(config: RegimeConfig,
 
     if not np.any(h.values):
         nu_lin, ground = linear_threshold(config, prep)
-        w = 0.4 * rel_width
+        w = 0.4 * REL_WIDTH
         # u = 0 is stable in the cone up to gamma(0) min_{u >= 0} R(u) / g'(0),
         # between nu_lin and nu_lin R(phi_C+) / lambda_min (equal when phi_C >= 0)
         direction = project_cone(ground.function)
@@ -330,7 +331,7 @@ def find_nu_threshold(config: RegimeConfig,
                 t_min = ray.t_values[np.argmin(ray.energies)]
                 probe(up, Field(prep.grid, t_min * direction.values))
                 probe(nu_lin * (1.0 - w), u_hi)
-    while (hi - lo) > rel_width * 0.5 * (hi + lo):
+    while (hi - lo) > REL_WIDTH * 0.5 * (hi + lo):
         probe(0.5 * (lo + hi), u_hi)
     return 0.5 * (lo + hi)
 

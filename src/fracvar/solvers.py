@@ -44,7 +44,8 @@ own right-hand side and raises NonFiniteError on an inf or a NaN.
 
 First-order optimality over the cone is measured by the KKT residual:
 |g_i| on nodes with u_i > 0 and max(0, -g_i) on active nodes, g being the
-nodal representer of the energy derivative.
+nodal representer of the energy derivative. Both solvers end in _report,
+which alone decides a solve's verdict and builds its SolveReport.
 """
 
 from __future__ import annotations
@@ -314,10 +315,23 @@ def _l2(u: Field) -> float:
     return float(np.sqrt(u.grid.weight * np.dot(u.values, u.values)))
 
 
-def _classify(l2: float, converged: bool) -> str:
+def _report(point: PointState, kkt: float, it: int, converged: bool,
+            diagnostics: dict, pass_level: float | None = None) -> SolveReport:
+    """The SolveReport of a solve ending at point, and its one verdict. A
+    converged minimization (pass_level None) is trivial at L2 norm <=
+    TRIVIAL_L2, else local-min; a converged pass is mountain-pass at a
+    nontrivial point strictly above pass_level = E(u_low), the higher
+    endpoint level (else the geometry degenerated); the rest is failed."""
+    l2 = _l2(point.u)
     if not converged:
-        return "failed"
-    return "trivial" if l2 <= TRIVIAL_L2 else "local-min"
+        verdict = "failed"
+    elif pass_level is None:
+        verdict = "trivial" if l2 <= TRIVIAL_L2 else "local-min"
+    else:
+        verdict = "mountain-pass" if l2 > TRIVIAL_L2 and point.energy > pass_level else "failed"
+    return SolveReport(solution=point.u, energy=point.energy, kkt_residual=kkt,
+                       iterations=it, classification=verdict, hs_norm=point.hs_norm,
+                       l2_norm=l2, diagnostics=diagnostics)
 
 
 _DRAIN_BAND = 1e-4
@@ -384,12 +398,8 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field) -> SolveRe
         kkt, tol = kkt_residual(point), _kkt_tolerance(_l2(point.u), opts.tol_g)
         converged = kkt <= tol
 
-    l2 = _l2(point.u)
-    return SolveReport(
-        solution=point.u, energy=point.energy, kkt_residual=kkt, iterations=it,
-        classification=_classify(l2, converged), hs_norm=point.hs_norm, l2_norm=l2,
-        diagnostics={"energy_trace": energy_trace, "counts": counts},
-    )
+    return _report(point, kkt, it, converged,
+                   {"energy_trace": energy_trace, "counts": counts})
 
 
 def ray_search(model: EnergyModel, direction: Field, t_max: float = 1e3,
@@ -545,24 +555,9 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
         levels.append(point.energy)
         kkt = kkt_residual(point)
 
-    final = point.u
-    f_final = point.energy
-    l2_final = _l2(final)
-    # a mountain-pass point is a nontrivial critical point strictly above
-    # both endpoint levels (E(u_low) is the higher); a first-order point
-    # that drifted to the trivial state or below the barrier means the
-    # geometry degenerated
-    converged = (kkt <= opts.tol_g and l2_final > TRIVIAL_L2
-                 and f_final > f_low)
-
-    return SolveReport(
-        solution=final, energy=f_final, kkt_residual=kkt, iterations=it,
-        classification="mountain-pass" if converged else "failed",
-        hs_norm=point.hs_norm, l2_norm=l2_final,
-        diagnostics={
-            "levels_head": [float(v) for v in levels[:5]],
-            "barrier_min_gap": float(min(levels) - f_low),
-            "endpoint_level": float(f_low),
-            "counts": counts,
-        },
-    )
+    return _report(point, kkt, it, kkt <= opts.tol_g, {
+        "levels_head": [float(v) for v in levels[:5]],
+        "barrier_min_gap": float(min(levels) - f_low),
+        "endpoint_level": float(f_low),
+        "counts": counts,
+    }, pass_level=f_low)

@@ -7,7 +7,7 @@ ray direction of the mountain-pass geometry. lambda_min(C) is the bottom
 of the quadratic form the energy induces; gamma(0) lambda_min(C) / g'(0)
 predicts the sublinear threshold (experiments.linear_threshold), and
 C's ground state starts the probe that certifies it.
-Only the bottom of the spectrum is needed, so both take one path:
+Only the bottom of the spectrum is needed, so both end in _ground_state:
 single-vector LOBPCG (Knyazev 2001) on an apply callable built from the
 operator's applies (pruned FFT convolutions). The Laplacian is
 preconditioned by its DST-I symbol solve (fracops.symbol_solve), or on
@@ -97,25 +97,36 @@ def _lobpcg(apply, precondition, floor: float, n: int, tol: float, max_iter: int
     raise RuntimeError(f"LOBPCG did not reach residual {tol} in {max_iter} steps")
 
 
-def _roundoff_floor(op: NonlocalOperator) -> float:
-    """_ROUNDOFF_FLOOR eps times the operator's largest symbol value."""
-    return _ROUNDOFF_FLOOR * np.finfo(float).eps * float(np.max(op._symbol()))
+def _ground_state(op: NonlocalOperator, apply, precondition, perron: bool) -> EigenPair:
+    """The bottom eigenpair of apply on op's grid by _lobpcg, to _TOL or the
+    roundoff floor, _ROUNDOFF_FLOOR eps times op's largest symbol value (the
+    table norm grows like (pi / h)^{2s}; on 4096 nodes at s >= 0.95 the
+    floor is the larger). The eigenvector is sign-fixed to nonnegative mean,
+    with perron checked nodewise against the Perron property (failure
+    raises: the quadrature broke the M-matrix structure) and clamped, and
+    normalized to unit L2 norm."""
+    grid = op.grid
+    floor = _ROUNDOFF_FLOOR * np.finfo(float).eps * float(np.max(op._symbol()))
+    x, it = _lobpcg(apply, precondition, floor, grid.n_nodes, _TOL, _MAX_ITER)
+    if np.mean(x) < 0:
+        x = -x
+    if perron:
+        lowest = float(np.min(x))
+        if lowest < -1e-12:
+            raise ArithmeticError(f"ground state lost nonnegativity (min {lowest:.3e}); the "
+                                  "assembled table violates the expected M-matrix structure")
+        x = np.maximum(x, 0.0)
+    x = x / _l2(grid, x)
+    ax = apply(x)
+    lam = float(grid.weight * np.dot(x, ax))
+    return EigenPair(value=lam, function=Field(grid, x), residual=_l2(grid, ax - lam * x),
+                     iterations=it)
 
 
-def first_eigenpair(lap_op: NonlocalOperator, tol: float = _TOL,
-                    max_iter: int = _MAX_ITER) -> EigenPair:
-    """Ground state of the Laplacian table by LOBPCG, preconditioned by the
-    symbol solve, or by the exact inverse up to _EXACT_MAX_NODES nodes.
-
-    Terminates when the eigen-residual drops below tol * max(1, lambda) or
-    its roundoff floor, _ROUNDOFF_FLOOR eps times the largest symbol value
-    (the table norm grows like (pi / h)^{2s}; on 4096 nodes at s >= 0.95
-    the floor is the larger), and raises RuntimeError when max_iter
-    iterations do not get there; the eigenvector is sign-fixed to
-    nonnegative mean, checked nodewise against the Perron property
-    (failure raises: it means the quadrature broke the M-matrix
-    structure), clamped, and renormalized to unit L2 norm.
-    """
+def first_eigenpair(lap_op: NonlocalOperator) -> EigenPair:
+    """Ground state of the Laplacian table (_ground_state, Perron-checked),
+    preconditioned by the symbol solve, or by the exact inverse up to
+    _EXACT_MAX_NODES nodes."""
     if lap_op.kind != "laplacian":
         raise ValueError("first_eigenpair needs a laplacian operator")
     grid = lap_op.grid
@@ -124,28 +135,14 @@ def first_eigenpair(lap_op: NonlocalOperator, tol: float = _TOL,
         precondition = lambda r: cho_solve(inverse, r)
     else:
         precondition = lambda r: symbol_solve(lap_op, r, 0.0)
-    x, it = _lobpcg(lambda v: _check_finite(apply_laplacian(lap_op, Field(grid, v)).values),
-                    precondition, _roundoff_floor(lap_op), grid.n_nodes, tol, max_iter)
-
-    if np.mean(x) < 0:
-        x = -x
-    floor = float(np.min(x))
-    if floor < -1e-12:
-        raise ArithmeticError(
-            f"ground state lost nonnegativity (min {floor:.3e}); the assembled "
-            "table violates the expected M-matrix structure"
-        )
-    x = np.maximum(x, 0.0)
-    x /= _l2(grid, x)
-    ax = apply_laplacian(lap_op, Field(grid, x)).values
-    lam = float(grid.weight * np.dot(x, ax))
-    res = _l2(grid, ax - lam * x)
-    return EigenPair(value=lam, function=Field(grid, x), residual=float(res), iterations=it)
+    return _ground_state(
+        lap_op, lambda v: _check_finite(apply_laplacian(lap_op, Field(grid, v)).values),
+        precondition, perron=True)
 
 
 def composition_ground_state(grad_op: NonlocalOperator) -> EigenPair:
     """lambda_min(C) and its eigenfunction, C = -div_s grad_s the quadratic
-    form the energy induces, by LOBPCG to first_eigenpair's tolerance.
+    form the energy induces, by _ground_state.
 
     C is applied by the gradient operator's two FFT applies and
     preconditioned by the minimizer's (C + I)^{-1} (solvers._preconditioner:
@@ -153,8 +150,8 @@ def composition_ground_state(grad_op: NonlocalOperator) -> EigenPair:
     nodes, the diagonal-scaled symbol solve above), so no factor of its own
     is made. The scaling cuts the 2D iterations at s = 0.5 from 69 / 88 /
     96 to 43 / 61 / 68 at 48^2 / 96^2 / 128^2; at 1D 1024 nodes they rise
-    from 25 to 29. C need not be an M-matrix, so the eigenfunction is only
-    sign-fixed to nonnegative mean and L2-normalized, not clamped. The pair
+    from 25 to 29. C need not be an M-matrix (phi_C changes sign at s =
+    0.3), so the eigenfunction is not Perron-checked or clamped. The pair
     is kept with the operator (NonlocalOperator.cached) and computed once.
     """
     if grad_op.kind != "gradient":
@@ -165,15 +162,8 @@ def composition_ground_state(grad_op: NonlocalOperator) -> EigenPair:
         grad = apply_gradient(grad_op, Field(grid, v))
         return -_check_finite(apply_divergence(grad_op, grad).values)
 
-    def build():
-        x, it = _lobpcg(apply, _preconditioner(grad_op), _roundoff_floor(grad_op),
-                        grid.n_nodes, _TOL, _MAX_ITER)
-        x = (x if np.mean(x) >= 0 else -x) / _l2(grid, x)
-        ax = apply(x)
-        lam = float(grid.weight * np.dot(x, ax))
-        return EigenPair(value=lam, function=Field(grid, x),
-                         residual=_l2(grid, ax - lam * x), iterations=it)
-    return grad_op.cached("ground_state", build)
+    return grad_op.cached("ground_state", lambda: _ground_state(
+        grad_op, apply, _preconditioner(grad_op), perron=False))
 
 
 def rayleigh_quotient(lap_op: NonlocalOperator, u: Field) -> float:

@@ -167,8 +167,7 @@ def test_criterion_06_sublinear_regime(prep_128):
     forced_ok = all(r.report.l2_norm > 1e-8 and r.report.classification == "local-min"
                     for r in rep_forced.runs)
     ok &= forced_ok
-    nu_star = find_nu_threshold(cfg((0.02, 200.0), {"kind": "zero"}), prep_128,
-                                rel_width=1e-2)
+    nu_star = find_nu_threshold(cfg((0.02, 200.0), {"kind": "zero"}), prep_128)
     ok &= 0.02 < nu_star < 200.0
     _report(6, ok, t0, f"tiny nu trivial, large nu E={large.report.energy:.1f}<0, "
             f"forced all nontrivial={forced_ok}, nu*={nu_star:.4f}")

@@ -157,8 +157,8 @@ class TestThreshold:
 
     def test_certifies_with_two_solves_beyond_the_sweep(self, base_domain, prep_128,
                                                         monkeypatch):
-        # the probes at nu_lin (1 +- 0.4 rel_width) narrow the bracket below
-        # rel_width, so the bisection solves nothing; each starts next to its
+        # the probes at nu_lin (1 +- 0.4 REL_WIDTH) narrow the bracket below
+        # REL_WIDTH, so the bisection solves nothing; each starts next to its
         # solution (the ray point, then the upper probe's solution)
         cfg = sublinear_cfg(base_domain, sweep=(0.05, 400.0))
         nu_star, calls = recorded_threshold(cfg, prep_128, monkeypatch)
@@ -236,19 +236,6 @@ class TestThreshold:
         nu_lin, _ = experiments.linear_threshold(cfg, prep_128)
         assert find_nu_threshold(cfg, prep_128) == pytest.approx(nu_lin, rel=1e-2)
 
-    @pytest.mark.parametrize("rel_width", [0.0, -1e-2, np.nan, 1.0])
-    def test_rejects_a_width_outside_the_unit_interval(self, base_domain, prep_128,
-                                                       monkeypatch, rel_width):
-        # a width <= 0 never ended the bisection and a NaN one returned the
-        # sweep bracket; both are refused before any solve
-        def refuse(*args, **kwargs):
-            raise AssertionError("solved with an invalid rel_width")
-
-        monkeypatch.setattr(experiments, "_solve_once", refuse)
-        cfg = sublinear_cfg(base_domain, sweep=(0.05, 400.0))
-        with pytest.raises(ValueError, match="rel_width"):
-            find_nu_threshold(cfg, prep_128, rel_width=rel_width)
-
     def test_no_bracket_raises(self, base_domain, prep_128):
         cfg = sublinear_cfg(base_domain, sweep=(100.0, 200.0))
         with pytest.raises(ValueError, match="bracket"):
@@ -285,9 +272,10 @@ class TestThreshold:
             find_nu_threshold(short, prep, runs=runs)
 
 
-def recorded_threshold(cfg, prep, monkeypatch, rel_width=1e-2):
-    """find_nu_threshold with every solve recorded: (threshold, [(nu, u0,
-    report)] in solve order, the sweep values first)."""
+def recorded_threshold(cfg, prep, monkeypatch, rel_width=experiments.REL_WIDTH):
+    """find_nu_threshold at bracket width rel_width with every solve
+    recorded: (threshold, [(nu, u0, report)] in solve order, the sweep
+    values first)."""
     solve_once, calls = experiments._solve_once, []
 
     def recorded(prep, reaction, h, u0=None):
@@ -296,7 +284,8 @@ def recorded_threshold(cfg, prep, monkeypatch, rel_width=1e-2):
         return rep
 
     monkeypatch.setattr(experiments, "_solve_once", recorded)
-    return find_nu_threshold(cfg, prep, rel_width=rel_width), calls
+    monkeypatch.setattr(experiments, "REL_WIDTH", rel_width)
+    return find_nu_threshold(cfg, prep), calls
 
 
 def probe_bracket(calls):

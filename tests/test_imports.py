@@ -7,9 +7,9 @@ The files of a run directory are written by the CLI alone, so no other
 module needs the csv module. The library never imports the CLI: the CLI
 is built on it, not the other way round. Sweeps run serially, so no module
 imports threading or concurrent.futures. A solve's verdict (trivial,
-local-min, mountain-pass or failed) is SolveReport.classification, set in
-solvers alone: no other module names the trivial cut TRIVIAL_L2 to decide
-one again.
+local-min, mountain-pass or failed) is SolveReport.classification, decided
+in solvers._report alone, the one function that builds a SolveReport: no
+other module names the trivial cut TRIVIAL_L2 to decide one again.
 
 The benchmark's tracer (perfbench/tracing.py) wraps the module-level
 cho_factor and cho_solve names of solvers, experiments and spectral, and
@@ -126,6 +126,36 @@ def test_only_the_solvers_name_the_trivial_cut():
             if "TRIVIAL_L2" in names:
                 naming.add(path.stem)
     assert naming == {"solvers"}
+
+
+class _Calls(ast.NodeVisitor):
+    """(enclosing function or None) per call of the name watched, by bare
+    name or as an attribute."""
+
+    def __init__(self, watched: str):
+        self.watched, self.scope, self.found = watched, [], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        func = node.func
+        if self.watched in (getattr(func, "id", None), getattr(func, "attr", None)):
+            self.found.append(self.scope[-1] if self.scope else None)
+        self.generic_visit(node)
+
+
+def test_only_the_verdict_function_builds_a_solve_report():
+    builders = set()
+    for path in sorted(Path(fracvar.__file__).parent.glob("*.py")):
+        calls = _Calls("SolveReport")
+        calls.visit(ast.parse(path.read_text(), filename=str(path)))
+        builders.update((path.stem, scope) for scope in calls.found)
+    assert builders == {("solvers", "_report")}
 
 
 def test_traced_modules_bind_the_dense_solves():

@@ -326,6 +326,35 @@ def test_kkt_tolerance_tightens_inside_the_drain_band(l2, want):
     assert solvers._kkt_tolerance(l2, 1e-4) == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize("amplitude,converged,level_offset,want", [
+    (1.0, False, None, "failed"),      # a minimization that did not converge
+    (1.0, False, -1.0, "failed"),      # a pass that did not converge
+    (0.5, True, None, "trivial"),      # amplitudes in units of TRIVIAL_L2 ...
+    (2.0, True, None, "local-min"),
+    (1e7, True, None, "local-min"),    # ... up to L2 norm 0.1
+    (0.5, True, -1.0, "failed"),       # a pass at the trivial state
+    (1e7, True, 0.0, "failed"),        # a pass at its endpoint level
+    (1e7, True, 1.0, "failed"),        # a pass below it
+    (1e7, True, -1.0, "mountain-pass"),
+])
+def test_report_decides_each_verdict(grad_128, power_coeff, eig_128, zero_h,
+                                     amplitude, converged, level_offset, want):
+    # the point is amplitude TRIVIAL_L2 phi1 (unit L2 norm); pass_level lies
+    # level_offset above its energy, None for a minimization
+    model = model_with(grad_128, power_coeff,
+                       make_reaction("cubic_saturating", {"kappa": 3.0}), zero_h)
+    phi1 = eig_128.function
+    point = PointState(model, Field(phi1.grid, amplitude * solvers.TRIVIAL_L2 * phi1.values))
+    level = None if level_offset is None else point.energy + level_offset
+    diagnostics = {"counts": {}}
+    rep = solvers._report(point, 1e-7, 3, converged, diagnostics, pass_level=level)
+    assert rep.classification == want
+    assert rep.solution is point.u and rep.diagnostics is diagnostics
+    assert (rep.energy, rep.kkt_residual, rep.iterations, rep.hs_norm) == (
+        point.energy, 1e-7, 3, point.hs_norm)
+    assert rep.l2_norm == pytest.approx(amplitude * solvers.TRIVIAL_L2, rel=1e-12)
+
+
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(tol_g=0.0)

@@ -85,11 +85,12 @@ def test_rejects_wrong_kind(grad_128, eig_128):
         rayleigh_quotient(grad_128, eig_128.function)
 
 
-def test_iteration_cap_raises(lap_sym):
+def test_iteration_cap_raises(lap_sym, monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_ITER", 1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no warning may leak
         with pytest.raises(RuntimeError, match="did not reach"):
-            first_eigenpair(lap_sym, tol=1e-10, max_iter=1)
+            first_eigenpair(lap_sym)
 
 
 def test_non_finite_iterate_raises(lap_sym, monkeypatch):
@@ -105,8 +106,9 @@ def test_non_finite_iterate_raises(lap_sym, monkeypatch):
         return np.full_like(out, np.nan) if len(calls) == 1 else out
 
     monkeypatch.setattr(spectral, "symbol_solve", first_solve_nan)
+    monkeypatch.setattr(spectral, "_MAX_ITER", 50)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        first_eigenpair(lap_sym, max_iter=50)
+        first_eigenpair(lap_sym)
     assert len(calls) <= 2
 
 
