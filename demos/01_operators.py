@@ -10,7 +10,7 @@ multiplier evaluation.
 
 import numpy as np
 
-from fracvar import (DomainSpec, Field, VectorField, apply_divergence,
+from fracvar import (DomainSpec, Field, apply_divergence,
                      apply_gradient, assemble_gradient, assemble_laplacian,
                      build_grid, composition_residual, field_from_function,
                      l2_inner, normalizing_constants)
@@ -29,9 +29,9 @@ lap_op = assemble_laplacian(grid, s)
 # duality: <u, div phi> = -<phi, grad u> holds exactly by construction
 rng = np.random.default_rng(0)
 u = Field(grid, rng.standard_normal(grid.n_nodes))
-phi = VectorField(grid, rng.standard_normal((grid.n_nodes, 1)))
+phi = rng.standard_normal((grid.n_nodes, 1))
 lhs = l2_inner(u, apply_divergence(grad_op, phi))
-rhs = -grid.weight * np.sum(phi.values * apply_gradient(grad_op, u).values)
+rhs = -grid.weight * np.sum(phi * apply_gradient(grad_op, u))
 print(f"duality defect on a random pair: {abs(lhs - rhs):.2e}")
 
 # composition: -div_s grad_s vs (-Lap)^s on a smooth bump, refined
@@ -46,7 +46,7 @@ for n in (64, 128, 256):
 box, modes = 16.0, 2**14
 g01 = build_grid(DomainSpec(bounds=((0.0, 1.0),), nodes=(256,)))
 bump_fn = lambda x: np.exp(-40.0 * (x - 0.5) ** 2)
-gu = apply_gradient(assemble_gradient(g01, s), field_from_function(g01, bump_fn)).values[:, 0]
+gu = apply_gradient(assemble_gradient(g01, s), field_from_function(g01, bump_fn))[:, 0]
 hh = box / modes
 xg = np.arange(modes) * hh
 vals = np.where((xg > 0) & (xg < 1), bump_fn(xg), 0.0)

@@ -18,8 +18,8 @@ grad_op = assemble_gradient(grid, s)
 x = grid.nodes[:, 0]
 u_plus = Field(grid, np.maximum(x, 0.0))
 u_minus = Field(grid, np.maximum(-x, 0.0))
-gp = apply_gradient(grad_op, u_plus).values[:, 0]
-gm = apply_gradient(grad_op, u_minus).values[:, 0]
+gp = apply_gradient(grad_op, u_plus)[:, 0]
+gm = apply_gradient(grad_op, u_minus)[:, 0]
 
 print(f"truncated identity on (-16, 16), s = {s}")
 print(f"{'x':>6} {'grad u+':>10} {'grad u-':>10}")

@@ -21,8 +21,7 @@ from .fracops import (NonlocalOperator, apply_divergence, apply_gradient,
                       apply_laplacian, assemble_gradient, assemble_laplacian,
                       composition_matrix, composition_residual,
                       normalizing_constants)
-from .grid import (DomainSpec, Field, Grid, VectorField, build_grid,
-                   field_from_function, l2_inner)
+from .grid import DomainSpec, Field, Grid, build_grid, field_from_function, l2_inner
 from .solvers import (RaySearchResult, SolveReport, SolverOptions, kkt_residual,
                       minimize_cone, mountain_pass, project_cone, ray_search)
 from .spectral import EigenPair, first_eigenpair, rayleigh_quotient

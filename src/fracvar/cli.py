@@ -247,21 +247,9 @@ def regime_config_from(materialized: dict) -> ex.RegimeConfig:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if type(x) is float:
-        return repr(x)
-    if type(x) is str:
-        return x
-    if isinstance(x, (np.floating, np.integer, np.bool_)):
-        x = x.item()
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.writelines([",".join(header) + "\n"] + [",".join(map(_fmt, row)) + "\n" for row in rows])
+        fh.writelines([",".join(header) + "\n"] + [",".join(map(str, row)) + "\n" for row in rows])
 
 
 def _write_json(path, obj) -> None:
@@ -304,7 +292,7 @@ def _nodal_csv(fld: Field, column: str):
     grid, shape = fld.grid, fld.grid.shape
     header = (["x"] if grid.dimension == 1 else ["x", "y"]) + [column]
     # axis k's coordinates: every prod(n_{k+1}, ...)-th node, first n_k
-    axes = [map(_fmt, grid.nodes[::math.prod(shape[k + 1:]), k][:n].tolist())
+    axes = [map(str, grid.nodes[::math.prod(shape[k + 1:]), k][:n].tolist())
             for k, n in enumerate(shape)]
     coords = map(",".join, itertools.product(*axes))
     return header, [[c, v] for c, v in zip(coords, fld.values.tolist())]

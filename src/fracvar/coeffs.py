@@ -143,9 +143,6 @@ class HypothesisReport:
     verdicts: dict
     witnesses: dict
 
-    def all_verified(self) -> bool:
-        return all(v.startswith("verified") for v in self.verdicts.values())
-
 
 def _family_params(kind: str, families: dict, family: str, params: dict | None) -> dict:
     """Parameters of one family: its defaults when params is None, else

@@ -36,7 +36,7 @@ import numpy as np
 
 from .coeffs import CoefficientModel, ReactionModel
 from .fracops import NonlocalOperator, apply_divergence, apply_gradient
-from .grid import Field, Grid, VectorField
+from .grid import Field, Grid
 
 __all__ = [
     "EnergyModel",
@@ -101,8 +101,8 @@ def _checked(name: str, arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _hs(grid: Grid, gu: VectorField) -> float:
-    return float(np.sqrt(grid.weight * np.sum(gu.values**2)))
+def _hs(grid: Grid, gu: np.ndarray) -> float:
+    return float(np.sqrt(grid.weight * np.sum(gu**2)))
 
 
 def _energies(model: EnergyModel, values: np.ndarray, q: np.ndarray):
@@ -124,13 +124,14 @@ def _energies(model: EnergyModel, values: np.ndarray, q: np.ndarray):
 class PointState:
     """One point u with the quantities evaluated at it, each on first use.
 
-    grad (grad_s u), q = |grad_s u|^2, diffusivity (gamma(q/2)), flux
-    (gamma(q/2) grad_s u), energy, representer and hs_norm are computed
-    once and kept, so a solver that reads the energy, the derivative and
-    the norm at the same point applies the gradient table once forward and
-    once transposed; hessian_vec adds one of each per product (the nodal
-    slopes it needs are kept like the diffusivity). A caller that already
-    holds grad_s u (by linearity, say) passes it as grad. u.values must not
+    grad (grad_s u, the (N, m) array of fracops.apply_gradient), q =
+    |grad_s u|^2, diffusivity (gamma(q/2)), flux (gamma(q/2) grad_s u),
+    energy, representer and hs_norm are computed once and kept, so a
+    solver that reads the energy, the derivative and the norm at the same
+    point applies the gradient table once forward and once transposed;
+    hessian_vec adds one of each per product (the nodal slopes it needs
+    are kept like the diffusivity). A caller that already holds grad_s u
+    (by linearity, say) passes that (N, m) array as grad. u.values must not
     change while the state is in use. A failed evaluation
     (EnergyOverflowError) is not kept: asking again raises again. This is
     the public way to evaluate a point: E'(u)[phi] is w <representer, phi>,
@@ -138,20 +139,20 @@ class PointState:
     the norm's formula, path_energies the energy's.
     """
 
-    def __init__(self, model: EnergyModel, u: Field, grad: VectorField | None = None):
+    def __init__(self, model: EnergyModel, u: Field, grad: np.ndarray | None = None):
         self.model = model
         self.u = u
         if grad is not None:
             self.grad = grad
 
     @cached_property
-    def grad(self) -> VectorField:
+    def grad(self) -> np.ndarray:
         return apply_gradient(self.model.grad_op, self.u)
 
     @cached_property
     def q(self) -> np.ndarray:
         with np.errstate(over="ignore"):
-            return np.sum(self.grad.values**2, axis=1)
+            return np.sum(self.grad**2, axis=1)
 
     @cached_property
     def energy(self) -> float:
@@ -175,8 +176,8 @@ class PointState:
 
     @cached_property
     def flux(self) -> np.ndarray:
-        """The vector field gamma(|grad_s u|^2/2) grad_s u, shape (N, d)."""
-        return self.diffusivity[:, None] * self.grad.values
+        """gamma(|grad_s u|^2/2) grad_s u, shape (N, m) like grad."""
+        return self.diffusivity[:, None] * self.grad
 
     @cached_property
     def representer(self) -> Field:
@@ -184,7 +185,7 @@ class PointState:
         gradient table (minus the discrete divergence), then the reaction
         and forcing terms subtracted nodewise."""
         model = self.model
-        rep = -apply_divergence(model.grad_op, VectorField(model.grid, self.flux)).values
+        rep = -apply_divergence(model.grad_op, self.flux).values
         rep -= _checked("f", model.f(self.u.values))
         rep -= model.forcing.values
         return Field(model.grid, rep)
@@ -201,11 +202,11 @@ class PointState:
         one forward and one transposed apply of the gradient table; the
         nodal slopes gamma'(q/2) and f'(u) are evaluated on the first product.
         """
-        model, z = self.model, self.grad.values
-        y = apply_gradient(model.grad_op, Field(model.grid, v)).values
+        model, z = self.model, self.grad
+        y = apply_gradient(model.grad_op, Field(model.grid, v))
         pushed = (self.diffusivity[:, None] * y
                   + (self.diffusivity_slope * np.sum(z * y, axis=1))[:, None] * z)
-        out = -apply_divergence(model.grad_op, VectorField(model.grid, pushed)).values
+        out = -apply_divergence(model.grad_op, pushed).values
         out -= self.reaction_slope * v
         return out
 
@@ -213,7 +214,7 @@ class PointState:
 def path_energies(model: EnergyModel, values: np.ndarray, grads: np.ndarray) -> np.ndarray:
     """Energies of the points values[p] (stack (P, N)) in one vectorized pass.
 
-    grads holds their fractional gradients, shape (P, N, d), which the
+    grads holds their fractional gradients, shape (P, N, m), which the
     solvers get by linearity from one apply (the points of a ray). The
     checks are those of a single point: one non-finite row raises
     EnergyOverflowError.
@@ -234,13 +235,14 @@ def convexity_gap(model: EnergyModel, u1: Field, u2: Field) -> float:
     pointwise = (
         model.coeff.big_gamma(0.5 * p1.q)
         - model.coeff.big_gamma(0.5 * p2.q)
-        - gam2 * np.sum(p2.grad.values * (p1.grad.values - p2.grad.values), axis=1)
+        - gam2 * np.sum(p2.grad * (p1.grad - p2.grad), axis=1)
     )
     return float(model.grid.weight * np.sum(_checked("gap", pointwise)))
 
 
-def weighted_form(model: EnergyModel, t: float, v: Field, w_field: Field) -> float:
-    """The scaled quasilinear pairing int gamma(|grad v|^2/(2 t^2)) <grad v, grad w>.
+def weighted_form(point: PointState, t: float, grad_w: np.ndarray) -> float:
+    """The scaled quasilinear pairing int gamma(|grad v|^2/(2 t^2)) <grad v, grad w>
+    at v = point.u, with grad_w = grad_s w as an (N, m) array.
 
     As t -> 0+ the weight converges to gamma at infinity wherever grad v is
     nonzero, so the form converges to gamma_inf times the constant-weight
@@ -249,10 +251,8 @@ def weighted_form(model: EnergyModel, t: float, v: Field, w_field: Field) -> flo
     """
     if t <= 0:
         raise ValueError(f"scale t must be positive, got {t}")
-    pv = PointState(model, v)
-    gw = apply_gradient(model.grad_op, w_field)
-    gam = _checked("gamma", model.coeff.gamma(0.5 * pv.q / t**2))
-    return float(model.grid.weight * np.sum(gam[:, None] * pv.grad.values * gw.values))
+    gam = _checked("gamma", point.model.coeff.gamma(0.5 * point.q / t**2))
+    return float(point.model.grid.weight * np.sum(gam[:, None] * point.grad * grad_w))
 
 
 def monotonicity_pairing(coeff: CoefficientModel, z1, z2) -> float:

@@ -34,13 +34,14 @@ import numpy as np
 
 from . import coeffs as coeffs_mod
 from .coeffs import CoefficientModel, HypothesisReport, ReactionModel
-from .energy import EnergyModel, convexity_gap, hs_norm, monotonicity_pairing, weighted_form
+from .energy import (EnergyModel, PointState, convexity_gap, hs_norm, monotonicity_pairing,
+                     weighted_form)
 # perfbench's traced runs wrap cho_factor and cho_solve by these module names
 from .fracops import (NonlocalOperator, apply_divergence, apply_gradient,
                       assemble_gradient, assemble_laplacian, cho_factor, cho_solve,
                       composition_residual, normalizing_constants)
-from .grid import (DomainSpec, Field, Grid, VectorField, build_grid, field_from_function,
-                   l2_inner, read_field)
+from .grid import (DomainSpec, Field, Grid, build_grid, field_from_function, l2_inner,
+                   read_field)
 from .solvers import (RaySearchResult, SolveReport, SolverOptions, minimize_cone, mountain_pass,
                       project_cone, ray_search)
 from .spectral import EigenPair, composition_ground_state, first_eigenpair
@@ -428,6 +429,12 @@ COMPOSITION_DOMAIN = ((-1.0, 1.0),)
 # unit square at s = 0.5 it is 0.28 on 8 x 8 cells, 0.16 on 12 x 12 and
 # 0.03 on 32 x 32, so a config's coarse grid would fail the 10% bound
 COMPOSITION_GRID_2D = DomainSpec(bounds=((0.0, 1.0), (0.0, 1.0)), nodes=(32, 32))
+# the orders s of the composition and divergence-oracle checks
+IDENTITY_S_VALUES = (0.3, 0.5, 0.7)
+# the sign-pattern computation's order, line length and cell count
+SIGN_PATTERN_S = 0.5
+SIGN_PATTERN_WIDTH = 32.0
+SIGN_PATTERN_NODES = 512
 
 
 def _composition_bump(grid: Grid) -> Field:
@@ -442,9 +449,9 @@ def _duality_check(grid, grad_op, rng) -> IdentityCheck:
     worst = 0.0
     for _ in range(20):
         u = Field(grid, rng.standard_normal(grid.n_nodes))
-        phi = VectorField(grid, rng.standard_normal((grid.n_nodes, grid.dimension)))
+        phi = rng.standard_normal((grid.n_nodes, len(grad_op.kernel)))
         lhs = l2_inner(u, apply_divergence(grad_op, phi))
-        rhs = -grid.weight * np.sum(phi.values * apply_gradient(grad_op, u).values)
+        rhs = -grid.weight * np.sum(phi * apply_gradient(grad_op, u))
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
     return IdentityCheck("duality", worst, 1e-12, worst <= 1e-12)
 
@@ -458,7 +465,7 @@ def _divergence_oracle_check(s: float) -> IdentityCheck:
     grid = build_grid(DomainSpec(bounds=((0.0, 1.0),), nodes=(256,)))
     grad_op = assemble_gradient(grid, s)
     phi_fn = lambda x: np.sin(np.pi * x) * np.exp(-8.0 * (x - 0.4) ** 2)
-    phi = VectorField(grid, field_from_function(grid, phi_fn).values[:, None])
+    phi = field_from_function(grid, phi_fn).values[:, None]
     table_div = apply_divergence(grad_op, phi).values
     mu, _ = normalizing_constants(1, s)
 
@@ -502,23 +509,23 @@ def _composition_checks(s: float) -> list[IdentityCheck]:
     ]
 
 
-def sign_pattern_checks(s: float = 0.5, width: float = 32.0, n: int = 512) -> list[IdentityCheck]:
+def sign_pattern_checks() -> list[IdentityCheck]:
     """The one-dimensional positive/negative-part computation.
 
-    On a truncated line, the fractional gradient of the positive part of
-    the identity is positive at sample points on both sides of the origin,
-    the negative part's gradient is negative, and their L2 pairing is
-    strictly negative - the obstruction to the classical truncation
-    argument for nonnegativity.
+    On the truncated line of the SIGN_PATTERN_* constants, the fractional
+    gradient of the positive part of the identity is positive at sample
+    points on both sides of the origin, the negative part's gradient is
+    negative, and their L2 pairing is strictly negative - the obstruction
+    to the classical truncation argument for nonnegativity.
     """
-    half = width / 2.0
-    grid = build_grid(DomainSpec(bounds=((-half, half),), nodes=(n,)))
-    grad_op = assemble_gradient(grid, s)
+    half = SIGN_PATTERN_WIDTH / 2.0
+    grid = build_grid(DomainSpec(bounds=((-half, half),), nodes=(SIGN_PATTERN_NODES,)))
+    grad_op = assemble_gradient(grid, SIGN_PATTERN_S)
     x = grid.nodes[:, 0]
     u_plus = Field(grid, np.maximum(x, 0.0))
     u_minus = Field(grid, np.maximum(-x, 0.0))
-    gp = apply_gradient(grad_op, u_plus).values[:, 0]
-    gm = apply_gradient(grad_op, u_minus).values[:, 0]
+    gp = apply_gradient(grad_op, u_plus)[:, 0]
+    gm = apply_gradient(grad_op, u_minus)[:, 0]
     samples = (0.5, 1.0, 2.0, 4.0, -0.5, -1.0, -2.0, -4.0)
     idx = [int(np.argmin(np.abs(x - v))) for v in samples]
     plus_min = float(np.min(gp[idx]))
@@ -553,28 +560,27 @@ def _energy_property_checks(prep: PreparedProblem, rng) -> list[IdentityCheck]:
 
 
 def verify_identities(config: RegimeConfig,
-                      s_values: tuple[float, ...] = (0.3, 0.5, 0.7),
                       prep: PreparedProblem | None = None) -> IdentityReport:
     """Run the operator identity suite and the energy property checks.
 
     Duality and the convexity/monotonicity properties run on the config's
     grid. In 1D the suite adds the continuum divergence oracle, the
-    composition refinement study over s_values and the sign-pattern
-    computation. In 2D it adds a composition smoke bound (10%) at each of
-    s_values on its own grid, COMPOSITION_GRID_2D.
+    composition refinement study at each s of IDENTITY_S_VALUES and the
+    sign-pattern computation. In 2D it adds a composition smoke bound (10%)
+    at each of IDENTITY_S_VALUES on its own grid, COMPOSITION_GRID_2D.
     """
     prep = _prepared(config, prep)
     rng = np.random.default_rng(config.seed)
     checks: list[IdentityCheck] = [_duality_check(prep.grid, prep.grad_op, rng)]
     if prep.grid.dimension == 1:
-        for s in s_values:
+        for s in IDENTITY_S_VALUES:
             checks.extend(_composition_checks(s))
             checks.append(_divergence_oracle_check(s))
         checks.extend(sign_pattern_checks())
     else:
         grid = build_grid(COMPOSITION_GRID_2D)
         u = _composition_bump(grid)
-        for s in s_values:
+        for s in IDENTITY_S_VALUES:
             res = composition_residual(assemble_gradient(grid, s), assemble_laplacian(grid, s), u)
             checks.append(IdentityCheck(f"composition_2d_s{s}", res, 0.10, res <= 0.10))
     checks.extend(_energy_property_checks(prep, rng))
@@ -613,12 +619,12 @@ def appendix_convergence(config: RegimeConfig,
     v = Field(grid, 20.0 * np.exp(-40.0 * r2 / width2))
     model = EnergyModel(grad_op=prep.grad_op, coeff=prep.coefficient, reaction=None,
                         forcing=Field(grid, np.zeros(grid.n_nodes)))
-    gv = apply_gradient(prep.grad_op, v)
-    pairing = float(grid.weight * np.sum(gv.values**2))
+    point = PointState(model, v)
+    pairing = float(grid.weight * np.sum(point.grad**2))
     limit = prep.coefficient.gamma_inf * pairing
 
     scales = tuple(2.0 ** (-k) for k in range(13))
-    values = tuple(weighted_form(model, t, v, v) for t in scales)
+    values = tuple(weighted_form(point, t, point.grad) for t in scales)
     rel = tuple(abs(val - limit) / abs(limit) for val in values)
     mono = all(a >= b - 1e-15 for a, b in zip(rel[2:], rel[3:]))
     return ConvergenceReport(scales=scales, values=values, limit=limit,

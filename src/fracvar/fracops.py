@@ -54,17 +54,18 @@ O(N) memory. The inverse transform is pruned: each complex pass keeps only
 the grid's rows before the next, and the last axis's irfft is cut to the
 grid. The divergence is the conjugate spectrum plus the diagonal. Every
 grid, small or large, applies this way, through one pair of methods (the
-forward and the transposed apply). A gradient field is an (N, d) view of
-component-major memory, the transpose of a C-ordered (d, N) array: the
-FFTs read and write each component as one contiguous row, and so do the
-nodewise products of the energy (its flux, the Hessian's 2 x 2 step), with
-no reordering copy around an apply (at 2D 48^2 a Hessian product took
-a median 500 us with the copies and 390 us without, on a 2-core VM with
-one BLAS thread). The dense float64 table is gathered (to_dense, the same
-arithmetic as a direct assembly, bit for bit) only where a dense matrix is
-the algorithm: the solvers' exact preconditioner on small grids,
-spectral's exact inverse on the smallest, and composition_matrix, the
-dense test oracle.
+forward and the transposed apply). A gradient is a plain (N, m) array, m
+= d the operator's component count, which the transposed apply checks. It
+is a view of component-major memory, the transpose of a C-ordered (m, N)
+array: the FFTs read and write each component as one contiguous row, and
+so do the nodewise products of the energy (its flux, the Hessian's 2 x 2
+step), with no reordering copy around an apply (at 2D 48^2 a Hessian
+product took a median 500 us with the copies and 390 us without, on a
+2-core VM with one BLAS thread). The dense float64 table is gathered
+(to_dense, the same arithmetic as a direct assembly, bit for bit) only
+where a dense matrix is the algorithm: the solvers' exact preconditioner
+on small grids, spectral's exact inverse on the smallest, and
+composition_matrix, the dense test oracle.
 
 Solves with an operator's SPD matrix (C = -div_s grad_s for the gradient,
 the table for the Laplacian) get an approximate inverse that needs no
@@ -97,7 +98,7 @@ from functools import reduce
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import Field, Grid, VectorField
+from .grid import Field, Grid
 
 __all__ = [
     "NonlocalOperator",
@@ -283,11 +284,14 @@ class NonlocalOperator:
         return out.T
 
     def _transpose(self, v: np.ndarray) -> np.ndarray:
-        """sum_c W_c^T v[:, c] for stacked components v (N, m): shape (N,).
-        v.T is reshaped to the grid without a copy when v is the (N, m)
-        view of component-major memory, as _forward returns it. The
+        """sum_c W_c^T v[:, c] for stacked components v: shape (N,). v must
+        be (N, m), m = len(kernel) the operator's component count, or this
+        raises ValueError. v.T is reshaped to the grid without a copy when v
+        is the view of component-major memory that _forward returns. The
         components' spectra are multiplied in place and summed before the
         one inverse FFT, whose grid corner is added into the diagonal part."""
+        if v.shape != (self.n_nodes, len(self.kernel)):
+            raise ValueError(f"need shape {(self.n_nodes, len(self.kernel))}, got {v.shape}")
         shape = self.grid.shape
         size, _, conj = self._fft_parts()
         axes = tuple(range(1, len(shape) + 1))
@@ -601,32 +605,32 @@ def assemble_laplacian(grid: Grid, s: float) -> NonlocalOperator:
 # ---------------------------------------------------------------------------
 
 
-def _check_op_field(op: NonlocalOperator, fld, kind: str):
+def _check_op(op: NonlocalOperator, kind: str, fld: Field | None = None):
     if op.kind != kind:
         raise ValueError(f"operator kind {op.kind!r} does not match required {kind!r}")
-    if fld.grid is not op.grid and fld.grid.spec != op.grid.spec:
+    if fld is not None and fld.grid is not op.grid and fld.grid.spec != op.grid.spec:
         raise ValueError("operator and field live on different grids")
 
 
-def apply_gradient(op: NonlocalOperator, u: Field) -> VectorField:
-    """grad_s u as a nodal vector field."""
-    _check_op_field(op, u, "gradient")
-    return VectorField(grid=u.grid, values=op._forward(u.values))
+def apply_gradient(op: NonlocalOperator, u: Field) -> np.ndarray:
+    """grad_s u, an (N, m) array of the operator's m = d components."""
+    _check_op(op, "gradient", u)
+    return op._forward(u.values)
 
 
-def apply_divergence(op: NonlocalOperator, phi: VectorField) -> Field:
-    """div_s phi, the negative transpose of the gradient.
+def apply_divergence(op: NonlocalOperator, phi: np.ndarray) -> Field:
+    """div_s phi of an (N, m) array, the negative transpose of the gradient.
 
     By construction l2_inner(u, div_s phi) = -sum_i w_i <phi_i, grad_s u_i>
     holds for every pair (u, phi) on the grid, to roundoff.
     """
-    _check_op_field(op, phi, "gradient")
-    return Field(grid=phi.grid, values=-op._transpose(phi.values))
+    _check_op(op, "gradient")
+    return Field(grid=op.grid, values=-op._transpose(phi))
 
 
 def apply_laplacian(op: NonlocalOperator, u: Field) -> Field:
     """(-Lap)^s u."""
-    _check_op_field(op, u, "laplacian")
+    _check_op(op, "laplacian", u)
     return Field(grid=u.grid, values=op._forward(u.values)[:, 0])
 
 

@@ -4,8 +4,9 @@ The solver works on a bounded open box Omega in R^d (d = 1 or 2), discretized
 by a uniform cell-centered grid. Scalar fields are defined by one value per
 cell center and are *implicitly zero everywhere outside Omega*; this is the
 structural counterpart of the nonlocal Dirichlet condition u = 0 on
-R^d \\ Omega, not a boundary row of a matrix. Vector fields carry one
-d-vector per node.
+R^d \\ Omega, not a boundary row of a matrix. Only scalar fields live
+here: a fractional gradient is the (N, m) array its operator returns and
+checks (fracops).
 
 Cell-centered uniform spacing is deliberate: the singular-kernel quadrature
 weights of the nonlocal operators become translation invariant, so a whole
@@ -28,7 +29,6 @@ __all__ = [
     "DomainSpec",
     "Grid",
     "Field",
-    "VectorField",
     "build_grid",
     "field_from_function",
     "l2_inner",
@@ -151,21 +151,6 @@ class Field:
             raise ValueError(
                 f"field needs {self.grid.n_nodes} nodal values, got shape {values.shape}"
             )
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """Vector field: one d-vector per interior node."""
-
-    grid: Grid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        expected = (self.grid.n_nodes, self.grid.dimension)
-        if values.shape != expected:
-            raise ValueError(f"vector field needs shape {expected}, got {values.shape}")
         object.__setattr__(self, "values", values)
 
 

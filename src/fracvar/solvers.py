@@ -58,7 +58,7 @@ from .energy import EnergyModel, EnergyOverflowError, PointState, path_energies
 from .fracops import (NonlocalOperator, apply_gradient, cho_factor, cho_solve,
                       composition_diagonal, composition_matrix, symbol_diagonal,
                       symbol_solve)
-from .grid import Field, VectorField
+from .grid import Field
 
 __all__ = [
     "SolverOptions",
@@ -90,6 +90,10 @@ _ETA_MAX = 0.5
 _ARMIJO_FACTOR = 0.5
 _ARMIJO_SLOPE = 1e-4
 _TOL_ACTIVE = 1e-10
+# ray_search's log grid of t: its ends and its number of points
+_RAY_T_MIN = 1e-3
+_RAY_T_MAX = 1e3
+_RAY_STEPS = 80
 
 
 @dataclass(frozen=True)
@@ -402,10 +406,9 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field) -> SolveRe
                    {"energy_trace": energy_trace, "counts": counts})
 
 
-def ray_search(model: EnergyModel, direction: Field, t_max: float = 1e3,
-               steps: int = 80, t_min: float | None = None,
-               margin: float = 0.0) -> RaySearchResult:
-    """Sample the energy along t -> E(t * direction) on a log grid.
+def ray_search(model: EnergyModel, direction: Field, margin: float = 0.0) -> RaySearchResult:
+    """Sample the energy along t -> E(t * direction) on the log grid of
+    _RAY_STEPS points from _RAY_T_MIN to _RAY_T_MAX.
 
     Returns the smallest sampled t whose energy drops below E(0) - margin
     (None when the curve never crosses, which callers treat as a failed
@@ -416,12 +419,10 @@ def ray_search(model: EnergyModel, direction: Field, t_max: float = 1e3,
         raise ValueError("ray direction must be nonzero")
     if np.any(d < 0):
         raise ValueError("ray direction must be nonnegative")
-    if t_min is None:
-        t_min = t_max * 1e-6
-    ts = np.logspace(np.log10(t_min), np.log10(t_max), steps)
+    ts = np.logspace(np.log10(_RAY_T_MIN), np.log10(_RAY_T_MAX), _RAY_STEPS)
     # E(0) first; grad_s(t d) = t grad_s(d), so one apply serves every t
     scales = np.concatenate([[0.0], ts])
-    grad_d = apply_gradient(model.grad_op, direction).values
+    grad_d = apply_gradient(model.grad_op, direction)
     curve = path_energies(model, scales[:, None] * d, scales[:, None, None] * grad_d)
     zero, energies = curve[0], curve[1:]
     below = np.flatnonzero(energies < zero - margin)
@@ -516,7 +517,7 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
     precond = _preconditioner(model.grad_op, scaled=False)
     grid = model.grid
     low = u_low.values
-    grad_low = low_state.grad.values
+    grad_low = low_state.grad
 
     def peak_on(ray: np.ndarray) -> PointState | None:
         """The peak on the ray u_low + t ray/|ray|, searched around t = |ray|."""
@@ -524,12 +525,11 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
         t0 = ray_state.hs_norm
         if t0 == 0.0:
             return None
-        v, grad_v = ray / t0, ray_state.grad.values / t0
+        v, grad_v = ray / t0, ray_state.grad / t0
         t = _ray_peak(model, low, grad_low, v, grad_v, t0, f_low)
         if t is None:
             return None
-        return PointState(model, Field(grid, low + t * v),
-                          VectorField(grid, grad_low + t * grad_v))
+        return PointState(model, Field(grid, low + t * v), grad_low + t * grad_v)
 
     counts = dict.fromkeys(("trials", "backtracks"), 0)
     point = peak_on(np.maximum(u_far.values - low, 0.0))

@@ -67,7 +67,7 @@ def _l2(grid, v: np.ndarray) -> float:
     return float(np.sqrt(grid.weight * np.dot(v, v)))
 
 
-def _lobpcg(apply, precondition, floor: float, n: int, tol: float, max_iter: int):
+def _lobpcg(apply, precondition, floor: float, n: int):
     """Single-vector LOBPCG (Knyazev 2001) for the smallest eigenpair of the
     SPD map apply (v -> A v on R^n, checked finite), from the constant
     vector: the unit iterate and the iteration count. Each iteration is a
@@ -76,15 +76,15 @@ def _lobpcg(apply, precondition, floor: float, n: int, tol: float, max_iter: int
     each iteration (carried by recurrence it drifts and stalls the
     residual), and the Euclidean residual of the unit x is the L2 residual
     of the L2-normalized one; the run stops once it is at most
-    tol * max(1, lambda) or floor, the residual's roundoff floor."""
+    _TOL * max(1, lambda) or floor, the residual's roundoff floor."""
     x, p = np.full(n, n**-0.5), None
-    for it in range(max_iter + 1):
+    for it in range(_MAX_ITER + 1):
         ax = apply(x)
         lam = np.dot(x, ax)
         r = ax - lam * x
-        if np.linalg.norm(r) <= max(tol * max(1.0, abs(lam)), floor):
+        if np.linalg.norm(r) <= max(_TOL * max(1.0, abs(lam)), floor):
             return x, it
-        if it == max_iter:
+        if it == _MAX_ITER:
             break
         basis = [x, _check_finite(precondition(r))] + ([] if p is None else [p])
         q, rq = np.linalg.qr(np.column_stack(basis))
@@ -94,7 +94,7 @@ def _lobpcg(apply, precondition, floor: float, n: int, tol: float, max_iter: int
         c = np.linalg.eigh(h + h.T)[1][:, 0]
         x, p = q @ c, q[:, 1:] @ c[1:]
         x /= np.linalg.norm(x)
-    raise RuntimeError(f"LOBPCG did not reach residual {tol} in {max_iter} steps")
+    raise RuntimeError(f"LOBPCG did not reach residual {_TOL} in {_MAX_ITER} steps")
 
 
 def _ground_state(op: NonlocalOperator, apply, precondition, perron: bool) -> EigenPair:
@@ -107,7 +107,7 @@ def _ground_state(op: NonlocalOperator, apply, precondition, perron: bool) -> Ei
     normalized to unit L2 norm."""
     grid = op.grid
     floor = _ROUNDOFF_FLOOR * np.finfo(float).eps * float(np.max(op._symbol()))
-    x, it = _lobpcg(apply, precondition, floor, grid.n_nodes, _TOL, _MAX_ITER)
+    x, it = _lobpcg(apply, precondition, floor, grid.n_nodes)
     if np.mean(x) < 0:
         x = -x
     if perron:

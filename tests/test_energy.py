@@ -33,7 +33,7 @@ def directional(point, phi):
     model = point.model
     gphi = apply_gradient(model.grad_op, phi)
     return float(model.grid.weight * (
-        np.sum(point.flux * gphi.values)
+        np.sum(point.flux * gphi)
         - np.dot(model.f(point.u.values), phi.values)
         - np.dot(model.forcing.values, phi.values)
     ))
@@ -162,10 +162,11 @@ class TestWeightedForm:
         coeff = make_coefficient("constant", {"c": c})
         model = EnergyModel(grad_op=grad_128, coeff=coeff, reaction=None, forcing=zero_h)
         v = Field(grid_1d_128, rng.standard_normal(128))
-        w_fld = Field(grid_1d_128, rng.standard_normal(128))
-        base = weighted_form(model, 1.0, v, w_fld)
+        gw = apply_gradient(grad_128, Field(grid_1d_128, rng.standard_normal(128)))
+        point = PointState(model, v)
+        base = weighted_form(point, 1.0, gw)
         for t in (1.0, 0.25, 1e-3):
-            assert weighted_form(model, t, v, w_fld) == base
+            assert weighted_form(point, t, gw) == base
 
     def test_converges_to_gamma_inf_pairing(self, grid_1d_128, grad_128, power_coeff, zero_h):
         from fracvar import apply_gradient
@@ -174,9 +175,10 @@ class TestWeightedForm:
                             forcing=zero_h)
         v = field_from_function(grid_1d_128,
                                 lambda x: 20.0 * np.exp(-40 * (x - 0.5) ** 2))
-        gv = apply_gradient(grad_128, v).values
+        gv = apply_gradient(grad_128, v)
         limit = power_coeff.gamma_inf * grid_1d_128.weight * np.sum(gv**2)
-        errs = [abs(weighted_form(model, 2.0**-k, v, v) - limit) / abs(limit)
+        point = PointState(model, v)
+        errs = [abs(weighted_form(point, 2.0**-k, gv) - limit) / abs(limit)
                 for k in range(13)]
         assert errs[-1] <= 0.01
         assert all(a >= b - 1e-15 for a, b in zip(errs[2:], errs[3:]))
@@ -190,21 +192,22 @@ class TestWeightedForm:
         v = field_from_function(grid_1d_128,
                                 lambda x: 20.0 * np.exp(-40 * (x - 0.5) ** 2))
         w_raw = Field(grid_1d_128, rng.standard_normal(128))
-        gv = apply_gradient(grad_128, v).values
-        gw = apply_gradient(grad_128, w_raw).values
+        gv = apply_gradient(grad_128, v)
+        gw = apply_gradient(grad_128, w_raw)
         # orthogonalize against the constant-weight pairing numerically
         alpha = np.sum(gv * gw) / np.sum(gv * gv)
-        w_fld = Field(grid_1d_128, w_raw.values - alpha * v.values)
-        base = abs(weighted_form(model, 1.0, v, w_fld))
-        tail = abs(weighted_form(model, 2.0**-12, v, w_fld))
+        g_w = apply_gradient(grad_128, Field(grid_1d_128, w_raw.values - alpha * v.values))
+        point = PointState(model, v)
+        base = abs(weighted_form(point, 1.0, g_w))
+        tail = abs(weighted_form(point, 2.0**-12, g_w))
         scale = power_coeff.gamma_inf * grid_1d_128.weight * np.sum(gv**2)
         assert tail <= 0.02 * scale
         assert tail <= base + 1e-12
 
     def test_rejects_nonpositive_scale(self, quasilinear_model, grid_1d_128):
-        v = Field(grid_1d_128, np.ones(128))
+        point = PointState(quasilinear_model, Field(grid_1d_128, np.ones(128)))
         with pytest.raises(ValueError):
-            weighted_form(quasilinear_model, 0.0, v, v)
+            weighted_form(point, 0.0, point.grad)
 
 
 class TestMonotonicityPairing:
@@ -258,7 +261,7 @@ def test_finite_forcing_enforced(grad_128, power_coeff, grid_1d_128, bad):
 
 def gradients(grad_op, vals):
     """The fractional gradients of the rows of vals, stacked (P, N, d)."""
-    return np.stack([apply_gradient(grad_op, Field(grad_op.grid, v)).values for v in vals])
+    return np.stack([apply_gradient(grad_op, Field(grad_op.grid, v)) for v in vals])
 
 
 class TestPathEnergies:

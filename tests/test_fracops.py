@@ -7,7 +7,7 @@ import scipy.linalg
 from scipy.special import gamma as gamma_fn
 
 from fracvar import (DomainSpec, Field, RegimeConfig, SolverOptions,
-                     VectorField, apply_divergence, apply_gradient, apply_laplacian, assemble_gradient, assemble_laplacian,
+                     apply_divergence, apply_gradient, apply_laplacian, assemble_gradient, assemble_laplacian,
                      build_grid, composition_residual, field_from_function,
                      first_eigenpair, l2_inner, normalizing_constants, prepare)
 from fracvar import experiments, fracops, solvers
@@ -62,15 +62,15 @@ class TestNormalizingConstants:
 class TestGradient:
     def test_zero_field(self, grid_1d_128, grad_128):
         z = Field(grid_1d_128, np.zeros(128))
-        assert np.all(apply_gradient(grad_128, z).values == 0.0)
+        assert np.all(apply_gradient(grad_128, z) == 0.0)
 
     def test_linearity_exact(self, grid_1d_128, grad_128, rng):
         u1 = Field(grid_1d_128, rng.standard_normal(128))
         u2 = Field(grid_1d_128, rng.standard_normal(128))
         alpha = 1.7
         comb = Field(grid_1d_128, u1.values + alpha * u2.values)
-        lhs = apply_gradient(grad_128, comb).values
-        rhs = apply_gradient(grad_128, u1).values + alpha * apply_gradient(grad_128, u2).values
+        lhs = apply_gradient(grad_128, comb)
+        rhs = apply_gradient(grad_128, u1) + alpha * apply_gradient(grad_128, u2)
         assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-12 * np.max(np.abs(rhs)))
 
     def test_even_bump_center_cancellation(self):
@@ -80,7 +80,7 @@ class TestGradient:
         op = assemble_gradient(grid, 0.5)
         u = gaussian_bump(grid)
         c = 32  # center node of 65
-        got = apply_gradient(op, u).values[c, 0]
+        got = apply_gradient(op, u)[c, 0]
         delta = fracops.NYQUIST_STABILIZATION * (np.pi / grid.spacing[0]) ** 0.5
         even_part = delta * (2 * u.values[c] - u.values[c - 1] - u.values[c + 1])
         assert abs(got - even_part) <= 1e-10
@@ -92,7 +92,7 @@ class TestGradient:
         grid = build_grid(DomainSpec(bounds=((0.0, 1.0),), nodes=(n,)))
         bump = lambda x: np.exp(-40.0 * (x - 0.5) ** 2)
         u = field_from_function(grid, bump)
-        gu = apply_gradient(assemble_gradient(grid, s), u).values[:, 0]
+        gu = apply_gradient(assemble_gradient(grid, s), u)[:, 0]
         hh = box / modes
         xg = np.arange(modes) * hh
         vals = np.where((xg > 0) & (xg < 1), bump(xg), 0.0)
@@ -148,27 +148,38 @@ def test_ray_exit_distance_matches_scalar_reference(dimension, rng):
 
 class TestDivergence:
     def test_zero(self, grid_1d_128, grad_128):
-        phi = VectorField(grid_1d_128, np.zeros((128, 1)))
+        phi = np.zeros((128, 1))
         assert np.all(apply_divergence(grad_128, phi).values == 0.0)
 
     def test_adjointness_20_pairs(self, grid_1d_128, grad_128, rng):
         for _ in range(20):
             u = Field(grid_1d_128, rng.standard_normal(128))
-            phi = VectorField(grid_1d_128, rng.standard_normal((128, 1)))
+            phi = rng.standard_normal((128, 1))
             lhs = l2_inner(u, apply_divergence(grad_128, phi))
             rhs = -grid_1d_128.weight * np.sum(
-                phi.values * apply_gradient(grad_128, u).values)
+                phi * apply_gradient(grad_128, u))
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
 
     def test_adjointness_2d(self, grid_2d_16, grad_2d_16, rng):
         n = grid_2d_16.n_nodes
         for _ in range(5):
             u = Field(grid_2d_16, rng.standard_normal(n))
-            phi = VectorField(grid_2d_16, rng.standard_normal((n, 2)))
+            phi = rng.standard_normal((n, 2))
             lhs = l2_inner(u, apply_divergence(grad_2d_16, phi))
             rhs = -grid_2d_16.weight * np.sum(
-                phi.values * apply_gradient(grad_2d_16, u).values)
+                phi * apply_gradient(grad_2d_16, u))
             assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
+
+    @pytest.mark.parametrize("nodes, columns", [((128,), 2), ((8, 8), 1), ((8, 8), 3)])
+    def test_transpose_rejects_other_column_counts(self, nodes, columns, rng):
+        # a gradient has as many columns as the operator has components
+        grid = build_grid(DomainSpec(bounds=tuple((0.0, 1.0) for _ in nodes), nodes=nodes))
+        grad = assemble_gradient(grid, 0.5)
+        phi = rng.standard_normal((grid.n_nodes, columns))
+        with pytest.raises(ValueError, match="shape"):
+            grad._transpose(phi)
+        with pytest.raises(ValueError, match="shape"):
+            apply_divergence(grad, phi)
 
     @pytest.mark.parametrize("nodes", [(128,), (16, 16), (12, 10)])
     def test_gradient_fields_are_component_major(self, nodes, rng):
@@ -178,9 +189,9 @@ class TestDivergence:
         grid = build_grid(DomainSpec(bounds=tuple((0.0, 1.0) for _ in nodes), nodes=nodes))
         grad = assemble_gradient(grid, 0.5)
         phi = apply_gradient(grad, Field(grid, rng.standard_normal(grid.n_nodes)))
-        assert phi.values.T.flags.c_contiguous
-        copy = VectorField(grid, np.ascontiguousarray(phi.values))
-        assert copy.values.flags.c_contiguous
+        assert phi.T.flags.c_contiguous
+        copy = np.ascontiguousarray(phi)
+        assert copy.flags.c_contiguous
         assert np.array_equal(apply_divergence(grad, phi).values,
                               apply_divergence(grad, copy).values)
 
@@ -361,7 +372,7 @@ class TestMatrixFree:
         grad, lap = assemble_gradient(grid, 0.5), assemble_laplacian(grid, 0.5)
         u = Field(grid, rng.standard_normal(n))
         apply_gradient(grad, u)
-        apply_divergence(grad, VectorField(grid, rng.standard_normal((n, d))))
+        apply_divergence(grad, rng.standard_normal((n, d)))
         apply_laplacian(lap, u)
         first_eigenpair(lap)
         for op in (grad, lap):

@@ -205,3 +205,59 @@ def test_commands_load_neither_openssl_nor_numpy_polynomial(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[0, 0], []]
+
+
+# Defaulted parameters that no call in the package passes, with the reason
+# each stays a parameter (module.function.parameter).
+_SET_ONLY_FROM_OUTSIDE = {
+    # the CLI's test seam: the console script passes nothing, tests pass argv
+    "cli.main.argv",
+    # the resolution of the property test's oracle for the 2D exterior rule
+    "fracops._exterior.n_theta",
+}
+
+
+def _defaulted_parameters(tree, module: str):
+    """(module.function.parameter, name a call uses, position among the
+    parameters a call passes or None when keyword-only) per defaulted
+    parameter of a function or method. A method's self is not passed
+    positionally, and __init__ is called by its class's name."""
+    owner = {fn: cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        if fn in owner and not static:
+            positional = positional[1:]
+        called = owner[fn] if fn.name == "__init__" else fn.name
+        where = f"{module}.{owner[fn]}.{fn.name}" if fn in owner else f"{module}.{fn.name}"
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield f"{where}.{arg.arg}", called, arg.arg, i
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield f"{where}.{arg.arg}", called, arg.arg, None
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    # a default that only tests override is a knob nothing in the package
+    # turns: it belongs in a module constant that a test can monkeypatch
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(fracvar.__file__).parent.glob("*.py"))}
+    calls = {}  # called name -> (positional count, keyword names, starred)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                           or any(k.arg is None for k in node.keywords))
+                calls.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords}, starred))
+    unpassed = {key for module, tree in trees.items()
+                for key, called, name, pos in _defaulted_parameters(tree, module)
+                if not any(starred or name in kws or (pos is not None and pos < npos)
+                           for npos, kws, starred in calls.get(called, []))}
+    assert unpassed == _SET_ONLY_FROM_OUTSIDE

@@ -140,22 +140,25 @@ class TestRaySearch:
         coeff = make_coefficient("constant", {"c": 1.0})
         reaction = make_reaction("cubic_saturating", {"kappa": 2.0 * eig_128.value})
         model = model_with(grad_128, coeff, reaction, zero_h)
-        res = ray_search(model, eig_128.function, t_max=1e3, margin=1e-10)
+        res = ray_search(model, eig_128.function, margin=1e-10)
         assert res.found
         assert res.energies[-1] < 0.0
 
     def test_no_crossing_without_reaction(self, grid_1d_128, grad_128, eig_128, zero_h):
         coeff = make_coefficient("constant", {"c": 1.0})
         model = model_with(grad_128, coeff, None, zero_h)
-        res = ray_search(model, eig_128.function, t_max=1e3)
+        res = ray_search(model, eig_128.function)
         assert not res.found
         assert np.all(np.diff(res.energies) > 0.0)  # strictly increasing in t
 
     def test_quadratic_leading_order(self, grid_1d_128, grad_128, power_coeff,
-                                     eig_128, zero_h):
+                                     eig_128, zero_h, monkeypatch):
         reaction = make_reaction("cubic_saturating", {"kappa": 3.0})
         model = model_with(grad_128, power_coeff, reaction, zero_h)
-        res = ray_search(model, eig_128.function, t_max=1e-1, t_min=1e-3, steps=30)
+        monkeypatch.setattr(solvers, "_RAY_T_MAX", 1e-1)
+        monkeypatch.setattr(solvers, "_RAY_T_MIN", 1e-3)
+        monkeypatch.setattr(solvers, "_RAY_STEPS", 30)
+        res = ray_search(model, eig_128.function)
         slope = np.polyfit(np.log(res.t_values), np.log(np.abs(res.energies)), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.05)
 
@@ -177,8 +180,7 @@ def two_solution_setup(grid_1d_128, grad_128, power_coeff, eig_128):
     mat = composition_matrix(grad_128)
     u0 = project_cone(Field(grid_1d_128, np.linalg.solve(mat, h.values)))
     rep1 = minimize_cone(model, opts, u0)
-    ray = ray_search(model, eig_128.function, t_max=1e3,
-                     margin=abs(rep1.energy) * 1.001 + 1e-12)
+    ray = ray_search(model, eig_128.function, margin=abs(rep1.energy) * 1.001 + 1e-12)
     u_far = Field(grid_1d_128, ray.t_star * eig_128.function.values)
     return model, opts, rep1, u_far
 
@@ -224,7 +226,7 @@ class TestMountainPass:
         reaction = make_reaction("cubic_saturating",
                                  {"kappa": 2.0 * power_coeff.gamma_inf * eig.value})
         model = model_with(grad_op, power_coeff, reaction, Field(grid, np.zeros(2048)))
-        ray = ray_search(model, eig.function, t_max=1e3, margin=1e-12)
+        ray = ray_search(model, eig.function, margin=1e-12)
         u_far = Field(grid, ray.t_star * eig.function.values)
         tracemalloc.start()
         try:
@@ -243,14 +245,16 @@ class TestMountainPass:
         assert rep.iterations <= max_iter
 
     def test_resonant_degenerate_fails_within_cap(self, grid_1d_128, grad_128,
-                                                  eig_128, zero_h):
+                                                  eig_128, zero_h, monkeypatch):
         # gamma == 1 and linear reaction at the spectral eigenvalue: the
         # landscape has no barrier (descent directions from the origin), so
         # the minimax must report failure instead of a fake solution
         coeff = make_coefficient("constant", {"c": 1.0})
         reaction = make_reaction("linear", {"kappa": eig_128.value})
         model = model_with(grad_128, coeff, reaction, zero_h)
-        ray = ray_search(model, eig_128.function, t_max=1e4, margin=1e-10)
+        monkeypatch.setattr(solvers, "_RAY_T_MAX", 1e4)
+        monkeypatch.setattr(solvers, "_RAY_T_MIN", 1e-2)
+        ray = ray_search(model, eig_128.function, margin=1e-10)
         assert ray.found
         opts = SolverOptions(max_iter=300, tol_g=1e-6)
         u_far = Field(grid_1d_128, ray.t_star * eig_128.function.values)
