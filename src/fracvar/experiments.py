@@ -114,12 +114,12 @@ class RegimeConfig:
 
 @dataclass(frozen=True, eq=False)
 class PreparedProblem:
-    """Assembled operators and eigenpair shared by the runs of one config."""
+    """The gradient operator and L's first eigenpair shared by the runs of one
+    config; L itself is assembled for the eigenpair only."""
 
     config: RegimeConfig
     grid: Grid
     grad_op: NonlocalOperator
-    lap_op: NonlocalOperator
     eigenpair: EigenPair
     coefficient: CoefficientModel
 
@@ -176,8 +176,8 @@ def prepare(config: RegimeConfig, timings: dict | None = None) -> PreparedProble
     with timed(timings, "eigenpair_seconds"):
         pair = first_eigenpair(lap_op)
     coeff = coeffs_mod.make_coefficient(*config.coefficient)
-    return PreparedProblem(config=config, grid=grid, grad_op=grad_op,
-                           lap_op=lap_op, eigenpair=pair, coefficient=coeff)
+    return PreparedProblem(config=config, grid=grid, grad_op=grad_op, eigenpair=pair,
+                           coefficient=coeff)
 
 
 def _prepared(config: RegimeConfig, prep: PreparedProblem | None) -> PreparedProblem:

@@ -33,8 +33,7 @@ modes cover the two existence mechanisms:
 Both solvers and C's ground state (spectral.composition_ground_state)
 precondition by the same (C + I)^{-1} of the model's own gradient
 operator: the cached dense inverse up to _DENSE_MAX_NODES nodes, the
-symbol solve above, diagonal-scaled everywhere but in the mountain pass
-(_preconditioner says why). Both solvers carry each iterate as an
+diagonal-scaled symbol solve above. Both solvers carry each iterate as an
 energy.PointState, which evaluates grad_s u, the energy, the derivative
 representer and the H^s norm once per point: an accepted line-search
 trial brings its gradient to the next iteration's derivative, KKT residual
@@ -45,7 +44,10 @@ own right-hand side and raises NonFiniteError on an inf or a NaN.
 First-order optimality over the cone is measured by the KKT residual:
 |g_i| on nodes with u_i > 0 and max(0, -g_i) on active nodes, g being the
 nodal representer of the energy derivative. Both solvers end in _report,
-which alone decides a solve's verdict and builds its SolveReport.
+which alone decides a solve's verdict and builds its SolveReport. Each
+names the test that stopped it in diagnostics["stop"]: "kkt" when it
+converged, else "budget" or "line-search", and for a pass "stall" or
+"no-peak".
 """
 
 from __future__ import annotations
@@ -159,13 +161,13 @@ def kkt_residual(point: PointState) -> float:
 # Gradient operators on up to this many nodes precondition by the exact
 # (C + I)^{-1}, larger ones by the symbol solve. The dense inverse keeps the
 # iteration counts low where the symbol solve does not (seed-0 1D mountain
-# pass at 384 nodes: 16 iterations with it, 53-55 with the symbol solve),
+# pass at 384 nodes: 16 iterations with it, 33 with the symbol solve),
 # and its factor costs about 7 ms at 384 nodes and 16 ms at 512 (one BLAS
 # thread, 2-core VM); its N^2 entries and N^3 flops bound it above.
 _DENSE_MAX_NODES = 512
 
 
-def _preconditioner(op: NonlocalOperator, scaled: bool = True):
+def _preconditioner(op: NonlocalOperator):
     """The solve vec -> (C + I)^{-1} vec of a gradient operator.
 
     Its composition matrix C = -div_s grad_s is the Laplacian the energy
@@ -178,14 +180,9 @@ def _preconditioner(op: NonlocalOperator, scaled: bool = True):
     diagonals in O(N) (fracops.composition_diagonal, symbol_diagonal) and
     D^{-1/2} kept with the operator. That takes kappa of the preconditioned
     C + I from 39.8 to 18.5 at 2D 48^2 and from 99 to 28 at 1D 384 nodes.
-    scaled=False keeps the plain symbol solve: the mountain pass's metric,
-    where the scaling left a failing 2D 48^2 run to its whole 8000-step
-    budget (35.8 s against 2.2 s). Only the inverse is kept: C is shifted
-    in place and dropped.
+    Only the inverse is kept: C is shifted in place and dropped.
     """
     if op.n_nodes > _DENSE_MAX_NODES:
-        if not scaled:
-            return lambda vec: symbol_solve(op, vec, 1.0)
         root = op.cached("symbol_scaling", lambda: np.sqrt(
             symbol_diagonal(op, 1.0) / (composition_diagonal(op) + 1.0)))
         return lambda vec: root * symbol_solve(op, root * vec, 1.0)
@@ -367,10 +364,11 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field) -> SolveRe
     of model.grad_op. A projected Armijo search along P(u + alpha d) accepts
     the step; no step raises the energy beyond roundoff (_armijo_step), so
     the iterates stay in the sublevel set of u0.
-    Terminates when the KKT residual reaches opts.tol_g; non-convergence is
-    reported (classification "failed"), not raised. diagnostics["counts"]
-    tallies the line-search trials and backtracks, the Hessian products of
-    CG and its negative-curvature exits.
+    Terminates when the KKT residual reaches opts.tol_g; non-convergence (a
+    spent budget or a failed line search, diagnostics["stop"]) is reported
+    (classification "failed"), not raised. diagnostics["counts"] tallies
+    the line-search trials and backtracks, the Hessian products of CG and
+    its negative-curvature exits.
     """
     precond = _preconditioner(model.grad_op)
     point = PointState(model, project_cone(u0))
@@ -378,7 +376,7 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field) -> SolveRe
                             "negative_curvature_exits"), 0)
     kkt, tol = kkt_residual(point), _kkt_tolerance(_l2(point.u), opts.tol_g)
     converged = kkt <= tol
-    it = 0
+    it, stop = 0, None
     energy_trace = [point.energy]
     r_prev, eta = None, _ETA_MAX
 
@@ -396,14 +394,16 @@ def minimize_cone(model: EnergyModel, opts: SolverOptions, u0: Field) -> SolveRe
 
         res = _armijo_step(point, trial_at, counts, _pg_norm)
         if res is None:
+            stop = "line-search"
             break
         point = res[0]
         energy_trace.append(point.energy)
         kkt, tol = kkt_residual(point), _kkt_tolerance(_l2(point.u), opts.tol_g)
         converged = kkt <= tol
+    stop = stop or ("kkt" if converged else "budget")
 
     return _report(point, kkt, it, converged,
-                   {"energy_trace": energy_trace, "counts": counts})
+                   {"energy_trace": energy_trace, "counts": counts, "stop": stop})
 
 
 def ray_search(model: EnergyModel, direction: Field, margin: float = 0.0) -> RaySearchResult:
@@ -439,6 +439,10 @@ def ray_search(model: EnergyModel, direction: Field, margin: float = 0.0) -> Ray
 # peak's distance from u_low, and the cap on safeguarded Newton steps
 _RAY_GRID = 2.0 ** np.arange(-8, 9)
 _PEAK_NEWTON_MAX = 60
+# the pass has stalled when _STALL_STEPS accepted steps (_armijo_step takes
+# roundoff-level ones) leave its KKT residual above _STALL_RATIO times its best
+_STALL_RATIO = 0.99
+_STALL_STEPS = 50
 
 
 def _ray_peak(model: EnergyModel, low: np.ndarray, grad_low: np.ndarray,
@@ -498,8 +502,9 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
     u_low; a step tries v' = P(t* v - alpha M E'(p(v))), M the (C + I)^{-1}
     of model.grad_op, renormalized, and accepts it by the Armijo rule on the
     peak energy E(p(v')); alpha doubles after each accepted step, up to 1.
-    The run stops when the peak's KKT residual reaches opts.tol_g, and
-    fails when the direction toward u_far has no peak above E(u_low).
+    The run stops when the peak's KKT residual reaches opts.tol_g. It fails
+    when the residual stalls, a line search fails, the budget is spent, or
+    the direction toward u_far has no peak above E(u_low) (stop "no-peak").
     Returns the peak, whose energy is the min-max level c. u_low is
     evaluated once: its energy and gradient serve every ray.
     diagnostics["counts"] tallies line-search trials and backtracks.
@@ -514,7 +519,7 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
     if np.any(u_low.values < 0) or np.any(u_far.values < 0):
         raise ValueError("mountain-pass endpoints must be nonnegative")
 
-    precond = _preconditioner(model.grad_op, scaled=False)
+    precond = _preconditioner(model.grad_op)
     grid = model.grid
     low = u_low.values
     grad_low = low_state.grad
@@ -533,31 +538,36 @@ def mountain_pass(model: EnergyModel, u_low: Field, u_far: Field,
 
     counts = dict.fromkeys(("trials", "backtracks"), 0)
     point = peak_on(np.maximum(u_far.values - low, 0.0))
-    budget = opts.max_iter
+    stop = None
     if point is None:
         # no peak above E(u_low) toward u_far: the geometry degenerated, and
         # the run fails at u_far, below the endpoint level
-        point, budget = far_state, 0
+        point, stop = far_state, "no-peak"
     levels = [point.energy]
-    kkt = kkt_residual(point)
-    it = 0
+    kkt = best = kkt_residual(point)
+    it = stalled = 0
     alpha = 1.0
-    while kkt > opts.tol_g and it < budget:
+    while stop is None and kkt > opts.tol_g and it < opts.max_iter and stalled < _STALL_STEPS:
         it += 1
         # t* v - alpha M g: the current ray, moved against the gradient
         ray, move = point.u.values - low, -alpha * precond(point.representer.values)
         res = _armijo_step(point, lambda step: peak_on(np.maximum(ray + step * move, 0.0)),
                            counts, kkt_residual)
         if res is None:
+            stop = "line-search"
             break
         point, step = res
         alpha = min(2.0 * alpha * step, 1.0)
         levels.append(point.energy)
         kkt = kkt_residual(point)
+        best, stalled = (kkt, 0) if kkt < _STALL_RATIO * best else (best, stalled + 1)
+    stop = stop or ("kkt" if kkt <= opts.tol_g else
+                    "stall" if stalled == _STALL_STEPS else "budget")
 
-    return _report(point, kkt, it, kkt <= opts.tol_g, {
+    return _report(point, kkt, it, stop == "kkt", {
         "levels_head": [float(v) for v in levels[:5]],
         "barrier_min_gap": float(min(levels) - f_low),
         "endpoint_level": float(f_low),
         "counts": counts,
+        "stop": stop,
     }, pass_level=f_low)

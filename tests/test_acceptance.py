@@ -268,7 +268,7 @@ def test_criterion_10_2d_smoke(rng):
     bump = Field(prep.grid, np.exp(-40.0 * np.sum((prep.grid.nodes - center) ** 2, axis=1)))
     from fracvar import composition_residual
 
-    comp = composition_residual(prep.grad_op, prep.lap_op, bump)
+    comp = composition_residual(prep.grad_op, assemble_laplacian(prep.grid, cfg.s), bump)
     ok &= comp <= 0.10
     nu = 50.0 * prep.coefficient.gamma_max * prep.lambda1
     reaction = make_reaction("saturating", {"nu": nu})

@@ -179,7 +179,8 @@ class TestRunCommand:
         assert short["iterations"] == 5 and long["iterations"] > 8
         assert set(short) == set(long)
         assert set(short["diagnostics"]) == set(long["diagnostics"]) == {
-            "counts", "energy_initial"}
+            "counts", "energy_initial", "stop"}
+        assert short["diagnostics"]["stop"] == long["diagnostics"]["stop"] == "kkt"
 
     def test_solve_reports_solution(self, tmp_path):
         cfg = parse_config(write_config(tmp_path / "cfg.json"))

@@ -527,9 +527,10 @@ class TestMatrixFree:
         n = prep.grid.n_nodes
         bound = n * n * 8 / 8
         h = experiments.build_forcing(prep)
+        lap_op = assemble_laplacian(prep.grid, cfg.s)
         tracemalloc.start()
         try:
-            first_eigenpair(prep.lap_op)
+            first_eigenpair(lap_op)
             eig_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             rep = experiments._solve_once(prep, experiments._reaction_with(cfg), h)
